@@ -28,11 +28,11 @@ from .epistemic import (
     SharpMeasurement,
     enumerate_states,
     measure,
-    possibilistic,
+    possible_values,
     transform,
 )
 from .fields import RATIONALS, PrimeField
-from .linalg import AffineSubspace, Matrix, vec_dot
+from .linalg import AffineSubspace, Matrix
 from .quantum import (
     _pair_char,
     born,
@@ -666,16 +666,6 @@ def _criterion_7(seed: int) -> List[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
-def _value_set(state: EpistemicState, meas: SharpMeasurement) -> AffineSubspace:
-    """Affine set of jointly possible measured-value tuples."""
-    fld = state.space.field
-    reach = possibilistic(state, meas)
-    rows = meas.measured.basis
-    offset = tuple(vec_dot(fld, f, reach.offset) for f in rows)
-    directions = tuple(tuple(vec_dot(fld, f, b) for f in rows) for b in reach.basis)
-    return AffineSubspace(fld, len(rows), directions, offset)
-
-
 def _criterion_8(seed: int) -> List[CheckResult]:
     checks = []
     sp = PhaseSpace(RATIONALS, 2)
@@ -683,19 +673,19 @@ def _criterion_8(seed: int) -> List[CheckResult]:
     st = EpistemicState(sp, known, (Fraction(2, 3), Fraction(-5, 7), 0, 0))
 
     m_q1 = SharpMeasurement.of_functional(sp, (1, 0, 0, 0))
-    got_q1 = _value_set(st, m_q1)
+    got_q1 = possible_values(st, m_q1)
     want_q1 = AffineSubspace.span(RATIONALS, [(1,)], ambient=1)
     ok_q1 = got_q1 == want_q1
 
     m_q1q2 = SharpMeasurement(sp, AffineSubspace.span(
         RATIONALS, [(1, 0, 0, 0), (0, 0, 1, 0)], ambient=4))
-    got_pair = _value_set(st, m_q1q2)
+    got_pair = possible_values(st, m_q1q2)
     want_pair = AffineSubspace.span(RATIONALS, [(1, 1)], ambient=2,
                                     offset=(Fraction(2, 3), 0))
     ok_pair = got_pair == want_pair
 
     m_psum = SharpMeasurement.of_functional(sp, (0, 1, 0, 1))
-    got_psum = _value_set(st, m_psum)
+    got_psum = possible_values(st, m_psum)
     want_psum = AffineSubspace.point(RATIONALS, (Fraction(-5, 7),))
     ok_psum = got_psum == want_psum
 
@@ -741,7 +731,7 @@ def _criterion_8(seed: int) -> List[CheckResult]:
         g = tuple(sum((c * row[i] for c, row in zip(coeffs, state.known.basis)),
                       Fraction(0)) for i in range(spn.dim))
         ms = SharpMeasurement.of_functional(spn, g)
-        got = _value_set(state, ms)
+        got = possible_values(state, ms)
         # the value-set helper reports along the canonical (rescaled) functional
         want = state.value_of(ms.measured.basis[0])
         if got != AffineSubspace.point(RATIONALS, (want,)):

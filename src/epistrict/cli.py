@@ -69,7 +69,11 @@ def _emit(text: str, out: Optional[str]) -> None:
 def _space(d: int, n: int) -> PhaseSpace:
     if n < 1:
         raise ScenarioError(f"--n must be a positive integer, got {n}")
-    return PhaseSpace(PrimeField(d), n)
+    try:
+        field = PrimeField(d)
+    except ValueError as exc:
+        raise ScenarioError(f"--d: {exc}") from exc
+    return PhaseSpace(field, n)
 
 
 def _check_dim(space: PhaseSpace, max_dim: int) -> None:
@@ -167,7 +171,11 @@ def _format_simulate(report: dict) -> str:
 
 def _load_scenario(path: str):
     with open(path, encoding="utf-8") as fh:
-        return parse_scenario(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ScenarioError(f"{path}: not UTF-8 text: {exc}") from exc
+    return parse_scenario(text)
 
 
 def cmd_simulate(args) -> int:
@@ -224,14 +232,18 @@ def _format_accept(results, suite: str, modulus: Optional[int]) -> str:
 
 
 def cmd_accept(args) -> int:
-    results = acceptance.run_suite(args.suite)
+    try:
+        seed = acceptance.default_seed()
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from exc
+    results = acceptance.run_suite(args.suite, seed)
     if args.d is not None:
         results = acceptance.filter_by_modulus(results, args.d)
         if not results:
             raise ScenarioError(
                 f"no checks in suite {args.suite!r} exercise d={args.d}")
     if args.format == "json":
-        rep = acceptance.report(results, args.suite)
+        rep = acceptance.report(results, args.suite, seed)
         if args.d is not None:
             rep["modulus"] = args.d
         text = json.dumps(rep, indent=2) + "\n"
@@ -311,9 +323,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

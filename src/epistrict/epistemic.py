@@ -25,18 +25,7 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from .fields import Scalar
-from .linalg import (
-    AffineSubspace,
-    Matrix,
-    Vector,
-    cardinality,
-    intersect_affine,
-    solve_affine,
-    vec,
-    vec_add,
-    vec_dot,
-    vec_sub,
-)
+from .linalg import AffineSubspace, Matrix, Vector, solve_affine, vec, vec_dot
 from .symplectic import (
     PhaseSpace,
     QuadratureFunctional,
@@ -46,6 +35,7 @@ from .symplectic import (
     _euclidean_complement,
     enumerate_isotropic,
     is_isotropic,
+    symplectic_form,
 )
 
 
@@ -114,8 +104,23 @@ class EpistemicState:
         return fld.add(vec_dot(fld, vector, self.valuation), const)
 
 
-def support(state: EpistemicState) -> AffineSubspace:
-    return state.support()
+def _coset_labels(space: PhaseSpace, hidden: AffineSubspace) -> list:
+    """Canonical representatives of the cosets of ``hidden``, lexicographically ordered.
+
+    A representative is zero in every pivot column of the canonical basis, so the
+    labels are exactly the vectors that range over Z_d in the free columns.
+    """
+    fld = space.field
+    pivot_cols = [next(i for i, e in enumerate(row) if e != fld.zero)
+                  for row in hidden.basis]
+    free_cols = [j for j in range(space.dim) if j not in pivot_cols]
+    labels = []
+    for values in itertools.product(range(space.d), repeat=len(free_cols)):
+        offset = [fld.zero] * space.dim
+        for col, val in zip(free_cols, values):
+            offset[col] = val
+        labels.append(tuple(offset))
+    return labels
 
 
 def enumerate_states(space: PhaseSpace, cap: int = 500_000) -> list:
@@ -132,17 +137,10 @@ def enumerate_states(space: PhaseSpace, cap: int = 500_000) -> list:
         count = d ** v_sub.rank
         if len(out) + count > cap:
             raise SizeCapExceeded("state enumeration", len(out) + count, cap)
-        hidden = _euclidean_complement(space, v_sub)
-        fld = space.field
-        pivot_cols = [next(i for i, e in enumerate(row) if e != fld.zero)
-                      for row in hidden.basis]
-        free_cols = [j for j in range(space.dim) if j not in pivot_cols]
-        assert len(free_cols) == v_sub.rank
-        for values in itertools.product(range(d), repeat=len(free_cols)):
-            offset = [fld.zero] * space.dim
-            for col, val in zip(free_cols, values):
-                offset[col] = val
-            out.append(EpistemicState(space, v_sub, tuple(offset)))
+        labels = _coset_labels(space, _euclidean_complement(space, v_sub))
+        if len(labels) != count:
+            raise AssertionError("valuation cosets do not match the rank of V")
+        out.extend(EpistemicState(space, v_sub, label) for label in labels)
     return out
 
 
@@ -152,16 +150,20 @@ def enumerate_states(space: PhaseSpace, cap: int = 500_000) -> list:
 
 
 def transform(state: EpistemicState, t: SymplecticAffine) -> EpistemicState:
-    """Push the state through an affine symplectic map (support maps pointwise)."""
+    """Push the state through an affine symplectic map, acting on the label (V, v).
+
+    The support V-perp + v maps pointwise onto S V-perp + (S v + a), whose known
+    functionals are S^{-T} V; for symplectic S, S^{-T} = J^T S J.
+    """
     if t.space != state.space:
         raise ValueError("transformation acts on a different phase space")
-    fld = state.space.field
-    sup = state.support()
-    image = AffineSubspace(
-        fld, state.space.dim,
-        tuple(t.s.matvec(b) for b in sup.basis),
-        t.apply(sup.offset))
-    return EpistemicState.from_support(state.space, image)
+    space = state.space
+    j = symplectic_form(space)
+    j_t = j.T
+    known = AffineSubspace(space.field, space.dim,
+                           tuple(j_t.matvec(t.s.matvec(j.matvec(f)))
+                                 for f in state.known.basis))
+    return EpistemicState(space, known, t.apply(state.valuation))
 
 
 # ---------------------------------------------------------------------------
@@ -207,18 +209,7 @@ class SharpMeasurement:
         """All canonical outcome labels, lexicographically ordered (finite fields)."""
         if not self.space.field.is_finite:
             raise UnsupportedOperation("cannot enumerate outcomes over Q")
-        fld = self.space.field
-        hidden = self._hidden()
-        pivot_cols = [next(i for i, e in enumerate(row) if e != fld.zero)
-                      for row in hidden.basis]
-        free_cols = [j for j in range(self.space.dim) if j not in pivot_cols]
-        labels = []
-        for values in itertools.product(range(self.space.d), repeat=len(free_cols)):
-            offset = [fld.zero] * self.space.dim
-            for col, val in zip(free_cols, values):
-                offset[col] = val
-            labels.append(tuple(offset))
-        return labels
+        return _coset_labels(self.space, self._hidden())
 
     def values_at(self, label: Iterable) -> tuple:
         """The value tuple (f_i applied to the label) over the canonical basis of V'."""
@@ -262,24 +253,19 @@ class OutcomeDistribution:
 
 
 def measure(state: EpistemicState, m: SharpMeasurement) -> OutcomeDistribution:
-    """Sharp-measurement statistics by exact affine counting.
+    """Sharp-measurement statistics: uniform over the possible outcomes.
 
-    Pr(label) = |support ∩ cell(label)| / |support|; all arithmetic is in Q.
+    Pr(label) = |support ∩ cell(label)| / |support|.  Every nonempty intersection is a
+    coset of V-perp ∩ V'-perp, so all possible outcomes are equally likely.
     """
     if m.space != state.space:
         raise ValueError("measurement lives on a different phase space")
     if not state.space.field.is_finite:
         raise UnsupportedOperation(
             "probabilities need a finite ontic space; use possibilistic() over Q")
-    sup = state.support()
-    denom = cardinality(sup)
-    probs = {}
-    for label in m.outcomes():
-        overlap = intersect_affine(sup, m.cell(label))
-        num = cardinality(overlap)
-        if num:
-            probs[label] = Fraction(num, denom)
-    return OutcomeDistribution(probs)
+    labels = possible_labels(state, m)
+    p = Fraction(1, len(labels))
+    return OutcomeDistribution({label: p for label in labels})
 
 
 def scenario(state: EpistemicState, t: Optional[SymplecticAffine],
@@ -334,9 +320,23 @@ def possibilistic(state: EpistemicState, m: SharpMeasurement) -> AffineSubspace:
 
 
 def possible_labels(state: EpistemicState, m: SharpMeasurement) -> list:
-    """Canonical labels of outcomes with nonzero support overlap (finite fields)."""
+    """Canonical labels of outcomes with nonzero support overlap, in outcome order.
+
+    A label is possible iff it lies in the reach (finite fields only).
+    """
     reach = possibilistic(state, m)
-    return sorted({m.label_of(x) for x in reach.points()})
+    return [label for label in m.outcomes() if reach.contains(label)]
+
+
+def possible_values(state: EpistemicState, m: SharpMeasurement) -> AffineSubspace:
+    """The affine set of jointly possible value tuples over the canonical basis of V'.
+
+    Works over any field: it is the image of the reach under the measured functionals.
+    """
+    reach = possibilistic(state, m)
+    return AffineSubspace(state.space.field, m.measured.rank,
+                          tuple(m.values_at(b) for b in reach.basis),
+                          m.values_at(reach.offset))
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +376,28 @@ def product_state(sys_state: EpistemicState, anc_state: EpistemicState) -> Epist
                           _joint_point(sys_state.valuation, anc_state.valuation))
 
 
+def _dilation_kernel(sys: PhaseSpace, anc_state: EpistemicState,
+                     coupling: SymplecticAffine, read) -> dict:
+    """For each system point, the distribution of ``read`` at the coupled images of
+    the ancilla's support points, each weighted by the ancilla's distribution."""
+    if not sys.field.is_finite:
+        raise UnsupportedOperation("dilation kernels need a finite ontic space")
+    if coupling.space != join_spaces(sys, anc_state.space):
+        raise ValueError("coupling must act on the joined system+ancilla space")
+    anc_points = list(anc_state.support().points())
+    weight = Fraction(1, len(anc_points))
+    kernel = {}
+    for m_sys in sys.points():
+        row: dict = {}
+        for m_anc in anc_points:
+            key = read(coupling.apply(_joint_point(m_sys, m_anc)))
+            row[key] = row.get(key, Fraction(0)) + weight
+        if sum(row.values()) != 1:
+            raise AssertionError("kernel row does not sum to 1")
+        kernel[m_sys] = row
+    return kernel
+
+
 def dilate_unsharp(sys: PhaseSpace, anc_state: EpistemicState,
                    coupling: SymplecticAffine, anc_meas: SharpMeasurement) -> dict:
     """Effective (generally unsharp) measurement induced on the system.
@@ -388,26 +410,10 @@ def dilate_unsharp(sys: PhaseSpace, anc_state: EpistemicState,
 
     Rows always sum to 1.
     """
-    if not sys.field.is_finite:
-        raise UnsupportedOperation("dilation kernels need a finite ontic space")
-    anc = anc_state.space
-    joint = join_spaces(sys, anc)
-    if coupling.space != joint:
-        raise ValueError("coupling must act on the joined system+ancilla space")
-    if anc_meas.space != anc:
+    if anc_meas.space != anc_state.space:
         raise ValueError("ancilla measurement must live on the ancilla space")
-    anc_points = list(anc_state.support().points())
-    weight = Fraction(1, len(anc_points))
-    kernel = {}
-    for m_sys in sys.points():
-        row: dict = {}
-        for m_anc in anc_points:
-            image = coupling.apply(_joint_point(m_sys, m_anc))
-            label = anc_meas.label_of(_anc_part(sys, image))
-            row[label] = row.get(label, Fraction(0)) + weight
-        assert sum(row.values()) == 1
-        kernel[m_sys] = row
-    return kernel
+    return _dilation_kernel(sys, anc_state, coupling,
+                            lambda image: anc_meas.label_of(_anc_part(sys, image)))
 
 
 def dilate_irreversible(sys: PhaseSpace, anc_state: EpistemicState,
@@ -417,21 +423,5 @@ def dilate_irreversible(sys: PhaseSpace, anc_state: EpistemicState,
     Couple to the ancilla, then discard it: for each system ontic state the kernel row
     is the exact distribution over system ontic states after marginalizing the ancilla.
     """
-    if not sys.field.is_finite:
-        raise UnsupportedOperation("dilation kernels need a finite ontic space")
-    anc = anc_state.space
-    joint = join_spaces(sys, anc)
-    if coupling.space != joint:
-        raise ValueError("coupling must act on the joined system+ancilla space")
-    anc_points = list(anc_state.support().points())
-    weight = Fraction(1, len(anc_points))
-    kernel = {}
-    for m_sys in sys.points():
-        row: dict = {}
-        for m_anc in anc_points:
-            image = coupling.apply(_joint_point(m_sys, m_anc))
-            out = _sys_part(sys, image)
-            row[out] = row.get(out, Fraction(0)) + weight
-        assert sum(row.values()) == 1
-        kernel[m_sys] = row
-    return kernel
+    return _dilation_kernel(sys, anc_state, coupling,
+                            lambda image: _sys_part(sys, image))

@@ -229,7 +229,10 @@ def _symmetric_fix(space: PhaseSpace, a: Matrix, b: Matrix) -> Matrix:
     raise AssertionError("no symmetric completion found; input cannot be symplectic")
 
 
+#: Memo of built unitaries, cleared when full like the subspace memo in ``linalg``.
+#: Entries are read-only, so no caller can corrupt what later callers receive.
 _metaplectic_cache: Dict[tuple, np.ndarray] = {}
+_METAPLECTIC_CACHE_LIMIT = 2048
 
 
 def metaplectic(space: PhaseSpace, s) -> np.ndarray:
@@ -237,8 +240,8 @@ def metaplectic(space: PhaseSpace, s) -> np.ndarray:
 
     At odd d the construction is exactly covariant (the proportionality constant is 1);
     at d = 2 signs can appear on displaced Weyls.  The result is cached and
-    deterministic; covariance is re-verified on the generator displacements after every
-    build, so a silently wrong decomposition cannot escape.
+    deterministic (and read-only); covariance is re-verified on the generator
+    displacements after every build, so a silently wrong decomposition cannot escape.
     """
     if isinstance(s, SymplecticAffine):
         s = s.s
@@ -288,6 +291,9 @@ def metaplectic(space: PhaseSpace, s) -> np.ndarray:
         u = fixed @ r_inv_unitary
 
     _verify_generator_covariance(space, s, u)
+    u.setflags(write=False)
+    if len(_metaplectic_cache) >= _METAPLECTIC_CACHE_LIMIT:
+        _metaplectic_cache.clear()
     _metaplectic_cache[key] = u
     return u
 

@@ -28,11 +28,11 @@ from .epistemic import (
     EpistemicState,
     SharpMeasurement,
     measure,
-    possibilistic,
+    possible_values,
     transform,
 )
 from .fields import RATIONALS, Field, PrimeField
-from .linalg import AffineSubspace, Matrix, vec_dot
+from .linalg import AffineSubspace, Matrix
 from .quantum import born, clifford, quadrature_pvm, quadrature_state
 from .symplectic import PhaseSpace, SymplecticAffine, symp_inner
 
@@ -255,23 +255,6 @@ def serialize_scenario(sc: Scenario) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _possible_value_set(state: EpistemicState, meas: SharpMeasurement) -> dict:
-    """Affine set of jointly possible measured-value tuples (any field)."""
-    fld = state.space.field
-    reach = possibilistic(state, meas)
-    functionals = meas.measured.basis
-    offset = tuple(vec_dot(fld, f, reach.offset) for f in functionals)
-    directions = tuple(tuple(vec_dot(fld, f, b) for f in functionals)
-                       for b in reach.basis)
-    image = AffineSubspace(fld, len(functionals), directions, offset)
-    return {
-        "functionals": _rows_out(fld, functionals),
-        "offset": _vector_out(fld, image.offset),
-        "directions": _rows_out(fld, image.basis),
-        "deterministic": len(image.basis) == 0,
-    }
-
-
 def run_scenario(sc: Scenario, tolerance: float = COMPARE_TOL) -> dict:
     """Execute the scenario and return a JSON-ready report."""
     state = sc.preparation
@@ -285,7 +268,14 @@ def run_scenario(sc: Scenario, tolerance: float = COMPARE_TOL) -> dict:
     }
 
     if not sc.space.field.is_finite:
-        report["possible_values"] = _possible_value_set(state, sc.measurement)
+        fld = sc.space.field
+        values = possible_values(state, sc.measurement)
+        report["possible_values"] = {
+            "functionals": _rows_out(fld, sc.measurement.measured.basis),
+            "offset": _vector_out(fld, values.offset),
+            "directions": _rows_out(fld, values.basis),
+            "deterministic": values.rank == 0,
+        }
         return report
 
     want_classical = sc.mode in ("epistricted", "compare")

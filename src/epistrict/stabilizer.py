@@ -155,7 +155,8 @@ def quadrature_of_stabilizer(group: StabilizerGroup) -> EpistemicState:
         raise ValueError("generators are dependent; phases cannot be read additively")
     targets = vec(f, [e for _, e in group.generators])
     sol = solve_affine(rows, targets)
-    assert not sol.is_empty
+    if sol.is_empty:
+        raise AssertionError("independent generators gave an inconsistent phase system")
     return EpistemicState(space, known, sol.offset)
 
 
@@ -210,8 +211,10 @@ def _sign_of_product(space: PhaseSpace, vectors) -> int:
     for m in vectors:
         prod = prod @ weyl(space, m)
     val = prod[0, 0]
-    assert np.max(np.abs(prod - val * np.eye(dim))) < 1e-9
-    assert abs(abs(val) - 1) < 1e-9 and abs(val.imag) < 1e-9
+    if not np.max(np.abs(prod - val * np.eye(dim))) < 1e-9:
+        raise AssertionError("Weyl product is not a multiple of the identity")
+    if not (abs(abs(val) - 1) < 1e-9 and abs(val.imag) < 1e-9):
+        raise AssertionError(f"Weyl product phase {val} is not a real sign")
     return int(round(val.real))
 
 
@@ -260,7 +263,8 @@ def mermin_square() -> MerminReport:
         return n
 
     negative = [k for k, (_, sign) in enumerate(constraints) if sign == -1]
-    assert len(negative) == 1
+    if len(negative) != 1:
+        raise AssertionError("the Mermin square needs exactly one negative constraint")
     relaxed = [c for k, c in enumerate(constraints) if k != negative[0]]
     return MerminReport(grid, row_signs, col_signs, 512,
                         count(constraints), count(relaxed))
@@ -294,7 +298,8 @@ def ghz_test() -> GhzReport:
     yyx = (1, 1, 1, 1, 1, 0)
     span = AffineSubspace.span(space.field, gens)
     for m in (xyy, yxy, yyx):
-        assert span.contains(m), "derived observables must lie in the stabilizer span"
+        if not span.contains(m):
+            raise AssertionError("derived observables must lie in the stabilizer span")
     eigs = tuple(int(round(np.trace(weyl(space, m) @ rho).real / np.trace(rho).real))
                  for m in (xxx, xyy, yxy, yyx))
 
@@ -358,7 +363,8 @@ def scan_for_witness(space: PhaseSpace, tol: float = 1e-9) -> Optional[Witness]:
     label_of = {}
     for i, rho in enumerate(rhos):
         fp = _fingerprint(rho)
-        assert fp not in label_of, "two quadrature states share a density matrix"
+        if fp in label_of:
+            raise AssertionError("two quadrature states share a density matrix")
         label_of[fp] = i
 
     def quantum_perm(unitary) -> tuple:
@@ -371,7 +377,8 @@ def scan_for_witness(space: PhaseSpace, tol: float = 1e-9) -> Optional[Witness]:
                     "a Clifford image of a quadrature state left the state set")
             out.append(label_of[fp])
         perm = tuple(out)
-        assert len(set(perm)) == len(perm)
+        if len(set(perm)) != len(perm):
+            raise AssertionError("a Clifford unitary merged two quadrature states")
         return perm
 
     symplectics = enumerate_symplectic(space)
@@ -415,7 +422,8 @@ def scan_for_witness(space: PhaseSpace, tol: float = 1e-9) -> Optional[Witness]:
                 q_dist = born(evolved, quadrature_pvm(space, meas.measured))
                 diff = max(abs(q_dist[k] - float(c_dist.probability(k)))
                            for k in q_dist)
-                assert diff > tol, "label mismatch must show up in some statistics"
+                if not diff > tol:
+                    raise AssertionError("label mismatch must show up in some statistics")
                 return Witness(states[i], t, meas, c_dist, q_dist, diff)
             raise AssertionError(
                 "distinct quadrature states must differ in some sharp measurement")

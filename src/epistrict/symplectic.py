@@ -71,9 +71,6 @@ class PhaseSpace:
         """All d^{2n} phase-space points in lexicographic order (finite case)."""
         return itertools.product(list(self.field.elements()), repeat=self.dim)
 
-    def vectors(self):
-        return self.points()
-
     def zero(self) -> Vector:
         return zero_vec(self.field, self.dim)
 
@@ -221,10 +218,11 @@ class Complements:
     j_image: AffineSubspace     # J V
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=4096)
 def _euclidean_complement(space: PhaseSpace, v: AffineSubspace) -> AffineSubspace:
     # Memoized: a pure function of the (canonical, hashable) subspace, called
     # repeatedly with the same handful of direction spaces by the state layer.
+    # Bounded, so long-lived processes that see many spaces do not grow.
     rows = null_space(Matrix(space.field, v.basis)) if v.basis else None
     if rows is None:
         return AffineSubspace.full(space.field, space.dim)
@@ -318,11 +316,6 @@ class SymplecticAffine:
         fld = self.space.field
         a_inv = vec_scale(fld, fld.neg(fld.one), s_inv.matvec(self.a))
         return SymplecticAffine(self.space, s_inv, a_inv)
-
-
-def compose(t1: SymplecticAffine, t2: SymplecticAffine) -> SymplecticAffine:
-    """Composite map applying ``t2`` first, then ``t1``."""
-    return t1.compose(t2)
 
 
 def transvection(space: PhaseSpace, u: Iterable, c) -> Matrix:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from epistrict import acceptance
+from epistrict import acceptance, cli
 from epistrict.cli import (
     EXIT_CAP,
     EXIT_INVALID,
@@ -265,3 +265,19 @@ def test_bad_seed_env_var_exits_3(monkeypatch, capsys):
     monkeypatch.setenv(acceptance.SEED_ENV, "not-a-number")
     assert main(["accept", "--suite", "inequivalence"]) == EXIT_INVALID
     assert acceptance.SEED_ENV in capsys.readouterr().err
+
+
+def test_internal_value_error_is_not_reported_as_invalid_input(
+        scenario_file, monkeypatch):
+    def broken(sc):
+        raise ValueError("internal inconsistency")
+    monkeypatch.setattr(cli, "run_scenario", broken)
+    with pytest.raises(ValueError, match="internal inconsistency"):
+        main(["simulate", "--scenario", scenario_file(COMPARE_SCENARIO)])
+
+
+def test_simulate_non_utf8_file_exits_3(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"field": "\xe9"}')
+    assert main(["simulate", "--scenario", str(path)]) == EXIT_INVALID
+    assert "UTF-8" in capsys.readouterr().err

@@ -290,11 +290,27 @@ def test_outcome_distribution_validates():
 
 
 def test_possibilistic_matches_probabilistic_support():
-    states = enumerate_states(D3)
-    meas = [SharpMeasurement(D3, v) for v in enumerate_isotropic(D3, rank=1)]
-    for s in states:
-        for m in meas:
-            assert possible_labels(s, m) == measure(s, m).labels()
+    """Possible labels and probabilities against brute-force cell counting.
+
+    The support is rebuilt from the label (V, v) alone, as every x with f(x) = f(v) for
+    f in V, and each support point is read by the measured functionals.
+    """
+    for space in (D3, D2_2):
+        d, dim = space.d, space.dim
+        identity = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+        meas = [SharpMeasurement(space, v) for v in enumerate_isotropic(space)
+                if v.rank > 0]
+        for s in enumerate_states(space):
+            rows = list(s.known.basis) or [(0,) * dim]
+            values = [sum(f * x for f, x in zip(row, s.valuation)) % d for row in rows]
+            support_pts = list(oracles.solve_set(d, rows, values))
+            for m in meas:
+                counted = oracles.ontic_distribution(
+                    d, support_pts, identity, (0,) * dim, m.measured.basis)
+                labels = possible_labels(s, m)
+                assert labels == sorted(labels)
+                assert sorted(m.values_at(k) for k in labels) == sorted(counted)
+                assert {m.values_at(k): p for k, p in measure(s, m).items()} == counted
 
 
 def test_possibilistic_rational_epr():

@@ -14,6 +14,7 @@ from epistrict.epistemic import (
     enumerate_states,
     measure,
 )
+from epistrict import quantum
 from epistrict.quantum import (
     CliffordChannel,
     born,
@@ -35,7 +36,6 @@ from epistrict.symplectic import (
     SizeCapExceeded,
     SymplecticAffine,
     UnsupportedOperation,
-    compose,
     enumerate_group,
     enumerate_isotropic,
     enumerate_symplectic,
@@ -228,6 +228,21 @@ def test_metaplectic_deterministic_and_cached():
     assert a is b  # same object back from the cache
 
 
+def test_cached_metaplectic_is_read_only():
+    u = metaplectic(D3, [[1, 1], [0, 1]])
+    with pytest.raises(ValueError):
+        u[0, 0] = 0
+    assert metaplectic(D3, [[1, 1], [0, 1]])[0, 0] == u[0, 0]
+
+
+def test_metaplectic_cache_clears_at_its_limit(monkeypatch):
+    monkeypatch.setattr(quantum, "_metaplectic_cache", {})
+    monkeypatch.setattr(quantum, "_METAPLECTIC_CACHE_LIMIT", 2)
+    for s in enumerate_symplectic(D3)[:5]:
+        metaplectic(D3, s)
+        assert len(quantum._metaplectic_cache) <= 2
+
+
 # ---------------------------------------------------------------------------
 # Clifford channels
 # ---------------------------------------------------------------------------
@@ -238,7 +253,7 @@ def test_clifford_composition_projective():
     for _ in range(50):
         t1 = random_symplectic_affine(D3_2, rng)
         t2 = random_symplectic_affine(D3_2, rng)
-        u12 = clifford(D3_2, compose(t1, t2)).unitary
+        u12 = clifford(D3_2, t1.compose(t2)).unitary
         u1u2 = clifford(D3_2, t1).unitary @ clifford(D3_2, t2).unitary
         # Proportional with a unit phase: equal as superoperators.
         idx = np.unravel_index(np.argmax(np.abs(u12)), u12.shape)
@@ -254,7 +269,7 @@ def test_clifford_superoperator_action_matches_composition():
     herm = rand + rand.conj().T
     t1 = random_symplectic_affine(D3, rng)
     t2 = random_symplectic_affine(D3, rng)
-    once = clifford(D3, compose(t1, t2)).apply(herm)
+    once = clifford(D3, t1.compose(t2)).apply(herm)
     twice = clifford(D3, t1).apply(clifford(D3, t2).apply(herm))
     assert np.max(np.abs(once - twice)) < 1e-9
 

@@ -16,7 +16,6 @@ from epistrict.symplectic import (
     SymplecticAffine,
     UnsupportedOperation,
     complements,
-    compose,
     enumerate_group,
     enumerate_isotropic,
     enumerate_symplectic,
@@ -248,7 +247,7 @@ def test_compose_order_conventions():
     space = SPACES[3, 1]
     shift = SymplecticAffine.displacement(space, (1, 0))
     s = SymplecticAffine.linear(space, [[1, 1], [0, 1]])
-    both = compose(s, shift)  # shift first, then shear
+    both = s.compose(shift)  # shift first, then shear
     m = (2, 2)
     assert both.apply(m) == s.apply(shift.apply(m))
 
