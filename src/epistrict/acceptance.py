@@ -32,7 +32,7 @@ from .epistemic import (
     transform,
 )
 from .fields import RATIONALS, PrimeField
-from .linalg import AffineSubspace, Matrix
+from .linalg import AffineSubspace, Matrix, vec_add, vec_dot
 from .quantum import (
     _pair_char,
     born,
@@ -199,12 +199,8 @@ def _criterion_2(seed: int) -> List[CheckResult]:
     bad_j = []
     for d, n in ((2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (5, 2)):
         sp = _sp(d, n)
-        f = sp.field
         j = symplectic_form(sp)
-        minus_identity = Matrix.from_rows(
-            f, [[f.neg(f.one) if r == c else f.zero for c in range(sp.dim)]
-                for r in range(sp.dim)])
-        if (j @ j) != minus_identity:
+        if (j @ j) != -Matrix.identity(sp.field, sp.dim):
             bad_j.append((d, n))
     checks.append(_check(2, "J^2 = -identity (d in {2,3,5}; n in {1,2})",
                          not bad_j, "holds everywhere", f"failures at {bad_j or 'none'}",
@@ -214,7 +210,7 @@ def _criterion_2(seed: int) -> List[CheckResult]:
     f3 = sp3.field
     vecs = [tuple(p) for p in sp3.points()]
     skew_bad = sum(1 for a in vecs for b in vecs
-                   if symp_inner(sp3, a, b) != f3.neg(symp_inner(sp3, b, a)))
+                   if symp_inner(sp3, a, b) != f3.reduce(-symp_inner(sp3, b, a)))
     checks.append(_check(2, "skew-symmetry of <.,.> on all pairs (d=3, n=1)",
                          skew_bad == 0, "0 violations", f"{skew_bad} of {len(vecs)**2}",
                          moduli=(3,)))
@@ -251,7 +247,7 @@ def _criterion_2(seed: int) -> List[CheckResult]:
     comm_bad = 0
     for a in vecs:
         for b in vecs:
-            ab = tuple(f3.add(x, y) for x, y in zip(a, b))
+            ab = vec_add(f3, a, b)
             lhs = ws[a] @ ws[b]
             prod_dev = max(prod_dev, float(np.max(np.abs(
                 lhs - weyl_phase(sp3, a, b) * ws[ab]))))
@@ -449,8 +445,7 @@ def _criterion_5(seed: int) -> List[CheckResult]:
                 tr = np.trace(rho).real
                 for f in rep.flipped:
                     m = tuple(j.matvec(f))
-                    naive = sum(int(a) * int(b)
-                                for a, b in zip(f, st.valuation)) % d
+                    naive = vec_dot(sp.field, f, st.valuation)
                     predicted = np.conj(_pair_char(d, naive))
                     flip_relation_dev = max(flip_relation_dev, float(np.max(np.abs(
                         weyl(sp, m) @ rho + predicted * rho))))

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from .fields import Scalar
-from .linalg import AffineSubspace, Matrix, Vector, solve_affine, vec, vec_dot
+from .linalg import AffineSubspace, Matrix, Vector, solve_affine, vec, vec_dot, vec_sub
 from .symplectic import (
     PhaseSpace,
     QuadratureFunctional,
@@ -101,7 +101,7 @@ class EpistemicState:
             vector, const = vec(fld, f), fld.zero
         if not self.known.contains(vector):
             raise ValueError("functional is not known in this state")
-        return fld.add(vec_dot(fld, vector, self.valuation), const)
+        return fld.reduce(vec_dot(fld, vector, self.valuation) + const)
 
 
 def _coset_labels(space: PhaseSpace, hidden: AffineSubspace) -> list:
@@ -291,8 +291,7 @@ def scenario(state: EpistemicState, t: Optional[SymplecticAffine],
     for label in m.outcomes():
         # Outcome `label` after the map corresponds to pulled-back values
         # f_i(label) - f_i(a) on the original state.
-        targets = [fld.sub(vec_dot(fld, f, label), vec_dot(fld, f, t.a))
-                   for f in m.measured.basis]
+        targets = [vec_dot(fld, f, vec_sub(fld, label, t.a)) for f in m.measured.basis]
         if pulled_rows:
             cell = solve_affine(Matrix(fld, tuple(pulled_rows)), targets)
         else:

@@ -1,11 +1,15 @@
-"""Exact scalar arithmetic: prime fields Z_d and the rational field.
+"""Exact scalars: prime fields Z_d and the rational field.
 
-Scalars are plain Python objects — ``int`` for prime-field elements (kept reduced to the
-canonical range ``0..d-1``) and ``fractions.Fraction`` for rationals (automatically in
-lowest terms with positive denominator).  A :class:`Field` instance supplies the
-operations, so vectors and matrices can stay ordinary tuples.
+Scalars are plain Python objects — ``int`` for prime-field elements (canonical range
+``0..d-1``) and ``fractions.Fraction`` for rationals (lowest terms, positive
+denominator) — so vectors and matrices stay ordinary tuples.  Arithmetic is Python's
+``+``, ``-`` and ``*`` on canonical scalars, which is exact ring arithmetic in both
+cases; a result becomes canonical again through one :meth:`Field.reduce` call (``% d``
+over Z_d, ``Fraction`` over Q).  A :class:`Field` supplies only what differs between
+the two: ``element`` (coercion of outside values), ``reduce``, ``inv``, ``zero``,
+``one`` and, for Z_d, ``elements`` and ``modulus``.
 
-No floats anywhere in this module; equality of scalars is meaningful.
+No floats anywhere in this module; equality of canonical scalars is meaningful.
 """
 
 from __future__ import annotations
@@ -38,23 +42,12 @@ class Field:
         """Coerce ``value`` into canonical form, validating its type."""
         raise NotImplementedError
 
-    def add(self, a: Scalar, b: Scalar) -> Scalar:
-        raise NotImplementedError
-
-    def sub(self, a: Scalar, b: Scalar) -> Scalar:
-        raise NotImplementedError
-
-    def mul(self, a: Scalar, b: Scalar) -> Scalar:
-        raise NotImplementedError
-
-    def neg(self, a: Scalar) -> Scalar:
+    def reduce(self, x: Scalar) -> Scalar:
+        """Canonical form of the result of ``+ - *`` on canonical scalars."""
         raise NotImplementedError
 
     def inv(self, a: Scalar) -> Scalar:
         raise NotImplementedError
-
-    def div(self, a: Scalar, b: Scalar) -> Scalar:
-        return self.mul(a, self.inv(b))
 
     @property
     def zero(self) -> Scalar:
@@ -88,23 +81,16 @@ class PrimeField(Field):
             else:
                 # A reduced fraction can still land in Z_d when d does not divide
                 # the denominator; convenient when loading scenario files.
-                return self.div(value.numerator % self.modulus,
-                                value.denominator % self.modulus)
+                if value.denominator % self.modulus == 0:
+                    raise ValueError(f"{value} has no value in Z_{self.modulus}: "
+                                     f"its denominator is divisible by {self.modulus}")
+                return value.numerator * self.inv(value.denominator) % self.modulus
         if not isinstance(value, int) or isinstance(value, bool):
             raise TypeError(f"prime-field element must be an int, got {value!r}")
         return value % self.modulus
 
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.modulus
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.modulus
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.modulus
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.modulus
+    def reduce(self, x: int) -> int:
+        return x % self.modulus
 
     def inv(self, a: int) -> int:
         a %= self.modulus
@@ -147,17 +133,8 @@ class RationalField(Field):
             raise TypeError("floats are not exact; pass int, Fraction or 'num/den' str")
         return Fraction(value)
 
-    def add(self, a: Fraction, b: Fraction) -> Fraction:
-        return a + b
-
-    def sub(self, a: Fraction, b: Fraction) -> Fraction:
-        return a - b
-
-    def mul(self, a: Fraction, b: Fraction) -> Fraction:
-        return a * b
-
-    def neg(self, a: Fraction) -> Fraction:
-        return -a
+    def reduce(self, x) -> Fraction:
+        return Fraction(x)
 
     def inv(self, a: Fraction) -> Fraction:
         if a == 0:

@@ -12,8 +12,9 @@ coincides with set equality:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from itertools import product
+from operator import mul
 from typing import Iterable, Iterator, Literal, Sequence, Union
 
 from .fields import Field, Scalar
@@ -31,22 +32,30 @@ def zero_vec(field: Field, n: int) -> Vector:
 
 
 def vec_add(field: Field, u: Vector, v: Vector) -> Vector:
-    return tuple(field.add(a, b) for a, b in zip(u, v, strict=True))
+    reduce = field.reduce
+    return tuple(reduce(a + b) for a, b in zip(u, v, strict=True))
 
 
 def vec_sub(field: Field, u: Vector, v: Vector) -> Vector:
-    return tuple(field.sub(a, b) for a, b in zip(u, v, strict=True))
+    reduce = field.reduce
+    return tuple(reduce(a - b) for a, b in zip(u, v, strict=True))
 
 
 def vec_scale(field: Field, c: Scalar, u: Vector) -> Vector:
-    return tuple(field.mul(c, a) for a in u)
+    reduce = field.reduce
+    return tuple(reduce(c * a) for a in u)
+
+
+def _sub_multiple(field: Field, u: Vector, c: Scalar, v: Vector) -> Vector:
+    """The row operation u - c v."""
+    reduce = field.reduce
+    return tuple(reduce(a - c * b) for a, b in zip(u, v, strict=True))
 
 
 def vec_dot(field: Field, u: Vector, v: Vector) -> Scalar:
-    acc = field.zero
-    for a, b in zip(u, v, strict=True):
-        acc = field.add(acc, field.mul(a, b))
-    return acc
+    if len(u) != len(v):
+        raise ValueError(f"dot product of vectors of lengths {len(u)} and {len(v)}")
+    return field.reduce(sum(map(mul, u, v), field.zero))
 
 
 @dataclass(frozen=True)
@@ -104,20 +113,8 @@ class Matrix:
         return Matrix(self.field, tuple(
             vec_add(self.field, r, s) for r, s in zip(self.rows, other.rows, strict=True)))
 
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        return Matrix(self.field, tuple(
-            vec_sub(self.field, r, s) for r, s in zip(self.rows, other.rows, strict=True)))
-
     def __neg__(self) -> "Matrix":
-        return Matrix(self.field, tuple(vec_scale(self.field, self.field.neg(self.field.one), r)
-                                        for r in self.rows))
-
-    def scale(self, c: Scalar) -> "Matrix":
-        c = self.field.element(c)
-        return Matrix(self.field, tuple(vec_scale(self.field, c, r) for r in self.rows))
-
-    def is_zero(self) -> bool:
-        return all(x == self.field.zero for row in self.rows for x in row)
+        return Matrix(self.field, tuple(vec_scale(self.field, -1, r) for r in self.rows))
 
     def inverse(self) -> "Matrix":
         """Exact inverse via Gauss-Jordan; raises ValueError on singular input."""
@@ -140,23 +137,21 @@ def _rref_rows(field: Field, rows: Sequence[Sequence[Scalar]]):
     of rows as the input (zero rows collected at the bottom) and ``pivot_columns[i]`` is
     the pivot column of row ``i``.
     """
-    work = [list(r) for r in rows]
+    work = list(rows)
     nrows = len(work)
     ncols = len(work[0]) if nrows else 0
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if work[i][c] != field.zero), None)
+        pivot_row = next((i for i in range(r, nrows) if work[i][c] != 0), None)
         if pivot_row is None:
             continue
         work[r], work[pivot_row] = work[pivot_row], work[r]
         scale = field.inv(work[r][c])
-        work[r] = [field.mul(scale, x) for x in work[r]]
+        work[r] = vec_scale(field, scale, work[r])
         for i in range(nrows):
-            if i != r and work[i][c] != field.zero:
-                factor = work[i][c]
-                work[i] = [field.sub(x, field.mul(factor, y))
-                           for x, y in zip(work[i], work[r])]
+            if i != r and work[i][c] != 0:
+                work[i] = _sub_multiple(field, work[i], work[i][c], work[r])
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -206,7 +201,7 @@ def null_space(m: Matrix) -> list:
         v = [field.zero] * ncols
         v[f] = field.one
         for i, p in enumerate(pivots):
-            v[p] = field.neg(reduced[i][f])
+            v[p] = field.reduce(-reduced[i][f])
         basis.append(tuple(v))
     return basis
 
@@ -230,8 +225,8 @@ class AffineSubspace:
             object.__setattr__(self, "basis", ())
             object.__setattr__(self, "offset", zero_vec(f, self.ambient))
             return
-        offset = list(vec(f, self.offset if self.offset is not None
-                          else zero_vec(f, self.ambient)))
+        offset = vec(f, self.offset if self.offset is not None
+                      else zero_vec(f, self.ambient))
         if len(offset) != self.ambient:
             raise ValueError("offset length does not match ambient dimension")
         rows = [vec(f, r) for r in self.basis]
@@ -239,14 +234,13 @@ class AffineSubspace:
             raise ValueError("basis row length does not match ambient dimension")
         if rows:
             reduced, pivots = _rref_cached(f, tuple(rows))
-            rows = list(reduced[:len(pivots)])
+            rows = reduced[:len(pivots)]
             # Zero the offset's pivot coordinates: the unique coset representative.
             for row, p in zip(rows, pivots):
-                if offset[p] != f.zero:
-                    c = offset[p]
-                    offset = [f.sub(x, f.mul(c, y)) for x, y in zip(offset, row)]
+                if offset[p] != 0:
+                    offset = _sub_multiple(f, offset, offset[p], row)
         object.__setattr__(self, "basis", tuple(rows))
-        object.__setattr__(self, "offset", tuple(offset))
+        object.__setattr__(self, "offset", offset)
 
     # -- constructors -------------------------------------------------------------
 
@@ -290,13 +284,12 @@ class AffineSubspace:
         if self.is_empty:
             return False
         f = self.field
-        r = list(vec_sub(f, vec(f, x), self.offset))
+        r = vec_sub(f, vec(f, x), self.offset)
         for row in self.basis:
-            p = next(i for i, e in enumerate(row) if e != f.zero)
-            if r[p] != f.zero:
-                c = r[p]
-                r = [f.sub(a, f.mul(c, b)) for a, b in zip(r, row)]
-        return all(a == f.zero for a in r)
+            p = next(i for i, e in enumerate(row) if e != 0)
+            if r[p] != 0:
+                r = _sub_multiple(f, r, r[p], row)
+        return not any(r)
 
     def direction(self) -> "AffineSubspace":
         """The underlying linear subspace (offset dropped)."""

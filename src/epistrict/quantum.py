@@ -37,7 +37,7 @@ from typing import Dict, Iterable, Optional
 import numpy as np
 
 from .fields import Field, PrimeField, RationalField
-from .linalg import AffineSubspace, Matrix, vec, vec_dot
+from .linalg import AffineSubspace, Matrix, vec, vec_dot, vec_scale
 from .symplectic import (
     PhaseSpace,
     QuadratureFunctional,
@@ -355,9 +355,7 @@ def clifford(space: PhaseSpace, t: SymplecticAffine) -> CliffordChannel:
     """
     if t.space != space:
         raise ValueError("transformation acts on a different phase space")
-    f = space.field
-    neg_a = tuple(f.neg(x) for x in t.a)
-    u = weyl(space, neg_a) @ metaplectic(space, t.s)
+    u = weyl(space, vec_scale(space.field, -1, t.a)) @ metaplectic(space, t.s)
     return CliffordChannel(space, t, u)
 
 
@@ -380,15 +378,14 @@ def quadrature_projector(space: PhaseSpace, f, value) -> np.ndarray:
     if all(x == fld.zero for x in vector):
         raise ValueError("the zero functional has no outcome projectors")
     d = space.d
-    t = fld.sub(fld.element(value), const)
+    t = fld.reduce(fld.element(value) - const)
     j = symplectic_form(space)
     jf = j.matvec(vector)
     dim = hilbert_dim(space)
     out = np.zeros((dim, dim), dtype=complex)
     for s in range(d):
         coeff = _pair_char(d, (int(t) * s) % d)
-        sa = tuple(fld.mul(fld.element(s), x) for x in jf)
-        out += coeff * weyl(space, sa)
+        out += coeff * weyl(space, vec_scale(fld, s, jf))
     return out / d
 
 

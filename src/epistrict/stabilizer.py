@@ -32,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import AffineSubspace, Matrix, solve_affine, vec
+from .linalg import AffineSubspace, Matrix, solve_affine, vec, vec_dot
 from .symplectic import (
     PhaseSpace,
     SymplecticAffine,
@@ -99,7 +99,7 @@ def stabilizer_of_quadrature(space: PhaseSpace, known, valuation) -> StabilizerG
     gens = []
     for f in state.known.basis:
         m = tuple(j.matvec(f))
-        e = sum(int(a) * int(b) for a, b in zip(f, state.valuation)) % space.d
+        e = vec_dot(space.field, f, state.valuation)
         gens.append((m, e))
     return StabilizerGroup(space, tuple(gens))
 
@@ -189,7 +189,7 @@ def weyl_value_report(space: PhaseSpace, known, valuation) -> ValueReport:
         f = tuple(sum(c * row[i] for c, row in zip(coeffs, basis)) % d
                   for i in range(space.dim))
         n_elements += 1
-        naive = sum(int(a) * int(b) for a, b in zip(f, state.valuation)) % d
+        naive = vec_dot(space.field, f, state.valuation)
         m = tuple(j.matvec(f))
         # Eigenvalue of W(m) on the state, read off the trace.
         actual = np.trace(weyl(space, m) @ rho) / tr

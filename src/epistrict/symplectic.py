@@ -81,14 +81,14 @@ class PhaseSpace:
         return 2 * i + 1
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=256)
 def symplectic_form(space: PhaseSpace) -> Matrix:
     """The matrix J of the symplectic form, block-diagonal in the (q, p) interleaving."""
     f = space.field
-    rows = [[f.zero] * space.dim for _ in range(space.dim)]
+    rows = [[0] * space.dim for _ in range(space.dim)]
     for i in range(space.n):
-        rows[2 * i][2 * i + 1] = f.one
-        rows[2 * i + 1][2 * i] = f.neg(f.one)
+        rows[2 * i][2 * i + 1] = 1
+        rows[2 * i + 1][2 * i] = -1
     return Matrix.from_rows(f, rows)
 
 
@@ -97,12 +97,8 @@ def symp_inner(space: PhaseSpace, f: Iterable, g: Iterable) -> Scalar:
     fld = space.field
     f = vec(fld, f)
     g = vec(fld, g)
-    acc = fld.zero
-    for i in range(space.n):
-        a = fld.mul(f[2 * i], g[2 * i + 1])
-        b = fld.mul(f[2 * i + 1], g[2 * i])
-        acc = fld.add(acc, fld.sub(a, b))
-    return acc
+    return fld.reduce(sum(f[2 * i] * g[2 * i + 1] - f[2 * i + 1] * g[2 * i]
+                          for i in range(space.n)))
 
 
 @dataclass(frozen=True)
@@ -135,7 +131,7 @@ class QuadratureFunctional:
 
     def evaluate(self, m: Iterable) -> Scalar:
         fld = self.space.field
-        return fld.add(vec_dot(fld, self.f, vec(fld, m)), self.c)
+        return fld.reduce(vec_dot(fld, self.f, vec(fld, m)) + self.c)
 
     def table(self) -> dict:
         """The functional as an explicit value table over all points (finite case)."""
@@ -172,17 +168,14 @@ def poisson_bracket_fd(space: PhaseSpace, f_table: dict, g_table: dict) -> dict:
         steps.append((tuple(q), tuple(p)))
 
     def diff(table, m, step):
-        return fld.sub(table[vec_add(fld, m, step)], table[m])
+        return table[vec_add(fld, m, step)] - table[m]
 
     out = {}
     for m in space.points():
-        acc = fld.zero
-        for q_step, p_step in steps:
-            term = fld.sub(
-                fld.mul(diff(f_table, m, q_step), diff(g_table, m, p_step)),
-                fld.mul(diff(f_table, m, p_step), diff(g_table, m, q_step)))
-            acc = fld.add(acc, term)
-        out[m] = acc
+        out[m] = fld.reduce(sum(
+            diff(f_table, m, q_step) * diff(g_table, m, p_step)
+            - diff(f_table, m, p_step) * diff(g_table, m, q_step)
+            for q_step, p_step in steps))
     return out
 
 
@@ -313,8 +306,7 @@ class SymplecticAffine:
         """Exact inverse using S^{-1} = J^T S^T J — no elimination required."""
         j = symplectic_form(self.space)
         s_inv = j.T @ self.s.T @ j
-        fld = self.space.field
-        a_inv = vec_scale(fld, fld.neg(fld.one), s_inv.matvec(self.a))
+        a_inv = vec_scale(self.space.field, -1, s_inv.matvec(self.a))
         return SymplecticAffine(self.space, s_inv, a_inv)
 
 
@@ -325,12 +317,9 @@ def transvection(space: PhaseSpace, u: Iterable, c) -> Matrix:
     c = fld.element(c)
     j = symplectic_form(space)
     ju = j.matvec(u)  # <x, u> = x . (J u)
-    rows = []
-    for i in range(space.dim):
-        row = [fld.mul(fld.mul(c, u[i]), ju[k]) for k in range(space.dim)]
-        row[i] = fld.add(row[i], fld.one)
-        rows.append(tuple(row))
-    return Matrix(fld, tuple(rows))
+    return Matrix(fld, tuple(
+        tuple(fld.reduce(c * u[i] * ju[k] + int(i == k)) for k in range(space.dim))
+        for i in range(space.dim)))
 
 
 def symplectic_group_order(d: int, n: int) -> int:

@@ -30,6 +30,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
+from .linalg import vec_scale
 from .symplectic import PhaseSpace, SymplecticAffine, UnsupportedOperation
 from .epistemic import EpistemicState, SharpMeasurement, measure, transform
 from .quantum import (
@@ -90,13 +91,12 @@ def point_operators(space: PhaseSpace, net: Optional[tuple] = None) -> PointOper
         # char(<0, m'>) = 1 for every m', so A(0) is the plain Weyl average.
         a0 += w
     a0 /= dim
-    f = space.field
     ops = []
     for m in points:
         # W(-m), not W(m): kets translate opposite to quadrature outcome values,
         # so the operator concentrated on the phase-space point m is the negated
         # displacement of the parity-like A(0).
-        wm = weyl(space, tuple(f.neg(x) for x in m))
+        wm = weyl(space, vec_scale(space.field, -1, m))
         ops.append(wm @ a0 @ wm.conj().T)
     index = {m: i for i, m in enumerate(points)}
     return PointOperatorBasis(space, tuple(ops), index, net if d == 2 else None)
@@ -285,12 +285,8 @@ def equivalence_suite(space: PhaseSpace,
         channel_of[t] = channel
         table = wigner_channel(basis, channel)
         classical = classical_channel_table(t)
-        dev = 0.0
         for m_in, col in table.items():
-            c_col = classical[m_in]
-            dev = max(dev, max(abs(v - float(c_col.get(m_out, 0)))
-                               for m_out, v in col.items()))
-        max_channel_dev = max(max_channel_dev, dev)
+            max_channel_dev = max(max_channel_dev, _table_dev(col, classical[m_in]))
 
     points = basis.points()
     pvm_of = {}
@@ -303,11 +299,8 @@ def equivalence_suite(space: PhaseSpace,
         response_rows[meas] = {label: np.array([table[label][m] for m in points])
                                for label in table}
         classical = classical_meas_table(meas)
-        dev = 0.0
         for label, row in table.items():
-            c_row = classical[label]
-            dev = max(dev, max(abs(v - float(c_row[m])) for m, v in row.items()))
-        max_meas_dev = max(max_meas_dev, dev)
+            max_meas_dev = max(max_meas_dev, _table_dev(row, classical[label]))
 
     max_born_dev = 0.0
     n_triples = 0

@@ -118,3 +118,26 @@ def ontic_distribution(d, support_points, s_rows, a, meas_rows):
                        for frow in meas_rows)
         counts[values] = counts.get(values, 0) + 1
     return {v: Fraction(c, n_pts) for v, c in counts.items()}
+
+
+def rref_mod(d, rows):
+    """Reduced row echelon form over Z_d by plain Gauss-Jordan on raw ints.
+
+    Returns ``(rows, rank)`` with zero rows at the bottom; the RREF is unique, so any
+    correct elimination must agree with it entry for entry.
+    """
+    m = [[e % d for e in r] for r in rows]
+    rank = 0
+    for c in range(len(m[0]) if m else 0):
+        pr = next((r for r in range(rank, len(m)) if m[r][c]), None)
+        if pr is None:
+            continue
+        m[rank], m[pr] = m[pr], m[rank]
+        inv = pow(m[rank][c], d - 2, d)
+        m[rank] = [(e * inv) % d for e in m[rank]]
+        for r in range(len(m)):
+            if r != rank and m[r][c]:
+                f = m[r][c]
+                m[r] = [(e - f * p) % d for e, p in zip(m[r], m[rank])]
+        rank += 1
+    return [tuple(r) for r in m], rank

@@ -1,10 +1,11 @@
 """Package-wide invariants: internal checks survive ``python -O``; memos are bounded."""
 
 import ast
+import importlib
+import pkgutil
 from pathlib import Path
 
 import epistrict
-from epistrict import symplectic
 
 SOURCES = sorted(Path(epistrict.__file__).parent.glob("*.py"))
 
@@ -18,5 +19,14 @@ def test_package_has_no_bare_asserts():
     assert SOURCES and found == []
 
 
-def test_complement_memo_is_bounded():
-    assert symplectic._euclidean_complement.cache_info().maxsize is not None
+def test_every_lru_cache_is_bounded():
+    # Every functools.lru_cache wrapper defined in the package's modules, by name.
+    wrappers = {}
+    for info in pkgutil.iter_modules(epistrict.__path__):
+        module = importlib.import_module(f"epistrict.{info.name}")
+        for name, obj in vars(module).items():
+            if callable(getattr(obj, "cache_info", None)) and obj.__module__ == module.__name__:
+                wrappers[f"{module.__name__}.{name}"] = obj
+    assert "epistrict.symplectic._euclidean_complement" in wrappers
+    unbounded = [name for name, fn in wrappers.items() if fn.cache_info().maxsize is None]
+    assert unbounded == []

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from epistrict.epistemic import EpistemicState, transform
 from epistrict.fields import RATIONALS, PrimeField
 from epistrict.linalg import (
     AffineSubspace,
@@ -17,6 +18,13 @@ from epistrict.linalg import (
     null_space,
     rref,
     solve_affine,
+    vec_dot,
+)
+from epistrict.symplectic import (
+    PhaseSpace,
+    SymplecticAffine,
+    symplectic_form,
+    transvection,
 )
 
 F2 = PrimeField(2)
@@ -54,7 +62,12 @@ def test_rationals_reject_floats_and_reduce():
 def test_prime_field_accepts_compatible_fractions():
     # Scenario files may carry rational literals; 1/2 means inv(2) when it exists.
     assert F3.element(Fraction(1, 2)) == 2
-    assert F5.element(Fraction(3, 4)) == F5.div(3, 4)
+    assert F5.element(Fraction(3, 4)) == F5.reduce(3 * F5.inv(4))
+    assert F5.element(Fraction(-1, 2)) == 2
+    # A denominator divisible by d has no image in Z_d: an input error, not a crash.
+    for fld, bad in ((F3, Fraction(1, 3)), (F3, Fraction(2, 9)), (F5, Fraction(4, 5))):
+        with pytest.raises(ValueError, match=f"{bad}.*Z_{fld.modulus}"):
+            fld.element(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +122,66 @@ def test_rref_idempotent_rational(nrows, ncols, data):
     once, rank1 = rref(Matrix.from_rows(RATIONALS, rows))
     twice, rank2 = rref(once)
     assert once == twice and rank1 == rank2
+
+
+@given(st.sampled_from([2, 3, 5]), st.integers(1, 4), st.integers(1, 4),
+       st.integers(1, 4), st.data())
+@settings(max_examples=120, deadline=None)
+def test_prime_field_arithmetic_matches_raw_ints(d, nrows, ncols, kcols, data):
+    """vec_dot, matvec, @ and rref over Z_d against raw-int computations mod d."""
+    field = PrimeField(d)
+
+    def draw_rows(r, c):
+        return [data.draw(st.lists(st.integers(0, d - 1), min_size=c, max_size=c))
+                for _ in range(r)]
+
+    a_rows, b_rows = draw_rows(nrows, ncols), draw_rows(ncols, kcols)
+    x = draw_rows(1, ncols)[0]
+    a, b = Matrix.from_rows(field, a_rows), Matrix.from_rows(field, b_rows)
+    for row in a_rows:
+        assert vec_dot(field, tuple(row), tuple(x)) \
+            == sum(r * e for r, e in zip(row, x)) % d
+    assert a.matvec(tuple(x)) == tuple(sum(r * e for r, e in zip(row, x)) % d
+                                       for row in a_rows)
+    assert (a @ b).rows == tuple(
+        tuple(sum(a_rows[i][k] * b_rows[k][j] for k in range(ncols)) % d
+              for j in range(kcols))
+        for i in range(nrows))
+    echelon, rank = rref(a)
+    assert (list(echelon.rows), rank) == oracles.rref_mod(d, a_rows)
+
+
+def test_vec_dot_rejects_length_mismatch():
+    with pytest.raises(ValueError):
+        vec_dot(F3, (1, 2), (1, 2, 0))
+
+
+@given(st.integers(1, 2), st.data())
+@settings(max_examples=40, deadline=None)
+def test_rational_results_are_fractions(n, data):
+    """Over Q every entry the exact layers produce is a Fraction, also from int input."""
+    space = PhaseSpace(RATIONALS, n)
+    dim = space.dim
+    scalar = st.one_of(st.integers(-3, 3),
+                       st.fractions(min_value=-3, max_value=3, max_denominator=4))
+    vector = st.lists(scalar, min_size=dim, max_size=dim)
+    nonzero = vector.filter(lambda v: any(v))
+
+    def all_fractions(*groups):
+        return all(type(x) is Fraction for g in groups for row in g for x in row)
+
+    u, f = data.draw(nonzero), data.draw(nonzero)
+    c = data.draw(scalar.filter(lambda x: x != 0))
+    s = transvection(space, u, c)
+    t = SymplecticAffine(space, s, data.draw(vector))
+    sub = AffineSubspace.span(RATIONALS, [u, f], ambient=dim, offset=data.draw(vector))
+    state = EpistemicState(space, AffineSubspace.span(RATIONALS, [f], ambient=dim),
+                           data.draw(vector))
+    moved = transform(state, t)
+    inv = t.inverse()
+    assert all_fractions(symplectic_form(space).rows, s.rows, sub.basis, [sub.offset],
+                         moved.known.basis, [moved.valuation], inv.s.rows, [inv.a])
+    assert inv.compose(t) == SymplecticAffine.identity(space)
 
 
 # ---------------------------------------------------------------------------
