@@ -290,8 +290,9 @@ def scenario(state: EpistemicState, t: Optional[SymplecticAffine],
     relabelled = {}
     for label in m.outcomes():
         # Outcome `label` after the map corresponds to pulled-back values
-        # f_i(label) - f_i(a) on the original state.
-        targets = [vec_dot(fld, f, vec_sub(fld, label, t.a)) for f in m.measured.basis]
+        # f_i(label) - f_i(a) = f_i(label - a) on the original state.
+        shifted = vec_sub(fld, label, t.a)
+        targets = [vec_dot(fld, f, shifted) for f in m.measured.basis]
         if pulled_rows:
             cell = solve_affine(Matrix(fld, tuple(pulled_rows)), targets)
         else:

@@ -129,10 +129,10 @@ def rref_mod(d, rows):
     m = [[e % d for e in r] for r in rows]
     rank = 0
     for c in range(len(m[0]) if m else 0):
-        pr = next((r for r in range(rank, len(m)) if m[r][c]), None)
-        if pr is None:
+        pivot = next((r for r in range(rank, len(m)) if m[r][c]), None)
+        if pivot is None:
             continue
-        m[rank], m[pr] = m[pr], m[rank]
+        m[rank], m[pivot] = m[pivot], m[rank]
         inv = pow(m[rank][c], d - 2, d)
         m[rank] = [(e * inv) % d for e in m[rank]]
         for r in range(len(m)):
