@@ -19,6 +19,8 @@ Convention audit (executable in the test suite):
   holds exactly, along with W(a)^dag = W(-a).  At d = 2 the prefactor is i^{q p},
   making every W(a) a Hermitian tensor of I, X, Y, Z (W(1,1) = Y); composition then
   holds up to a phase in {1, i, -1, -i} and operators commute iff <a, a'> = 0.
+  Every W(a) is monomial (one nonzero entry per column), so it is built from a
+  target index and a phase per basis vector rather than from dense products.
 * A quadrature functional f is measured by the projectors built on the Weyl line
   through Jf:  P_f(t) = (1/d) sum_s chi(t s) W(s Jf)  (doubled character at d = 2).
   Conjugating the position PVM by a metaplectic whose symplectic maps q1 to f lands on
@@ -36,7 +38,7 @@ from typing import Dict, Iterable, Optional
 
 import numpy as np
 
-from .fields import Field, PrimeField, RationalField
+from .fields import Field, RationalField
 from .linalg import AffineSubspace, Matrix, vec, vec_dot, vec_scale
 from .symplectic import (
     PhaseSpace,
@@ -93,24 +95,38 @@ def boost(d: int, p: int) -> np.ndarray:
     return np.diag([_pair_char(d, p * x) for x in range(d)]).astype(complex)
 
 
-def _weyl_1dof(d: int, q: int, p: int) -> np.ndarray:
+#: i^k for k mod 4, exact: the d = 2 Weyl entries are fourth roots of unity.
+_I_POWERS = np.array([1, 1j, -1, -1j])
+
+
+def _weyl_monomials(d: int, n: int, vectors) -> tuple:
+    """Each Weyl operator as a monomial matrix: W(a)|x> = phases[x] |rows[x]>.
+
+    Per degree of freedom W(q, p)|x> = c(q, p) chi(p x)|x - q> with the prefactor c of
+    the module docstring, so one target index and one phase per column describe W(a).
+    ``vectors`` holds K interleaved integer vectors; ``rows`` (int) and ``phases``
+    (complex) are both (K, d^n), with columns in basis order.
+    """
+    a = np.asarray(vectors, dtype=np.int64).reshape(-1, 2 * n)
+    q, p = a[:, 0::2], a[:, 1::2]
+    x = np.array(list(_all_position_vectors(d, n)), dtype=np.int64).reshape(-1, n)
+    rows = ((x[None, :, :] - q[:, None, :]) % d) @ (d ** np.arange(n - 1, -1, -1))
+    qp = np.sum(q * p, axis=1)[:, None]
+    px = p @ x.T
     if d == 2:
-        phase = 1j ** ((q * p) % 4)
-    else:
-        inv2 = (d + 1) // 2
-        phase = chi(PrimeField(d), (-inv2 * q * p) % d)
-    return phase * shift(d, q) @ boost(d, p)
+        # i^{q p} per degree of freedom, times the doubled character (-1)^{p x}.
+        return rows, _I_POWERS[(qp + 2 * px) % 4]
+    inv2 = (d + 1) // 2
+    return rows, np.exp(2j * np.pi * ((px - inv2 * qp) % d) / d)
 
 
 def weyl(space: PhaseSpace, a: Iterable) -> np.ndarray:
     """The Weyl (phase-point displacement) operator for an interleaved vector a."""
-    hilbert_dim(space)
-    d = space.d
+    dim = hilbert_dim(space)
     a = vec(space.field, a)
-    out = None
-    for i in range(space.n):
-        w = _weyl_1dof(d, a[2 * i], a[2 * i + 1])
-        out = w if out is None else np.kron(out, w)
+    rows, phases = _weyl_monomials(space.d, space.n, [int(x) for x in a])
+    out = np.zeros((dim, dim), dtype=complex)
+    out[rows[0], np.arange(dim)] = phases[0]
     return out
 
 
@@ -446,15 +462,27 @@ def quadrature_pvm(space: PhaseSpace, known: AffineSubspace) -> dict:
     return pvm
 
 
+def born_table(rhos: np.ndarray, projectors: np.ndarray, starts=(0,)) -> np.ndarray:
+    """Born probabilities Tr(rho_s P_k) of a stack of states over stacked PVMs.
+
+    ``rhos`` is (S, D, D) and ``projectors`` (K, D, D) holds complete PVMs back to back,
+    PVM j starting at row ``starts[j]``.  Returns the real (S, K) table.  Each entry is
+    the O(D^2) contraction Tr(rho P) = sum_ij rho_ij P_ji; every entry must be real and
+    every PVM's probabilities must sum to 1 in every state.
+    """
+    size = rhos.shape[-1] ** 2
+    probs = (rhos.transpose(0, 2, 1).reshape(len(rhos), size)
+             @ projectors.reshape(len(projectors), size).T)
+    if np.any(np.abs(probs.imag) > TOL):
+        raise AssertionError("Born probability has an imaginary part")
+    totals = np.add.reduceat(probs.real, list(starts), axis=1)
+    bad = np.abs(totals - 1.0) > TOL
+    if np.any(bad):
+        raise AssertionError(f"Born probabilities sum to {totals[bad][0]}")
+    return probs.real
+
+
 def born(rho: np.ndarray, pvm: dict) -> dict:
     """Born probabilities of a PVM in a state; validates realness and normalization."""
-    out = {}
-    for label, proj in pvm.items():
-        p = np.trace(rho @ proj)
-        if abs(p.imag) > TOL:
-            raise AssertionError("Born probability has an imaginary part")
-        out[label] = float(p.real)
-    total = sum(out.values())
-    if abs(total - 1.0) > TOL:
-        raise AssertionError(f"Born probabilities sum to {total}")
-    return out
+    probs = born_table(np.asarray(rho)[None], np.stack(list(pvm.values())))[0]
+    return dict(zip(pvm, probs.tolist()))

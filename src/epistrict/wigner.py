@@ -20,6 +20,13 @@ With these choices Born contraction is exact:  Tr(Pi rho) = sum_m W_O(m) W_rho(m
 At odd prime d every table of a quadrature scenario is the exact classical object
 (nonnegative, and equal to the epistemic-theory distributions); at d = 2 negativity and
 covariance failures appear and are reported, not asserted away.
+
+The basis stores the d^{2n} operators once, as one read-only (N, D, D) stack with
+N = d^{2n} and D = d^n, built from the monomial (index plus phase) form of the Weyl
+operators.  Every table is then one matrix product over the flattened (N, D^2) stack,
+Tr(X A(m)) = sum_ij X_ij A(m)_ji, and a channel acts once on the whole stack.  The
+equivalence suite works on arrays indexed by position and shares its Born contraction
+with ``quantum.born``.
 """
 
 from __future__ import annotations
@@ -30,17 +37,16 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .linalg import vec_scale
 from .symplectic import PhaseSpace, SymplecticAffine, UnsupportedOperation
 from .epistemic import EpistemicState, SharpMeasurement, measure, transform
 from .quantum import (
     TOL,
-    born,
+    _weyl_monomials,
+    born_table,
     clifford,
     hilbert_dim,
     quadrature_pvm,
     quadrature_state,
-    weyl,
 )
 
 #: Sign choices (s_x, s_y, s_z) for the three nontrivial Weyl lines of one qubit.
@@ -49,10 +55,14 @@ CANONICAL_NET = (1, 1, 1)
 
 @dataclass(frozen=True)
 class PointOperatorBasis:
-    """The full family {A(m)} indexed by phase-space points."""
+    """The full family {A(m)} indexed by phase-space points.
+
+    ``ops`` is one read-only (N, D, D) array aligned with ``points()``; ``op(m)`` is a
+    view of it, not a copy.
+    """
 
     space: PhaseSpace
-    ops: tuple          # aligned with points()
+    ops: np.ndarray
     index: dict         # point -> position in ops
     net: Optional[tuple] = None
 
@@ -63,96 +73,121 @@ class PointOperatorBasis:
         return list(self.index)
 
 
-def _net_sign(net: tuple, q: int, p: int) -> int:
-    if (q, p) == (0, 0):
-        return 1
-    sx, sy, sz = net
-    return {(1, 0): sx, (1, 1): sy, (0, 1): sz}[(q, p)]
+def _checked_net(net) -> tuple:
+    if not isinstance(net, tuple) or len(net) != 3:
+        raise ValueError(f"net must be a 3-tuple of signs, got {net!r}")
+    for sign in net:
+        if sign not in (1, -1):
+            raise ValueError(f"net sign {sign!r} is not +1 or -1 (net = {net!r})")
+    return tuple(int(sign) for sign in net)
 
 
 def point_operators(space: PhaseSpace, net: Optional[tuple] = None) -> PointOperatorBasis:
     """Build the point-operator basis; ``net`` applies at d = 2 only."""
     dim = hilbert_dim(space)
-    d = space.d
+    d, n = space.d, space.n
     if net is not None and d != 2:
         raise ValueError("net signs are a d = 2 freedom only")
-    if d == 2 and net is None:
-        net = CANONICAL_NET
+    if d == 2:
+        net = CANONICAL_NET if net is None else _checked_net(net)
     points = [tuple(m) for m in space.points()]
-    zero = space.zero()
+    pts = np.array(points, dtype=np.int64)
+    rows, phases = _weyl_monomials(d, n, pts)
+    if d == 2:
+        sx, sy, sz = net
+        # The sign of W(m') is the product of its net signs over degrees of freedom.
+        signs = np.array([[1, sz], [sx, sy]])[pts[:, 0::2], pts[:, 1::2]].prod(axis=1)
+        phases = phases * signs[:, None]
+    # char(<0, m'>) = 1 for every m', so A(0) is the plain Weyl average.
     a0 = np.zeros((dim, dim), dtype=complex)
-    for mp in points:
-        w = weyl(space, mp)
-        if d == 2:
-            sign = 1
-            for i in range(space.n):
-                sign *= _net_sign(net, mp[2 * i], mp[2 * i + 1])
-            w = sign * w
-        # char(<0, m'>) = 1 for every m', so A(0) is the plain Weyl average.
-        a0 += w
+    np.add.at(a0, (rows, np.arange(dim)), phases)
     a0 /= dim
-    ops = []
-    for m in points:
-        # W(-m), not W(m): kets translate opposite to quadrature outcome values,
-        # so the operator concentrated on the phase-space point m is the negated
-        # displacement of the parity-like A(0).
-        wm = weyl(space, vec_scale(space.field, -1, m))
-        ops.append(wm @ a0 @ wm.conj().T)
+    # W(-m), not W(m): kets translate opposite to quadrature outcome values, so the
+    # operator concentrated on the phase-space point m is the negated displacement of
+    # the parity-like A(0).  W(-m) sends |x> to phase[x] |row[x]>, so W A(0) W^dag
+    # holds phase[x] A(0)[x, y] conj(phase[y]) at (row[x], row[y]).
+    rows, phases = _weyl_monomials(d, n, -pts)
+    ops = np.empty((len(points), dim, dim), dtype=complex)
+    ops[np.arange(len(points))[:, None, None], rows[:, :, None], rows[:, None, :]] = (
+        phases[:, :, None] * a0 * phases.conj()[:, None, :])
+    ops.setflags(write=False)
     index = {m: i for i, m in enumerate(points)}
-    return PointOperatorBasis(space, tuple(ops), index, net if d == 2 else None)
+    return PointOperatorBasis(space, ops, index, net if d == 2 else None)
+
+
+def _traces(basis: PointOperatorBasis, xs: np.ndarray, what: str) -> np.ndarray:
+    """Tr(X_k A(m)) = sum_ij X_k[i, j] A(m)[j, i] for a stack xs (K, D, D), as a real
+    (K, N) array: one product of the flattened X_k^T with the flattened stack."""
+    size = basis.ops[0].size
+    vals = xs.transpose(0, 2, 1).reshape(len(xs), size) @ basis.ops.reshape(-1, size).T
+    if np.any(np.abs(vals.imag) > TOL):
+        raise AssertionError(f"{what} table entry has an imaginary part")
+    return vals.real
+
+
+def _state_rows(basis: PointOperatorBasis, rhos: np.ndarray) -> np.ndarray:
+    """State tables of a stack of density matrices, one row each."""
+    rows = _traces(basis, rhos, "state") / rhos.shape[-1]
+    totals = rows.sum(axis=1)
+    bad = np.abs(totals - 1.0) > TOL
+    if np.any(bad):
+        raise AssertionError(f"state table sums to {totals[bad][0]}, not 1")
+    return rows
+
+
+def _meas_rows(basis: PointOperatorBasis, pvm: dict) -> np.ndarray:
+    """Response tables of one PVM, one row per outcome in the PVM's order."""
+    rows = _traces(basis, np.stack(list(pvm.values())), "effect")
+    if np.any(np.abs(rows.sum(axis=0) - 1.0) > TOL):
+        raise AssertionError("response tables do not sum to 1 at an ontic point")
+    return rows
+
+
+def _channel_rows(basis: PointOperatorBasis, channel: Callable) -> np.ndarray:
+    """Channel table with rows indexed by the input point, columns by the output."""
+    images = np.asarray(channel(basis.ops))
+    if images.shape != basis.ops.shape:
+        raise ValueError(f"the channel mapped the {basis.ops.shape} stack of point "
+                         f"operators to shape {images.shape}")
+    rows = _traces(basis, images, "channel") / images.shape[-1]
+    sums = rows.sum(axis=1)
+    bad = np.abs(sums - 1.0) > TOL
+    if np.any(bad):
+        raise AssertionError(f"channel column sums to {sums[bad][0]}, not 1")
+    return rows
+
+
+def _image_positions(basis: PointOperatorBasis, t: SymplecticAffine) -> np.ndarray:
+    """Position of S m + a for every point m, in ``points()`` order."""
+    pts = np.array(basis.points(), dtype=np.int64)
+    s = np.array(t.s.rows, dtype=np.int64)
+    images = (pts @ s.T + np.array(t.a, dtype=np.int64)) % basis.space.d
+    return np.array([basis.index[m] for m in map(tuple, images.tolist())])
 
 
 def wigner_state(basis: PointOperatorBasis, rho: np.ndarray) -> dict:
     """State table W_rho(m) = d^{-n} Tr(rho A(m)); validates realness."""
-    dim = rho.shape[0]
-    out = {}
-    for m in basis.points():
-        val = np.trace(rho @ basis.op(m))
-        if abs(val.imag) > TOL:
-            raise AssertionError("state table entry has an imaginary part")
-        out[m] = float(val.real) / dim
-    total = sum(out.values())
-    if abs(total - 1.0) > TOL:
-        raise AssertionError(f"state table sums to {total}, not 1")
-    return out
+    row = _state_rows(basis, np.asarray(rho)[None])[0]
+    return dict(zip(basis.points(), row.tolist()))
 
 
 def wigner_meas(basis: PointOperatorBasis, pvm: dict) -> dict:
     """Measurement tables W_O(k|m) = Tr(Pi_k A(m)), one row of floats per outcome."""
-    out = {}
-    for label, proj in pvm.items():
-        row = {}
-        for m in basis.points():
-            val = np.trace(proj @ basis.op(m))
-            if abs(val.imag) > TOL:
-                raise AssertionError("effect table entry has an imaginary part")
-            row[m] = float(val.real)
-        out[label] = row
-    for m in basis.points():
-        col = sum(out[label][m] for label in out)
-        if abs(col - 1.0) > TOL:
-            raise AssertionError("response tables do not sum to 1 at an ontic point")
-    return out
+    points = basis.points()
+    return {label: dict(zip(points, row))
+            for label, row in zip(pvm, _meas_rows(basis, pvm).tolist())}
 
 
 def wigner_channel(basis: PointOperatorBasis, channel: Callable) -> dict:
-    """Channel table W_E[m_in][m_out] = d^{-n} Tr(A(m_out) E(A(m_in)))."""
-    dim = basis.ops[0].shape[0]
+    """Channel table W_E[m_in][m_out] = d^{-n} Tr(A(m_out) E(A(m_in))).
+
+    ``channel`` is applied once, to the whole (N, D, D) stack of point operators, and
+    must act on the last two axes (as any map written with ``@`` does, such as a
+    ``CliffordChannel``); the stack is read-only.
+    """
     points = basis.points()
-    images = {m: channel(basis.op(m)) for m in points}
-    out = {}
-    for m_in in points:
-        col = {}
-        for m_out in points:
-            val = np.trace(basis.op(m_out) @ images[m_in])
-            if abs(val.imag) > TOL:
-                raise AssertionError("channel table entry has an imaginary part")
-            col[m_out] = float(val.real) / dim
-        colsum = sum(col.values())
-        if abs(colsum - 1.0) > TOL:
-            raise AssertionError(f"channel column sums to {colsum}, not 1")
-        out[m_in] = col
-    return out
+    return {m_in: dict(zip(points, row))
+            for m_in, row in zip(points, _channel_rows(basis, channel).tolist())}
 
 
 @dataclass(frozen=True)
@@ -164,17 +199,11 @@ class CovarianceReport:
 
 def verify_covariance(basis: PointOperatorBasis, t: SymplecticAffine) -> CovarianceReport:
     """Check U(S,a) A(m) U^dag = A(S m + a) entrywise; exact at odd d."""
-    channel = clifford(basis.space, t)
-    worst = 0.0
-    failures = []
-    for m in basis.points():
-        lhs = channel.apply(basis.op(m))
-        rhs = basis.op(tuple(t.apply(m)))
-        dev = float(np.max(np.abs(lhs - rhs)))
-        worst = max(worst, dev)
-        if dev > TOL:
-            failures.append(m)
-    return CovarianceReport(not failures, worst, tuple(failures))
+    lhs = clifford(basis.space, t).apply(basis.ops)
+    devs = np.max(np.abs(lhs - basis.ops[_image_positions(basis, t)]), axis=(1, 2))
+    points = basis.points()
+    failures = tuple(points[i] for i in np.flatnonzero(devs > TOL))
+    return CovarianceReport(not failures, float(devs.max()), failures)
 
 
 def negativity(table: dict) -> tuple:
@@ -243,11 +272,13 @@ def classical_meas_table(meas: SharpMeasurement) -> dict:
     return out
 
 
-def _table_dev(wigner_table: dict, classical_table: dict) -> float:
-    worst = 0.0
-    for key, val in wigner_table.items():
-        worst = max(worst, abs(val - float(classical_table.get(key, 0))))
-    return worst
+def _dense(basis: PointOperatorBasis, table: dict) -> np.ndarray:
+    """An exact classical table over points as floats in ``points()`` order."""
+    return np.array([float(table.get(m, 0)) for m in basis.points()])
+
+
+def _max_abs(x: np.ndarray) -> float:
+    return float(np.max(np.abs(x), initial=0.0))
 
 
 def equivalence_suite(space: PhaseSpace,
@@ -259,6 +290,11 @@ def equivalence_suite(space: PhaseSpace,
     """Compare every classical object with its Wigner image, and Born statistics on
     (state, transform, measurement) triples three ways.
 
+    Triples run state-major, then transform, then measurement; ``max_triples`` keeps
+    the first ones in that order.  Every kept triple is compared: its quantum Born
+    probabilities, its classical distribution (``measure`` of ``transform``), and the
+    contraction of its Wigner tables.
+
     Odd prime d only: this is the regime where the representation is nonnegative and
     the two theories coincide.
     """
@@ -269,70 +305,63 @@ def equivalence_suite(space: PhaseSpace,
     transforms = list(transforms)
     measurements = list(measurements)
     basis = point_operators(space)
+    dim = hilbert_dim(space)
 
-    rho_of = {}
-    max_state_dev = 0.0
-    for s in states:
-        qs = quadrature_state(space, s.known, s.valuation)
-        rho_of[s] = qs.rho
-        dev = _table_dev(wigner_state(basis, qs.rho), classical_state_table(s))
-        max_state_dev = max(max_state_dev, dev)
+    rhos = np.array([quadrature_state(space, s.known, s.valuation).rho for s in states],
+                    dtype=complex).reshape(-1, dim, dim)
+    classical_states = np.array([_dense(basis, classical_state_table(s)) for s in states])
+    max_state_dev = _max_abs(_state_rows(basis, rhos)
+                             - classical_states.reshape(len(states), len(basis.ops)))
 
-    channel_of = {}
+    unitaries = []
     max_channel_dev = 0.0
     for t in transforms:
         channel = clifford(space, t)
-        channel_of[t] = channel
-        table = wigner_channel(basis, channel)
-        classical = classical_channel_table(t)
-        for m_in, col in table.items():
-            max_channel_dev = max(max_channel_dev, _table_dev(col, classical[m_in]))
+        unitaries.append(channel.unitary)
+        table = _channel_rows(basis, channel)
+        table[np.arange(len(table)), _image_positions(basis, t)] -= 1.0
+        max_channel_dev = max(max_channel_dev, _max_abs(table))
 
-    points = basis.points()
-    pvm_of = {}
-    response_rows = {}
+    pvms = [quadrature_pvm(space, meas.measured) for meas in measurements]
+    responses = []
     max_meas_dev = 0.0
-    for meas in measurements:
-        pvm = quadrature_pvm(space, meas.measured)
-        pvm_of[meas] = pvm
-        table = wigner_meas(basis, pvm)
-        response_rows[meas] = {label: np.array([table[label][m] for m in points])
-                               for label in table}
+    for meas, pvm in zip(measurements, pvms):
+        rows = _meas_rows(basis, pvm)
         classical = classical_meas_table(meas)
-        for label, row in table.items():
-            max_meas_dev = max(max_meas_dev, _table_dev(row, classical[label]))
+        dense = np.array([_dense(basis, classical[label]) for label in pvm])
+        max_meas_dev = max(max_meas_dev, _max_abs(rows - dense))
+        responses.append(rows)
 
+    n_triples = len(states) * len(transforms) * len(measurements)
+    if max_triples is not None:
+        n_triples = max(0, min(n_triples, max_triples))
     max_born_dev = 0.0
-    n_triples = 0
-    capped = False
-    measured_cache = {}
-    for s in states:
-        if capped:
-            break
-        for t in transforms:
-            if capped:
-                break
-            evolved_rho = channel_of[t].apply(rho_of[s])
-            evolved_state = transform(s, t)
-            w_evolved = wigner_state(basis, evolved_rho)
-            wvec = np.array([w_evolved[m] for m in points])
-            for k, meas in enumerate(measurements):
-                if max_triples is not None and n_triples >= max_triples:
-                    capped = True
-                    break
-                n_triples += 1
-                key = (evolved_state, k)
-                if key not in measured_cache:
-                    measured_cache[key] = measure(evolved_state, meas)
-                classical_dist = measured_cache[key]
-                quantum_dist = born(evolved_rho, pvm_of[meas])
-                for label, q_prob in quantum_dist.items():
-                    c_prob = float(classical_dist.probability(label))
-                    contracted = float(response_rows[meas][label] @ wvec)
-                    max_born_dev = max(max_born_dev,
-                                       abs(q_prob - c_prob),
-                                       abs(contracted - q_prob),
-                                       abs(contracted - c_prob))
+    if n_triples:
+        n_meas, n_maps = len(measurements), len(transforms)
+        starts = np.cumsum([0] + [len(pvm) for pvm in pvms])
+        projectors = np.stack([proj for pvm in pvms for proj in pvm.values()])
+        response = np.concatenate(responses)
+        unitaries = np.stack(unitaries)
+        n_pairs = -(-n_triples // n_meas)       # (state, transform) pairs to evolve
+        for i in range(-(-n_pairs // n_maps)):  # states with a pair to evolve
+            us = unitaries[:min(n_maps, n_pairs - i * n_maps)]
+            evolved = us @ rhos[i] @ us.conj().transpose(0, 2, 1)
+            quantum = born_table(evolved, projectors, starts[:-1])
+            contracted = _state_rows(basis, evolved) @ response.T
+            classical = np.zeros_like(quantum)
+            kept = np.zeros(quantum.shape, dtype=bool)
+            for j in range(len(us)):
+                evolved_state = transform(states[i], transforms[j])
+                n_kept = min(n_meas, n_triples - (i * n_maps + j) * n_meas)
+                for k in range(n_kept):
+                    dist = measure(evolved_state, measurements[k])
+                    classical[j, starts[k]:starts[k + 1]] = [
+                        float(dist.probability(label)) for label in pvms[k]]
+                kept[j, :starts[n_kept]] = True
+            max_born_dev = max(max_born_dev,
+                               _max_abs(np.where(kept, quantum - classical, 0.0)),
+                               _max_abs(np.where(kept, contracted - quantum, 0.0)),
+                               _max_abs(np.where(kept, contracted - classical, 0.0)))
     return EquivalenceReport(
         space.d, space.n, len(states), len(transforms), len(measurements),
         n_triples, max_state_dev, max_channel_dev, max_meas_dev, max_born_dev,

@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from epistrict.fields import RATIONALS, PrimeField
-from epistrict.linalg import AffineSubspace, Matrix, cardinality
+from epistrict.linalg import AffineSubspace, cardinality
 from epistrict.epistemic import (
     EpistemicState,
     OutcomeDistribution,

@@ -9,15 +9,14 @@ import pytest
 from epistrict.fields import RATIONALS, PrimeField
 from epistrict.linalg import AffineSubspace, Matrix
 from epistrict.epistemic import (
-    EpistemicState,
     SharpMeasurement,
     enumerate_states,
     measure,
 )
 from epistrict import quantum
 from epistrict.quantum import (
-    CliffordChannel,
     born,
+    born_table,
     boost,
     chi,
     clifford,
@@ -87,6 +86,26 @@ def test_weyl_recovers_paulis():
     assert np.allclose(weyl(D2, (1, 0)), X)
     assert np.allclose(weyl(D2, (0, 1)), Z)
     assert np.allclose(weyl(D2, (1, 1)), Y)
+
+
+def _chain_weyl(space, a):
+    """Reference route: the prefactored shift-boost product, tensored dof by dof."""
+    d = space.d
+    out = np.eye(1)
+    for i in range(space.n):
+        q, p = a[2 * i], a[2 * i + 1]
+        if d == 2:
+            prefactor = 1j ** ((q * p) % 4)
+        else:
+            prefactor = chi(space.field, -((d + 1) // 2) * q * p)
+        out = np.kron(out, prefactor * shift(d, q) @ boost(d, p))
+    return out
+
+
+@pytest.mark.parametrize("space", [D2, D3, D5, D2_2, D3_2])
+def test_monomial_weyl_matches_the_kron_chain(space):
+    for a in vectors(space):
+        assert np.max(np.abs(weyl(space, a) - _chain_weyl(space, a))) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -425,6 +444,39 @@ def test_born_matches_classical_measure_spot():
         quantum = born(rho, quadrature_pvm(D3, v))
         for label, p in quantum.items():
             assert abs(p - float(classical.probability(label))) < 1e-10
+
+
+def test_born_matches_the_per_projector_trace():
+    rng = random.Random(11)
+    for space in (D3, D2_2, D3_2):
+        states = enumerate_states(space)
+        for v in enumerate_isotropic(space)[:6]:
+            pvm = quadrature_pvm(space, v)
+            s = states[rng.randrange(len(states))]
+            t = random_symplectic_affine(space, rng)
+            rho = quadrature_state(space, s.known, s.valuation).rho
+            rho = clifford(space, t).apply(rho)
+            probs = born(rho, pvm)
+            assert list(probs) == list(pvm)
+            for label, proj in pvm.items():
+                assert abs(probs[label] - np.trace(rho @ proj).real) < 1e-12
+
+
+def test_born_table_checks_every_stacked_pvm():
+    pvms = [quadrature_pvm(D3, v) for v in enumerate_isotropic(D3)]
+    projectors = np.stack([p for pvm in pvms for p in pvm.values()])
+    starts = np.cumsum([0] + [len(pvm) for pvm in pvms])[:-1]
+    rhos = np.stack([quadrature_state(D3, s.known, s.valuation).rho
+                     for s in enumerate_states(D3)])
+    table = born_table(rhos, projectors, starts)
+    assert table.shape == (len(rhos), len(projectors))
+    for i, rho in enumerate(rhos):
+        assert np.allclose(table[i], [np.trace(rho @ p).real for p in projectors],
+                           atol=1e-12)
+    with pytest.raises(AssertionError, match="sum to"):
+        born_table(rhos, projectors[:-1], starts)
+    with pytest.raises(AssertionError, match="imaginary"):
+        born_table(rhos + 0.1j * np.eye(3), projectors, starts)
 
 
 def test_displaced_scenario_statistics_match_classical():

@@ -7,7 +7,6 @@ import pytest
 
 from epistrict.scenario import (
     COMPARE_TOL,
-    Scenario,
     ScenarioError,
     parse_scenario,
     run_scenario,

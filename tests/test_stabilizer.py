@@ -6,10 +6,9 @@ import pytest
 from epistrict.fields import PrimeField
 from epistrict.linalg import AffineSubspace
 from epistrict.symplectic import PhaseSpace
-from epistrict.epistemic import EpistemicState, enumerate_states, measure, transform
-from epistrict.quantum import quadrature_state, weyl
+from epistrict.epistemic import enumerate_states, measure, transform
+from epistrict.quantum import quadrature_state
 from epistrict.stabilizer import (
-    GhzReport,
     StabilizerGroup,
     Witness,
     ghz_test,

@@ -1,23 +1,37 @@
 """Point-operator algebra and the phase-space tables it induces."""
 
-from fractions import Fraction
+import random
 
 import numpy as np
 import pytest
 
+from epistrict import wigner
 from epistrict.fields import PrimeField
+from epistrict.linalg import AffineSubspace
 from epistrict.symplectic import (
     PhaseSpace,
     SymplecticAffine,
     UnsupportedOperation,
     enumerate_group,
     enumerate_isotropic,
+    random_symplectic_affine,
     symp_inner,
 )
-from epistrict.epistemic import EpistemicState, SharpMeasurement, enumerate_states
-from epistrict.quantum import _pair_char, clifford, quadrature_pvm, quadrature_state, weyl
+from epistrict.epistemic import (
+    EpistemicState,
+    OutcomeDistribution,
+    SharpMeasurement,
+    enumerate_states,
+)
+from epistrict.quantum import (
+    TOL,
+    _pair_char,
+    clifford,
+    quadrature_pvm,
+    quadrature_state,
+    weyl,
+)
 from epistrict.wigner import (
-    CANONICAL_NET,
     classical_channel_table,
     classical_meas_table,
     classical_state_table,
@@ -92,16 +106,15 @@ def test_point_operators_orthogonal_sampled_two_dofs():
         assert abs(val - want) < 1e-10
 
 
-@pytest.mark.parametrize("space", [D2, D3])
+@pytest.mark.parametrize("space", [D2, D3, D5, D2x2, D3x2])
 def test_displaced_operators_match_direct_character_sum(space):
     """A(m) must equal the symplectic Fourier transform of the (signed) Weyl family."""
     basis = point_operators(space)
     d = space.d
     for m in basis.points():
-        direct = np.zeros((d, d), dtype=complex)
-        for mp in space.points():
-            direct = direct + _pair_char(d, symp_inner(space, mp, m)) * weyl(space, mp)
-        direct /= d
+        direct = sum(_pair_char(d, symp_inner(space, mp, m)) * weyl(space, mp)
+                     for mp in space.points())
+        direct /= d ** space.n
         assert np.max(np.abs(basis.op(m) - direct)) < 1e-12
 
 
@@ -122,6 +135,26 @@ def test_custom_net_flips_the_chosen_pauli_sign():
     x = weyl(D2, (1, 0))
     default = point_operators(D2).op((0, 0))
     assert np.max(np.abs(basis.op((0, 0)) - (default - x))) < 1e-12
+
+
+@pytest.mark.parametrize("net, bad", [((2, 1, 1), "2"), ((0, 1, 1), "0"),
+                                      ((1, 1, -2), "-2"), ((1, 1), r"\(1, 1\)"),
+                                      ((1, 1, 1, 1), r"\(1, 1, 1, 1\)")])
+def test_net_must_be_three_signs(net, bad):
+    with pytest.raises(ValueError, match=bad):
+        point_operators(D2, net=net)
+
+
+def test_point_operator_stack_is_read_only():
+    basis = point_operators(D3x2)
+    with pytest.raises(ValueError):
+        basis.ops[0, 0, 0] = 0
+    for m in basis.points():
+        view = basis.op(m)
+        assert np.shares_memory(view, basis.ops)
+        with pytest.raises(ValueError):
+            view[0, 0] = 0
+    assert abs(np.trace(basis.op((0, 0, 0, 0))) - 1.0) < 1e-12
 
 
 def test_net_parameter_rejected_at_odd_d():
@@ -253,6 +286,11 @@ def test_dephasing_channel_table_randomizes_momentum_only():
             assert abs(val - want) < 1e-10
 
 
+def test_channel_must_map_the_whole_stack():
+    with pytest.raises(ValueError, match="shape"):
+        wigner_channel(point_operators(D3), lambda ops: ops[0])
+
+
 def _position_line():
     from epistrict.linalg import AffineSubspace
     return AffineSubspace.span(PrimeField(3), [(1, 0)])
@@ -295,12 +333,53 @@ def test_equivalence_suite_on_a_mixed_sample_at_d3():
     assert report.max_born_dev < 1e-12
 
 
-def test_equivalence_suite_respects_the_triple_cap():
+def test_equivalence_suite_respects_the_triple_cap(monkeypatch):
     states = enumerate_states(D3)[:2]
     transforms = [SymplecticAffine.identity(D3)]
     measurements = [SharpMeasurement(D3, v) for v in enumerate_isotropic(D3, rank=1)]
     report = equivalence_suite(D3, states, transforms, measurements, max_triples=3)
     assert report.n_triples == 3
+
+    def evolved_past_the_cap(*args):
+        raise AssertionError("a pair was evolved with no triple left under the cap")
+
+    monkeypatch.setattr(wigner, "transform", evolved_past_the_cap)
+    report = equivalence_suite(D3, states, transforms, measurements, max_triples=0)
+    assert report.n_triples == 0
+
+
+def test_equivalence_suite_compares_every_kept_triple_once(monkeypatch):
+    """Corrupting the classical side of any one triple must show; the cap must keep
+    exactly the triples before it, each measured once."""
+    states = enumerate_states(D3)[:3]
+    transforms = enumerate_group(D3)[:4]
+    measurements = [SharpMeasurement(D3, v) for v in enumerate_isotropic(D3, rank=1)]
+    total = len(states) * len(transforms) * len(measurements)
+    real_measure = wigner.measure
+    calls = []
+
+    def measure_corrupting(bad):
+        def fake(state, meas):
+            calls.append(meas)
+            dist = real_measure(state, meas)
+            if len(calls) != bad:
+                return dist
+            least = min(meas.outcomes(), key=dist.probability)
+            return OutcomeDistribution({least: 1})
+        return fake
+
+    for bad in range(1, total + 1):
+        monkeypatch.setattr(wigner, "measure", measure_corrupting(bad))
+        calls.clear()
+        report = equivalence_suite(D3, states, transforms, measurements)
+        assert (report.n_triples, len(calls)) == (total, total)
+        assert calls == measurements * (total // len(measurements))
+        assert not report.ok
+        calls.clear()
+        capped = equivalence_suite(D3, states, transforms, measurements,
+                                   max_triples=bad - 1)
+        assert (capped.n_triples, len(calls)) == (bad - 1, bad - 1)
+        assert capped.ok
 
 
 def test_equivalence_suite_refuses_d2():
@@ -331,3 +410,128 @@ def test_classical_tables_are_normalized():
     table = classical_meas_table(meas)
     for m in D3.points():
         assert sum(table[k][tuple(m)] for k in table) == 1
+
+
+# ---------------------------------------------------------------------------
+# the stacked tables against the per-point trace loops
+# ---------------------------------------------------------------------------
+
+
+def _loop_state(basis, rho):
+    dim = rho.shape[0]
+    out = {}
+    for m in basis.points():
+        val = np.trace(rho @ basis.op(m))
+        if abs(val.imag) > TOL:
+            raise AssertionError("state table entry has an imaginary part")
+        out[m] = float(val.real) / dim
+    return out
+
+
+def _loop_meas(basis, pvm):
+    out = {}
+    for label, proj in pvm.items():
+        row = {}
+        for m in basis.points():
+            val = np.trace(proj @ basis.op(m))
+            if abs(val.imag) > TOL:
+                raise AssertionError("effect table entry has an imaginary part")
+            row[m] = float(val.real)
+        out[label] = row
+    return out
+
+
+def _loop_channel(basis, channel):
+    dim = basis.op(basis.points()[0]).shape[0]
+    out = {}
+    for m_in in basis.points():
+        image = channel(basis.op(m_in))
+        col = {}
+        for m_out in basis.points():
+            val = np.trace(basis.op(m_out) @ image)
+            if abs(val.imag) > TOL:
+                raise AssertionError("channel table entry has an imaginary part")
+            col[m_out] = float(val.real) / dim
+        out[m_in] = col
+    return out
+
+
+def _loop_covariance(basis, t):
+    channel = clifford(basis.space, t)
+    worst = 0.0
+    failures = []
+    for m in basis.points():
+        dev = float(np.max(np.abs(channel.apply(basis.op(m))
+                                  - basis.op(tuple(t.apply(m))))))
+        worst = max(worst, dev)
+        if dev > TOL:
+            failures.append(m)
+    return worst, tuple(failures)
+
+
+def _nested_dev(fast, slow):
+    assert list(fast) == list(slow)
+    worst = 0.0
+    for key, row in slow.items():
+        assert list(fast[key]) == list(row)
+        worst = max(worst, max(abs(fast[key][m] - v) for m, v in row.items()))
+    return worst
+
+
+def _dephasing(space):
+    """Dephasing in the position of the first degree of freedom (not unitary)."""
+    line = AffineSubspace.span(space.field, [(1,) + (0,) * (space.dim - 1)])
+    pvm = quadrature_pvm(space, line)
+    return lambda op: sum(proj @ op @ proj for proj in pvm.values())
+
+
+@pytest.mark.parametrize("space, net", [(D2, None), (D2, (-1, 1, -1)), (D3, None),
+                                        (D5, None), (D2x2, None), (D3x2, None)])
+def test_stacked_tables_match_the_per_point_loops(space, net):
+    rng = random.Random(97)
+    basis = point_operators(space, net=net)
+    states = enumerate_states(space)
+    for state in rng.sample(states, min(len(states), 25)):
+        rho = quadrature_state(space, state.known, state.valuation).rho
+        fast, slow = wigner_state(basis, rho), _loop_state(basis, rho)
+        assert list(fast) == list(slow)
+        assert max(abs(fast[m] - v) for m, v in slow.items()) <= 1e-12
+    isotropic = enumerate_isotropic(space)
+    for v in rng.sample(isotropic, min(len(isotropic), 12)):
+        pvm = quadrature_pvm(space, v)
+        assert _nested_dev(wigner_meas(basis, pvm), _loop_meas(basis, pvm)) <= 1e-12
+    channels = [clifford(space, random_symplectic_affine(space, rng)) for _ in range(3)]
+    for channel in channels + [_dephasing(space)]:
+        fast = wigner_channel(basis, channel)
+        assert _nested_dev(fast, _loop_channel(basis, channel)) <= 1e-12
+    for _ in range(6):
+        t = random_symplectic_affine(space, rng)
+        report = verify_covariance(basis, t)
+        worst, failures = _loop_covariance(basis, t)
+        assert abs(report.max_deviation - worst) <= 1e-12
+        assert report.ok == (not failures)
+        if space.d == 2:
+            assert report.failures == failures
+
+
+def test_covariance_failures_match_the_loop_on_every_qubit_map():
+    for net in (None, (-1, 1, -1)):
+        basis = point_operators(D2, net=net)
+        for t in enumerate_group(D2):
+            assert verify_covariance(basis, t).failures == _loop_covariance(basis, t)[1]
+
+
+@pytest.mark.parametrize("table", ["state", "meas", "channel"])
+def test_non_hermitian_input_still_raises(table):
+    basis = point_operators(D3)
+    pvm = quadrature_pvm(D3, _position_line())
+    skewed = {label: proj + 0.1j * np.eye(3) for label, proj in pvm.items()}
+    calls = {
+        "state": (wigner_state, _loop_state, np.eye(3) / 3 + 0.1j * np.eye(3)),
+        "meas": (wigner_meas, _loop_meas, skewed),
+        "channel": (wigner_channel, _loop_channel, lambda op: op + 0.1j * op @ op),
+    }
+    fast, slow, arg = calls[table]
+    for route in (fast, slow):
+        with pytest.raises(AssertionError, match="imaginary part"):
+            route(basis, arg)
