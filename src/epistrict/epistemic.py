@@ -20,6 +20,7 @@ over the rational field only the possibilistic layer is available.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -32,10 +33,11 @@ from .symplectic import (
     SizeCapExceeded,
     SymplecticAffine,
     UnsupportedOperation,
+    _apply_j,
+    _apply_jt,
     _euclidean_complement,
     enumerate_isotropic,
     is_isotropic,
-    symplectic_form,
 )
 
 
@@ -153,15 +155,15 @@ def transform(state: EpistemicState, t: SymplecticAffine) -> EpistemicState:
     """Push the state through an affine symplectic map, acting on the label (V, v).
 
     The support V-perp + v maps pointwise onto S V-perp + (S v + a), whose known
-    functionals are S^{-T} V; for symplectic S, S^{-T} = J^T S J.
+    functionals are S^{-T} V; for symplectic S, S^{-T} f = J^T S (J f), where J and
+    J^T are signed swaps, so each known row costs one product with S.
     """
     if t.space != state.space:
         raise ValueError("transformation acts on a different phase space")
     space = state.space
-    j = symplectic_form(space)
-    j_t = j.T
-    known = AffineSubspace(space.field, space.dim,
-                           tuple(j_t.matvec(t.s.matvec(j.matvec(f)))
+    fld = space.field
+    known = AffineSubspace(fld, space.dim,
+                           tuple(_apply_jt(fld, t.s.matvec(_apply_j(fld, f)))
                                  for f in state.known.basis))
     return EpistemicState(space, known, t.apply(state.valuation))
 
@@ -222,11 +224,14 @@ class OutcomeDistribution:
     """Exact outcome statistics: canonical labels mapped to ``Fraction`` probabilities."""
 
     def __init__(self, entries: dict):
-        cleaned = {tuple(k): Fraction(v) for k, v in entries.items() if v != 0}
-        total = sum(cleaned.values(), Fraction(0))
-        if total != 1:
-            raise ValueError(f"probabilities sum to {total}, not 1")
-        if any(p < 0 for p in cleaned.values()):
+        cleaned = {tuple(k): v if isinstance(v, Fraction) else Fraction(v)
+                   for k, v in entries.items() if v != 0}
+        # The exact sum, as integers over the common denominator.
+        den = math.lcm(*(p.denominator for p in cleaned.values()))
+        num = sum(p.numerator * (den // p.denominator) for p in cleaned.values())
+        if num != den:
+            raise ValueError(f"probabilities sum to {Fraction(num, den)}, not 1")
+        if any(p.numerator < 0 for p in cleaned.values()):
             raise ValueError("negative probability")
         self._probs = cleaned
 
@@ -322,10 +327,21 @@ def possibilistic(state: EpistemicState, m: SharpMeasurement) -> AffineSubspace:
 def possible_labels(state: EpistemicState, m: SharpMeasurement) -> list:
     """Canonical labels of outcomes with nonzero support overlap, in outcome order.
 
-    A label is possible iff it lies in the reach (finite fields only).
+    The label of a point is its pivot-clearing projection P onto the canonical
+    representatives of V'-perp cosets, and P is linear.  So the labels met by the
+    support V-perp + v are exactly the points of P(v) + span{P(h) : h spans V-perp}
+    (finite fields only).
     """
-    reach = possibilistic(state, m)
-    return [label for label in m.outcomes() if reach.contains(label)]
+    if m.space != state.space:
+        raise ValueError("measurement lives on a different phase space")
+    if not state.space.field.is_finite:
+        raise UnsupportedOperation("cannot enumerate outcomes over Q")
+    cells = m._hidden()
+    sup = state.support()
+    met = AffineSubspace(state.space.field, state.space.dim,
+                         tuple(cells.representative(h) for h in sup.basis),
+                         cells.representative(sup.offset))
+    return sorted(met.points())
 
 
 def possible_values(state: EpistemicState, m: SharpMeasurement) -> AffineSubspace:

@@ -52,6 +52,21 @@ def _sub_multiple(field: Field, u: Vector, c: Scalar, v: Vector) -> Vector:
     return tuple(reduce(a - c * b) for a, b in zip(u, v, strict=True))
 
 
+def _clear_pivots(field: Field, x: Vector, rows: Sequence[Vector]) -> Vector:
+    """Zero ``x`` in the pivot column of every reduced-row-echelon row, by subtracting
+    multiples of the rows: the canonical representative of ``x + span(rows)``.
+
+    A row's pivot is its first nonzero entry, which is 1, so ``row.index(one)`` finds it.
+    The map is linear in ``x``.
+    """
+    one = field.one
+    for row in rows:
+        c = x[row.index(one)]
+        if c != 0:
+            x = _sub_multiple(field, x, c, row)
+    return x
+
+
 def vec_dot(field: Field, u: Vector, v: Vector) -> Scalar:
     if len(u) != len(v):
         raise ValueError(f"dot product of vectors of lengths {len(u)} and {len(v)}")
@@ -235,10 +250,7 @@ class AffineSubspace:
         if rows:
             reduced, pivots = _rref_cached(f, tuple(rows))
             rows = reduced[:len(pivots)]
-            # Zero the offset's pivot coordinates: the unique coset representative.
-            for row, p in zip(rows, pivots):
-                if offset[p] != 0:
-                    offset = _sub_multiple(f, offset, offset[p], row)
+            offset = _clear_pivots(f, offset, rows)
         object.__setattr__(self, "basis", tuple(rows))
         object.__setattr__(self, "offset", offset)
 
@@ -284,12 +296,7 @@ class AffineSubspace:
         if self.is_empty:
             return False
         f = self.field
-        r = vec_sub(f, vec(f, x), self.offset)
-        for row in self.basis:
-            p = next(i for i, e in enumerate(row) if e != 0)
-            if r[p] != 0:
-                r = _sub_multiple(f, r, r[p], row)
-        return not any(r)
+        return not any(_clear_pivots(f, vec_sub(f, vec(f, x), self.offset), self.basis))
 
     def direction(self) -> "AffineSubspace":
         """The underlying linear subspace (offset dropped)."""
@@ -312,9 +319,10 @@ class AffineSubspace:
 
     def representative(self, x: Iterable) -> Vector:
         """Canonical representative of the coset ``x + direction`` (x need not lie here)."""
-        f = self.field
-        moved = AffineSubspace(f, self.ambient, self.basis, vec(f, x))
-        return moved.offset
+        x = vec(self.field, x)
+        if len(x) != self.ambient:
+            raise ValueError("offset length does not match ambient dimension")
+        return _clear_pivots(self.field, x, self.basis)
 
     def constraints(self) -> tuple:
         """An exact description ``(A, b)`` with ``self == {x : A @ x == b}``."""

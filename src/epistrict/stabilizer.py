@@ -36,11 +36,11 @@ from .linalg import AffineSubspace, Matrix, solve_affine, vec, vec_dot
 from .symplectic import (
     PhaseSpace,
     SymplecticAffine,
-    enumerate_group,
+    _apply_j,
+    _apply_jt,
     enumerate_isotropic,
     enumerate_symplectic,
     symp_inner,
-    symplectic_form,
 )
 from .epistemic import (
     EpistemicState,
@@ -95,10 +95,9 @@ class StabilizerGroup:
 def stabilizer_of_quadrature(space: PhaseSpace, known, valuation) -> StabilizerGroup:
     """Stabilizer generators of the quadrature state (known, valuation)."""
     state = EpistemicState(space, known, valuation)
-    j = symplectic_form(space)
     gens = []
     for f in state.known.basis:
-        m = tuple(j.matvec(f))
+        m = _apply_j(space.field, f)
         e = vec_dot(space.field, f, state.valuation)
         gens.append((m, e))
     return StabilizerGroup(space, tuple(gens))
@@ -146,9 +145,8 @@ def quadrature_of_stabilizer(group: StabilizerGroup) -> EpistemicState:
     f = space.field
     if not group.generators:
         return EpistemicState.ignorance(space)
-    j = symplectic_form(space)
-    j_inv = j.T  # J^T = J^{-1}: J^2 = -I and J is antisymmetric (symmetric at d = 2)
-    functionals = [tuple(j_inv.matvec(m)) for m, _ in group.generators]
+    # J^T = J^{-1}: J^2 = -I and J is antisymmetric (symmetric at d = 2)
+    functionals = [_apply_jt(f, m) for m, _ in group.generators]
     rows = Matrix.from_rows(f, functionals)
     known = AffineSubspace.span(f, functionals, ambient=space.dim)
     if known.rank != len(group.generators):
@@ -178,7 +176,6 @@ def weyl_value_report(space: PhaseSpace, known, valuation) -> ValueReport:
     state = EpistemicState(space, known, valuation)
     rho = quadrature_state(space, state.known, state.valuation).rho
     tr = np.trace(rho).real
-    j = symplectic_form(space)
     d = space.d
     basis = state.known.basis
     n_elements = 0
@@ -190,7 +187,7 @@ def weyl_value_report(space: PhaseSpace, known, valuation) -> ValueReport:
                   for i in range(space.dim))
         n_elements += 1
         naive = vec_dot(space.field, f, state.valuation)
-        m = tuple(j.matvec(f))
+        m = _apply_j(space.field, f)
         # Eigenvalue of W(m) on the state, read off the trace.
         actual = np.trace(weyl(space, m) @ rho) / tr
         predicted = np.conj(_pair_char(d, naive))
@@ -383,48 +380,50 @@ def scan_for_witness(space: PhaseSpace, tol: float = 1e-9) -> Optional[Witness]:
 
     symplectics = enumerate_symplectic(space)
     displacements = [tuple(a) for a in space.points()]
-    q_lin = {s.rows: np.array(quantum_perm(metaplectic(space, s)))
-             for s in symplectics}
-    q_disp = {}
+    q_lin = [np.array(quantum_perm(metaplectic(space, s))) for s in symplectics]
+    q_disp = []
     for a in displacements:
         u = clifford(space, SymplecticAffine.displacement(space, a)).unitary
-        q_disp[a] = np.array(quantum_perm(u))
+        q_disp.append(np.array(quantum_perm(u)))
 
     def classical_perm(t: SymplecticAffine) -> np.ndarray:
         return np.array([index_of_state[transform(s, t)] for s in states])
 
-    c_lin = {s.rows: classical_perm(SymplecticAffine(space, s, space.zero()))
-             for s in symplectics}
-    c_disp = {a: classical_perm(SymplecticAffine.displacement(space, a))
-              for a in displacements}
+    c_lin = [classical_perm(SymplecticAffine(space, s, space.zero()))
+             for s in symplectics]
+    c_disp = [classical_perm(SymplecticAffine.displacement(space, a))
+              for a in displacements]
 
     measurements = [SharpMeasurement(space, v) for v in enumerate_isotropic(space)
                     if v.rank > 0]
 
-    for t in enumerate_group(space):
-        a = tuple(t.a)
-        q_perm = q_disp[a][q_lin[t.s.rows]]
-        c_perm = c_disp[a][c_lin[t.s.rows]]
-        if np.array_equal(q_perm, c_perm):
-            continue
-        for i in range(len(states)):
-            if q_perm[i] == c_perm[i]:
+    # The affine group in enumerate_group's order; a map is built only to be reported.
+    for s, q_s, c_s in zip(symplectics, q_lin, c_lin):
+        for a, q_a, c_a in zip(displacements, q_disp, c_disp):
+            q_perm = q_a[q_s]
+            c_perm = c_a[c_s]
+            if np.array_equal(q_perm, c_perm):
                 continue
-            classical_image = states[c_perm[i]]
-            quantum_image = states[q_perm[i]]
-            for meas in measurements:
-                c_dist = measure(classical_image, meas)
-                q_dist_exact = measure(quantum_image, meas)
-                if c_dist == q_dist_exact:
+            t = SymplecticAffine(space, s, a)
+            for i in range(len(states)):
+                if q_perm[i] == c_perm[i]:
                     continue
-                # Honest re-verification through the quantum route.
-                evolved = clifford(space, t).apply(rhos[i])
-                q_dist = born(evolved, quadrature_pvm(space, meas.measured))
-                diff = max(abs(q_dist[k] - float(c_dist.probability(k)))
-                           for k in q_dist)
-                if not diff > tol:
-                    raise AssertionError("label mismatch must show up in some statistics")
-                return Witness(states[i], t, meas, c_dist, q_dist, diff)
-            raise AssertionError(
-                "distinct quadrature states must differ in some sharp measurement")
+                classical_image = states[c_perm[i]]
+                quantum_image = states[q_perm[i]]
+                for meas in measurements:
+                    c_dist = measure(classical_image, meas)
+                    q_dist_exact = measure(quantum_image, meas)
+                    if c_dist == q_dist_exact:
+                        continue
+                    # Honest re-verification through the quantum route.
+                    evolved = clifford(space, t).apply(rhos[i])
+                    q_dist = born(evolved, quadrature_pvm(space, meas.measured))
+                    diff = max(abs(q_dist[k] - float(c_dist.probability(k)))
+                               for k in q_dist)
+                    if not diff > tol:
+                        raise AssertionError(
+                            "label mismatch must show up in some statistics")
+                    return Witness(states[i], t, meas, c_dist, q_dist, diff)
+                raise AssertionError(
+                    "distinct quadrature states must differ in some sharp measurement")
     return None

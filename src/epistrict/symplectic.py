@@ -92,13 +92,37 @@ def symplectic_form(space: PhaseSpace) -> Matrix:
     return Matrix.from_rows(f, rows)
 
 
+def _apply_j(field: Field, x: Vector) -> Vector:
+    """J x for a canonical vector x: (q, p) -> (p, -q) in every pair."""
+    out = list(x)
+    out[0::2] = x[1::2]
+    out[1::2] = [field.reduce(-q) for q in x[0::2]]
+    return tuple(out)
+
+
+def _apply_jt(field: Field, x: Vector) -> Vector:
+    """J^T x for a canonical vector x: (q, p) -> (-p, q) in every pair."""
+    out = list(x)
+    out[0::2] = [field.reduce(-p) for p in x[1::2]]
+    out[1::2] = x[0::2]
+    return tuple(out)
+
+
+def _symp(field: Field, f: Vector, g: Vector) -> Scalar:
+    """<f, g> = f^T J g for canonical vectors of the same even length."""
+    return field.reduce(sum(f[i] * g[i + 1] - f[i + 1] * g[i]
+                            for i in range(0, len(f), 2)))
+
+
 def symp_inner(space: PhaseSpace, f: Iterable, g: Iterable) -> Scalar:
     """The symplectic inner product <f, g> = f^T J g."""
     fld = space.field
     f = vec(fld, f)
     g = vec(fld, g)
-    return fld.reduce(sum(f[2 * i] * g[2 * i + 1] - f[2 * i + 1] * g[2 * i]
-                          for i in range(space.n)))
+    if len(f) != space.dim or len(g) != space.dim:
+        raise ValueError(f"symplectic product of vectors of lengths {len(f)} and "
+                         f"{len(g)} on a phase space of dimension {space.dim}")
+    return _symp(fld, f, g)
 
 
 @dataclass(frozen=True)
@@ -185,17 +209,21 @@ def poisson_bracket_fd(space: PhaseSpace, f_table: dict, g_table: dict) -> dict:
 
 
 def is_isotropic(space: PhaseSpace, v: AffineSubspace) -> bool:
-    """Whether the (linear) subspace has pairwise-vanishing symplectic products."""
+    """Whether the (linear) subspace has pairwise-vanishing symplectic products.
+
+    A subspace of another ambient dimension than the phase space's is refused.
+    """
+    if v.ambient != space.dim:
+        raise ValueError(f"subspace has ambient dimension {v.ambient}, but the phase "
+                         f"space has dimension {space.dim}")
     if v.is_empty or not v.is_linear():
         return False
     if v.rank > space.n:
         return False
     rows = v.basis
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            if symp_inner(space, rows[i], rows[j]) != space.field.zero:
-                return False
-    return True
+    fld = space.field
+    return all(_symp(fld, rows[i], rows[j]) == 0
+               for i in range(len(rows)) for j in range(i + 1, len(rows)))
 
 
 def is_lagrangian(space: PhaseSpace, v: AffineSubspace) -> bool:
@@ -238,11 +266,10 @@ def complements(space: PhaseSpace, v: AffineSubspace) -> Complements:
     """
     if v.is_empty or not v.is_linear():
         raise ValueError("complements are defined for linear (zero-offset) subspaces")
-    j = symplectic_form(space)
     euclid = _euclidean_complement(space, v)
     symp = _symplectic_complement(space, v)
     j_image = AffineSubspace.span(
-        space.field, [j.matvec(b) for b in v.basis] or [space.zero()],
+        space.field, [_apply_j(space.field, b) for b in v.basis] or [space.zero()],
         ambient=space.dim)
     check = _symplectic_complement(space, euclid)
     if check != j_image:
@@ -314,9 +341,11 @@ def transvection(space: PhaseSpace, u: Iterable, c) -> Matrix:
     """The symplectic transvection x -> x + c <x, u> u."""
     fld = space.field
     u = vec(fld, u)
+    if len(u) != space.dim:
+        raise ValueError(f"transvection vector of length {len(u)} on a phase space "
+                         f"of dimension {space.dim}")
     c = fld.element(c)
-    j = symplectic_form(space)
-    ju = j.matvec(u)  # <x, u> = x . (J u)
+    ju = _apply_j(fld, u)  # <x, u> = x . (J u)
     return Matrix(fld, tuple(
         tuple(fld.reduce(c * u[i] * ju[k] + int(i == k)) for k in range(space.dim))
         for i in range(space.dim)))

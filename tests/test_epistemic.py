@@ -30,6 +30,8 @@ from epistrict.symplectic import (
     enumerate_group,
     enumerate_isotropic,
     random_symplectic_affine,
+    symplectic_form,
+    transvection,
 )
 
 D2 = PhaseSpace(PrimeField(2), 1)
@@ -37,6 +39,7 @@ D3 = PhaseSpace(PrimeField(3), 1)
 D5 = PhaseSpace(PrimeField(5), 1)
 D2_2 = PhaseSpace(PrimeField(2), 2)
 D3_2 = PhaseSpace(PrimeField(3), 2)
+D5_2 = PhaseSpace(PrimeField(5), 2)
 
 
 def q_state(space, value):
@@ -278,10 +281,17 @@ def test_measure_rejects_rationals():
 
 
 def test_outcome_distribution_validates():
-    with pytest.raises(ValueError):
-        OutcomeDistribution({(0,): Fraction(1, 2)})  # does not sum to 1
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="sum to 1/2, not 1"):
+        OutcomeDistribution({(0,): Fraction(1, 2)})
+    with pytest.raises(ValueError, match="sum to 7/6, not 1"):
+        OutcomeDistribution({(0,): Fraction(1, 2), (1,): Fraction(2, 3)})
+    with pytest.raises(ValueError, match="negative probability"):
         OutcomeDistribution({(0,): Fraction(3, 2), (1,): Fraction(-1, 2)})
+    with pytest.raises(ValueError, match="sum to 0, not 1"):
+        OutcomeDistribution({})
+    dist = OutcomeDistribution({(0,): 1, (1,): 0})
+    assert dist.items() == [((0,), Fraction(1))]
+    assert type(dist.probability((0,))) is Fraction
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +321,107 @@ def test_possibilistic_matches_probabilistic_support():
                 assert labels == sorted(labels)
                 assert sorted(m.values_at(k) for k in labels) == sorted(counted)
                 assert {m.values_at(k): p for k, p in measure(s, m).items()} == counted
+
+
+def _reach_labels(state, m):
+    """Reference route: the outcome labels that lie in the reach support + V'-perp."""
+    reach = possibilistic(state, m)
+    return [label for label in m.outcomes() if reach.contains(label)]
+
+
+def _dense_transform(state, t):
+    """Reference route: known rows through the dense products J^T (S (J f))."""
+    space = state.space
+    j = symplectic_form(space)
+    known = AffineSubspace(space.field, space.dim,
+                           tuple(j.T.matvec(t.s.matvec(j.matvec(f)))
+                                 for f in state.known.basis))
+    return EpistemicState(space, known, t.apply(state.valuation))
+
+
+def _states_and_measurements(space, seeded):
+    """Every state and measurement (rank 0 included), or seeded samples of them."""
+    states = enumerate_states(space)
+    meas = [SharpMeasurement(space, v) for v in enumerate_isotropic(space)]
+    if seeded:
+        rng = random.Random(space.d * 10 + space.n)
+        states = [rng.choice(states) for _ in range(60)]
+        meas = [rng.choice(meas) for _ in range(6)] + [meas[0]]
+    return states, meas
+
+
+@pytest.mark.parametrize("space, seeded", [
+    (D2, False), (D3, False), (D2_2, False), (D3_2, True), (D5, True), (D5_2, True)])
+def test_labels_and_measure_match_the_reach_route(space, seeded):
+    states, meas = _states_and_measurements(space, seeded)
+    for s in states:
+        for m in meas:
+            want = _reach_labels(s, m)
+            assert possible_labels(s, m) == want
+            assert measure(s, m) == OutcomeDistribution(
+                {label: Fraction(1, len(want)) for label in want})
+
+
+@pytest.mark.parametrize("space, seeded", [
+    (D2, False), (D3, False), (D2_2, False), (D3_2, True), (D5, True), (D5_2, True)])
+def test_transform_matches_the_dense_route(space, seeded):
+    states, _ = _states_and_measurements(space, seeded)
+    rng = random.Random(space.d * 100 + space.n)
+    maps = [random_symplectic_affine(space, rng) for _ in range(8)]
+    for s in states:
+        for t in maps:
+            got = transform(s, t)
+            want = _dense_transform(s, t)
+            assert got == want
+            assert got.known.basis == want.known.basis
+            assert got.valuation == want.valuation
+
+
+def test_transform_matches_the_dense_route_over_rationals():
+    space = PhaseSpace(RATIONALS, 2)
+    fld = space.field
+    rng = random.Random(23)
+
+    def small():
+        return Fraction(rng.randrange(-3, 4), rng.randrange(1, 4))
+
+    maps = []
+    for _ in range(6):
+        s = transvection(space, [rng.randrange(-2, 3) for _ in range(4)], small())
+        s = s @ transvection(space, [rng.randrange(-2, 3) for _ in range(4)], small())
+        maps.append(SymplecticAffine(space, s, [small() for _ in range(4)]))
+    knowns = [[], [(1, 0, 0, 0)], [(0, 1, 0, 1)], [(1, 0, -1, 0), (0, 1, 0, 1)],
+              [(1, 0, 0, 0), (0, 0, 1, 0)]]
+    for rows in knowns:
+        state = EpistemicState(
+            space, AffineSubspace.span(fld, rows or [(0,) * 4], ambient=4),
+            [small() for _ in range(4)])
+        for t in maps:
+            got = transform(state, t)
+            assert got == _dense_transform(state, t)
+            assert all(type(x) is Fraction for row in got.known.basis for x in row)
+            assert all(type(x) is Fraction for x in got.valuation)
+            state = got  # chain, so later maps see non-standard known spaces
+
+
+def test_possible_labels_refuses_rationals_and_other_spaces():
+    space = PhaseSpace(RATIONALS, 1)
+    state = EpistemicState(space, AffineSubspace.span(space.field, [(1, 0)], ambient=2))
+    with pytest.raises(UnsupportedOperation):
+        possible_labels(state, SharpMeasurement.of_functional(space, (0, 1)))
+    with pytest.raises(ValueError, match="different phase space"):
+        possible_labels(q_state(D3, 0), SharpMeasurement.of_functional(D2, (0, 1)))
+
+
+@pytest.mark.parametrize("space, rows", [
+    (D2, [(1, 0, 0, 0)]), (D2_2, [(1, 0)]), (D3, [(0, 0, 0)])])
+def test_subspace_of_another_dimension_is_refused_at_construction(space, rows):
+    wrong = AffineSubspace.span(space.field, rows)
+    message = f"ambient dimension {len(rows[0])}.*dimension {space.dim}"
+    with pytest.raises(ValueError, match=message):
+        SharpMeasurement(space, wrong)
+    with pytest.raises(ValueError, match=message):
+        EpistemicState(space, wrong)
 
 
 def test_possibilistic_rational_epr():

@@ -1,8 +1,11 @@
 """Stabilizer translation, parity obstructions, and the operational witness scan."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from epistrict import stabilizer, symplectic
 from epistrict.fields import PrimeField
 from epistrict.linalg import AffineSubspace
 from epistrict.symplectic import PhaseSpace
@@ -192,8 +195,29 @@ def test_ghz_relaxed_count_is_eight():
 # ---------------------------------------------------------------------------
 
 
-def test_no_witness_exists_at_d3():
-    assert scan_for_witness(D3) is None
+def _scan_counting(monkeypatch, space):
+    """Run the scan, counting symplectic enumerations; the affine group must not be
+    built (a call to enumerate_group fails the test)."""
+    calls = []
+    original = symplectic.enumerate_symplectic
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("scan_for_witness built the whole affine group")
+
+    for mod in (symplectic, stabilizer):
+        monkeypatch.setattr(mod, "enumerate_symplectic", counting)
+        monkeypatch.setattr(mod, "enumerate_group", forbidden, raising=False)
+    witness = scan_for_witness(space)
+    assert len(calls) == 1
+    return witness
+
+
+def test_no_witness_exists_at_d3(monkeypatch):
+    assert _scan_counting(monkeypatch, D3) is None
 
 
 def test_single_bit_witness_is_the_swap_on_the_diagonal_state():
@@ -213,6 +237,28 @@ def test_single_bit_witness_is_the_swap_on_the_diagonal_state():
     assert witness.transformation.s.rows == ((0, 1), (1, 0))
     assert witness.measurement.measured.basis == ((1, 1),)
     assert witness.max_diff == 1.0
+
+
+@pytest.mark.parametrize("space, known, s_rows, measured", [
+    (D2, ((1, 1),), ((0, 1), (1, 0)), ((1, 1),)),
+    (D2x2, ((1, 0, 1, 1),),
+     ((0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0)), ((1, 1, 0, 1),)),
+])
+def test_witness_is_the_first_disagreeing_map_in_group_order(
+        monkeypatch, space, known, s_rows, measured):
+    """The scan walks the affine group in enumerate_group's order without building
+    it, so it reports the same first witness."""
+    witness = _scan_counting(monkeypatch, space)
+    zero = (0,) * space.dim
+    assert witness.state.known.basis == known
+    assert witness.state.valuation == zero
+    assert witness.transformation.s.rows == s_rows
+    assert witness.transformation.a == zero
+    assert witness.measurement.measured.basis == measured
+    assert witness.classical.items() == [(zero, Fraction(1))]
+    assert sorted(k for k, p in witness.quantum.items() if p > 0.5) == [
+        zero[:-1] + (1,)]
+    assert witness.max_diff == pytest.approx(1.0)
 
 
 def test_two_qubit_witness_found_and_verified():

@@ -11,6 +11,8 @@ from epistrict.fields import RATIONALS, PrimeField
 from epistrict.linalg import AffineSubspace, Matrix
 from epistrict.symplectic import (
     PhaseSpace,
+    _apply_j,
+    _apply_jt,
     QuadratureFunctional,
     SizeCapExceeded,
     SymplecticAffine,
@@ -81,6 +83,34 @@ def test_inner_product_antisymmetric_exhaustive_or_sampled(key):
     for f in pts:
         for g in pts:
             assert symp_inner(space, f, g) == fld.reduce(-symp_inner(space, g, f))
+
+
+def test_inner_product_rejects_wrong_lengths():
+    space = SPACES[2, 1]
+    with pytest.raises(ValueError, match="lengths 3 and 3 .* dimension 2"):
+        symp_inner(space, (1, 0, 5), (0, 1, 7))
+    with pytest.raises(ValueError, match="lengths 1 and 2"):
+        symp_inner(space, (1,), (0, 1))
+    with pytest.raises(ValueError, match="lengths 4 and 4"):
+        symp_inner(space, (1, 0, 0, 0), (0, 1, 0, 0))
+
+
+@pytest.mark.parametrize("key", list(SPACES) + ["Q2"])
+def test_signed_swaps_match_the_dense_form(key):
+    space = PhaseSpace(RATIONALS, 2) if key == "Q2" else SPACES[key]
+    fld = space.field
+    j = symplectic_form(space)
+    rng = random.Random(11)
+    if fld.is_finite:
+        pts = [tuple(rng.randrange(space.d) for _ in range(space.dim)) for _ in range(40)]
+    else:
+        pts = [tuple(Fraction(rng.randrange(-5, 6), rng.randrange(1, 5))
+                     for _ in range(space.dim)) for _ in range(40)]
+    for x in pts:
+        x = tuple(fld.element(e) for e in x)
+        assert _apply_j(fld, x) == j.matvec(x)
+        assert _apply_jt(fld, x) == j.T.matvec(x)
+        assert [type(e) for e in _apply_j(fld, x)] == [type(e) for e in j.matvec(x)]
 
 
 def test_inner_product_over_rationals():
@@ -183,6 +213,12 @@ def test_isotropic_rejects_offsets_and_overranked():
     shifted = AffineSubspace.span(space.field, [(1, 0)], offset=(0, 1))
     assert not is_isotropic(space, shifted)
     assert not is_isotropic(space, AffineSubspace.full(space.field, 2))
+
+
+def test_isotropic_refuses_another_ambient_dimension():
+    for space, rows in ((SPACES[2, 1], [(1, 0, 0, 0)]), (SPACES[2, 2], [(1, 0)])):
+        with pytest.raises(ValueError, match="ambient dimension"):
+            is_isotropic(space, AffineSubspace.span(space.field, rows))
 
 
 # ---------------------------------------------------------------------------
