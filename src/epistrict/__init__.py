@@ -25,7 +25,7 @@ from .epistemic import (
     transform,
 )
 from .fields import RATIONALS, PrimeField, RationalField
-from .linalg import AffineSubspace, Matrix, intersect_affine, rref, solve_affine
+from .linalg import AffineSubspace, Matrix, rref, solve_affine
 from .quantum import (
     CliffordChannel,
     born,
@@ -103,7 +103,6 @@ __all__ = [
     "AffineSubspace",
     "rref",
     "solve_affine",
-    "intersect_affine",
     # phase space and symplectic structure
     "PhaseSpace",
     "QuadratureFunctional",

@@ -54,6 +54,7 @@ from .symplectic import (
     PhaseSpace,
     QuadratureFunctional,
     SymplecticAffine,
+    _apply_j,
     enumerate_group,
     enumerate_isotropic,
     enumerate_symplectic,
@@ -426,7 +427,6 @@ def _criterion_5(seed: int) -> List[CheckResult]:
 
     for d, n in ((2, 1), (3, 1), (2, 2), (3, 2)):
         sp = _sp(d, n)
-        j = symplectic_form(sp)
         flips[(d, n)] = 0
         flip_states[(d, n)] = 0
         for st in enumerate_states(sp):
@@ -444,7 +444,7 @@ def _criterion_5(seed: int) -> List[CheckResult]:
                 flip_states[(d, n)] += 1
                 tr = np.trace(rho).real
                 for f in rep.flipped:
-                    m = tuple(j.matvec(f))
+                    m = _apply_j(sp.field, f)
                     naive = vec_dot(sp.field, f, st.valuation)
                     predicted = np.conj(_pair_char(d, naive))
                     flip_relation_dev = max(flip_relation_dev, float(np.max(np.abs(

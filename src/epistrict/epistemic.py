@@ -366,18 +366,6 @@ def join_spaces(sys: PhaseSpace, anc: PhaseSpace) -> PhaseSpace:
     return PhaseSpace(sys.field, sys.n + anc.n)
 
 
-def _joint_point(m_sys: tuple, m_anc: tuple) -> tuple:
-    return tuple(m_sys) + tuple(m_anc)
-
-
-def _anc_part(sys: PhaseSpace, m_joint: tuple) -> tuple:
-    return m_joint[sys.dim:]
-
-
-def _sys_part(sys: PhaseSpace, m_joint: tuple) -> tuple:
-    return m_joint[:sys.dim]
-
-
 def product_state(sys_state: EpistemicState, anc_state: EpistemicState) -> EpistemicState:
     """The joint state knowing exactly what each factor knows."""
     sys, anc = sys_state.space, anc_state.space
@@ -385,11 +373,11 @@ def product_state(sys_state: EpistemicState, anc_state: EpistemicState) -> Epist
     fld = joint.field
     zero_sys = (fld.zero,) * sys.dim
     zero_anc = (fld.zero,) * anc.dim
-    rows = [_joint_point(b, zero_anc) for b in sys_state.known.basis]
-    rows += [_joint_point(zero_sys, b) for b in anc_state.known.basis]
+    rows = [b + zero_anc for b in sys_state.known.basis]
+    rows += [zero_sys + b for b in anc_state.known.basis]
     known = AffineSubspace.span(fld, rows or [joint.zero()], ambient=joint.dim)
     return EpistemicState(joint, known,
-                          _joint_point(sys_state.valuation, anc_state.valuation))
+                          sys_state.valuation + anc_state.valuation)
 
 
 def _dilation_kernel(sys: PhaseSpace, anc_state: EpistemicState,
@@ -406,7 +394,7 @@ def _dilation_kernel(sys: PhaseSpace, anc_state: EpistemicState,
     for m_sys in sys.points():
         row: dict = {}
         for m_anc in anc_points:
-            key = read(coupling.apply(_joint_point(m_sys, m_anc)))
+            key = read(coupling.apply(m_sys + m_anc))
             row[key] = row.get(key, Fraction(0)) + weight
         if sum(row.values()) != 1:
             raise AssertionError("kernel row does not sum to 1")
@@ -429,7 +417,7 @@ def dilate_unsharp(sys: PhaseSpace, anc_state: EpistemicState,
     if anc_meas.space != anc_state.space:
         raise ValueError("ancilla measurement must live on the ancilla space")
     return _dilation_kernel(sys, anc_state, coupling,
-                            lambda image: anc_meas.label_of(_anc_part(sys, image)))
+                            lambda image: anc_meas.label_of(image[sys.dim:]))
 
 
 def dilate_irreversible(sys: PhaseSpace, anc_state: EpistemicState,
@@ -440,4 +428,4 @@ def dilate_irreversible(sys: PhaseSpace, anc_state: EpistemicState,
     is the exact distribution over system ontic states after marginalizing the ancilla.
     """
     return _dilation_kernel(sys, anc_state, coupling,
-                            lambda image: _sys_part(sys, image))
+                            lambda image: image[:sys.dim])

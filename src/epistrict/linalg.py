@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from operator import mul
-from typing import Iterable, Iterator, Literal, Sequence, Union
+from typing import Iterable, Iterator, Sequence
 
 from .fields import Field, Scalar
 
@@ -304,12 +304,6 @@ class AffineSubspace:
             raise ValueError("empty set has no direction")
         return AffineSubspace(self.field, self.ambient, self.basis, None)
 
-    def translate(self, v: Iterable) -> "AffineSubspace":
-        if self.is_empty:
-            return self
-        return AffineSubspace(self.field, self.ambient, self.basis,
-                              vec_add(self.field, self.offset, vec(self.field, v)))
-
     def plus_directions(self, rows: Iterable[Iterable]) -> "AffineSubspace":
         """Enlarge the direction space by extra spanning rows (offset kept)."""
         if self.is_empty:
@@ -323,20 +317,6 @@ class AffineSubspace:
         if len(x) != self.ambient:
             raise ValueError("offset length does not match ambient dimension")
         return _clear_pivots(self.field, x, self.basis)
-
-    def constraints(self) -> tuple:
-        """An exact description ``(A, b)`` with ``self == {x : A @ x == b}``."""
-        if self.is_empty:
-            raise ValueError("empty set is not a solution set of consistent constraints")
-        if self.basis:
-            rows = null_space(Matrix(self.field, self.basis))
-        else:
-            rows = list(Matrix.identity(self.field, self.ambient).rows)
-        if not rows:
-            # Full space: a single trivially-true constraint keeps the column count.
-            rows = [zero_vec(self.field, self.ambient)]
-        a = Matrix(self.field, tuple(rows))
-        return a, a.matvec(self.offset)
 
     def points(self) -> Iterator[Vector]:
         """Iterate all points (prime fields only), in a deterministic order."""
@@ -377,26 +357,3 @@ def solve_affine(a: Matrix, b: Iterable) -> AffineSubspace:
         particular[p] = reduced[i][ncols]
     kernel = null_space(Matrix(f, tuple(tuple(row) for row in a.rows)))
     return AffineSubspace(f, ncols, tuple(kernel), tuple(particular))
-
-
-def intersect_affine(u: AffineSubspace, w: AffineSubspace) -> AffineSubspace:
-    """Exact intersection of two affine subspaces in the same ambient space."""
-    if u.field != w.field or u.ambient != w.ambient:
-        raise ValueError("subspaces live in different ambient spaces")
-    if u.is_empty or w.is_empty:
-        return AffineSubspace.empty(u.field, u.ambient)
-    au, bu = u.constraints()
-    aw, bw = w.constraints()
-    stacked = Matrix(u.field, au.rows + aw.rows)
-    return solve_affine(stacked, bu + bw)
-
-
-def cardinality(u: AffineSubspace) -> Union[int, Literal["infinite"]]:
-    """Number of points of ``u``: an exact int, or the string ``"infinite"``."""
-    if u.is_empty:
-        return 0
-    if not u.basis:
-        return 1
-    if u.field.is_finite:
-        return u.field.modulus ** len(u.basis)  # type: ignore[attr-defined]
-    return "infinite"

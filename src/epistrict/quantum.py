@@ -46,7 +46,8 @@ from .symplectic import (
     SizeCapExceeded,
     SymplecticAffine,
     UnsupportedOperation,
-    symplectic_form,
+    _apply_j,
+    is_symplectic,
     symp_inner,
 )
 from .epistemic import SharpMeasurement
@@ -124,6 +125,9 @@ def weyl(space: PhaseSpace, a: Iterable) -> np.ndarray:
     """The Weyl (phase-point displacement) operator for an interleaved vector a."""
     dim = hilbert_dim(space)
     a = vec(space.field, a)
+    if len(a) != space.dim:
+        raise ValueError(f"Weyl vector of length {len(a)} on a phase space of "
+                         f"dimension 2n = {space.dim}")
     rows, phases = _weyl_monomials(space.d, space.n, [int(x) for x in a])
     out = np.zeros((dim, dim), dtype=complex)
     out[rows[0], np.arange(dim)] = phases[0]
@@ -267,8 +271,7 @@ def metaplectic(space: PhaseSpace, s) -> np.ndarray:
     cached = _metaplectic_cache.get(key)
     if cached is not None:
         return cached
-    j = symplectic_form(space)
-    if not (s.T @ j @ s == j):
+    if not is_symplectic(space, s):
         raise ValueError("matrix is not symplectic; no metaplectic exists")
     hilbert_dim(space)
 
@@ -391,12 +394,14 @@ def quadrature_projector(space: PhaseSpace, f, value) -> np.ndarray:
         vector, const = f.f, f.c
     else:
         vector, const = vec(fld, f), fld.zero
+    if len(vector) != space.dim:
+        raise ValueError(f"functional of length {len(vector)} on a phase space of "
+                         f"dimension {space.dim}")
     if all(x == fld.zero for x in vector):
         raise ValueError("the zero functional has no outcome projectors")
     d = space.d
     t = fld.reduce(fld.element(value) - const)
-    j = symplectic_form(space)
-    jf = j.matvec(vector)
+    jf = _apply_j(fld, vector)
     dim = hilbert_dim(space)
     out = np.zeros((dim, dim), dtype=complex)
     for s in range(d):
@@ -431,10 +436,6 @@ class QuadratureState:
     known: AffineSubspace
     valuation: tuple
     rho: np.ndarray
-
-    @property
-    def label(self):
-        return (self.known, self.valuation)
 
 
 def quadrature_state(space: PhaseSpace, known: AffineSubspace,

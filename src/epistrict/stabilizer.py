@@ -56,6 +56,7 @@ from .quantum import (
     born,
     clifford,
     metaplectic,
+    quadrature_projector,
     quadrature_pvm,
     quadrature_state,
     weyl,
@@ -76,6 +77,9 @@ class StabilizerGroup:
         gens = []
         for m, e in self.generators:
             m = tuple(int(x) % d for x in m)
+            if len(m) != self.space.dim:
+                raise ValueError(f"Weyl vector of length {len(m)} on a phase space of "
+                                 f"dimension 2n = {self.space.dim}")
             if all(x == 0 for x in m):
                 raise ValueError("zero vector cannot generate a stabilizer")
             gens.append((m, int(e) % d))
@@ -103,30 +107,19 @@ def stabilizer_of_quadrature(space: PhaseSpace, known, valuation) -> StabilizerG
     return StabilizerGroup(space, tuple(gens))
 
 
-def _eigenprojector(space: PhaseSpace, m, e) -> np.ndarray:
-    """Projector onto the +1 eigenspace of char(e) W(m)."""
-    d = space.d
-    dim = d ** space.n
-    proj = np.zeros((dim, dim), dtype=complex)
-    g = _pair_char(d, e) * weyl(space, m)
-    power = np.eye(dim, dtype=complex)
-    for _ in range(d):
-        proj += power
-        power = power @ g
-    return proj / d
-
-
 def state_from_stabilizer(group: StabilizerGroup) -> np.ndarray:
     """Density matrix of the joint +1 eigenspace of the generators.
 
-    The projectors commute, so their product is the joint projector; a vanishing
-    trace means the phases are mutually inconsistent and no state exists.
+    The +1 eigenprojector of char(e) W(m) is the projector onto value e of the
+    functional J^T m, since W(m)^s = W(s m) on the isotropic line.  The projectors
+    commute, so their product is the joint projector; a vanishing trace means the
+    phases are mutually inconsistent and no state exists.
     """
     space = group.space
     dim = space.d ** space.n
     proj = np.eye(dim, dtype=complex)
     for m, e in group.generators:
-        proj = proj @ _eigenprojector(space, m, e)
+        proj = proj @ quadrature_projector(space, _apply_jt(space.field, m), e)
     tr = np.trace(proj)
     if abs(tr) < TOL:
         raise ValueError("inconsistent stabilizer phases: the joint eigenspace is empty")

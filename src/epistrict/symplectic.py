@@ -362,9 +362,9 @@ def symplectic_group_order(d: int, n: int) -> int:
 def enumerate_symplectic(space: PhaseSpace, cap: int = 200_000) -> list:
     """All symplectic matrices on a finite phase space, deterministically ordered.
 
-    Exhaustive filtering for one degree of freedom; for more, closure of the
-    transvection generators (which generate the full group) under multiplication.
-    The known group order is asserted, so silent incompleteness is impossible.
+    Closure of the transvection generators (which generate the full group) under
+    multiplication.  The known group order is asserted, so silent incompleteness is
+    impossible.
     """
     if not space.field.is_finite:
         raise UnsupportedOperation("cannot enumerate symplectic maps over Q")
@@ -373,38 +373,30 @@ def enumerate_symplectic(space: PhaseSpace, cap: int = 200_000) -> list:
     if expected > cap:
         raise SizeCapExceeded("symplectic group enumeration", expected, cap)
     fld = space.field
-    found: set
-    if space.n == 1:
-        found = set()
-        for flat in itertools.product(range(d), repeat=4):
-            m = Matrix.from_rows(fld, [flat[:2], flat[2:]])
-            if is_symplectic(space, m):
-                found.add(m.rows)
-    else:
-        gens = []
-        seen_lines = set()
-        for u in itertools.product(range(d), repeat=space.dim):
-            if not any(u):
-                continue
-            line = min(tuple((c * x) % d for x in u) for c in range(1, d))
-            if line in seen_lines:
-                continue
-            seen_lines.add(line)
-            for c in range(1, d):
-                gens.append(transvection(space, u, c).rows)
-        identity = Matrix.identity(fld, space.dim).rows
-        found = {identity}
-        frontier = [identity]
-        while frontier:
-            nxt = []
-            for m in frontier:
-                mm = Matrix(fld, m)
-                for g in gens:
-                    prod = (mm @ Matrix(fld, g)).rows
-                    if prod not in found:
-                        found.add(prod)
-                        nxt.append(prod)
-            frontier = nxt
+    gens = []
+    seen_lines = set()
+    for u in itertools.product(range(d), repeat=space.dim):
+        if not any(u):
+            continue
+        line = min(tuple((c * x) % d for x in u) for c in range(1, d))
+        if line in seen_lines:
+            continue
+        seen_lines.add(line)
+        for c in range(1, d):
+            gens.append(transvection(space, u, c).rows)
+    identity = Matrix.identity(fld, space.dim).rows
+    found = {identity}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for m in frontier:
+            mm = Matrix(fld, m)
+            for g in gens:
+                prod = (mm @ Matrix(fld, g)).rows
+                if prod not in found:
+                    found.add(prod)
+                    nxt.append(prod)
+        frontier = nxt
     if len(found) != expected:
         raise AssertionError(
             f"symplectic enumeration produced {len(found)} elements, expected {expected}")
@@ -474,26 +466,16 @@ def enumerate_isotropic(space: PhaseSpace, rank: Optional[int] = None,
 def extend_to_symplectic(space: PhaseSpace, f: Iterable) -> Matrix:
     """A symplectic matrix whose first column is ``f``.
 
-    Finite fields: symplectic Gram-Schmidt with lexicographically-least valid choices
-    at every step, so the result is a deterministic function of ``f``.  Over Q the
-    candidates are the standard basis vectors corrected against the pairs already
-    chosen.  The zero vector labels no quadrature and is refused.
+    Symplectic Gram-Schmidt over any field: the candidates are the standard basis
+    vectors in order, each corrected against the pairs already chosen, and the first
+    that pairs nontrivially is taken, so the result is a deterministic function of
+    ``f``.  The zero vector labels no quadrature and is refused.
     """
     fld = space.field
     f = vec(fld, f)
     if all(x == fld.zero for x in f):
         raise ValueError("cannot extend the zero functional")
-
-    def candidates():
-        if fld.is_finite:
-            for v in space.points():
-                if any(x != fld.zero for x in v):
-                    yield vec(fld, v)
-        else:
-            for i in range(space.dim):
-                e = [fld.zero] * space.dim
-                e[i] = fld.one
-                yield tuple(e)
+    basis = Matrix.identity(fld, space.dim).rows
 
     def corrected(c, pairs):
         # c + sum_i (<w_i, c> u_i - <u_i, c> w_i) kills all products with chosen pairs.
@@ -504,50 +486,24 @@ def extend_to_symplectic(space: PhaseSpace, f: Iterable) -> Matrix:
                                         vec_scale(fld, cu, w)))
         return c
 
-    pairs = []
-    chosen_span: list = []
-
-    def in_span(v):
-        if not chosen_span:
-            return all(x == fld.zero for x in v)
-        return AffineSubspace.span(fld, chosen_span, ambient=space.dim).contains(v)
-
-    def pick_partner(u):
-        for g in candidates():
-            g2 = corrected(g, pairs) if not fld.is_finite else g
+    def pick_partner(u, pairs):
+        for g in basis:
+            g2 = corrected(g, pairs)
             ip = symp_inner(space, u, g2)
-            if ip == fld.zero:
-                continue
-            if fld.is_finite and any(symp_inner(space, x, g2) != fld.zero
-                                     for pair in pairs for x in pair):
-                continue
-            return vec_scale(fld, fld.inv(ip), g2)
+            if ip != fld.zero:
+                return vec_scale(fld, fld.inv(ip), g2)
         raise AssertionError("no symplectic partner found; form would be degenerate")
 
-    u1 = f
-    pairs.append((u1, pick_partner(u1)))
-    chosen_span.extend(pairs[0])
+    pairs = [(f, pick_partner(f, []))]
     for _ in range(1, space.n):
-        nxt = None
-        for cvec in candidates():
-            c2 = corrected(cvec, pairs) if not fld.is_finite else cvec
-            if in_span(c2):
-                continue
-            if fld.is_finite and any(symp_inner(space, x, c2) != fld.zero
-                                     for pair in pairs for x in pair):
-                continue
-            nxt = c2
-            break
+        # A corrected candidate is orthogonal to the nondegenerate span of the chosen
+        # pairs, so it lies in that span only when it is zero.
+        nxt = next((c for c in (corrected(e, pairs) for e in basis) if any(c)), None)
         if nxt is None:
             raise AssertionError("could not complete a symplectic basis")
-        w = pick_partner(nxt)
-        pairs.append((nxt, w))
-        chosen_span.extend((nxt, w))
+        pairs.append((nxt, pick_partner(nxt, pairs)))
 
-    cols = []
-    for u, w in pairs:
-        cols.append(u)
-        cols.append(w)
+    cols = [x for pair in pairs for x in pair]
     s = Matrix(fld, tuple(zip(*cols)))
     if not is_symplectic(space, s):
         raise AssertionError("completed matrix is not symplectic")

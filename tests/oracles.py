@@ -141,3 +141,13 @@ def rref_mod(d, rows):
                 m[r] = [(e - f * p) % d for e, p in zip(m[r], m[rank])]
         rank += 1
     return [tuple(r) for r in m], rank
+
+
+def symplectic_2x2(d):
+    """Every symplectic matrix on one degree of freedom, by the exhaustive d^4 filter.
+
+    For a 2 x 2 matrix S = [[a, b], [c, e]], S^T J S = (a e - b c) J, so S is
+    symplectic iff its determinant is 1.  Sorted by rows, as row tuples.
+    """
+    return sorted(((a, b), (c, e)) for a, b, c, e in product(range(d), repeat=4)
+                  if (a * e - b * c) % d == 1)

@@ -1,4 +1,5 @@
-"""Package-wide invariants: internal checks survive ``python -O``; memos are bounded."""
+"""Package-wide invariants: internal checks survive ``python -O``; memos are bounded;
+no private helper is left without a caller."""
 
 import ast
 import importlib
@@ -30,3 +31,22 @@ def test_every_lru_cache_is_bounded():
     assert "epistrict.symplectic._euclidean_complement" in wrappers
     unbounded = [name for name, fn in wrappers.items() if fn.cache_info().maxsize is None]
     assert unbounded == []
+
+
+def test_every_private_helper_has_a_caller():
+    # A module-level ``_name`` function or class must be referenced somewhere in the
+    # package outside its own body; an orphaned helper is dead code.
+    defined, used = {}, set()
+    for path in SOURCES:
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            nodes = list(ast.walk(top))
+            names = {n.id for n in nodes if isinstance(n, ast.Name)}
+            names |= {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+            names |= {a.name for n in nodes if isinstance(n, ast.ImportFrom) for a in n.names}
+            if (isinstance(top, (ast.FunctionDef, ast.ClassDef))
+                    and top.name.startswith("_") and not top.name.startswith("__")):
+                defined[top.name] = path.name
+                names.discard(top.name)
+            used |= names
+    orphans = sorted(f"{defined[name]}:{name}" for name in defined if name not in used)
+    assert defined and orphans == []

@@ -88,6 +88,12 @@ def test_weyl_recovers_paulis():
     assert np.allclose(weyl(D2, (1, 1)), Y)
 
 
+@pytest.mark.parametrize("a", [(1, 0, 1, 1), (1,), ()])
+def test_weyl_rejects_a_vector_of_the_wrong_length(a):
+    with pytest.raises(ValueError, match=f"length {len(a)} .* 2n = 2"):
+        weyl(D2, a)
+
+
 def _chain_weyl(space, a):
     """Reference route: the prefactored shift-boost product, tensored dof by dof."""
     d = space.d
@@ -504,6 +510,12 @@ def test_displaced_scenario_statistics_match_classical():
 def test_zero_functional_rejected():
     with pytest.raises(ValueError):
         quadrature_projector(D3, (0, 0), 0)
+
+
+@pytest.mark.parametrize("f", [(1, 0, 0), (1,)])
+def test_projector_rejects_a_functional_of_the_wrong_length(f):
+    with pytest.raises(ValueError, match=f"functional of length {len(f)}"):
+        quadrature_projector(D3, f, 0)
 
 
 def test_projector_constant_shifts_label():

@@ -1,5 +1,6 @@
 """Stabilizer translation, parity obstructions, and the operational witness scan."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -8,9 +9,9 @@ import pytest
 from epistrict import stabilizer, symplectic
 from epistrict.fields import PrimeField
 from epistrict.linalg import AffineSubspace
-from epistrict.symplectic import PhaseSpace
+from epistrict.symplectic import PhaseSpace, _apply_jt
 from epistrict.epistemic import enumerate_states, measure, transform
-from epistrict.quantum import quadrature_state
+from epistrict.quantum import _pair_char, quadrature_projector, quadrature_state, weyl
 from epistrict.stabilizer import (
     StabilizerGroup,
     Witness,
@@ -64,21 +65,38 @@ def test_round_trip_sampled_at_d3_two_dofs():
         assert quadrature_of_stabilizer(group) == state
 
 
-@pytest.mark.parametrize("space", [D2, D3])
-def test_state_from_stabilizer_matches_quadrature_state(space):
-    for state in enumerate_states(space):
+def _power_sum_projector(space, m, e):
+    """Reference route: the +1 eigenprojector (1/d) sum_k g^k of g = char(e) W(m)."""
+    d = space.d
+    g = _pair_char(d, e) * weyl(space, m)
+    power = np.eye(d ** space.n, dtype=complex)
+    proj = np.zeros_like(power)
+    for _ in range(d):
+        proj += power
+        power = power @ g
+    return proj / d
+
+
+def _assert_state_from_stabilizer_matches(space, states):
+    for state in states:
         group = stabilizer_of_quadrature(space, state.known, state.valuation)
         rho = state_from_stabilizer(group)
         want = quadrature_state(space, state.known, state.valuation).rho
         assert np.max(np.abs(rho - want)) < 1e-10
+        for m, e in group.generators:
+            # The Weyl-line projector of J^T m is the power-sum eigenprojector.
+            got = quadrature_projector(space, _apply_jt(space.field, m), e)
+            assert np.max(np.abs(got - _power_sum_projector(space, m, e))) < 1e-10
 
 
-def test_state_from_stabilizer_matches_sampled_two_qubit_states():
-    for state in enumerate_states(D2x2)[::7]:
-        group = stabilizer_of_quadrature(D2x2, state.known, state.valuation)
-        rho = state_from_stabilizer(group)
-        want = quadrature_state(D2x2, state.known, state.valuation).rho
-        assert np.max(np.abs(rho - want)) < 1e-10
+@pytest.mark.parametrize("space", [D2, D3, D2x2])
+def test_state_from_stabilizer_matches_quadrature_state(space):
+    _assert_state_from_stabilizer_matches(space, enumerate_states(space))
+
+
+def test_state_from_stabilizer_matches_sampled_two_qutrit_states():
+    states = enumerate_states(D3x2)
+    _assert_state_from_stabilizer_matches(D3x2, random.Random(6).sample(states, 40))
 
 
 def test_trivial_group_gives_the_maximally_mixed_state():
@@ -96,6 +114,12 @@ def test_inconsistent_phases_rejected():
 def test_noncommuting_generators_rejected():
     with pytest.raises(ValueError, match="commute"):
         StabilizerGroup(D2, (((1, 0), 0), ((0, 1), 0)))       # X and Z
+
+
+@pytest.mark.parametrize("m", [(1, 0, 1, 1), (1,)])
+def test_generator_of_the_wrong_length_rejected(m):
+    with pytest.raises(ValueError, match=f"length {len(m)} .* 2n = 2"):
+        StabilizerGroup(D2, ((m, 0),))
 
 
 def test_zero_generator_rejected():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from epistrict.fields import RATIONALS, PrimeField
 from epistrict.linalg import AffineSubspace, Matrix
 from epistrict.symplectic import (
@@ -260,6 +261,13 @@ def test_symplectic_group_sizes(key, count):
     assert all(s.T @ j @ s == j for s in group)
 
 
+@pytest.mark.parametrize("d", [2, 3, 5, 7])
+def test_closure_matches_the_exhaustive_filter_at_one_dof(d):
+    """One degree of freedom goes through the same transvection closure as more."""
+    space = PhaseSpace(PrimeField(d), 1)
+    assert [s.rows for s in enumerate_symplectic(space)] == oracles.symplectic_2x2(d)
+
+
 def test_affine_group_size_d2():
     assert len(enumerate_group(SPACES[2, 1])) == 24
 
@@ -357,6 +365,8 @@ def test_extension_first_column_and_symplectic(key):
     space = SPACES[key]
     rng = random.Random(5)
     vectors = [v for v in space.points() if any(v)]
+    # Only spaces with more than 25 nonzero f are sampled: (2,1), (3,1), (5,1) and
+    # (2,2) check every one.
     if len(vectors) > 25:
         vectors = [vectors[rng.randrange(len(vectors))] for _ in range(25)]
     for f in vectors:
@@ -365,6 +375,34 @@ def test_extension_first_column_and_symplectic(key):
         assert is_symplectic(space, s)
         # Deterministic: same input, same matrix.
         assert extend_to_symplectic(space, f) == s
+
+
+def _q(*entries):
+    return tuple(Fraction(e) for e in entries)
+
+
+#: Completions over Q, pinned to the Gram-Schmidt output: f, then the matrix rows.
+#: The first f is the first one criterion 8 extends at seed 2026.
+PINNED_RATIONAL_EXTENSIONS = [
+    (_q("-1/6", "2/7", "7/2", "1/2"),
+     (_q("-1/6", "-7/2", 0, -1), _q("2/7", 0, 0, 0),
+      _q("7/2", 0, "-49/4", "4/7"), _q("1/2", 0, "-7/4", 0))),
+    (_q("1/2", "1/3"), (_q("1/2", -3), _q("1/3", 0))),
+    (_q(0, 5), (_q(0, "-1/5"), _q(5, 0))),
+    (_q(0, 0, 0, 1), (_q(0, 0, 1, 0), _q(0, 0, 0, 1), _q(0, -1, 0, 0), _q(1, 0, 0, 0))),
+    (_q("1/2", "1/3", 1, 0),
+     (_q("1/2", -3, 0, -1), _q("1/3", 0, 0, 0), _q(1, 0, -3, 0), _q(0, 0, 0, "-1/3"))),
+    (_q(0, -2, 0, 0, "3/4", 0),
+     (_q(0, "1/2", 0, -1, 0, 0), _q(-2, 0, 0, 0, 0, 0), _q(0, 0, 0, 0, 1, 0),
+      _q(0, 0, 0, 0, 0, 1), _q("3/4", 0, "3/8", 0, 0, 0), _q(0, 0, 0, "8/3", 0, 0))),
+]
+
+
+@pytest.mark.parametrize("f,rows", PINNED_RATIONAL_EXTENSIONS)
+def test_extension_over_rationals_is_pinned(f, rows):
+    s = extend_to_symplectic(PhaseSpace(RATIONALS, len(f) // 2), f)
+    assert s.rows == rows
+    assert all(type(x) is Fraction for row in s.rows for x in row)
 
 
 def test_extension_rejects_zero():
