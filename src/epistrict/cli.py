@@ -24,6 +24,7 @@ from typing import List, Optional
 from . import acceptance
 from .epistemic import SharpMeasurement, enumerate_states, transform
 from .fields import PrimeField
+from .quantum import MAX_DIM
 from .render import render as render_grid
 from .scenario import ScenarioError, parse_scenario, run_scenario
 from .symplectic import (
@@ -38,8 +39,6 @@ EXIT_OK = 0
 EXIT_REJECT = 1
 EXIT_CAP = 2
 EXIT_INVALID = 3
-
-DEFAULT_MAX_DIM = 128
 
 _WHAT_ALIASES = {
     "states": "states",
@@ -74,6 +73,17 @@ def _space(d: int, n: int) -> PhaseSpace:
     except ValueError as exc:
         raise ScenarioError(f"--d: {exc}") from exc
     return PhaseSpace(field, n)
+
+
+def _max_dim(text: str) -> int:
+    """``--max-dim`` can lower the quantum engine's cap on d^n, never raise it."""
+    try:
+        value = int(text)
+        if 1 <= value <= MAX_DIM:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be an integer in 1..{MAX_DIM}, got {text!r}")
 
 
 def _check_dim(space: PhaseSpace, max_dim: int) -> None:
@@ -271,16 +281,17 @@ def build_parser() -> _Parser:
                         help="states | transforms | measurements")
     p_enum.add_argument("--format", choices=("text", "json"), default="text")
     p_enum.add_argument("--out", help="write output to this file")
-    p_enum.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM,
-                        help="cap on d^n (default 128)")
+    p_enum.add_argument("--max-dim", type=_max_dim, default=MAX_DIM,
+                        help=f"cap on d^n, at most {MAX_DIM} (default {MAX_DIM})")
     p_enum.set_defaults(func=cmd_enumerate)
 
     p_sim = sub.add_parser("simulate", help="run a scenario file")
     p_sim.add_argument("--scenario", required=True, help="path to a scenario JSON file")
     p_sim.add_argument("--format", choices=("text", "json"), default="text")
     p_sim.add_argument("--out", help="write output to this file")
-    p_sim.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM,
-                       help="cap on d^n for the quantum engine (default 128)")
+    p_sim.add_argument("--max-dim", type=_max_dim, default=MAX_DIM,
+                       help=f"cap on d^n for the quantum engine, at most {MAX_DIM} "
+                            f"(default {MAX_DIM})")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_ren = sub.add_parser("render", help="draw a scenario's state or measurement")

@@ -93,10 +93,6 @@ class Matrix:
             tuple(field.one if i == j else field.zero for j in range(n))
             for i in range(n)))
 
-    @classmethod
-    def zeros(cls, field: Field, nrows: int, ncols: int) -> "Matrix":
-        return cls(field, tuple((field.zero,) * ncols for _ in range(nrows)))
-
     @property
     def nrows(self) -> int:
         return len(self.rows)

@@ -21,6 +21,14 @@ Convention audit (executable in the test suite):
   holds up to a phase in {1, i, -1, -i} and operators commute iff <a, a'> = 0.
   Every W(a) is monomial (one nonzero entry per column), so it is built from a
   target index and a phase per basis vector rather than from dense products.
+* Metaplectic section: U(S)|0> is the +1 joint eigenvector psi of the W(S e_{p_i}),
+  with its first entry above TOL real and positive, and
+  U(S)|x> = prod_i W(S e_{q_i})^{-x_i} psi, copying |x> = prod_i W(e_{q_i})^{-x_i}|0>.
+  Then U(S) W(e_j) U(S)^dag = W(S e_j) exactly for all 2n unit vectors at every d.
+  At odd d the composition law carries this to every a, which fixes U(S) up to a
+  global phase.  At d = 2 the image of a sum of unit vectors can pick up a sign,
+  U W(a) U^dag = +-W(S a), because the i^{q p} lift is not preserved by S; so the
+  channels of U(A B) and U(A) U(B) can differ, while at odd d they agree.
 * A quadrature functional f is measured by the projectors built on the Weyl line
   through Jf:  P_f(t) = (1/d) sum_s chi(t s) W(s Jf)  (doubled character at d = 2).
   Conjugating the position PVM by a metaplectic whose symplectic maps q1 to f lands on
@@ -34,7 +42,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable
 
 import numpy as np
 
@@ -47,6 +55,7 @@ from .symplectic import (
     SymplecticAffine,
     UnsupportedOperation,
     _apply_j,
+    _apply_jt,
     is_symplectic,
     symp_inner,
 )
@@ -94,6 +103,10 @@ def shift(d: int, q: int) -> np.ndarray:
 def boost(d: int, p: int) -> np.ndarray:
     """Single-dof boost B(p)|x> = chi(p x)|x> (doubled character at d = 2)."""
     return np.diag([_pair_char(d, p * x) for x in range(d)]).astype(complex)
+
+
+def _all_position_vectors(d: int, n: int):
+    return itertools.product(range(d), repeat=n)
 
 
 #: i^k for k mod 4, exact: the d = 2 Weyl entries are fourth roots of unity.
@@ -148,107 +161,6 @@ def weyl_phase(space: PhaseSpace, a: Iterable, b: Iterable) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def _basis_index(d: int, x: tuple) -> int:
-    idx = 0
-    for e in x:
-        idx = idx * d + int(e)
-    return idx
-
-
-def _all_position_vectors(d: int, n: int):
-    return itertools.product(range(d), repeat=n)
-
-
-def _phase_gate(space: PhaseSpace, c_mat: Matrix) -> np.ndarray:
-    """Unitary for the lower shear [[I, 0], [C, I]] (block coordinates), C symmetric."""
-    d, n = space.d, space.n
-    dim = d ** n
-    diag = np.zeros(dim, dtype=complex)
-    rows = c_mat.rows
-    for x in _all_position_vectors(d, n):
-        quad = sum(int(rows[i][j]) * x[i] * x[j] for i in range(n) for j in range(n))
-        if d == 2:
-            # Integer lift: diagonal terms weigh i, cross terms (-1).
-            lift = sum(int(rows[i][i]) * x[i] for i in range(n)) \
-                + 2 * sum(int(rows[i][j]) * x[i] * x[j]
-                          for i in range(n) for j in range(i + 1, n))
-            diag[_basis_index(d, x)] = 1j ** (lift % 4)
-        else:
-            inv2 = (d + 1) // 2
-            diag[_basis_index(d, x)] = chi(space.field, (-inv2 * quad) % d)
-    return np.diag(diag)
-
-
-def _gl_gate(space: PhaseSpace, a_mat: Matrix) -> np.ndarray:
-    """Unitary |x> -> |A x| for invertible A, implementing [[A, 0], [0, A^-T]]."""
-    d, n = space.d, space.n
-    dim = d ** n
-    u = np.zeros((dim, dim), dtype=complex)
-    for x in _all_position_vectors(d, n):
-        ax = a_mat.matvec(x)
-        u[_basis_index(d, ax), _basis_index(d, x)] = 1.0
-    return u
-
-
-def _fourier_gate(space: PhaseSpace) -> np.ndarray:
-    """The DFT on every degree of freedom, implementing [[0, I], [-I, 0]]."""
-    d = space.d
-    f = np.array([[_pair_char(d, x * y) for x in range(d)] for y in range(d)],
-                 dtype=complex) / np.sqrt(d)
-    out = f
-    for _ in range(space.n - 1):
-        out = np.kron(out, f)
-    return out
-
-
-def _interleave_permutation(space: PhaseSpace) -> Matrix:
-    """P with x_block = P x_inter, block order (q1..qn, p1..pn)."""
-    fld = space.field
-    n = space.n
-    rows = []
-    for i in range(n):
-        r = [fld.zero] * space.dim
-        r[2 * i] = fld.one
-        rows.append(r)
-    for i in range(n):
-        r = [fld.zero] * space.dim
-        r[2 * i + 1] = fld.one
-        rows.append(r)
-    return Matrix.from_rows(fld, rows)
-
-
-def _blocks(space: PhaseSpace, s_block: Matrix):
-    n = space.n
-    def sub(r0, c0):
-        return Matrix(space.field, tuple(
-            tuple(s_block.rows[r0 + i][c0 + j] for j in range(n)) for i in range(n)))
-    return sub(0, 0), sub(0, n), sub(n, 0), sub(n, n)
-
-
-def _is_invertible(m: Matrix) -> bool:
-    try:
-        m.inverse()
-        return True
-    except ValueError:
-        return False
-
-
-def _symmetric_fix(space: PhaseSpace, a: Matrix, b: Matrix) -> Matrix:
-    """First symmetric C (lex over the upper triangle) making A C + B invertible."""
-    fld = space.field
-    n = space.n
-    slots = [(i, j) for i in range(n) for j in range(i, n)]
-    for values in itertools.product(range(space.d), repeat=len(slots)):
-        rows = [[fld.zero] * n for _ in range(n)]
-        for (i, j), v in zip(slots, values):
-            rows[i][j] = v
-            rows[j][i] = v
-        c = Matrix.from_rows(fld, rows)
-        if _is_invertible(a @ c + b):
-            return c
-    raise AssertionError("no symmetric completion found; input cannot be symplectic")
-
-
 #: Memo of built unitaries, cleared when full like the subspace memo in ``linalg``.
 #: Entries are read-only, so no caller can corrupt what later callers receive.
 _metaplectic_cache: Dict[tuple, np.ndarray] = {}
@@ -256,12 +168,11 @@ _METAPLECTIC_CACHE_LIMIT = 2048
 
 
 def metaplectic(space: PhaseSpace, s) -> np.ndarray:
-    """A unitary V(S) with V(S) W(a) V(S)^dag proportional to W(S a) for all a.
+    """The unitary U(S) with U(S) W(e_j) U(S)^dag = W(S e_j) for every unit vector e_j.
 
-    At odd d the construction is exactly covariant (the proportionality constant is 1);
-    at d = 2 signs can appear on displaced Weyls.  The result is cached and
-    deterministic (and read-only); covariance is re-verified on the generator
-    displacements after every build, so a silently wrong decomposition cannot escape.
+    The section of the module docstring: U(S)|x> = prod_i W(S e_{q_i})^{-x_i} psi for
+    the +1 joint eigenvector psi of the W(S e_{p_i}).  The result is cached and
+    read-only; covariance on the unit vectors is re-verified after every build.
     """
     if isinstance(s, SymplecticAffine):
         s = s.s
@@ -273,41 +184,32 @@ def metaplectic(space: PhaseSpace, s) -> np.ndarray:
         return cached
     if not is_symplectic(space, s):
         raise ValueError("matrix is not symplectic; no metaplectic exists")
-    hilbert_dim(space)
+    d, n = space.d, space.n
+    dim = hilbert_dim(space)
+    images = s.T.rows  # S e_j for the interleaved unit vectors (q1, p1, ...)
 
-    perm = _interleave_permutation(space)
-    s_block = perm @ s @ perm.T
-    a, b, c, d_blk = _blocks(space, s_block)
+    # W(S e_p) has the +1 projector of the functional J^T S e_p at value 0.
+    proj = np.eye(dim, dtype=complex)
+    for i in range(n):
+        f = _apply_jt(space.field, images[2 * i + 1])
+        proj = proj @ quadrature_projector(space, f, 0)
+    psi = proj[:, np.argmax(np.linalg.norm(proj, axis=0))]
+    psi = psi / np.linalg.norm(psi)
+    lead = psi[np.argmax(np.abs(psi) > TOL)]
+    psi = psi * (abs(lead) / lead)
 
-    if _is_invertible(b):
-        c1 = d_blk @ b.inverse()
-        c2 = b.inverse() @ a
-        for m in (c1, c2):
-            if m != m.T:
-                raise AssertionError("shear blocks not symmetric; decomposition bug")
-        u = (_phase_gate(space, c1)
-             @ _gl_gate(space, b)
-             @ _fourier_gate(space)
-             @ _phase_gate(space, c2))
-    else:
-        cfix = _symmetric_fix(space, a, b)
-        n = space.n
-        fld = space.field
-        ident = Matrix.identity(fld, n)
-        zero = Matrix.zeros(fld, n, n)
-        def block_mat(tl, tr, bl, br):
-            rows = []
-            for i in range(n):
-                rows.append(tuple(tl.rows[i]) + tuple(tr.rows[i]))
-            for i in range(n):
-                rows.append(tuple(bl.rows[i]) + tuple(br.rows[i]))
-            return Matrix(fld, tuple(rows))
-        r_fix_block = block_mat(ident, cfix, zero, ident)
-        r_fix = perm.T @ r_fix_block @ perm
-        fixed = metaplectic(space, s @ r_fix)
-        fourier = _fourier_gate(space)
-        r_inv_unitary = fourier @ _phase_gate(space, cfix) @ fourier.conj().T
-        u = fixed @ r_inv_unitary
+    # Column x starts as psi and takes W(S e_{q_i})^{-x_i} = W(-x_i S e_{q_i}), one
+    # degree of freedom per scatter.
+    u = np.repeat(psi[:, None], dim, axis=1)
+    digits = np.array(list(_all_position_vectors(d, n))).reshape(dim, n)
+    columns = np.arange(dim)
+    for i in range(n):
+        rows, phases = _weyl_monomials(
+            d, n, [[(-k * int(c)) % d for c in images[2 * i]] for k in range(d)])
+        k = digits[:, i]
+        out = np.empty_like(u)
+        out[rows[k].T, columns] = phases[k].T * u
+        u = out
 
     _verify_generator_covariance(space, s, u)
     u.setflags(write=False)
@@ -322,23 +224,8 @@ def _verify_generator_covariance(space: PhaseSpace, s: Matrix, u: np.ndarray):
     for i in range(space.dim):
         e = tuple(fld.one if k == i else fld.zero for k in range(space.dim))
         lhs = u @ weyl(space, e) @ u.conj().T
-        rhs = weyl(space, s.matvec(e))
-        phase = _proportionality_phase(lhs, rhs)
-        if phase is None:
+        if np.max(np.abs(lhs - weyl(space, s.matvec(e)))) > 1e-8:
             raise AssertionError("metaplectic build lost Weyl covariance")
-        if space.d != 2 and abs(phase - 1.0) > 1e-8:
-            raise AssertionError("odd-d metaplectic must be exactly covariant")
-
-
-def _proportionality_phase(lhs: np.ndarray, rhs: np.ndarray) -> Optional[complex]:
-    """The unit phase c with lhs = c * rhs, or None if no such scalar exists."""
-    idx = np.unravel_index(np.argmax(np.abs(rhs)), rhs.shape)
-    if abs(rhs[idx]) < TOL:
-        return 1.0 if np.max(np.abs(lhs)) < TOL else None
-    c = lhs[idx] / rhs[idx]
-    if abs(abs(c) - 1.0) > 1e-8 or np.max(np.abs(lhs - c * rhs)) > 1e-8:
-        return None
-    return complex(c)
 
 
 # ---------------------------------------------------------------------------

@@ -362,9 +362,9 @@ def symplectic_group_order(d: int, n: int) -> int:
 def enumerate_symplectic(space: PhaseSpace, cap: int = 200_000) -> list:
     """All symplectic matrices on a finite phase space, deterministically ordered.
 
-    Closure of the transvection generators (which generate the full group) under
-    multiplication.  The known group order is asserted, so silent incompleteness is
-    impossible.
+    Closure under multiplication of the unit transvections along the 2n unit vectors
+    and the n - 1 sums e_{q_i} + e_{q_{i+1}}.  The known group order is asserted, which
+    proves that these generate the full group.
     """
     if not space.field.is_finite:
         raise UnsupportedOperation("cannot enumerate symplectic maps over Q")
@@ -373,17 +373,10 @@ def enumerate_symplectic(space: PhaseSpace, cap: int = 200_000) -> list:
     if expected > cap:
         raise SizeCapExceeded("symplectic group enumeration", expected, cap)
     fld = space.field
-    gens = []
-    seen_lines = set()
-    for u in itertools.product(range(d), repeat=space.dim):
-        if not any(u):
-            continue
-        line = min(tuple((c * x) % d for x in u) for c in range(1, d))
-        if line in seen_lines:
-            continue
-        seen_lines.add(line)
-        for c in range(1, d):
-            gens.append(transvection(space, u, c).rows)
+    units = [tuple(int(k == j) for k in range(space.dim)) for j in range(space.dim)]
+    chain = [tuple(int(k in (2 * i, 2 * i + 2)) for k in range(space.dim))
+             for i in range(space.n - 1)]
+    gens = [transvection(space, u, 1) for u in units + chain]
     identity = Matrix.identity(fld, space.dim).rows
     found = {identity}
     frontier = [identity]
@@ -392,7 +385,7 @@ def enumerate_symplectic(space: PhaseSpace, cap: int = 200_000) -> list:
         for m in frontier:
             mm = Matrix(fld, m)
             for g in gens:
-                prod = (mm @ Matrix(fld, g)).rows
+                prod = (mm @ g).rows
                 if prod not in found:
                     found.add(prod)
                     nxt.append(prod)

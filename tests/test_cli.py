@@ -95,6 +95,24 @@ def test_enumerate_respects_max_dim_flag():
                  "--max-dim", "2"]) == EXIT_CAP
 
 
+@pytest.mark.parametrize("command, value", [
+    ("simulate", "256"), ("simulate", "0"), ("enumerate", "129"), ("enumerate", "x"),
+])
+def test_max_dim_outside_the_engine_cap_is_invalid(capsys, scenario_file,
+                                                   command, value):
+    # The quantum engine refuses d^n > 128 whatever the flag says, so the flag can
+    # only lower the cap; a value it cannot honour is bad input, not a cap hit.
+    if command == "simulate":
+        unit = [1] + [0] * 15
+        args = ["simulate", "--scenario", scenario_file({
+            "field": 2, "n": 8, "mode": "quantum",
+            "preparation": {"known": [unit]}, "measurement": {"measured": [unit]}})]
+    else:
+        args = ["enumerate", "--d", "2", "--n", "1", "--what", "states"]
+    assert main(args + ["--max-dim", value]) == EXIT_INVALID
+    assert "1..128" in capsys.readouterr().err
+
+
 def test_enumerate_rejects_composite_modulus(capsys):
     assert main(["enumerate", "--d", "4", "--n", "1",
                  "--what", "states"]) == EXIT_INVALID

@@ -1,5 +1,5 @@
 """Package-wide invariants: internal checks survive ``python -O``; memos are bounded;
-no private helper is left without a caller."""
+no private helper is left without a caller; the classical side stays exact."""
 
 import ast
 import importlib
@@ -50,3 +50,23 @@ def test_every_private_helper_has_a_caller():
             used |= names
     orphans = sorted(f"{defined[name]}:{name}" for name in defined if name not in used)
     assert defined and orphans == []
+
+
+def test_classical_modules_use_no_floats():
+    # The exact side computes in ints and Fractions: no numpy, no float or complex
+    # literal.  numpy and floats belong to the quantum and Wigner layers.
+    found = []
+    for name in ("fields.py", "linalg.py", "symplectic.py", "epistemic.py"):
+        path = Path(epistrict.__file__).parent / name
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                modules = []
+            if any(m.split(".")[0] == "numpy" for m in modules):
+                found.append(f"{name}:{node.lineno} imports numpy")
+            if isinstance(node, ast.Constant) and type(node.value) in (float, complex):
+                found.append(f"{name}:{node.lineno} literal {node.value!r}")
+    assert found == []

@@ -200,24 +200,27 @@ def test_fourier_case_is_the_dft():
     assert np.max(np.abs(u - dft)) < 1e-10
 
 
-def test_covariance_all_linear_maps_d3():
+def test_covariance_all_linear_maps_odd_d():
     """At odd d the construction is exactly covariant: no stray phases at all."""
-    for s in enumerate_symplectic(D3):
-        u = metaplectic(D3, s)
-        for a in vectors(D3):
-            lhs = u @ weyl(D3, a) @ u.conj().T
-            rhs = weyl(D3, s.matvec(a))
-            assert np.max(np.abs(lhs - rhs)) < 1e-9
+    for space in (D3, D5):
+        for s in enumerate_symplectic(space):
+            u = metaplectic(space, s)
+            for a in vectors(space):
+                lhs = u @ weyl(space, a) @ u.conj().T
+                rhs = weyl(space, s.matvec(a))
+                assert np.max(np.abs(lhs - rhs)) < 1e-9
 
 
 def test_covariance_up_to_sign_d2():
-    for s in enumerate_symplectic(D2):
-        u = metaplectic(D2, s)
-        for a in vectors(D2):
-            lhs = u @ weyl(D2, a) @ u.conj().T
-            rhs = weyl(D2, s.matvec(a))
-            match = min(np.max(np.abs(lhs - sign * rhs)) for sign in (1, -1))
-            assert match < 1e-10
+    """Exact on the unit vectors; a sum of them can pick up the sign of a product."""
+    for space in (D2, D2_2):
+        for s in enumerate_symplectic(space):
+            u = metaplectic(space, s)
+            for a in vectors(space):
+                lhs = u @ weyl(space, a) @ u.conj().T
+                rhs = weyl(space, s.matvec(a))
+                signs = (1,) if sum(a) == 1 else (1, -1)
+                assert min(np.max(np.abs(lhs - sign * rhs)) for sign in signs) < 1e-10
 
 
 def test_covariance_random_two_dof():
@@ -233,7 +236,6 @@ def test_covariance_random_two_dof():
 
 
 def test_singular_momentum_block_is_handled():
-    # The lower shear has B = 0; the builder must pre-compose a corrective shear.
     shear = [[1, 0], [1, 1]]
     u = metaplectic(D3, shear)
     s = Matrix.from_rows(D3.field, shear)
@@ -258,6 +260,14 @@ def test_cached_metaplectic_is_read_only():
     with pytest.raises(ValueError):
         u[0, 0] = 0
     assert metaplectic(D3, [[1, 1], [0, 1]])[0, 0] == u[0, 0]
+
+
+def test_metaplectic_cache_holds_only_the_requested_matrices(monkeypatch):
+    monkeypatch.setattr(quantum, "_metaplectic_cache", {})
+    requested = [[[1, 0], [1, 1]], [[1, 0], [2, 1]], [[2, 0], [0, 2]], [[0, 1], [2, 0]]]
+    for s in requested:  # the first three have a zero momentum block
+        metaplectic(D3, s)
+    assert len(quantum._metaplectic_cache) == len(requested)
 
 
 def test_metaplectic_cache_clears_at_its_limit(monkeypatch):

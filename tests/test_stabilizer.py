@@ -11,7 +11,13 @@ from epistrict.fields import PrimeField
 from epistrict.linalg import AffineSubspace
 from epistrict.symplectic import PhaseSpace, _apply_jt
 from epistrict.epistemic import enumerate_states, measure, transform
-from epistrict.quantum import _pair_char, quadrature_projector, quadrature_state, weyl
+from epistrict.quantum import (
+    _pair_char,
+    clifford,
+    quadrature_projector,
+    quadrature_state,
+    weyl,
+)
 from epistrict.stabilizer import (
     StabilizerGroup,
     Witness,
@@ -261,6 +267,26 @@ def test_single_bit_witness_is_the_swap_on_the_diagonal_state():
     assert witness.transformation.s.rows == ((0, 1), (1, 0))
     assert witness.measurement.measured.basis == ((1, 1),)
     assert witness.max_diff == 1.0
+
+
+def test_the_section_moves_states_classically_under_every_even_single_bit_map():
+    """12 of the 24 maps at (2,1) send every state where the classical theory does.
+
+    Sp(2, 2) permutes the three nonzero vectors.  The other 12 maps have an odd linear
+    part (a transposition: S^3 = S, not I), which no conjugation can realize.
+    """
+    states = enumerate_states(D2)
+    rhos = [quadrature_state(D2, s.known, s.valuation).rho for s in states]
+    agreeing = []
+    for t in symplectic.enumerate_group(D2):
+        channel = clifford(D2, t)
+        if all(np.max(np.abs(channel.apply(rho)
+                             - rhos[states.index(transform(s, t))])) < 1e-10
+               for s, rho in zip(states, rhos)):
+            agreeing.append(t)
+    identity = ((1, 0), (0, 1))
+    assert len(agreeing) == 12
+    assert all((t.s @ t.s @ t.s).rows == identity for t in agreeing)
 
 
 @pytest.mark.parametrize("space, known, s_rows, measured", [
