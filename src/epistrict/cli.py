@@ -24,7 +24,7 @@ from typing import List, Optional
 from . import acceptance
 from .epistemic import SharpMeasurement, enumerate_states, transform
 from .fields import PrimeField
-from .quantum import MAX_DIM
+from .quantum import MAX_DIM, hilbert_dim
 from .render import render as render_grid
 from .scenario import ScenarioError, parse_scenario, run_scenario
 from .symplectic import (
@@ -86,12 +86,6 @@ def _max_dim(text: str) -> int:
     raise argparse.ArgumentTypeError(f"must be an integer in 1..{MAX_DIM}, got {text!r}")
 
 
-def _check_dim(space: PhaseSpace, max_dim: int) -> None:
-    required = space.d ** space.n
-    if required > max_dim:
-        raise SizeCapExceeded("hilbert dimension d^n", required, max_dim)
-
-
 # ---------------------------------------------------------------------------
 # enumerate
 # ---------------------------------------------------------------------------
@@ -130,7 +124,7 @@ def cmd_enumerate(args) -> int:
         raise ScenarioError(
             f"--what must be one of {sorted(set(_WHAT_ALIASES))}, got {args.what!r}")
     space = _space(args.d, args.n)
-    _check_dim(space, args.max_dim)
+    hilbert_dim(space, args.max_dim)
     records = _enumerate_records(space, what)
 
     if args.format == "json":
@@ -191,7 +185,7 @@ def _load_scenario(path: str):
 def cmd_simulate(args) -> int:
     sc = _load_scenario(args.scenario)
     if sc.space.field.is_finite and sc.mode != "epistricted":
-        _check_dim(sc.space, args.max_dim)
+        hilbert_dim(sc.space, args.max_dim)
     report = run_scenario(sc)
     if args.format == "json":
         text = json.dumps(report, indent=2) + "\n"

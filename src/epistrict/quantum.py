@@ -29,8 +29,9 @@ Convention audit (executable in the test suite):
   global phase.  At d = 2 the image of a sum of unit vectors can pick up a sign,
   U W(a) U^dag = +-W(S a), because the i^{q p} lift is not preserved by S; so the
   channels of U(A B) and U(A) U(B) can differ, while at odd d they agree.
-* A quadrature functional f is measured by the projectors built on the Weyl line
-  through Jf:  P_f(t) = (1/d) sum_s chi(t s) W(s Jf)  (doubled character at d = 2).
+* A quadrature functional f is measured by the projectors on the Weyl line through Jf,
+  P_f(t) = (1/d) sum_s chi(t s) W(s Jf) (doubled character at d = 2), scattered from
+  the monomial form of the multiples s Jf and multiplied left to right into joint ones.
   Conjugating the position PVM by a metaplectic whose symplectic maps q1 to f lands on
   the same PVM up to a label shift — the inverse-transpose of the matrix is what acts
   on functionals — and that reconciliation is asserted in the tests rather than taken
@@ -39,7 +40,6 @@ Convention audit (executable in the test suite):
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable
@@ -47,7 +47,7 @@ from typing import Dict, Iterable
 import numpy as np
 
 from .fields import Field, RationalField
-from .linalg import AffineSubspace, Matrix, vec, vec_dot, vec_scale
+from .linalg import AffineSubspace, Matrix, vec, vec_scale
 from .symplectic import (
     PhaseSpace,
     QuadratureFunctional,
@@ -105,8 +105,9 @@ def boost(d: int, p: int) -> np.ndarray:
     return np.diag([_pair_char(d, p * x) for x in range(d)]).astype(complex)
 
 
-def _all_position_vectors(d: int, n: int):
-    return itertools.product(range(d), repeat=n)
+def _basis_digits(d: int, n: int) -> np.ndarray:
+    """The (d^n, n) position vectors x of the basis, first digit most significant."""
+    return (np.arange(d ** n)[:, None] // d ** np.arange(n - 1, -1, -1)) % d
 
 
 #: i^k for k mod 4, exact: the d = 2 Weyl entries are fourth roots of unity.
@@ -123,7 +124,7 @@ def _weyl_monomials(d: int, n: int, vectors) -> tuple:
     """
     a = np.asarray(vectors, dtype=np.int64).reshape(-1, 2 * n)
     q, p = a[:, 0::2], a[:, 1::2]
-    x = np.array(list(_all_position_vectors(d, n)), dtype=np.int64).reshape(-1, n)
+    x = _basis_digits(d, n)
     rows = ((x[None, :, :] - q[:, None, :]) % d) @ (d ** np.arange(n - 1, -1, -1))
     qp = np.sum(q * p, axis=1)[:, None]
     px = p @ x.T
@@ -189,10 +190,8 @@ def metaplectic(space: PhaseSpace, s) -> np.ndarray:
     images = s.T.rows  # S e_j for the interleaved unit vectors (q1, p1, ...)
 
     # W(S e_p) has the +1 projector of the functional J^T S e_p at value 0.
-    proj = np.eye(dim, dtype=complex)
-    for i in range(n):
-        f = _apply_jt(space.field, images[2 * i + 1])
-        proj = proj @ quadrature_projector(space, f, 0)
+    momenta = [_apply_jt(space.field, images[2 * i + 1]) for i in range(n)]
+    proj = _joint_projectors(space, momenta, [(0,) * n])[0]
     psi = proj[:, np.argmax(np.linalg.norm(proj, axis=0))]
     psi = psi / np.linalg.norm(psi)
     lead = psi[np.argmax(np.abs(psi) > TOL)]
@@ -201,7 +200,7 @@ def metaplectic(space: PhaseSpace, s) -> np.ndarray:
     # Column x starts as psi and takes W(S e_{q_i})^{-x_i} = W(-x_i S e_{q_i}), one
     # degree of freedom per scatter.
     u = np.repeat(psi[:, None], dim, axis=1)
-    digits = np.array(list(_all_position_vectors(d, n))).reshape(dim, n)
+    digits = _basis_digits(d, n)
     columns = np.arange(dim)
     for i in range(n):
         rows, phases = _weyl_monomials(
@@ -220,11 +219,19 @@ def metaplectic(space: PhaseSpace, s) -> np.ndarray:
 
 
 def _verify_generator_covariance(space: PhaseSpace, s: Matrix, u: np.ndarray):
-    fld = space.field
-    for i in range(space.dim):
-        e = tuple(fld.one if k == i else fld.zero for k in range(space.dim))
-        lhs = u @ weyl(space, e) @ u.conj().T
-        if np.max(np.abs(lhs - weyl(space, s.matvec(e)))) > 1e-8:
+    """Require U W(e_j) = W(S e_j) U for every unit vector e_j, in O(D^2) each.
+
+    Both sides come from the monomial form; the difference's Frobenius norm equals that
+    of U W U^dag - W(S e_j), so it bounds every entry of the conjugation's error.
+    """
+    d, n = space.d, space.n
+    rows, phases = _weyl_monomials(d, n, np.eye(space.dim, dtype=np.int64))
+    img_rows, img_phases = _weyl_monomials(d, n, np.array(s.T.rows, dtype=np.int64))
+    for j in range(space.dim):
+        lhs = u[:, rows[j]] * phases[j]
+        rhs = np.empty_like(u)
+        rhs[img_rows[j]] = img_phases[j][:, None] * u
+        if np.linalg.norm(lhs - rhs) > 1e-8:
             raise AssertionError("metaplectic build lost Weyl covariance")
 
 
@@ -270,6 +277,29 @@ def clifford(space: PhaseSpace, t: SymplecticAffine) -> CliffordChannel:
 # ---------------------------------------------------------------------------
 
 
+def _joint_projectors(space: PhaseSpace, functionals, values) -> np.ndarray:
+    """The (K, D, D) products P_{f_1}(t_1) ... P_{f_k}(t_k), left to right, for K tuples
+    of k values.  Each P_f(t) = (1/d) sum_s pair(t s) W(s Jf) is scattered from one
+    monomial build of the d multiples s Jf; callers validate the nonzero ``functionals``.
+    """
+    dim = hilbert_dim(space)
+    d, n = space.d, space.n
+    pair = np.array([_pair_char(d, c) for c in range(d)], dtype=complex)
+    steps, columns = np.arange(d), np.arange(dim)
+    out = np.repeat(np.eye(dim, dtype=complex)[None], len(values), axis=0)
+    for i, f in enumerate(functionals):
+        jf = np.array(_apply_j(space.field, f), dtype=np.int64)
+        rows, phases = _weyl_monomials(d, n, np.outer(steps, jf) % d)
+        proj = np.zeros((d, dim, dim), dtype=complex)  # P_f(t) for t = 0 .. d-1
+        for s in range(d):
+            proj[:, rows[s], columns] += pair[steps * s % d, None] * phases[s]
+        proj /= d
+        # Slice by slice, so at most one stack of K products is ever held.
+        for k, t in enumerate(values):
+            out[k] = proj[t[i]] if i == 0 else out[k] @ proj[t[i]]
+    return out
+
+
 def quadrature_projector(space: PhaseSpace, f, value) -> np.ndarray:
     """Projector onto outcome ``value`` of the quadrature functional ``f``.
 
@@ -286,33 +316,8 @@ def quadrature_projector(space: PhaseSpace, f, value) -> np.ndarray:
                          f"dimension {space.dim}")
     if all(x == fld.zero for x in vector):
         raise ValueError("the zero functional has no outcome projectors")
-    d = space.d
     t = fld.reduce(fld.element(value) - const)
-    jf = _apply_j(fld, vector)
-    dim = hilbert_dim(space)
-    out = np.zeros((dim, dim), dtype=complex)
-    for s in range(d):
-        coeff = _pair_char(d, (int(t) * s) % d)
-        out += coeff * weyl(space, vec_scale(fld, s, jf))
-    return out / d
-
-
-def quadrature_joint_projector(space: PhaseSpace, known: AffineSubspace,
-                               valuation: Iterable) -> np.ndarray:
-    """Joint eigenprojector for an isotropic subspace V at a valuation coset.
-
-    The product of single-functional projectors over the canonical echelon basis of V
-    (which commute, since V is isotropic).  At odd d the result is basis independent;
-    at d = 2 the canonical basis is part of the definition.
-    """
-    meas = SharpMeasurement(space, known)  # validates isotropy
-    fld = space.field
-    label = meas.label_of(vec(fld, valuation))
-    dim = hilbert_dim(space)
-    out = np.eye(dim, dtype=complex)
-    for f in known.basis:
-        out = out @ quadrature_projector(space, f, vec_dot(fld, f, label))
-    return out
+    return _joint_projectors(space, [vector], [(t,)])[0]
 
 
 @dataclass(frozen=True)
@@ -327,27 +332,29 @@ class QuadratureState:
 
 def quadrature_state(space: PhaseSpace, known: AffineSubspace,
                      valuation: Iterable) -> QuadratureState:
-    proj = quadrature_joint_projector(space, known, valuation)
+    """The normalized joint eigenprojector of an isotropic V at a valuation coset.
+
+    A product over the canonical echelon basis of V: basis independent at odd d, part of
+    the definition at d = 2.
+    """
+    meas = SharpMeasurement(space, known)  # validates isotropy
+    label = meas.label_of(valuation)
+    proj = _joint_projectors(space, known.basis, [meas.values_at(label)])[0]
     tr = np.trace(proj).real
     expected_rank = space.d ** (space.n - known.rank)
     if abs(tr - expected_rank) > TOL * max(1, expected_rank):
         raise AssertionError(f"projector rank {tr} != d^(n-k) = {expected_rank}")
-    meas = SharpMeasurement(space, known)
-    return QuadratureState(space, known, meas.label_of(vec(space.field, valuation)),
-                           proj / tr)
+    return QuadratureState(space, known, label, proj / tr)
 
 
 def quadrature_pvm(space: PhaseSpace, known: AffineSubspace) -> dict:
     """The full PVM of a joint quadrature measurement, keyed by canonical labels."""
     meas = SharpMeasurement(space, known)
-    pvm = {}
-    for label in meas.outcomes():
-        pvm[label] = quadrature_joint_projector(space, known, label)
-    dim = hilbert_dim(space)
-    total = sum(pvm.values())
-    if np.max(np.abs(total - np.eye(dim))) > TOL:
+    labels = meas.outcomes()
+    projs = _joint_projectors(space, known.basis, [meas.values_at(x) for x in labels])
+    if np.max(np.abs(projs.sum(axis=0) - np.eye(projs.shape[-1]))) > TOL:
         raise AssertionError("quadrature PVM does not resolve the identity")
-    return pvm
+    return dict(zip(labels, projs))
 
 
 def born_table(rhos: np.ndarray, projectors: np.ndarray, starts=(0,)) -> np.ndarray:

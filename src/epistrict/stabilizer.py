@@ -52,11 +52,11 @@ from .epistemic import (
 )
 from .quantum import (
     TOL,
+    _joint_projectors,
     _pair_char,
     born,
     clifford,
     metaplectic,
-    quadrature_projector,
     quadrature_pvm,
     quadrature_state,
     weyl,
@@ -116,10 +116,8 @@ def state_from_stabilizer(group: StabilizerGroup) -> np.ndarray:
     phases are mutually inconsistent and no state exists.
     """
     space = group.space
-    dim = space.d ** space.n
-    proj = np.eye(dim, dtype=complex)
-    for m, e in group.generators:
-        proj = proj @ quadrature_projector(space, _apply_jt(space.field, m), e)
+    functionals = [_apply_jt(space.field, m) for m, _ in group.generators]
+    proj = _joint_projectors(space, functionals, [[e for _, e in group.generators]])[0]
     tr = np.trace(proj)
     if abs(tr) < TOL:
         raise ValueError("inconsistent stabilizer phases: the joint eigenspace is empty")

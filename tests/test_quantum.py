@@ -22,7 +22,6 @@ from epistrict.quantum import (
     clifford,
     hilbert_dim,
     metaplectic,
-    quadrature_joint_projector,
     quadrature_projector,
     quadrature_pvm,
     quadrature_state,
@@ -244,6 +243,18 @@ def test_singular_momentum_block_is_handled():
         assert np.max(np.abs(lhs - weyl(D3, s.matvec(a)))) < 1e-9
 
 
+@pytest.mark.parametrize("space", [D2_2, D3_2])
+def test_covariance_check_catches_a_flipped_column(space):
+    rng = random.Random(17)
+    for _ in range(5):
+        s = random_symplectic_affine(space, rng).s
+        u = np.array(metaplectic(space, s))
+        quantum._verify_generator_covariance(space, s, u)
+        u[:, rng.randrange(len(u))] *= -1
+        with pytest.raises(AssertionError, match="lost Weyl covariance"):
+            quantum._verify_generator_covariance(space, s, u)
+
+
 def test_metaplectic_rejects_non_symplectic():
     with pytest.raises(ValueError):
         metaplectic(D3, [[1, 0], [0, 2]])
@@ -329,6 +340,40 @@ def test_cliffords_permute_single_bit_quadrature_states():
 # ---------------------------------------------------------------------------
 
 
+def _dense_projector(space, f, t):
+    """Reference route: the character sum (1/d) sum_s pair(t s) W(s Jf) of dense Weyls."""
+    d = space.d
+    jf = [x for q, p in zip(f[0::2], f[1::2]) for x in (p, -q % d)]
+    out = np.zeros((d ** space.n,) * 2, dtype=complex)
+    for s in range(d):
+        out += quantum._pair_char(d, t * s) * weyl(space, [s * x % d for x in jf])
+    return out / d
+
+
+@pytest.mark.parametrize("space", [D2, D3, D5, D2_2])
+def test_projector_matches_the_dense_character_sum(space):
+    for f in vectors(space):
+        if any(f):
+            for t in range(space.d):
+                got = quadrature_projector(space, f, t)
+                assert np.max(np.abs(got - _dense_projector(space, f, t))) < 1e-13
+
+
+@pytest.mark.parametrize("space", [D2_2, D3_2])
+def test_pvm_is_the_product_of_dense_projectors_over_the_canonical_basis(space):
+    """At d = 2 the canonical basis is part of the definition; this pins it."""
+    d = space.d
+    for v in enumerate_isotropic(space):
+        pvm = quadrature_pvm(space, v)
+        assert list(pvm) == SharpMeasurement(space, v).outcomes()
+        for label, proj in pvm.items():
+            want = np.eye(d ** space.n, dtype=complex)
+            for f in v.basis:
+                value = sum(int(x) * int(y) for x, y in zip(f, label)) % d
+                want = want @ _dense_projector(space, f, value)
+            assert np.max(np.abs(proj - want)) < 1e-13
+
+
 def test_position_projectors_are_basis_projectors():
     for t in range(3):
         proj = quadrature_projector(D3, (1, 0), t)
@@ -395,9 +440,9 @@ def test_joint_projector_basis_independent_odd_d():
     while cases < 10:
         v = lagrangians[rng.randrange(len(lagrangians))]
         val = tuple(rng.randrange(3) for _ in range(4))
-        canonical = quadrature_joint_projector(D3_2, v, val)
         meas = SharpMeasurement(D3_2, v)
         label = meas.label_of(val)
+        canonical = quadrature_pvm(D3_2, v)[label]
         # Rebuild from a scrambled basis of the same subspace.
         fld = D3_2.field
         b1, b2 = v.basis
