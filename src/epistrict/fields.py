@@ -123,31 +123,26 @@ class RationalField(Field):
     """The rational numbers, with elements ``fractions.Fraction``.
 
     Fraction normalizes to lowest terms with a positive denominator on construction,
-    which is exactly the canonical representative the rest of the package assumes.
+    which is exactly the canonical representative the rest of the package assumes,
+    so a Fraction passes through ``element`` and ``reduce`` unchanged.
     """
 
     is_finite = False
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def element(self, value) -> Fraction:
         if isinstance(value, float):
             raise TypeError("floats are not exact; pass int, Fraction or 'num/den' str")
-        return Fraction(value)
+        return self.reduce(value)
 
     def reduce(self, x) -> Fraction:
-        return Fraction(x)
+        return x if type(x) is Fraction else Fraction(x)
 
     def inv(self, a: Fraction) -> Fraction:
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
         return 1 / a
-
-    @property
-    def zero(self) -> Fraction:
-        return Fraction(0)
-
-    @property
-    def one(self) -> Fraction:
-        return Fraction(1)
 
     def elements(self):
         raise ValueError("the rational field is infinite; cannot enumerate")

@@ -38,8 +38,8 @@ from .symplectic import (
     SymplecticAffine,
     _apply_j,
     _apply_jt,
+    _symplectic_closure,
     enumerate_isotropic,
-    enumerate_symplectic,
     symp_inner,
 )
 from .epistemic import (
@@ -327,72 +327,93 @@ class Witness:
     max_diff: float
 
 
-def _fingerprint(rho: np.ndarray) -> bytes:
-    # Adding complex zero folds -0.0 into +0.0 so equal matrices share bytes.
-    return (np.round(rho, 6) + (0.0 + 0.0j)).tobytes()
+def _close_pairs(images: np.ndarray, rhos: np.ndarray) -> np.ndarray:
+    """Mask of the (image, state) pairs within TOL in squared Hilbert-Schmidt distance.
+
+    ||X - rho||^2 = ||X||^2 + ||rho||^2 - 2 Re <X, rho>, and Re <X, rho> is the dot
+    product of the float views, so all pairs take one real matrix product.
+    """
+    x, r = (np.ascontiguousarray(m).reshape(len(m), -1).view(np.float64)
+            for m in (images, rhos))
+    dist = np.sum(x ** 2, axis=1)[:, None] + np.sum(r ** 2, axis=1) - 2 * (x @ r.T)
+    return dist < TOL
+
+
+def _quantum_perm(rhos: np.ndarray, unitary: np.ndarray) -> np.ndarray:
+    """The state permutation of a unitary: each image matched to exactly one state."""
+    hits = _close_pairs(unitary @ rhos @ unitary.conj().T, rhos)
+    if np.any(hits.sum(axis=0) > 1):
+        raise AssertionError("a Clifford unitary merged two quadrature states")
+    if not np.all(hits.sum(axis=1) == 1):
+        raise AssertionError(
+            "a Clifford image of a quadrature state is not exactly one quadrature state")
+    return hits.argmax(axis=1)
+
+
+def _classical_perms(space: PhaseSpace, states: list, gens: list, words: dict) -> tuple:
+    """Classical state permutations of every symplectic matrix (keyed by rows) and
+    every displacement (keyed by point, in lexicographic order).
+
+    Only the generators and the 2n unit shifts go through ``transform``, each checked
+    to be a bijection; element = parent @ gens[k] acts as perm[parent][perm[k]], and
+    shifts compose additively, so products of bijections give the rest.
+    """
+    index_of_state = {s: i for i, s in enumerate(states)}
+
+    def direct(t: SymplecticAffine) -> np.ndarray:
+        perm = [index_of_state[transform(s, t)] for s in states]
+        if len(set(perm)) != len(perm):
+            raise AssertionError("a classical generator merged two epistemic states")
+        return np.array(perm)
+
+    gen_perms = [direct(SymplecticAffine(space, g, space.zero())) for g in gens]
+    linear = {}
+    for rows, (parent, k) in words.items():
+        linear[rows] = (np.arange(len(states)) if parent is None
+                        else linear[parent][gen_perms[k]])
+    units = Matrix.identity(space.field, space.dim).rows
+    shift_perms = [direct(SymplecticAffine.displacement(space, u)) for u in units]
+    shifts = {}
+    for a in map(tuple, space.points()):
+        # a - e_j, for the last nonzero coordinate j, precedes a lexicographically.
+        j = max((i for i, x in enumerate(a) if x), default=None)
+        shifts[a] = (np.arange(len(states)) if j is None else
+                     shifts[a[:j] + (a[j] - 1,) + a[j + 1:]][shift_perms[j]])
+    return linear, shifts
 
 
 def scan_for_witness(space: PhaseSpace, tol: float = 1e-9) -> Optional[Witness]:
     """Exhaustively compare the two theories over every scenario triple.
 
-    Both theories act on the same finite state set, so the scan first verifies the
-    structural bijection (each Clifford image of a quadrature state is again exactly
-    one quadrature state) and reduces each side to a permutation of state labels:
-    quantum ones numerically via density-matrix fingerprints, classical ones via the
-    support map.  A (state, transformation) pair whose two labels agree yields equal
-    statistics for every measurement and is skipped; on the first disagreeing pair
-    the measurements are scanned in enumeration order for distinguishing statistics,
-    and the winning triple is re-verified through an honest Born computation.
-    Returns None when the exhaustive scan finds no disagreement anywhere.
+    Both theories act on the same finite state set, so every affine map is first
+    reduced on each side to a permutation of state labels: classical ones composed
+    along the symplectic closure's generator words, quantum ones by matching each
+    element's conjugated density matrices to the states (at d = 2 U(AB) and
+    U(A) U(B) can induce different channels, so these are not composed).  A (state,
+    transformation) pair whose two labels agree yields equal statistics for every
+    measurement and is skipped; on the first disagreeing pair the measurements are
+    scanned in enumeration order for distinguishing statistics, and the winning
+    triple is re-verified through an honest Born computation.  Returns None when
+    the exhaustive scan finds no disagreement anywhere.
     """
     states = enumerate_states(space)
-    index_of_state = {s: i for i, s in enumerate(states)}
-    rhos = [quadrature_state(space, s.known, s.valuation).rho for s in states]
-    label_of = {}
-    for i, rho in enumerate(rhos):
-        fp = _fingerprint(rho)
-        if fp in label_of:
-            raise AssertionError("two quadrature states share a density matrix")
-        label_of[fp] = i
-
-    def quantum_perm(unitary) -> tuple:
-        out = []
-        for rho in rhos:
-            image = unitary @ rho @ unitary.conj().T
-            fp = _fingerprint(image)
-            if fp not in label_of:
-                raise AssertionError(
-                    "a Clifford image of a quadrature state left the state set")
-            out.append(label_of[fp])
-        perm = tuple(out)
-        if len(set(perm)) != len(perm):
-            raise AssertionError("a Clifford unitary merged two quadrature states")
-        return perm
-
-    symplectics = enumerate_symplectic(space)
-    displacements = [tuple(a) for a in space.points()]
-    q_lin = [np.array(quantum_perm(metaplectic(space, s))) for s in symplectics]
-    q_disp = []
-    for a in displacements:
-        u = clifford(space, SymplecticAffine.displacement(space, a)).unitary
-        q_disp.append(np.array(quantum_perm(u)))
-
-    def classical_perm(t: SymplecticAffine) -> np.ndarray:
-        return np.array([index_of_state[transform(s, t)] for s in states])
-
-    c_lin = [classical_perm(SymplecticAffine(space, s, space.zero()))
-             for s in symplectics]
-    c_disp = [classical_perm(SymplecticAffine.displacement(space, a))
-              for a in displacements]
+    rhos = np.array([quadrature_state(space, s.known, s.valuation).rho for s in states])
+    if np.count_nonzero(_close_pairs(rhos, rhos)) != len(states):
+        raise AssertionError("two quadrature states share a density matrix")
+    c_lin, c_disp = _classical_perms(space, states, *_symplectic_closure(space))
+    symplectics = [Matrix(space.field, rows) for rows in sorted(c_lin)]
+    q_lin = [_quantum_perm(rhos, metaplectic(space, s)) for s in symplectics]
+    q_disp = [_quantum_perm(rhos, clifford(
+        space, SymplecticAffine.displacement(space, a)).unitary) for a in c_disp]
 
     measurements = [SharpMeasurement(space, v) for v in enumerate_isotropic(space)
                     if v.rank > 0]
 
     # The affine group in enumerate_group's order; a map is built only to be reported.
-    for s, q_s, c_s in zip(symplectics, q_lin, c_lin):
-        for a, q_a, c_a in zip(displacements, q_disp, c_disp):
+    for s, q_s in zip(symplectics, q_lin):
+        for (a, c_a), q_a in zip(c_disp.items(), q_disp):
             q_perm = q_a[q_s]
-            c_perm = c_a[c_s]
+            c_perm = c_a[c_lin[s.rows]]
             if np.array_equal(q_perm, c_perm):
                 continue
             t = SymplecticAffine(space, s, a)

@@ -359,17 +359,16 @@ def symplectic_group_order(d: int, n: int) -> int:
     return order
 
 
-def enumerate_symplectic(space: PhaseSpace, cap: int = 200_000) -> list:
-    """All symplectic matrices on a finite phase space, deterministically ordered.
+def _symplectic_closure(space: PhaseSpace, cap: int = 200_000) -> tuple:
+    """Close the unit transvections under multiplication, recording each element's word.
 
-    Closure under multiplication of the unit transvections along the 2n unit vectors
-    and the n - 1 sums e_{q_i} + e_{q_{i+1}}.  The known group order is asserted, which
-    proves that these generate the full group.
+    Returns ``(gens, words)``: ``words`` maps each element's rows to ``(parent_rows, k)``
+    with element = parent @ gens[k] (the identity to ``(None, None)``), in breadth-first
+    order.  Asserting the known group order proves the generators give the full group.
     """
     if not space.field.is_finite:
         raise UnsupportedOperation("cannot enumerate symplectic maps over Q")
-    d = space.d
-    expected = symplectic_group_order(d, space.n)
+    expected = symplectic_group_order(space.d, space.n)
     if expected > cap:
         raise SizeCapExceeded("symplectic group enumeration", expected, cap)
     fld = space.field
@@ -378,22 +377,32 @@ def enumerate_symplectic(space: PhaseSpace, cap: int = 200_000) -> list:
              for i in range(space.n - 1)]
     gens = [transvection(space, u, 1) for u in units + chain]
     identity = Matrix.identity(fld, space.dim).rows
-    found = {identity}
+    words = {identity: (None, None)}
     frontier = [identity]
     while frontier:
         nxt = []
         for m in frontier:
             mm = Matrix(fld, m)
-            for g in gens:
+            for k, g in enumerate(gens):
                 prod = (mm @ g).rows
-                if prod not in found:
-                    found.add(prod)
+                if prod not in words:
+                    words[prod] = (m, k)
                     nxt.append(prod)
         frontier = nxt
-    if len(found) != expected:
+    if len(words) != expected:
         raise AssertionError(
-            f"symplectic enumeration produced {len(found)} elements, expected {expected}")
-    return [Matrix(fld, rows) for rows in sorted(found)]
+            f"symplectic enumeration produced {len(words)} elements, expected {expected}")
+    return gens, words
+
+
+def enumerate_symplectic(space: PhaseSpace, cap: int = 200_000) -> list:
+    """All symplectic matrices on a finite phase space, deterministically ordered.
+
+    Closure under multiplication of the unit transvections along the 2n unit vectors
+    and the n - 1 sums e_{q_i} + e_{q_{i+1}}, sorted by rows.
+    """
+    _, words = _symplectic_closure(space, cap)
+    return [Matrix(space.field, rows) for rows in sorted(words)]
 
 
 def enumerate_group(space: PhaseSpace, cap: int = 200_000) -> list:

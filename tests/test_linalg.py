@@ -57,6 +57,15 @@ def test_rationals_reject_floats_and_reduce():
     assert (x.numerator, x.denominator) == (-2, 3)
 
 
+def test_rationals_pass_fractions_through_unchanged():
+    f = Fraction(-2, 3)
+    assert RATIONALS.element(f) is f
+    assert RATIONALS.reduce(f) is f
+    assert RATIONALS.zero is RATIONALS.zero and RATIONALS.one is RATIONALS.one
+    assert (RATIONALS.zero, RATIONALS.one) == (Fraction(0), Fraction(1))
+    assert type(RATIONALS.reduce(3)) is Fraction
+
+
 def test_prime_field_accepts_compatible_fractions():
     # Scenario files may carry rational literals; 1/2 means inv(2) when it exists.
     assert F3.element(Fraction(1, 2)) == 2

@@ -8,12 +8,13 @@ import pytest
 
 from epistrict import stabilizer, symplectic
 from epistrict.fields import PrimeField
-from epistrict.linalg import AffineSubspace
-from epistrict.symplectic import PhaseSpace, _apply_jt
+from epistrict.linalg import AffineSubspace, Matrix
+from epistrict.symplectic import PhaseSpace, SymplecticAffine, _apply_jt
 from epistrict.epistemic import enumerate_states, measure, transform
 from epistrict.quantum import (
     _pair_char,
     clifford,
+    metaplectic,
     quadrature_projector,
     quadrature_state,
     weyl,
@@ -226,10 +227,10 @@ def test_ghz_relaxed_count_is_eight():
 
 
 def _scan_counting(monkeypatch, space):
-    """Run the scan, counting symplectic enumerations; the affine group must not be
+    """Run the scan, counting symplectic closures; the affine group must not be
     built (a call to enumerate_group fails the test)."""
     calls = []
-    original = symplectic.enumerate_symplectic
+    original = symplectic._symplectic_closure
 
     def counting(*args, **kwargs):
         calls.append(args)
@@ -239,7 +240,7 @@ def _scan_counting(monkeypatch, space):
         raise AssertionError("scan_for_witness built the whole affine group")
 
     for mod in (symplectic, stabilizer):
-        monkeypatch.setattr(mod, "enumerate_symplectic", counting)
+        monkeypatch.setattr(mod, "_symplectic_closure", counting)
         monkeypatch.setattr(mod, "enumerate_group", forbidden, raising=False)
     witness = scan_for_witness(space)
     assert len(calls) == 1
@@ -324,3 +325,108 @@ def test_two_qubit_witness_found_and_verified():
     diff = max(abs(witness.quantum[k] - float(classical.probability(k)))
                for k in witness.quantum)
     assert abs(diff - witness.max_diff) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the scan's permutation tables against their direct routes
+# ---------------------------------------------------------------------------
+
+
+D5 = PhaseSpace(PrimeField(5), 1)
+
+
+def _direct_classical_perm(states, t):
+    """Reference route: push every state through transform."""
+    index = {s: i for i, s in enumerate(states)}
+    return [index[transform(s, t)] for s in states]
+
+
+def _fingerprint(rho):
+    # Adding complex zero folds -0.0 into +0.0 so equal matrices share bytes.
+    return (np.round(rho, 6) + (0.0 + 0.0j)).tobytes()
+
+
+def _fingerprint_quantum_perm(rhos, unitary):
+    """Reference route: identify each image by its rounded density-matrix bytes."""
+    label_of = {_fingerprint(rho): i for i, rho in enumerate(rhos)}
+    assert len(label_of) == len(rhos)
+    return [label_of[_fingerprint(unitary @ rho @ unitary.conj().T)] for rho in rhos]
+
+
+@pytest.mark.parametrize("space", [D2, D3, D5, D2x2])
+def test_closure_words_replay_to_their_elements(space):
+    gens, words = symplectic._symplectic_closure(space)
+    assert len(words) == symplectic.symplectic_group_order(space.d, space.n)
+    seen = set()
+    for rows, (parent, k) in words.items():
+        if parent is None:
+            assert rows == Matrix.identity(space.field, space.dim).rows
+        else:
+            assert parent in seen    # breadth-first: parents come first
+            assert (Matrix(space.field, parent) @ gens[k]).rows == rows
+        seen.add(rows)
+
+
+@pytest.mark.parametrize("space", [D2, D3, D5, D2x2])
+def test_composed_classical_perms_equal_direct_transforms(space):
+    states = enumerate_states(space)
+    gens, words = symplectic._symplectic_closure(space)
+    linear, shifts = stabilizer._classical_perms(space, states, gens, words)
+    assert set(linear) == set(words)
+    for rows, perm in linear.items():
+        t = SymplecticAffine(space, Matrix(space.field, rows), space.zero())
+        assert perm.tolist() == _direct_classical_perm(states, t)
+    assert list(shifts) == [tuple(a) for a in space.points()]
+    for a, perm in shifts.items():
+        t = SymplecticAffine.displacement(space, a)
+        assert perm.tolist() == _direct_classical_perm(states, t)
+
+
+@pytest.mark.parametrize("space", [D2, D3, D2x2])
+def test_matched_quantum_perms_equal_the_fingerprint_route(space):
+    states = enumerate_states(space)
+    rhos = np.array([quadrature_state(space, s.known, s.valuation).rho for s in states])
+    unitaries = [metaplectic(space, s) for s in symplectic.enumerate_symplectic(space)]
+    unitaries += [clifford(space, SymplecticAffine.displacement(space, a)).unitary
+                  for a in space.points()]
+    for u in unitaries:
+        assert stabilizer._quantum_perm(rhos, u).tolist() == \
+            _fingerprint_quantum_perm(rhos, u)
+
+
+def test_a_generator_that_merges_two_states_is_caught(monkeypatch):
+    states = enumerate_states(D2)
+    original = stabilizer.transform
+
+    def merging(state, t):
+        return original(states[0] if state == states[1] else state, t)
+
+    monkeypatch.setattr(stabilizer, "transform", merging)
+    with pytest.raises(AssertionError, match="merged two epistemic states"):
+        scan_for_witness(D2)
+
+
+def _substitute_identity_metaplectic(monkeypatch, matrix):
+    """Replace the unitary the scan builds for the identity symplectic matrix."""
+    original = stabilizer.metaplectic
+
+    def substituted(space, s):
+        return matrix if s.rows == ((1, 0), (0, 1)) else original(space, s)
+
+    monkeypatch.setattr(stabilizer, "metaplectic", substituted)
+
+
+def test_a_unitary_that_leaves_the_state_set_is_caught(monkeypatch):
+    # A pi/8 rotation about Y turns the Bloch sphere by pi/4: off the octahedron.
+    c, s = np.cos(np.pi / 8), np.sin(np.pi / 8)
+    _substitute_identity_metaplectic(monkeypatch, np.array([[c, -s], [s, c]], dtype=complex))
+    with pytest.raises(AssertionError, match="not exactly one quadrature state"):
+        scan_for_witness(D2)
+
+
+def test_a_map_that_merges_two_states_is_caught(monkeypatch):
+    # No unitary can merge states, so a broken build stands in: sqrt(2) |0><+| sends
+    # |0>, |1> and the maximally mixed state all to |0><0|.
+    _substitute_identity_metaplectic(monkeypatch, np.array([[1, 1], [0, 0]], dtype=complex))
+    with pytest.raises(AssertionError, match="merged two quadrature states"):
+        scan_for_witness(D2)
