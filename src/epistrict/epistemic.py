@@ -19,6 +19,7 @@ over the rational field only the possibilistic layer is available.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -26,7 +27,17 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from .fields import Scalar
-from .linalg import AffineSubspace, Matrix, Vector, solve_affine, vec, vec_dot, vec_sub
+from .linalg import (
+    AffineSubspace,
+    Matrix,
+    Vector,
+    _clear_pivots,
+    solve_affine,
+    vec,
+    vec_add,
+    vec_dot,
+    vec_sub,
+)
 from .symplectic import (
     PhaseSpace,
     QuadratureFunctional,
@@ -52,10 +63,9 @@ class EpistemicState:
     def __post_init__(self):
         if not is_isotropic(self.space, self.known):
             raise ValueError("known quadratures must span an isotropic linear subspace")
-        fld = self.space.field
         raw = self.valuation if self.valuation is not None else self.space.zero()
         hidden = _euclidean_complement(self.space, self.known)
-        object.__setattr__(self, "valuation", hidden.representative(vec(fld, raw)))
+        object.__setattr__(self, "valuation", hidden.representative(raw))
 
     @classmethod
     def ignorance(cls, space: PhaseSpace) -> "EpistemicState":
@@ -199,7 +209,7 @@ class SharpMeasurement:
 
     def label_of(self, point: Iterable) -> Vector:
         """Canonical outcome label of the cell containing ``point``."""
-        return self._hidden().representative(vec(self.space.field, point))
+        return self._hidden().representative(point)
 
     def cell(self, label: Iterable) -> AffineSubspace:
         """All ontic states producing this outcome (the response set)."""
@@ -224,14 +234,26 @@ class OutcomeDistribution:
     """Exact outcome statistics: canonical labels mapped to ``Fraction`` probabilities."""
 
     def __init__(self, entries: dict):
-        cleaned = {tuple(k): v if isinstance(v, Fraction) else Fraction(v)
-                   for k, v in entries.items() if v != 0}
-        # The exact sum, as integers over the common denominator.
-        den = math.lcm(*(p.denominator for p in cleaned.values()))
-        num = sum(p.numerator * (den // p.denominator) for p in cleaned.values())
+        # One pass: coerce, drop zeros, and keep the exact sum as the integer
+        # numerator ``num`` over the running common denominator ``den``.
+        cleaned = {}
+        num, den, negative = 0, 1, False
+        for k, v in entries.items():
+            if v == 0:
+                continue
+            if not isinstance(v, Fraction):
+                v = Fraction(v)
+            cleaned[tuple(k)] = v
+            q = v.denominator
+            if q != den:
+                lcm = math.lcm(den, q)
+                num *= lcm // den
+                den = lcm
+            num += v.numerator * (den // q)
+            negative = negative or v.numerator < 0
         if num != den:
             raise ValueError(f"probabilities sum to {Fraction(num, den)}, not 1")
-        if any(p.numerator < 0 for p in cleaned.values()):
+        if negative:
             raise ValueError("negative probability")
         self._probs = cleaned
 
@@ -336,12 +358,29 @@ def possible_labels(state: EpistemicState, m: SharpMeasurement) -> list:
         raise ValueError("measurement lives on a different phase space")
     if not state.space.field.is_finite:
         raise UnsupportedOperation("cannot enumerate outcomes over Q")
-    cells = m._hidden()
-    sup = state.support()
-    met = AffineSubspace(state.space.field, state.space.dim,
-                         tuple(cells.representative(h) for h in sup.basis),
-                         cells.representative(sup.offset))
-    return sorted(met.points())
+    fld = state.space.field
+    cells, span = _outcome_span(state.space, state.known, m.measured)
+    offset = _clear_pivots(fld, state.valuation, cells)
+    # P(x) is zero in every pivot column of ``cells``, so each sum is canonical, and
+    # the sums are distinct because the span points are.
+    return sorted(vec_add(fld, offset, x) for x in span)
+
+
+@functools.lru_cache(maxsize=4096)
+def _outcome_span(space: PhaseSpace, known: AffineSubspace,
+                  measured: AffineSubspace) -> tuple:
+    """``(cells, span)`` for a state knowing ``known`` measured along ``measured``:
+    the canonical basis of V'-perp, whose pivot clearing is the label projection P,
+    and the points of span{P(h) : h spans V-perp}.
+
+    Everything in the outcome set but the offset P(v) depends on (V, V') alone, and a
+    run meets few such pairs.  Memoized and bounded; it holds only tuples.
+    """
+    cells = _euclidean_complement(space, measured)
+    hidden = _euclidean_complement(space, known)
+    span = AffineSubspace(space.field, space.dim,
+                          tuple(cells.representative(h) for h in hidden.basis))
+    return cells.basis, tuple(span.points())
 
 
 def possible_values(state: EpistemicState, m: SharpMeasurement) -> AffineSubspace:

@@ -371,20 +371,37 @@ def _symplectic_closure(space: PhaseSpace, cap: int = 200_000) -> tuple:
     expected = symplectic_group_order(space.d, space.n)
     if expected > cap:
         raise SizeCapExceeded("symplectic group enumeration", expected, cap)
-    fld = space.field
+    fld, d = space.field, space.d
     units = [tuple(int(k == j) for k in range(space.dim)) for j in range(space.dim)]
     chain = [tuple(int(k in (2 * i, 2 * i + 2)) for k in range(space.dim))
              for i in range(space.n - 1)]
     gens = [transvection(space, u, 1) for u in units + chain]
+    # m @ T_u = m + (m u)(J u)^T: the columns where J u is nonzero each gain a signed
+    # copy of the column sum m u, taken over the (one or two) columns where u is 1.
+    updates = [([j for j, x in enumerate(u) if x],
+                [(k, x) for k, x in enumerate(_apply_j(fld, u)) if x])
+               for u in units + chain]
+
+    def times(m, sums, targets):
+        out = []
+        for row in m:
+            w = sum(row[j] for j in sums)
+            if w % d:
+                row = list(row)
+                for k, x in targets:
+                    row[k] = (row[k] + x * w) % d
+                row = tuple(row)
+            out.append(row)
+        return tuple(out)
+
     identity = Matrix.identity(fld, space.dim).rows
     words = {identity: (None, None)}
     frontier = [identity]
     while frontier:
         nxt = []
         for m in frontier:
-            mm = Matrix(fld, m)
-            for k, g in enumerate(gens):
-                prod = (mm @ g).rows
+            for k, (sums, targets) in enumerate(updates):
+                prod = times(m, sums, targets)
                 if prod not in words:
                     words[prod] = (m, k)
                     nxt.append(prod)

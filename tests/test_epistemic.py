@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from epistrict import epistemic
 from epistrict.fields import RATIONALS, PrimeField
 from epistrict.linalg import AffineSubspace
 from epistrict.epistemic import (
@@ -124,6 +125,13 @@ def test_valuation_canonicalized_to_coset_representative():
     b = EpistemicState(D3, AffineSubspace.span(D3.field, [(1, 0)], ambient=2), (1, 2))
     assert a == b  # (1,0) and (1,2) differ by (0,2) in V-perp
     assert a.valuation == (1, 0)
+
+
+@pytest.mark.parametrize("valuation", [(1,), (1, 0, 0)])
+def test_valuation_of_the_wrong_length_is_refused(valuation):
+    known = AffineSubspace.span(D3.field, [(1, 0)], ambient=2)
+    with pytest.raises(ValueError, match="length"):
+        EpistemicState(D3, known, valuation)
 
 
 def test_value_of_known_functional():
@@ -287,6 +295,9 @@ def test_outcome_distribution_validates():
         OutcomeDistribution({(0,): Fraction(1, 2), (1,): Fraction(2, 3)})
     with pytest.raises(ValueError, match="negative probability"):
         OutcomeDistribution({(0,): Fraction(3, 2), (1,): Fraction(-1, 2)})
+    # Both faults: the sum error comes first.
+    with pytest.raises(ValueError, match="sum to 1/2, not 1"):
+        OutcomeDistribution({(0,): Fraction(3, 2), (1,): Fraction(-1, 1)})
     with pytest.raises(ValueError, match="sum to 0, not 1"):
         OutcomeDistribution({})
     dist = OutcomeDistribution({(0,): 1, (1,): 0})
@@ -353,13 +364,54 @@ def _states_and_measurements(space, seeded):
 @pytest.mark.parametrize("space, seeded", [
     (D2, False), (D3, False), (D2_2, False), (D3_2, True), (D5, True), (D5_2, True)])
 def test_labels_and_measure_match_the_reach_route(space, seeded):
+    """Once on a cleared outcome-span memo, once warm; the memo hands out tuples only."""
     states, meas = _states_and_measurements(space, seeded)
+    epistemic._outcome_span.cache_clear()
+    misses = []
+    for _ in ("cold", "warm"):
+        for s in states:
+            for m in meas:
+                want = _reach_labels(s, m)
+                assert possible_labels(s, m) == want
+                assert measure(s, m) == OutcomeDistribution(
+                    {label: Fraction(1, len(want)) for label in want})
+        misses.append(epistemic._outcome_span.cache_info().misses)
+    assert misses[0] > 0 and misses[1] == misses[0]  # the warm pass only hits
     for s in states:
         for m in meas:
-            want = _reach_labels(s, m)
-            assert possible_labels(s, m) == want
-            assert measure(s, m) == OutcomeDistribution(
-                {label: Fraction(1, len(want)) for label in want})
+            memo = epistemic._outcome_span(space, s.known, m.measured)
+            assert type(memo) is tuple and len(memo) == 2
+            for part in memo:
+                assert type(part) is tuple
+                assert all(type(row) is tuple for row in part)
+
+
+def test_warm_measure_builds_no_subspace(monkeypatch):
+    """Once the outcome spans are memoized, a measure builds no AffineSubspace and
+    looks up no complement: a return to the subspace route fails here."""
+    states = enumerate_states(D2_2)
+    meas = [SharpMeasurement(D2_2, v) for v in enumerate_isotropic(D2_2)]
+    calls = []
+    post_init = AffineSubspace.__post_init__
+    complement = epistemic._euclidean_complement
+
+    def counting_post_init(self):
+        calls.append("AffineSubspace")
+        post_init(self)
+
+    def counting_complement(*args):
+        calls.append("_euclidean_complement")
+        return complement(*args)
+
+    monkeypatch.setattr(AffineSubspace, "__post_init__", counting_post_init)
+    monkeypatch.setattr(epistemic, "_euclidean_complement", counting_complement)
+    epistemic._outcome_span.cache_clear()
+    cold = [measure(s, m) for s in states for m in meas]
+    assert {"AffineSubspace", "_euclidean_complement"} <= set(calls)  # counters work
+    calls.clear()
+    warm = [measure(s, m) for s in states for m in meas]
+    assert calls == []
+    assert warm == cold
 
 
 @pytest.mark.parametrize("space, seeded", [

@@ -14,6 +14,7 @@ from epistrict.symplectic import (
     PhaseSpace,
     _apply_j,
     _apply_jt,
+    _symplectic_closure,
     QuadratureFunctional,
     SizeCapExceeded,
     SymplecticAffine,
@@ -266,6 +267,31 @@ def test_closure_matches_the_exhaustive_filter_at_one_dof(d):
     """One degree of freedom goes through the same transvection closure as more."""
     space = PhaseSpace(PrimeField(d), 1)
     assert [s.rows for s in enumerate_symplectic(space)] == oracles.symplectic_2x2(d)
+
+
+def _closure_by_products(space, gens):
+    """Reference route: the breadth-first closure with one dense ``Matrix @`` per step."""
+    identity = Matrix.identity(space.field, space.dim).rows
+    words = {identity: (None, None)}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for m in frontier:
+            for k, g in enumerate(gens):
+                prod = (Matrix(space.field, m) @ g).rows
+                if prod not in words:
+                    words[prod] = (m, k)
+                    nxt.append(prod)
+        frontier = nxt
+    return words
+
+
+@pytest.mark.parametrize("key", [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)])
+def test_closure_column_updates_match_dense_products(key):
+    """Same elements, parents, generator indices and breadth-first insertion order."""
+    space = SPACES[key]
+    gens, words = _symplectic_closure(space)
+    assert list(words.items()) == list(_closure_by_products(space, gens).items())
 
 
 def test_affine_group_size_d2():
