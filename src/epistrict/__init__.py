@@ -6,7 +6,8 @@ The package has two arithmetic regimes that never mix:
   arithmetic — ints mod a prime, or `fractions.Fraction` — and produces exact rational
   probabilities;
 * the quantum side (`quantum`, `wigner`, `stabilizer`) works in complex doubles behind a
-  1e-10 tolerance policy, on Hilbert spaces of dimension d**n <= 128.
+  1e-10 tolerance (1e-9 for a probability computed by both theories), on Hilbert
+  spaces of dimension d**n <= 128.
 
 `wigner` and `stabilizer` sit across the two regimes and mechanically check where the
 classical theory reproduces the quantum subtheory (odd prime d) and where it cannot

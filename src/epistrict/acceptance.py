@@ -34,6 +34,8 @@ from .epistemic import (
 from .fields import RATIONALS, PrimeField
 from .linalg import AffineSubspace, Matrix, vec_add, vec_dot
 from .quantum import (
+    PROB_TOL,
+    TOL,
     _pair_char,
     born,
     clifford,
@@ -77,8 +79,6 @@ SEED_ENV = "EPISTRICT_SEED"
 DEFAULT_SEED = 2026
 
 EXACT = "exact"
-TOL_COMPLEX = 1e-10
-TOL_BORN = 1e-9
 NEG_THRESHOLD = -1e-12
 
 SUITES: Dict[str, tuple] = {
@@ -122,10 +122,10 @@ def _sp(d: int, n: int) -> PhaseSpace:
 
 
 def _check(criterion: int, name: str, passed: bool, expected, actual,
-           tolerance: str = EXACT, details: str = "",
+           threshold: str = EXACT, details: str = "",
            moduli: tuple = ()) -> CheckResult:
     return CheckResult(criterion, name, bool(passed), str(expected), str(actual),
-                       tolerance, details, tuple(moduli))
+                       threshold, details, tuple(moduli))
 
 
 def filter_by_modulus(results: List[CheckResult], d: int) -> List[CheckResult]:
@@ -252,11 +252,11 @@ def _criterion_2(seed: int) -> List[CheckResult]:
             lhs = ws[a] @ ws[b]
             prod_dev = max(prod_dev, float(np.max(np.abs(
                 lhs - weyl_phase(sp3, a, b) * ws[ab]))))
-            commute = float(np.max(np.abs(lhs - ws[b] @ ws[a]))) <= TOL_COMPLEX
+            commute = float(np.max(np.abs(lhs - ws[b] @ ws[a]))) <= TOL
             if commute != (symp_inner(sp3, a, b) == 0):
                 comm_bad += 1
     checks.append(_check(2, "Weyl product law W(a)W(b) = phase * W(a+b) (all pairs; d=3, n=1)",
-                         prod_dev <= TOL_COMPLEX, "<= 1e-10", f"{prod_dev:.3e}", "1e-10",
+                         prod_dev <= TOL, "<= 1e-10", f"{prod_dev:.3e}", "1e-10",
                          moduli=(3,)))
     checks.append(_check(2, "W(a), W(b) commute iff <a,b> = 0 (all pairs; d=3, n=1)",
                          comm_bad == 0, "0 violations", f"{comm_bad} violations", "1e-10",
@@ -280,11 +280,11 @@ def _criterion_3(seed: int) -> List[CheckResult]:
     checks.append(_check(3, "d=3, n=1 exhaustive triple count",
                          rep.n_triples == 14040, 14040, rep.n_triples, moduli=(3,)))
     checks.append(_check(3, "d=3, n=1 Born vs epistricted (exhaustive)",
-                         rep.max_born_dev <= TOL_BORN, "<= 1e-9",
+                         rep.max_born_dev <= PROB_TOL, "<= 1e-9",
                          f"{rep.max_born_dev:.3e}", "1e-9", moduli=(3,)))
     checks.append(_check(3, "d=3, n=1 identity tables W_rho=mu, W_U=Gamma, W_O=xi",
                          max(rep.max_state_dev, rep.max_channel_dev,
-                             rep.max_meas_dev) <= TOL_COMPLEX,
+                             rep.max_meas_dev) <= TOL,
                          "<= 1e-10",
                          f"state {rep.max_state_dev:.2e}, channel {rep.max_channel_dev:.2e}, "
                          f"meas {rep.max_meas_dev:.2e}", "1e-10", moduli=(3,)))
@@ -297,9 +297,9 @@ def _criterion_3(seed: int) -> List[CheckResult]:
               for v in rng.sample(isos32, 5)]
     rep2 = equivalence_suite(sp32, states32, transforms32, meas32)
     checks.append(_check(3, "d=3, n=2 deterministic 200-triple sample",
-                         rep2.n_triples == 200 and rep2.max_born_dev <= TOL_BORN
+                         rep2.n_triples == 200 and rep2.max_born_dev <= PROB_TOL
                          and max(rep2.max_state_dev, rep2.max_channel_dev,
-                                 rep2.max_meas_dev) <= TOL_COMPLEX,
+                                 rep2.max_meas_dev) <= TOL,
                          "200 triples, Born <= 1e-9, tables <= 1e-10",
                          f"{rep2.n_triples} triples, Born {rep2.max_born_dev:.2e}, "
                          f"tables {max(rep2.max_state_dev, rep2.max_channel_dev, rep2.max_meas_dev):.2e}",
@@ -338,13 +338,13 @@ def _criterion_4(seed: int) -> List[CheckResult]:
 
     trace_dev = max(abs(np.trace(basis.op(m)) - 1.0) for m in pts)
     checks.append(_check(4, "Tr A(m) = 1 for every phase-space point (d=3, n=1)",
-                         trace_dev <= TOL_COMPLEX, "<= 1e-10", f"{trace_dev:.3e}", "1e-10",
+                         trace_dev <= TOL, "<= 1e-10", f"{trace_dev:.3e}", "1e-10",
                          moduli=(3,)))
 
     total = sum(basis.op(m) for m in pts)
     res_dev = float(np.max(np.abs(total - dim * np.eye(dim))))
     checks.append(_check(4, "sum_m A(m) = d^n * identity (d=3, n=1)",
-                         res_dev <= TOL_COMPLEX, "<= 1e-10", f"{res_dev:.3e}", "1e-10",
+                         res_dev <= TOL, "<= 1e-10", f"{res_dev:.3e}", "1e-10",
                          "with Tr-normalized tables the resolution carries the d^n weight",
                          moduli=(3,)))
 
@@ -354,7 +354,7 @@ def _criterion_4(seed: int) -> List[CheckResult]:
             want = dim if m == mp else 0.0
             orth_dev = max(orth_dev, abs(np.trace(basis.op(m) @ basis.op(mp)) - want))
     checks.append(_check(4, "orthogonality Tr[A(m)A(m')] = d^n delta (d=3, n=1)",
-                         orth_dev <= TOL_COMPLEX, "<= 1e-10", f"{orth_dev:.3e}", "1e-10",
+                         orth_dev <= TOL, "<= 1e-10", f"{orth_dev:.3e}", "1e-10",
                          moduli=(3,)))
 
     cov_dev = 0.0
@@ -452,7 +452,7 @@ def _criterion_5(seed: int) -> List[CheckResult]:
 
     checks.append(_check(5, "generator relations W(a) rho = chi(<v,a>) rho "
                             "(all states, d in {2,3}, n <= 2)",
-                         gen_dev <= TOL_COMPLEX, "<= 1e-10",
+                         gen_dev <= TOL, "<= 1e-10",
                          f"{gen_dev:.3e} over {n_states} states", "1e-10",
                          moduli=(2, 3)))
     checks.append(_check(5, "stabilizer -> state -> stabilizer round trip is the identity",
@@ -464,7 +464,7 @@ def _criterion_5(seed: int) -> List[CheckResult]:
                          odd_flips == 0, "0 sign flips", f"{odd_flips} sign flips", "1e-10",
                          moduli=(2, 3)))
     checks.append(_check(5, "d=2, n=2 group extension carries the parity obstruction",
-                         flip_states[(2, 2)] > 0 and flip_relation_dev <= TOL_COMPLEX,
+                         flip_states[(2, 2)] > 0 and flip_relation_dev <= TOL,
                          "some states flip, every flip an exact -1 eigen-relation",
                          f"{flip_states[(2, 2)]} states / {flips[(2, 2)]} flipped elements, "
                          f"flip relation dev {flip_relation_dev:.3e}", "1e-10",
@@ -535,7 +535,7 @@ def _criterion_6(seed: int) -> List[CheckResult]:
     if ok:
         dev1 = _witness_reverify(wit1)
         dev2 = _witness_reverify(wit2)
-        ok = dev1 <= TOL_BORN and dev2 <= TOL_BORN
+        ok = dev1 <= PROB_TOL and dev2 <= PROB_TOL
         detail = (f"n=1: max diff {wit1.max_diff:.3f}; n=2: max diff {wit2.max_diff:.3f}; "
                   f"independent Born recomputation agrees to {max(dev1, dev2):.2e}")
     checks.append(_check(6, "differing prepare/transform/measure triple exists (exhaustive, n <= 2)",

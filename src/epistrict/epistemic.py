@@ -20,7 +20,6 @@ over the rational field only the possibilistic layer is available.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,7 +33,6 @@ from .linalg import (
     _clear_pivots,
     solve_affine,
     vec,
-    vec_add,
     vec_dot,
     vec_sub,
 )
@@ -116,30 +114,15 @@ class EpistemicState:
         return fld.reduce(vec_dot(fld, vector, self.valuation) + const)
 
 
-def _coset_labels(space: PhaseSpace, hidden: AffineSubspace) -> list:
-    """Canonical representatives of the cosets of ``hidden``, lexicographically ordered.
-
-    A representative is zero in every pivot column of the canonical basis, so the
-    labels are exactly the vectors that range over Z_d in the free columns.
-    """
-    fld = space.field
-    pivot_cols = [next(i for i, e in enumerate(row) if e != fld.zero)
-                  for row in hidden.basis]
-    free_cols = [j for j in range(space.dim) if j not in pivot_cols]
-    labels = []
-    for values in itertools.product(range(space.d), repeat=len(free_cols)):
-        offset = [fld.zero] * space.dim
-        for col, val in zip(free_cols, values):
-            offset[col] = val
-        labels.append(tuple(offset))
-    return labels
+#: Fixed cap on the number of states ``enumerate_states`` lists.
+STATE_CAP = 500_000
 
 
-def enumerate_states(space: PhaseSpace, cap: int = 500_000) -> list:
+def enumerate_states(space: PhaseSpace) -> list:
     """Every valid epistemic state, deterministically ordered and duplicate-free.
 
     For each isotropic V (including the trivial one) there are d^rank(V) valuation
-    cosets, enumerated as canonical representatives directly.
+    cosets, labelled exactly as the outcomes of measuring V.
     """
     if not space.field.is_finite:
         raise UnsupportedOperation("cannot enumerate states over Q")
@@ -147,9 +130,9 @@ def enumerate_states(space: PhaseSpace, cap: int = 500_000) -> list:
     out = []
     for v_sub in enumerate_isotropic(space):
         count = d ** v_sub.rank
-        if len(out) + count > cap:
-            raise SizeCapExceeded("state enumeration", len(out) + count, cap)
-        labels = _coset_labels(space, _euclidean_complement(space, v_sub))
+        if len(out) + count > STATE_CAP:
+            raise SizeCapExceeded("state enumeration", len(out) + count, STATE_CAP)
+        labels = SharpMeasurement(space, v_sub).outcomes()
         if len(labels) != count:
             raise AssertionError("valuation cosets do not match the rank of V")
         out.extend(EpistemicState(space, v_sub, label) for label in labels)
@@ -218,10 +201,9 @@ class SharpMeasurement:
                               vec(self.space.field, label))
 
     def outcomes(self) -> list:
-        """All canonical outcome labels, lexicographically ordered (finite fields)."""
-        if not self.space.field.is_finite:
-            raise UnsupportedOperation("cannot enumerate outcomes over Q")
-        return _coset_labels(self.space, self._hidden())
+        """All canonical outcome labels, lexicographically ordered (finite fields):
+        the outcomes possible in the state of no knowledge."""
+        return possible_labels(EpistemicState.ignorance(self.space), self)
 
     def values_at(self, label: Iterable) -> tuple:
         """The value tuple (f_i applied to the label) over the canonical basis of V'."""
@@ -358,12 +340,14 @@ def possible_labels(state: EpistemicState, m: SharpMeasurement) -> list:
         raise ValueError("measurement lives on a different phase space")
     if not state.space.field.is_finite:
         raise UnsupportedOperation("cannot enumerate outcomes over Q")
-    fld = state.space.field
+    d = state.space.d
     cells, span = _outcome_span(state.space, state.known, m.measured)
-    offset = _clear_pivots(fld, state.valuation, cells)
+    offset = _clear_pivots(state.space.field, state.valuation, cells)
     # P(x) is zero in every pivot column of ``cells``, so each sum is canonical, and
     # the sums are distinct because the span points are.
-    return sorted(vec_add(fld, offset, x) for x in span)
+    if any(offset):
+        span = (tuple((a + x) % d for a, x in zip(offset, point)) for point in span)
+    return sorted(span)
 
 
 @functools.lru_cache(maxsize=4096)

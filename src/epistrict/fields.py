@@ -20,16 +20,32 @@ from typing import Union
 Scalar = Union[int, Fraction]
 
 
+class SizeCapExceeded(Exception):
+    """An enumeration, operator build or modulus would exceed a fixed size cap."""
+
+    def __init__(self, message: str, required, limit: int):
+        super().__init__(f"{message}: needs {required}, cap is {limit}")
+        self.required = required
+        self.cap = limit
+
+
+#: Miller-Rabin on the first twelve prime bases decides primality exactly below this
+#: bound (the smallest strong pseudoprime to all of them).
+MAX_MODULUS = 318_665_857_834_031_151_167_461
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(d: int) -> bool:
-    if d < 2:
-        return False
-    if d % 2 == 0:
-        return d == 2
-    f = 3
-    while f * f <= d:
-        if d % f == 0:
+    """Deterministic Miller-Rabin; exact for every ``d < MAX_MODULUS``."""
+    if d < 2 or any(d % p == 0 for p in _WITNESSES):
+        return d in _WITNESSES
+    twos = ((d - 1) & (1 - d)).bit_length() - 1  # d - 1 = odd * 2^twos
+    for a in _WITNESSES:
+        # d is a strong probable prime to base a iff a^odd = 1 or some squaring of it
+        # before the last reaches -1.
+        chain = [pow(a, (d - 1) >> twos << k, d) for k in range(twos)]
+        if chain[0] != 1 and d - 1 not in chain:
             return False
-        f += 2
     return True
 
 
@@ -68,6 +84,8 @@ class PrimeField(Field):
     is_finite = True
 
     def __init__(self, modulus: int):
+        if modulus >= MAX_MODULUS:
+            raise SizeCapExceeded("prime modulus", modulus, MAX_MODULUS)
         if not _is_prime(modulus):
             raise ValueError(f"modulus must be prime, got {modulus}")
         self.modulus = modulus

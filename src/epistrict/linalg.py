@@ -324,12 +324,12 @@ class AffineSubspace:
         if not self.basis:
             yield self.offset
             return
-        for coeffs in product(list(f.elements()), repeat=len(self.basis)):
-            x = self.offset
-            for c, row in zip(coeffs, self.basis):
-                if c != f.zero:
-                    x = vec_add(f, x, vec_scale(f, c, row))
-            yield x
+        # Over Z_d: the offset plus one multiple of each basis row, the first row's
+        # coefficient varying slowest, summed column by column.
+        d = f.modulus
+        multiples = [[tuple(c * x % d for x in row) for c in range(d)] for row in self.basis]
+        for terms in product(*multiples):
+            yield tuple(sum(col) % d for col in zip(self.offset, *terms))
 
 
 def solve_affine(a: Matrix, b: Iterable) -> AffineSubspace:

@@ -1,7 +1,8 @@
 """Weyl operators, metaplectic unitaries, and quadrature observables on (C^d)^{⊗n}.
 
-Numerics are complex doubles behind a single tolerance (``TOL``); Hilbert-space
-dimensions are capped (d^n <= 128 by default).  Coordinates stay interleaved
+Numerics are complex doubles behind one entrywise tolerance (``TOL``), with
+``PROB_TOL`` for a probability computed by both theories; Hilbert-space dimensions
+are capped (d^n <= 128 by default).  Coordinates stay interleaved
 (q1, p1, ...) exactly as on the classical side; the computational basis is indexed by
 position vectors x in (Z_d)^n with the first degree of freedom as the most significant
 digit.
@@ -51,17 +52,20 @@ from .linalg import AffineSubspace, Matrix, vec, vec_scale
 from .symplectic import (
     PhaseSpace,
     QuadratureFunctional,
-    SizeCapExceeded,
     SymplecticAffine,
     UnsupportedOperation,
     _apply_j,
     _apply_jt,
+    _capped_power,
     is_symplectic,
     symp_inner,
 )
 from .epistemic import SharpMeasurement
 
+#: Entrywise tolerance on complex matrices, tables and traces.
 TOL = 1e-10
+#: Agreement threshold for a probability computed by both theories.
+PROB_TOL = 1e-9
 MAX_DIM = 128
 
 
@@ -69,10 +73,7 @@ def hilbert_dim(space: PhaseSpace, cap: int = MAX_DIM) -> int:
     """Dimension d^n of the Hilbert space, enforcing the size cap."""
     if not space.field.is_finite:
         raise UnsupportedOperation("no finite-dimensional Hilbert space over Q")
-    dim = space.d ** space.n
-    if dim > cap:
-        raise SizeCapExceeded("Hilbert space", dim, cap)
-    return dim
+    return _capped_power("Hilbert space", space.d, space.n, cap)
 
 
 def chi(field: Field, c) -> complex:

@@ -33,13 +33,10 @@ from .epistemic import (
 )
 from .fields import RATIONALS, Field, PrimeField
 from .linalg import AffineSubspace, Matrix
-from .quantum import born, clifford, quadrature_pvm, quadrature_state
+from .quantum import PROB_TOL, born, clifford, quadrature_pvm, quadrature_state
 from .symplectic import PhaseSpace, SymplecticAffine, symp_inner
 
 MODES = ("epistricted", "quantum", "compare")
-
-#: Agreement threshold for the compare verdict.
-COMPARE_TOL = 1e-9
 
 
 class ScenarioError(ValueError):
@@ -255,7 +252,7 @@ def serialize_scenario(sc: Scenario) -> str:
 # ---------------------------------------------------------------------------
 
 
-def run_scenario(sc: Scenario, tolerance: float = COMPARE_TOL) -> dict:
+def run_scenario(sc: Scenario) -> dict:
     """Execute the scenario and return a JSON-ready report."""
     state = sc.preparation
     if sc.transformation is not None:
@@ -310,5 +307,5 @@ def run_scenario(sc: Scenario, tolerance: float = COMPARE_TOL) -> dict:
 
     if sc.mode == "compare":
         report["max_difference"] = max_diff
-        report["verdict"] = "agree" if max_diff <= tolerance else "differ"
+        report["verdict"] = "agree" if max_diff <= PROB_TOL else "differ"
     return report

@@ -51,6 +51,7 @@ from .epistemic import (
     transform,
 )
 from .quantum import (
+    PROB_TOL,
     TOL,
     _joint_projectors,
     _pair_char,
@@ -168,15 +169,9 @@ def weyl_value_report(space: PhaseSpace, known, valuation) -> ValueReport:
     rho = quadrature_state(space, state.known, state.valuation).rho
     tr = np.trace(rho).real
     d = space.d
-    basis = state.known.basis
-    n_elements = 0
+    elements = [f for f in state.known.points() if any(f)]
     flipped = []
-    for coeffs in iproduct(range(d), repeat=len(basis)):
-        if all(c == 0 for c in coeffs):
-            continue
-        f = tuple(sum(c * row[i] for c, row in zip(coeffs, basis)) % d
-                  for i in range(space.dim))
-        n_elements += 1
+    for f in elements:
         naive = vec_dot(space.field, f, state.valuation)
         m = _apply_j(space.field, f)
         # Eigenvalue of W(m) on the state, read off the trace.
@@ -184,7 +179,7 @@ def weyl_value_report(space: PhaseSpace, known, valuation) -> ValueReport:
         predicted = np.conj(_pair_char(d, naive))
         if abs(actual - predicted) > 1e-8:
             flipped.append(f)
-    return ValueReport(n_elements, len(flipped), tuple(flipped))
+    return ValueReport(len(elements), len(flipped), tuple(flipped))
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +377,7 @@ def _classical_perms(space: PhaseSpace, states: list, gens: list, words: dict) -
     return linear, shifts
 
 
-def scan_for_witness(space: PhaseSpace, tol: float = 1e-9) -> Optional[Witness]:
+def scan_for_witness(space: PhaseSpace) -> Optional[Witness]:
     """Exhaustively compare the two theories over every scenario triple.
 
     Both theories act on the same finite state set, so every affine map is first
@@ -432,7 +427,7 @@ def scan_for_witness(space: PhaseSpace, tol: float = 1e-9) -> Optional[Witness]:
                     q_dist = born(evolved, quadrature_pvm(space, meas.measured))
                     diff = max(abs(q_dist[k] - float(c_dist.probability(k)))
                                for k in q_dist)
-                    if not diff > tol:
+                    if not diff > PROB_TOL:
                         raise AssertionError(
                             "label mismatch must show up in some statistics")
                     return Witness(states[i], t, meas, c_dist, q_dist, diff)

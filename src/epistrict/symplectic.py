@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .fields import Field, Scalar
+from .fields import Field, Scalar, SizeCapExceeded
 from .linalg import (
     AffineSubspace,
     Matrix,
@@ -32,13 +32,11 @@ from .linalg import (
 )
 
 
-class SizeCapExceeded(Exception):
-    """An enumeration or operator build would exceed the configured size cap."""
-
-    def __init__(self, message: str, required: int, cap: int):
-        super().__init__(f"{message}: needs {required}, cap is {cap}")
-        self.required = required
-        self.cap = cap
+#: Fixed size caps: phase-space points d^{2n} listed at once, candidate isotropic
+#: subspaces per pivot pattern, and elements of the (affine) symplectic group.
+POINT_CAP = 10_000
+ISOTROPIC_CAP = 500_000
+GROUP_CAP = 200_000
 
 
 class UnsupportedOperation(ValueError):
@@ -163,13 +161,22 @@ class QuadratureFunctional:
         return {m: self.evaluate(m) for m in self.space.points()}
 
 
-def _check_point_cap(space: PhaseSpace, cap: int = 10_000):
+def _check_point_cap(space: PhaseSpace):
     if not space.field.is_finite:
         raise UnsupportedOperation(
             "operation needs to enumerate phase-space points; field is infinite")
-    total = space.d ** space.dim
-    if total > cap:
-        raise SizeCapExceeded("phase-space point enumeration", total, cap)
+    _capped_power("phase-space point enumeration", space.d, space.dim, POINT_CAP)
+
+
+def _capped_power(what: str, base: int, exp: int, limit: int) -> int:
+    """``base ** exp``, refused as ``base^exp`` once the running product passes
+    ``limit``, so a huge exponent costs a few steps rather than a huge integer."""
+    value = 1
+    for _ in range(exp):
+        value *= base
+        if value > limit:
+            raise SizeCapExceeded(what, f"{base}^{exp}", limit)
+    return value
 
 
 def poisson_bracket_fd(space: PhaseSpace, f_table: dict, g_table: dict) -> dict:
@@ -359,7 +366,7 @@ def symplectic_group_order(d: int, n: int) -> int:
     return order
 
 
-def _symplectic_closure(space: PhaseSpace, cap: int = 200_000) -> tuple:
+def _symplectic_closure(space: PhaseSpace) -> tuple:
     """Close the unit transvections under multiplication, recording each element's word.
 
     Returns ``(gens, words)``: ``words`` maps each element's rows to ``(parent_rows, k)``
@@ -369,8 +376,8 @@ def _symplectic_closure(space: PhaseSpace, cap: int = 200_000) -> tuple:
     if not space.field.is_finite:
         raise UnsupportedOperation("cannot enumerate symplectic maps over Q")
     expected = symplectic_group_order(space.d, space.n)
-    if expected > cap:
-        raise SizeCapExceeded("symplectic group enumeration", expected, cap)
+    if expected > GROUP_CAP:
+        raise SizeCapExceeded("symplectic group enumeration", expected, GROUP_CAP)
     fld, d = space.field, space.d
     units = [tuple(int(k == j) for k in range(space.dim)) for j in range(space.dim)]
     chain = [tuple(int(k in (2 * i, 2 * i + 2)) for k in range(space.dim))
@@ -412,25 +419,25 @@ def _symplectic_closure(space: PhaseSpace, cap: int = 200_000) -> tuple:
     return gens, words
 
 
-def enumerate_symplectic(space: PhaseSpace, cap: int = 200_000) -> list:
+def enumerate_symplectic(space: PhaseSpace) -> list:
     """All symplectic matrices on a finite phase space, deterministically ordered.
 
     Closure under multiplication of the unit transvections along the 2n unit vectors
     and the n - 1 sums e_{q_i} + e_{q_{i+1}}, sorted by rows.
     """
-    _, words = _symplectic_closure(space, cap)
+    _, words = _symplectic_closure(space)
     return [Matrix(space.field, rows) for rows in sorted(words)]
 
 
-def enumerate_group(space: PhaseSpace, cap: int = 200_000) -> list:
+def enumerate_group(space: PhaseSpace) -> list:
     """Every affine symplectic map (all S paired with all displacements)."""
     if not space.field.is_finite:
         raise UnsupportedOperation("cannot enumerate affine symplectic maps over Q")
     d = space.d
     total = symplectic_group_order(d, space.n) * d ** space.dim
-    if total > cap:
-        raise SizeCapExceeded("affine symplectic group enumeration", total, cap)
-    matrices = enumerate_symplectic(space, cap=cap)
+    if total > GROUP_CAP:
+        raise SizeCapExceeded("affine symplectic group enumeration", total, GROUP_CAP)
+    matrices = enumerate_symplectic(space)
     out = []
     for s in matrices:
         for a in space.points():
@@ -438,8 +445,7 @@ def enumerate_group(space: PhaseSpace, cap: int = 200_000) -> list:
     return out
 
 
-def enumerate_isotropic(space: PhaseSpace, rank: Optional[int] = None,
-                        cap: int = 500_000) -> list:
+def enumerate_isotropic(space: PhaseSpace, rank: Optional[int] = None) -> list:
     """All isotropic linear subspaces of the given rank (all ranks 0..n when None).
 
     Subspaces are produced directly in reduced-row-echelon parametrization — one matrix
@@ -460,9 +466,9 @@ def enumerate_isotropic(space: PhaseSpace, rank: Optional[int] = None,
         for pivots in itertools.combinations(range(space.dim), k):
             free_slots = [(i, j) for i in range(k) for j in range(space.dim)
                           if j > pivots[i] and j not in pivots]
-            if d ** len(free_slots) > cap:
+            if d ** len(free_slots) > ISOTROPIC_CAP:
                 raise SizeCapExceeded("isotropic subspace enumeration",
-                                      d ** len(free_slots), cap)
+                                      d ** len(free_slots), ISOTROPIC_CAP)
             for values in itertools.product(range(d), repeat=len(free_slots)):
                 rows = [[space.field.zero] * space.dim for _ in range(k)]
                 for i in range(k):
@@ -529,8 +535,9 @@ def extend_to_symplectic(space: PhaseSpace, f: Iterable) -> Matrix:
     return s
 
 
-def random_symplectic_affine(space: PhaseSpace, rng, factors: int = None) -> SymplecticAffine:
-    """A pseudo-random affine symplectic map: a word in transvections plus a shift.
+def random_symplectic_affine(space: PhaseSpace, rng) -> SymplecticAffine:
+    """A pseudo-random affine symplectic map: a word of 2 dim + 2 transvection draws
+    (zero vectors skipped) plus a shift.
 
     Transvections generate the symplectic group, so long words mix well; determinism
     comes from the caller's seeded ``rng``.
@@ -540,8 +547,7 @@ def random_symplectic_affine(space: PhaseSpace, rng, factors: int = None) -> Sym
     d = space.d
     fld = space.field
     s = Matrix.identity(fld, space.dim)
-    count = factors if factors is not None else 2 * space.dim + 2
-    for _ in range(count):
+    for _ in range(2 * space.dim + 2):
         u = tuple(rng.randrange(d) for _ in range(space.dim))
         if not any(u):
             continue

@@ -236,12 +236,11 @@ class EquivalenceReport:
     max_channel_dev: float
     max_meas_dev: float
     max_born_dev: float
-    tolerance: float
 
     @property
     def ok(self) -> bool:
         return max(self.max_state_dev, self.max_channel_dev,
-                   self.max_meas_dev, self.max_born_dev) <= self.tolerance
+                   self.max_meas_dev, self.max_born_dev) <= TOL
 
 
 def classical_state_table(state: EpistemicState) -> dict:
@@ -284,16 +283,13 @@ def _max_abs(x: np.ndarray) -> float:
 def equivalence_suite(space: PhaseSpace,
                       states: Iterable[EpistemicState],
                       transforms: Iterable[SymplecticAffine],
-                      measurements: Iterable[SharpMeasurement],
-                      max_triples: Optional[int] = None,
-                      tolerance: float = TOL) -> EquivalenceReport:
+                      measurements: Iterable[SharpMeasurement]) -> EquivalenceReport:
     """Compare every classical object with its Wigner image, and Born statistics on
     (state, transform, measurement) triples three ways.
 
-    Triples run state-major, then transform, then measurement; ``max_triples`` keeps
-    the first ones in that order.  Every kept triple is compared: its quantum Born
-    probabilities, its classical distribution (``measure`` of ``transform``), and the
-    contraction of its Wigner tables.
+    Triples run state-major, then transform, then measurement.  Every triple is
+    compared once: its quantum Born probabilities, its classical distribution
+    (``measure`` of ``transform``), and the contraction of its Wigner tables.
 
     Odd prime d only: this is the regime where the representation is nonnegative and
     the two theories coincide.
@@ -333,36 +329,28 @@ def equivalence_suite(space: PhaseSpace,
         responses.append(rows)
 
     n_triples = len(states) * len(transforms) * len(measurements)
-    if max_triples is not None:
-        n_triples = max(0, min(n_triples, max_triples))
     max_born_dev = 0.0
     if n_triples:
-        n_meas, n_maps = len(measurements), len(transforms)
         starts = np.cumsum([0] + [len(pvm) for pvm in pvms])
         projectors = np.stack([proj for pvm in pvms for proj in pvm.values()])
         response = np.concatenate(responses)
         unitaries = np.stack(unitaries)
-        n_pairs = -(-n_triples // n_meas)       # (state, transform) pairs to evolve
-        for i in range(-(-n_pairs // n_maps)):  # states with a pair to evolve
-            us = unitaries[:min(n_maps, n_pairs - i * n_maps)]
-            evolved = us @ rhos[i] @ us.conj().transpose(0, 2, 1)
+        adjoints = unitaries.conj().transpose(0, 2, 1)
+        for state, rho in zip(states, rhos):
+            # One stacked evolve per state: rows are transforms, columns outcomes.
+            evolved = unitaries @ rho @ adjoints
             quantum = born_table(evolved, projectors, starts[:-1])
             contracted = _state_rows(basis, evolved) @ response.T
-            classical = np.zeros_like(quantum)
-            kept = np.zeros(quantum.shape, dtype=bool)
-            for j in range(len(us)):
-                evolved_state = transform(states[i], transforms[j])
-                n_kept = min(n_meas, n_triples - (i * n_maps + j) * n_meas)
-                for k in range(n_kept):
-                    dist = measure(evolved_state, measurements[k])
+            classical = np.empty_like(quantum)
+            for j, t in enumerate(transforms):
+                image = transform(state, t)
+                for k, (meas, pvm) in enumerate(zip(measurements, pvms)):
+                    dist = measure(image, meas)
                     classical[j, starts[k]:starts[k + 1]] = [
-                        float(dist.probability(label)) for label in pvms[k]]
-                kept[j, :starts[n_kept]] = True
-            max_born_dev = max(max_born_dev,
-                               _max_abs(np.where(kept, quantum - classical, 0.0)),
-                               _max_abs(np.where(kept, contracted - quantum, 0.0)),
-                               _max_abs(np.where(kept, contracted - classical, 0.0)))
+                        float(dist.probability(label)) for label in pvm]
+            max_born_dev = max(max_born_dev, _max_abs(quantum - classical),
+                               _max_abs(contracted - quantum),
+                               _max_abs(contracted - classical))
     return EquivalenceReport(
         space.d, space.n, len(states), len(transforms), len(measurements),
-        n_triples, max_state_dev, max_channel_dev, max_meas_dev, max_born_dev,
-        tolerance)
+        n_triples, max_state_dev, max_channel_dev, max_meas_dev, max_born_dev)

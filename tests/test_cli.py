@@ -85,9 +85,12 @@ def test_enumerate_bit_measurements(capsys):
 
 
 def test_enumerate_over_the_cap_exits_2(capsys):
-    assert main(["enumerate", "--d", "11", "--n", "3",
-                 "--what", "states"]) == EXIT_CAP
-    assert "cap" in capsys.readouterr().err
+    # 3^10000 has more digits than Python will print, so the cap reports it as d^n;
+    # 2^89 - 1 is prime but past the modulus that primality testing decides exactly.
+    for d, n in (("11", "3"), ("3", "10000"), (str(2 ** 89 - 1), "1")):
+        assert main(["enumerate", "--d", d, "--n", n,
+                     "--what", "states"]) == EXIT_CAP
+        assert "cap" in capsys.readouterr().err
 
 
 def test_enumerate_respects_max_dim_flag():

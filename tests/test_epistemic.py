@@ -83,6 +83,13 @@ def test_support_cardinality_law():
         assert sum(1 for _ in s.support().points()) == 3 ** (4 - s.rank)
 
 
+def test_outcomes_are_every_cell_label_in_order():
+    for space in (D2, D3, D5, D2_2, D3_2):
+        for v in enumerate_isotropic(space):
+            m = SharpMeasurement(space, v)
+            assert m.outcomes() == sorted({m.label_of(p) for p in space.points()})
+
+
 def test_self_skew_direction_still_gives_full_outcome_set():
     """V = span{(1,1)} over Z_2 contains its own perp; the coset parametrization
     still yields two distinct states whose own-quantity outcomes differ."""

@@ -70,3 +70,20 @@ def test_classical_modules_use_no_floats():
             if isinstance(node, ast.Constant) and type(node.value) in (float, complex):
                 found.append(f"{name}:{node.lineno} literal {node.value!r}")
     assert found == []
+
+
+def test_fixed_limits_are_not_parameters():
+    # Size caps and tolerances are module constants with one value each.  The one
+    # settable cap is the Hilbert-space bound, which the CLI's --max-dim lowers.
+    fixed = {"cap", "tol", "tolerance", "max_triples", "factors"}
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+                name = getattr(node, "name", "<lambda>")
+                for arg in sorted(names & fixed):
+                    if (path.name, name, arg) != ("quantum.py", "hilbert_dim", "cap"):
+                        found.append(f"{path.name}:{node.lineno} {name}({arg})")
+    assert found == []

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from epistrict.epistemic import EpistemicState, transform
-from epistrict.fields import RATIONALS, PrimeField
+from epistrict.fields import MAX_MODULUS, RATIONALS, PrimeField, SizeCapExceeded, _is_prime
 from epistrict.linalg import (
     AffineSubspace,
     Matrix,
@@ -36,10 +36,28 @@ F5 = PrimeField(5)
 
 
 def test_prime_field_requires_prime_modulus():
-    for bad in (0, 1, 4, 6, 9, 12):
+    # 561 is a Carmichael number; 3215031751 fools Miller-Rabin on bases 2, 3, 5, 7.
+    for bad in (0, 1, 4, 6, 9, 12, 561, 3215031751):
         with pytest.raises(ValueError):
             PrimeField(bad)
-    PrimeField(7919)  # large prime accepted
+    PrimeField(7919)  # large primes accepted
+    assert PrimeField(2 ** 61 - 1).modulus == 2 ** 61 - 1
+
+
+def test_primality_agrees_with_trial_division_below_10_000():
+    def trial(n):
+        return n >= 2 and all(n % f for f in range(2, int(n ** 0.5) + 1))
+    assert [n for n in range(10_000) if _is_prime(n)] == [
+        n for n in range(10_000) if trial(n)]
+
+
+def test_prime_field_refuses_moduli_past_the_exact_test():
+    # MAX_MODULUS is the least strong pseudoprime to every fixed base, so the test
+    # passes it although it is composite; it and everything above it is refused.
+    assert MAX_MODULUS == 399165290221 * 798330580441 and _is_prime(MAX_MODULUS)
+    for big in (MAX_MODULUS, 2 ** 89 - 1):
+        with pytest.raises(SizeCapExceeded):
+            PrimeField(big)
 
 
 def test_prime_field_canonical_representatives():

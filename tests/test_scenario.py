@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from epistrict.quantum import PROB_TOL
 from epistrict.scenario import (
-    COMPARE_TOL,
     ScenarioError,
     parse_scenario,
     run_scenario,
@@ -186,7 +186,7 @@ def test_compare_run_agrees_at_d3():
                 transformation={"S": [[0, 1], [2, 0]], "a": [1, 1]})
     report = run_scenario(scenario_from_dict(data))
     assert report["verdict"] == "agree"
-    assert report["max_difference"] <= COMPARE_TOL
+    assert report["max_difference"] <= PROB_TOL
     total = sum(Fraction(row["epistricted"]) for row in report["outcomes"])
     assert total == 1
 

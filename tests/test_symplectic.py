@@ -300,7 +300,8 @@ def test_affine_group_size_d2():
 
 def test_enumeration_respects_cap():
     with pytest.raises(SizeCapExceeded):
-        enumerate_symplectic(SPACES[3, 2], cap=1000)
+        # |Sp(4, Z_5)| = 9,360,000 is refused before any closure step.
+        enumerate_symplectic(PhaseSpace(PrimeField(5), 2))
 
 
 def test_compose_and_inverse_roundtrip():

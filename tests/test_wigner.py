@@ -333,30 +333,16 @@ def test_equivalence_suite_on_a_mixed_sample_at_d3():
     assert report.max_born_dev < 1e-12
 
 
-def test_equivalence_suite_respects_the_triple_cap(monkeypatch):
-    states = enumerate_states(D3)[:2]
-    transforms = [SymplecticAffine.identity(D3)]
-    measurements = [SharpMeasurement(D3, v) for v in enumerate_isotropic(D3, rank=1)]
-    report = equivalence_suite(D3, states, transforms, measurements, max_triples=3)
-    assert report.n_triples == 3
-
-    def evolved_past_the_cap(*args):
-        raise AssertionError("a pair was evolved with no triple left under the cap")
-
-    monkeypatch.setattr(wigner, "transform", evolved_past_the_cap)
-    report = equivalence_suite(D3, states, transforms, measurements, max_triples=0)
-    assert report.n_triples == 0
-
-
 def test_equivalence_suite_compares_every_kept_triple_once(monkeypatch):
-    """Corrupting the classical side of any one triple must show; the cap must keep
-    exactly the triples before it, each measured once."""
+    """Every triple is measured once, in order, and corrupting the classical side of
+    any one of them must show."""
     states = enumerate_states(D3)[:3]
     transforms = enumerate_group(D3)[:4]
     measurements = [SharpMeasurement(D3, v) for v in enumerate_isotropic(D3, rank=1)]
     total = len(states) * len(transforms) * len(measurements)
     real_measure = wigner.measure
     calls = []
+    assert equivalence_suite(D3, states, transforms, measurements).ok
 
     def measure_corrupting(bad):
         def fake(state, meas):
@@ -375,11 +361,6 @@ def test_equivalence_suite_compares_every_kept_triple_once(monkeypatch):
         assert (report.n_triples, len(calls)) == (total, total)
         assert calls == measurements * (total // len(measurements))
         assert not report.ok
-        calls.clear()
-        capped = equivalence_suite(D3, states, transforms, measurements,
-                                   max_triples=bad - 1)
-        assert (capped.n_triples, len(calls)) == (bad - 1, bad - 1)
-        assert capped.ok
 
 
 def test_equivalence_suite_refuses_d2():
