@@ -148,17 +148,31 @@ def transform(state: EpistemicState, t: SymplecticAffine) -> EpistemicState:
     """Push the state through an affine symplectic map, acting on the label (V, v).
 
     The support V-perp + v maps pointwise onto S V-perp + (S v + a), whose known
-    functionals are S^{-T} V; for symplectic S, S^{-T} f = J^T S (J f), where J and
-    J^T are signed swaps, so each known row costs one product with S.
+    functionals S^{-T} V depend on (V, S) alone (memoized); only the valuation is
+    computed per call.
     """
     if t.space != state.space:
         raise ValueError("transformation acts on a different phase space")
     space = state.space
+    return EpistemicState(space, _known_image(space, state.known, t.s.rows),
+                          t.apply(state.valuation))
+
+
+@functools.lru_cache(maxsize=4096)
+def _known_image(space: PhaseSpace, known: AffineSubspace,
+                 s_rows: tuple) -> AffineSubspace:
+    """The canonical S^{-T} V.  For symplectic S, S^{-T} f = J^T S (J f), where J and
+    J^T are signed swaps, so each known row costs one product with S.
+
+    A run meets few (V, S) pairs: criterion 7 pushes 91 states through each of
+    11,520 maps, but only 31 distinct V.  Memoized and bounded; it holds only tuples
+    and canonical subspaces.
+    """
     fld = space.field
-    known = AffineSubspace(fld, space.dim,
-                           tuple(_apply_jt(fld, t.s.matvec(_apply_j(fld, f)))
-                                 for f in state.known.basis))
-    return EpistemicState(space, known, t.apply(state.valuation))
+    s = Matrix(fld, s_rows)
+    return AffineSubspace(fld, space.dim,
+                          tuple(_apply_jt(fld, s.matvec(_apply_j(fld, f)))
+                                for f in known.basis))
 
 
 # ---------------------------------------------------------------------------
@@ -217,22 +231,26 @@ class OutcomeDistribution:
 
     def __init__(self, entries: dict):
         # One pass: coerce, drop zeros, and keep the exact sum as the integer
-        # numerator ``num`` over the running common denominator ``den``.
+        # numerator ``num`` over the running common denominator ``den``.  Each
+        # distinct value object is coerced and put over ``den`` once, since a uniform
+        # distribution repeats one Fraction; ``den`` only grows, so it stays a
+        # multiple of every denominator seen.
         cleaned = {}
         num, den, negative = 0, 1, False
+        seen = object()  # matches no value
         for k, v in entries.items():
-            if v == 0:
-                continue
-            if not isinstance(v, Fraction):
-                v = Fraction(v)
-            cleaned[tuple(k)] = v
-            q = v.denominator
-            if q != den:
-                lcm = math.lcm(den, q)
-                num *= lcm // den
-                den = lcm
-            num += v.numerator * (den // q)
-            negative = negative or v.numerator < 0
+            if v is not seen:
+                seen = v
+                p = v if isinstance(v, Fraction) else Fraction(v)
+                top, q = p.numerator, p.denominator
+                if den % q:
+                    lcm = math.lcm(den, q)
+                    num *= lcm // den
+                    den = lcm
+                negative = negative or top < 0
+            if top:
+                cleaned[tuple(k)] = p
+                num += top * (den // q)
         if num != den:
             raise ValueError(f"probabilities sum to {Fraction(num, den)}, not 1")
         if negative:
@@ -267,14 +285,11 @@ def measure(state: EpistemicState, m: SharpMeasurement) -> OutcomeDistribution:
     Pr(label) = |support ∩ cell(label)| / |support|.  Every nonempty intersection is a
     coset of V-perp ∩ V'-perp, so all possible outcomes are equally likely.
     """
-    if m.space != state.space:
-        raise ValueError("measurement lives on a different phase space")
     if not state.space.field.is_finite:
         raise UnsupportedOperation(
             "probabilities need a finite ontic space; use possibilistic() over Q")
-    labels = possible_labels(state, m)
-    p = Fraction(1, len(labels))
-    return OutcomeDistribution({label: p for label in labels})
+    labels, p = _labels_and_weight(state, m)
+    return OutcomeDistribution(dict.fromkeys(labels, p))
 
 
 def scenario(state: EpistemicState, t: Optional[SymplecticAffine],
@@ -336,35 +351,42 @@ def possible_labels(state: EpistemicState, m: SharpMeasurement) -> list:
     support V-perp + v are exactly the points of P(v) + span{P(h) : h spans V-perp}
     (finite fields only).
     """
-    if m.space != state.space:
-        raise ValueError("measurement lives on a different phase space")
     if not state.space.field.is_finite:
         raise UnsupportedOperation("cannot enumerate outcomes over Q")
+    return _labels_and_weight(state, m)[0]
+
+
+def _labels_and_weight(state: EpistemicState, m: SharpMeasurement) -> tuple:
+    """The possible labels in outcome order, and the probability 1/count of each."""
+    if m.space != state.space:
+        raise ValueError("measurement lives on a different phase space")
     d = state.space.d
-    cells, span = _outcome_span(state.space, state.known, m.measured)
+    cells, span, p = _outcome_span(state.space, state.known, m.measured)
     offset = _clear_pivots(state.space.field, state.valuation, cells)
     # P(x) is zero in every pivot column of ``cells``, so each sum is canonical, and
     # the sums are distinct because the span points are.
     if any(offset):
         span = (tuple((a + x) % d for a, x in zip(offset, point)) for point in span)
-    return sorted(span)
+    return sorted(span), p
 
 
 @functools.lru_cache(maxsize=4096)
 def _outcome_span(space: PhaseSpace, known: AffineSubspace,
                   measured: AffineSubspace) -> tuple:
-    """``(cells, span)`` for a state knowing ``known`` measured along ``measured``:
+    """``(cells, span, p)`` for a state knowing ``known`` measured along ``measured``:
     the canonical basis of V'-perp, whose pivot clearing is the label projection P,
-    and the points of span{P(h) : h spans V-perp}.
+    the points of span{P(h) : h spans V-perp}, and the uniform probability 1/|span|.
 
     Everything in the outcome set but the offset P(v) depends on (V, V') alone, and a
-    run meets few such pairs.  Memoized and bounded; it holds only tuples.
+    run meets few such pairs.  Memoized and bounded; it holds only tuples and a
+    ``Fraction``.
     """
     cells = _euclidean_complement(space, measured)
     hidden = _euclidean_complement(space, known)
-    span = AffineSubspace(space.field, space.dim,
-                          tuple(cells.representative(h) for h in hidden.basis))
-    return cells.basis, tuple(span.points())
+    span = tuple(AffineSubspace(space.field, space.dim,
+                                tuple(cells.representative(h) for h in hidden.basis))
+                 .points())
+    return cells.basis, span, Fraction(1, len(span))
 
 
 def possible_values(state: EpistemicState, m: SharpMeasurement) -> AffineSubspace:

@@ -24,7 +24,7 @@ Vector = tuple
 
 def vec(field: Field, entries: Iterable) -> Vector:
     """Coerce an iterable of raw values into a canonical scalar tuple."""
-    return tuple(field.element(x) for x in entries)
+    return tuple(map(field.element, entries))
 
 
 def zero_vec(field: Field, n: int) -> Vector:
@@ -110,7 +110,11 @@ class Matrix:
         return Matrix(self.field, tuple(zip(*self.rows))) if self.rows else self
 
     def matvec(self, v: Vector) -> Vector:
-        return tuple(vec_dot(self.field, row, v) for row in self.rows)
+        if self.rows and len(v) != len(self.rows[0]):
+            raise ValueError(f"product of a {self.shape} matrix and a vector of "
+                             f"length {len(v)}")
+        reduce = self.field.reduce
+        return tuple(reduce(sum(map(mul, row, v))) for row in self.rows)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
@@ -221,7 +225,9 @@ def null_space(m: Matrix) -> list:
 class AffineSubspace:
     """An affine subspace ``{offset + sum c_i basis_i}`` in canonical form, or the empty set.
 
-    Construction canonicalizes, so ``==`` is set equality and instances are hashable.
+    Construction canonicalizes, so ``==`` is set equality and instances are hashable;
+    the hash is computed once, on construction, since instances key the memos of the
+    layers above.
     """
 
     field: Field
@@ -233,22 +239,32 @@ class AffineSubspace:
     def __post_init__(self):
         f = self.field
         if self.is_empty:
-            object.__setattr__(self, "basis", ())
-            object.__setattr__(self, "offset", zero_vec(f, self.ambient))
-            return
-        offset = vec(f, self.offset if self.offset is not None
-                      else zero_vec(f, self.ambient))
-        if len(offset) != self.ambient:
-            raise ValueError("offset length does not match ambient dimension")
-        rows = [vec(f, r) for r in self.basis]
-        if any(len(r) != self.ambient for r in rows):
-            raise ValueError("basis row length does not match ambient dimension")
-        if rows:
-            reduced, pivots = _rref_cached(f, tuple(rows))
-            rows = reduced[:len(pivots)]
-            offset = _clear_pivots(f, offset, rows)
-        object.__setattr__(self, "basis", tuple(rows))
+            rows, offset = (), zero_vec(f, self.ambient)
+        else:
+            offset = vec(f, self.offset if self.offset is not None
+                          else zero_vec(f, self.ambient))
+            if len(offset) != self.ambient:
+                raise ValueError("offset length does not match ambient dimension")
+            rows = tuple(vec(f, r) for r in self.basis)
+            if any(len(r) != self.ambient for r in rows):
+                raise ValueError("basis row length does not match ambient dimension")
+            if rows:
+                reduced, pivots = _rref_cached(f, rows)
+                rows = reduced[:len(pivots)]
+                offset = _clear_pivots(f, offset, rows)
+        object.__setattr__(self, "basis", rows)
         object.__setattr__(self, "offset", offset)
+        object.__setattr__(self, "_hash",
+                           hash((f, self.ambient, rows, offset, self.is_empty)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuild through the constructor: the stored hash depends on the process's
+        # string hashing (through the field's hash), so it is never pickled.
+        return AffineSubspace, (self.field, self.ambient, self.basis, self.offset,
+                                self.is_empty)
 
     # -- constructors -------------------------------------------------------------
 

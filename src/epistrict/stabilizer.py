@@ -177,7 +177,7 @@ def weyl_value_report(space: PhaseSpace, known, valuation) -> ValueReport:
         # Eigenvalue of W(m) on the state, read off the trace.
         actual = np.trace(weyl(space, m) @ rho) / tr
         predicted = np.conj(_pair_char(d, naive))
-        if abs(actual - predicted) > 1e-8:
+        if abs(actual - predicted) > PROB_TOL:
             flipped.append(f)
     return ValueReport(len(elements), len(flipped), tuple(flipped))
 
@@ -194,9 +194,9 @@ def _sign_of_product(space: PhaseSpace, vectors) -> int:
     for m in vectors:
         prod = prod @ weyl(space, m)
     val = prod[0, 0]
-    if not np.max(np.abs(prod - val * np.eye(dim))) < 1e-9:
+    if not np.max(np.abs(prod - val * np.eye(dim))) < PROB_TOL:
         raise AssertionError("Weyl product is not a multiple of the identity")
-    if not (abs(abs(val) - 1) < 1e-9 and abs(val.imag) < 1e-9):
+    if not (abs(abs(val) - 1) < PROB_TOL and abs(val.imag) < PROB_TOL):
         raise AssertionError(f"Weyl product phase {val} is not a real sign")
     return int(round(val.real))
 

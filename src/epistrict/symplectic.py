@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterable, Optional
 
 from .fields import Field, Scalar, SizeCapExceeded
@@ -45,7 +46,10 @@ class UnsupportedOperation(ValueError):
 
 @dataclass(frozen=True)
 class PhaseSpace:
-    """The arena F^{2n}: a field and a number of canonical (q, p) pairs."""
+    """The arena F^{2n}: a field and a number of canonical (q, p) pairs.
+
+    Hashed once, on construction: every memo in the package is keyed on a space.
+    """
 
     field: Field
     n: int
@@ -53,6 +57,14 @@ class PhaseSpace:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("need at least one degree of freedom")
+        object.__setattr__(self, "_hash", hash((self.field, self.n)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuilt through the constructor, so the stored hash is never pickled.
+        return PhaseSpace, (self.field, self.n)
 
     @property
     def dim(self) -> int:
@@ -215,10 +227,13 @@ def poisson_bracket_fd(space: PhaseSpace, f_table: dict, g_table: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=4096)
 def is_isotropic(space: PhaseSpace, v: AffineSubspace) -> bool:
     """Whether the (linear) subspace has pairwise-vanishing symplectic products.
 
     A subspace of another ambient dimension than the phase space's is refused.
+    Memoized and bounded: states and measurements check the same few subspaces over
+    and over.  A refusal raises, so it is never cached.
     """
     if v.ambient != space.dim:
         raise ValueError(f"subspace has ambient dimension {v.ambient}, but the phase "
@@ -327,7 +342,13 @@ class SymplecticAffine:
 
     def apply(self, m: Iterable) -> Vector:
         fld = self.space.field
-        return vec_add(fld, self.s.matvec(vec(fld, m)), self.a)
+        m = vec(fld, m)
+        if len(m) != self.space.dim:
+            raise ValueError(f"point of length {len(m)} on a phase space of dimension "
+                             f"{self.space.dim}")
+        reduce = fld.reduce
+        return tuple(reduce(sum(map(mul, row, m)) + c)
+                     for row, c in zip(self.s.rows, self.a))
 
     def compose(self, other: "SymplecticAffine") -> "SymplecticAffine":
         """self after other: (S, a) o (S', a') = (S S', S a' + a)."""
@@ -366,6 +387,21 @@ def symplectic_group_order(d: int, n: int) -> int:
     return order
 
 
+def _capped_group_order(what: str, d: int, n: int, shifts: bool) -> int:
+    """|Sp(2n, Z_d)|, times the d^{2n} shifts when ``shifts``, refused symbolically
+    once the running product passes ``GROUP_CAP``.  Every factor is at least 1, so a
+    huge n costs a few steps rather than a huge integer."""
+    factors = itertools.chain(itertools.repeat(d, n * n + (2 * n if shifts else 0)),
+                              (d ** (2 * i) - 1 for i in range(1, n + 1)))
+    order = 1
+    for factor in factors:
+        order *= factor
+        if order > GROUP_CAP:
+            required = f"|Sp({2 * n}, Z_{d})|" + (f" * {d}^{2 * n}" if shifts else "")
+            raise SizeCapExceeded(what, required, GROUP_CAP)
+    return order
+
+
 def _symplectic_closure(space: PhaseSpace) -> tuple:
     """Close the unit transvections under multiplication, recording each element's word.
 
@@ -375,9 +411,8 @@ def _symplectic_closure(space: PhaseSpace) -> tuple:
     """
     if not space.field.is_finite:
         raise UnsupportedOperation("cannot enumerate symplectic maps over Q")
-    expected = symplectic_group_order(space.d, space.n)
-    if expected > GROUP_CAP:
-        raise SizeCapExceeded("symplectic group enumeration", expected, GROUP_CAP)
+    expected = _capped_group_order("symplectic group enumeration", space.d, space.n,
+                                   shifts=False)
     fld, d = space.field, space.d
     units = [tuple(int(k == j) for k in range(space.dim)) for j in range(space.dim)]
     chain = [tuple(int(k in (2 * i, 2 * i + 2)) for k in range(space.dim))
@@ -433,10 +468,8 @@ def enumerate_group(space: PhaseSpace) -> list:
     """Every affine symplectic map (all S paired with all displacements)."""
     if not space.field.is_finite:
         raise UnsupportedOperation("cannot enumerate affine symplectic maps over Q")
-    d = space.d
-    total = symplectic_group_order(d, space.n) * d ** space.dim
-    if total > GROUP_CAP:
-        raise SizeCapExceeded("affine symplectic group enumeration", total, GROUP_CAP)
+    _capped_group_order("affine symplectic group enumeration", space.d, space.n,
+                        shifts=True)
     matrices = enumerate_symplectic(space)
     out = []
     for s in matrices:

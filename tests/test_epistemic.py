@@ -1,5 +1,7 @@
 """Epistemic states: enumeration, dynamics, sharp statistics, dilations."""
 
+import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -30,6 +32,7 @@ from epistrict.symplectic import (
     UnsupportedOperation,
     enumerate_group,
     enumerate_isotropic,
+    is_isotropic,
     random_symplectic_affine,
     symplectic_form,
     transvection,
@@ -310,6 +313,15 @@ def test_outcome_distribution_validates():
     dist = OutcomeDistribution({(0,): 1, (1,): 0})
     assert dist.items() == [((0,), Fraction(1))]
     assert type(dist.probability((0,))) is Fraction
+    # A value object repeated, alone or between others, counts once per entry.
+    quarter, half, zero = Fraction(1, 4), Fraction(1, 2), Fraction(0)
+    with pytest.raises(ValueError, match="sum to 3/4, not 1"):
+        OutcomeDistribution(dict.fromkeys([(0,), (1,), (2,)], quarter))
+    mixed = OutcomeDistribution({(0,): quarter, (1,): half, (2,): zero, (3,): quarter,
+                                 (4,): zero})
+    assert mixed.items() == [((0,), quarter), ((1,), half), ((3,), quarter)]
+    assert OutcomeDistribution(dict.fromkeys([(0,), (1,), (2,), (3,)], quarter)) == \
+        OutcomeDistribution({(k,): Fraction(1, 4) for k in range(4)})
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +383,8 @@ def _states_and_measurements(space, seeded):
 @pytest.mark.parametrize("space, seeded", [
     (D2, False), (D3, False), (D2_2, False), (D3_2, True), (D5, True), (D5_2, True)])
 def test_labels_and_measure_match_the_reach_route(space, seeded):
-    """Once on a cleared outcome-span memo, once warm; the memo hands out tuples only."""
+    """Once on a cleared outcome-span memo, once warm; the memo hands out tuples and
+    the uniform probability only."""
     states, meas = _states_and_measurements(space, seeded)
     epistemic._outcome_span.cache_clear()
     misses = []
@@ -387,10 +400,11 @@ def test_labels_and_measure_match_the_reach_route(space, seeded):
     for s in states:
         for m in meas:
             memo = epistemic._outcome_span(space, s.known, m.measured)
-            assert type(memo) is tuple and len(memo) == 2
-            for part in memo:
+            assert type(memo) is tuple and len(memo) == 3
+            for part in memo[:2]:
                 assert type(part) is tuple
                 assert all(type(row) is tuple for row in part)
+            assert type(memo[2]) is Fraction and memo[2] == Fraction(1, len(memo[1]))
 
 
 def test_warm_measure_builds_no_subspace(monkeypatch):
@@ -434,6 +448,102 @@ def test_transform_matches_the_dense_route(space, seeded):
             assert got == want
             assert got.known.basis == want.known.basis
             assert got.valuation == want.valuation
+
+
+def _oracle_support(state):
+    """{x : f . x = f . v for every known f}, by full enumeration on raw ints."""
+    rows = list(state.known.basis) or [state.space.zero()]
+    return oracles.solve_set(state.space.d, rows,
+                             [sum(map(operator.mul, f, state.valuation)) for f in rows])
+
+
+def _check_transform_is_pointwise_image(space, states, maps, closed):
+    """``transform(s, t)`` has the pointwise image of s's support as its support, both
+    supports enumerated from the label (V, v) by tests/oracles.py.  When ``closed``,
+    ``states`` is every state of the space, so a moved state outside it is not
+    canonical."""
+    d = space.d
+    supports = {(s.known.basis, s.valuation): _oracle_support(s) for s in states}
+    sources = [(s, tuple(supports[s.known.basis, s.valuation])) for s in states]
+    points = list(itertools.product(range(d), repeat=space.dim))
+    for t in maps:
+        image = {x: tuple((sum(map(operator.mul, row, x)) + c) % d
+                          for row, c in zip(t.s.rows, t.a))
+                 for x in points}.__getitem__
+        for s, source in sources:
+            moved = transform(s, t)
+            got = supports.get((moved.known.basis, moved.valuation))
+            if got is None:
+                assert not closed, f"{moved} is not one of the canonical states"
+                got = supports[moved.known.basis, moved.valuation] = _oracle_support(moved)
+            if got != frozenset(map(image, source)):
+                raise AssertionError(f"{s} under {t} does not move to {moved}")
+
+
+def _clear_classical_memos():
+    for memo in (epistemic._known_image, is_isotropic, epistemic._euclidean_complement):
+        memo.cache_clear()
+
+
+@pytest.mark.parametrize("space, seeded", [
+    (D2, False), (D3, False), (D3_2, True), (D5_2, True)])
+def test_transform_is_the_pointwise_image_cold_and_warm(space, seeded):
+    """Every pair at (2,1) and (3,1), seeded pairs at (3,2) and (5,2): once on cleared
+    memos, once warm.  The warm pass meets only (V, S) pairs the cold one stored."""
+    states, _ = _states_and_measurements(space, seeded)
+    if seeded:
+        rng = random.Random(space.d * 1000 + space.n)
+        maps = [random_symplectic_affine(space, rng) for _ in range(8)]
+    else:
+        maps = enumerate_group(space)
+    _clear_classical_memos()
+    _check_transform_is_pointwise_image(space, states, maps, closed=not seeded)
+    cold = epistemic._known_image.cache_info()
+    assert cold.misses > 0
+    _check_transform_is_pointwise_image(space, states, maps, closed=not seeded)
+    assert epistemic._known_image.cache_info().misses == cold.misses
+
+
+def test_transform_is_the_pointwise_image_on_every_pair_d2_two_dof():
+    """All 91 x 11,520 pairs at (2,2), in the group's order from cleared memos.  The
+    group lists the 16 displacements of each S together, so each (V, S) is computed
+    once and met warm on the other 15: 31 V x 720 S misses in all."""
+    states = enumerate_states(D2_2)
+    maps = enumerate_group(D2_2)
+    _clear_classical_memos()
+    _check_transform_is_pointwise_image(D2_2, states, maps, closed=True)
+    info = epistemic._known_image.cache_info()
+    assert info.misses == 31 * 720
+    assert info.hits == len(states) * len(maps) - 31 * 720
+
+
+def test_memos_refuse_bad_input_on_every_call():
+    """The memos store results, never refusals: after a warm run each bad input is
+    still refused, every time it is passed."""
+    states = enumerate_states(D2_2)
+    meas = [SharpMeasurement(D2_2, v) for v in enumerate_isotropic(D2_2)]
+    rng = random.Random(3)
+    maps = [random_symplectic_affine(D2_2, rng) for _ in range(4)]
+    for _ in ("cold", "warm"):
+        for s in states:
+            for t in maps:
+                moved = transform(s, t)
+                for m in meas:
+                    measure(moved, m)
+    # {q1, p1} = 1, so q1 and p1 are not jointly knowable.
+    q1_p1 = AffineSubspace.span(D2_2.field, [(1, 0, 0, 0), (0, 1, 0, 0)])
+    other_ambient = AffineSubspace.span(D2_2.field, [(1, 0)])
+    elsewhere = SharpMeasurement.of_functional(D2, (1, 0))
+    for _ in range(3):
+        assert not is_isotropic(D2_2, q1_p1)
+        with pytest.raises(ValueError, match="isotropic"):
+            EpistemicState(D2_2, q1_p1)
+        with pytest.raises(ValueError, match="isotropic"):
+            SharpMeasurement(D2_2, q1_p1)
+        with pytest.raises(ValueError, match="ambient dimension 2"):
+            is_isotropic(D2_2, other_ambient)
+        with pytest.raises(ValueError, match="different phase space"):
+            measure(states[0], elsewhere)
 
 
 def test_transform_matches_the_dense_route_over_rationals():

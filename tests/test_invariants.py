@@ -28,7 +28,8 @@ def test_every_lru_cache_is_bounded():
         for name, obj in vars(module).items():
             if callable(getattr(obj, "cache_info", None)) and obj.__module__ == module.__name__:
                 wrappers[f"{module.__name__}.{name}"] = obj
-    assert "epistrict.symplectic._euclidean_complement" in wrappers
+    assert {"epistrict.symplectic._euclidean_complement", "epistrict.symplectic.is_isotropic",
+            "epistrict.epistemic._known_image", "epistrict.epistemic._outcome_span"} <= set(wrappers)
     unbounded = [name for name, fn in wrappers.items() if fn.cache_info().maxsize is None]
     assert unbounded == []
 

@@ -1,5 +1,9 @@
 """Exact linear algebra: frozen examples, brute-force cross-checks, canonical forms."""
 
+import os
+import pickle
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
 
@@ -309,6 +313,53 @@ def test_equality_is_point_set_equality_exhaustive(d):
     for pts, reps in by_points.items():
         assert len(reps) == 1, f"distinct canonical forms for point set {pts}"
         assert frozenset(next(iter(reps)).points()) == pts
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_equal_subspaces_hash_equal_exhaustive(d):
+    """The hash is stored on construction, so it must be a function of the point set:
+    every spanning set and offset of one point set gives one hash."""
+    field = PrimeField(d)
+    hashes = {}
+    for rows, offset in oracles.all_subspace_data(d, 2):
+        pts = oracles.combo_set(d, rows, offset) if rows else frozenset({offset})
+        hashes.setdefault(pts, set()).add(hash(AffineSubspace.span(field, rows, ambient=2,
+                                                                   offset=offset)))
+    assert hashes and all(len(h) == 1 for h in hashes.values())
+
+
+def test_equal_subspaces_hash_equal_empty_and_rational():
+    empties = [AffineSubspace.empty(F3, 2),
+               AffineSubspace(F3, 2, ((1, 0),), (1, 1), is_empty=True),
+               solve_affine(Matrix(F3, ((1, 0), (1, 0))), (0, 1))]
+    assert all(e == empties[0] and hash(e) == hash(empties[0]) for e in empties)
+    line = AffineSubspace.span(RATIONALS, [(2, 4)], offset=(1, 1))
+    same = AffineSubspace.span(RATIONALS, [(Fraction(1, 2), 1)],
+                               offset=(Fraction(3, 2), 2))
+    assert line == same and hash(line) == hash(same)
+    assert line != AffineSubspace.span(RATIONALS, [(2, 4)], offset=(1, 0))
+
+
+def test_pickled_subspace_and_space_rehash_in_another_process():
+    """The stored hash goes through the field's string-seeded hash, so an unpickled
+    object must hash as one built in the loading process."""
+    objects = [AffineSubspace.span(F3, [(1, 2, 0)], offset=(1, 1, 1)),
+               AffineSubspace.empty(F2, 2),
+               AffineSubspace.span(RATIONALS, [(Fraction(1, 2), 1)], offset=(0, 1)),
+               PhaseSpace(F5, 2), PhaseSpace(RATIONALS, 1)]
+    check = ("import pickle, sys\n"
+             "from epistrict import AffineSubspace, PhaseSpace\n"
+             "objects = pickle.loads(sys.stdin.buffer.read())\n"
+             "fresh = [AffineSubspace(o.field, o.ambient, o.basis, o.offset, o.is_empty)\n"
+             "         if isinstance(o, AffineSubspace) else PhaseSpace(o.field, o.n)\n"
+             "         for o in objects]\n"
+             "assert objects == fresh\n"
+             "assert [hash(o) for o in objects] == [hash(o) for o in fresh]\n")
+    env = dict(os.environ, PYTHONHASHSEED="12345",
+               PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    proc = subprocess.run([sys.executable, "-c", check], input=pickle.dumps(objects),
+                          env=env, capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr.decode()
 
 
 def test_rational_affine_membership_against_independent_elimination():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from epistrict.fields import RATIONALS, PrimeField
+from epistrict.fields import RATIONALS, PrimeField, RationalField
 from epistrict.linalg import AffineSubspace, Matrix
 from epistrict.symplectic import (
     PhaseSpace,
@@ -298,10 +298,25 @@ def test_affine_group_size_d2():
     assert len(enumerate_group(SPACES[2, 1])) == 24
 
 
+def test_equal_spaces_hash_equal():
+    # The hash is stored on construction; equal spaces built from distinct field
+    # objects must still share it.
+    for make in (lambda: PrimeField(3), lambda: PrimeField(2), RationalField):
+        for n in (1, 2):
+            a, b = PhaseSpace(make(), n), PhaseSpace(make(), n)
+            assert a.field is not b.field
+            assert a == b and hash(a) == hash(b)
+    assert PhaseSpace(RATIONALS, 2) == PhaseSpace(RationalField(), 2)
+    assert PhaseSpace(PrimeField(3), 2) != PhaseSpace(PrimeField(3), 1)
+
+
 def test_enumeration_respects_cap():
-    with pytest.raises(SizeCapExceeded):
-        # |Sp(4, Z_5)| = 9,360,000 is refused before any closure step.
-        enumerate_symplectic(PhaseSpace(PrimeField(5), 2))
+    # |Sp(4, Z_5)| = 9,360,000 is refused before any closure step; |Sp(200, Z_3)| has
+    # thousands of digits, too many to print, so the refusal names it symbolically.
+    for d, n in [(5, 2), (3, 100)]:
+        for enumerate_ in (enumerate_symplectic, enumerate_group):
+            with pytest.raises(SizeCapExceeded, match=rf"\|Sp\({2 * n}, Z_{d}\)\|"):
+                enumerate_(PhaseSpace(PrimeField(d), n))
 
 
 def test_compose_and_inverse_roundtrip():
