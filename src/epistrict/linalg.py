@@ -124,10 +124,6 @@ class Matrix:
             tuple(vec_dot(self.field, row, col) for col in cols)
             for row in self.rows))
 
-    def __add__(self, other: "Matrix") -> "Matrix":
-        return Matrix(self.field, tuple(
-            vec_add(self.field, r, s) for r, s in zip(self.rows, other.rows, strict=True)))
-
     def __neg__(self) -> "Matrix":
         return Matrix(self.field, tuple(vec_scale(self.field, -1, r) for r in self.rows))
 

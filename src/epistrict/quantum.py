@@ -41,6 +41,7 @@ Convention audit (executable in the test suite):
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable
@@ -56,7 +57,7 @@ from .symplectic import (
     UnsupportedOperation,
     _apply_j,
     _apply_jt,
-    _capped_power,
+    _capped_product,
     is_symplectic,
     symp_inner,
 )
@@ -73,7 +74,8 @@ def hilbert_dim(space: PhaseSpace, cap: int = MAX_DIM) -> int:
     """Dimension d^n of the Hilbert space, enforcing the size cap."""
     if not space.field.is_finite:
         raise UnsupportedOperation("no finite-dimensional Hilbert space over Q")
-    return _capped_power("Hilbert space", space.d, space.n, cap)
+    return _capped_product("Hilbert space", itertools.repeat(space.d, space.n),
+                           f"{space.d}^{space.n}", cap)
 
 
 def chi(field: Field, c) -> complex:
@@ -176,8 +178,6 @@ def metaplectic(space: PhaseSpace, s) -> np.ndarray:
     the +1 joint eigenvector psi of the W(S e_{p_i}).  The result is cached and
     read-only; covariance on the unit vectors is re-verified after every build.
     """
-    if isinstance(s, SymplecticAffine):
-        s = s.s
     if not isinstance(s, Matrix):
         s = Matrix.from_rows(space.field, s)
     key = (space.d, space.n, s.rows)
@@ -232,7 +232,7 @@ def _verify_generator_covariance(space: PhaseSpace, s: Matrix, u: np.ndarray):
         lhs = u[:, rows[j]] * phases[j]
         rhs = np.empty_like(u)
         rhs[img_rows[j]] = img_phases[j][:, None] * u
-        if np.linalg.norm(lhs - rhs) > 1e-8:
+        if np.linalg.norm(lhs - rhs) > TOL:
             raise AssertionError("metaplectic build lost Weyl covariance")
 
 

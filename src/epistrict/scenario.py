@@ -34,7 +34,7 @@ from .epistemic import (
 from .fields import RATIONALS, Field, PrimeField
 from .linalg import AffineSubspace, Matrix
 from .quantum import PROB_TOL, born, clifford, quadrature_pvm, quadrature_state
-from .symplectic import PhaseSpace, SymplecticAffine, symp_inner
+from .symplectic import PhaseSpace, SymplecticAffine, _pair_products
 
 MODES = ("epistricted", "quantum", "compare")
 
@@ -142,11 +142,7 @@ def _field_out(fld: Field):
 
 def _require_isotropic(space: PhaseSpace, rows: tuple, where: str) -> None:
     """Pairwise Poisson-commutation check, naming the offending rows."""
-    fld = space.field
-    bad = [(i, j)
-           for i in range(len(rows))
-           for j in range(i + 1, len(rows))
-           if symp_inner(space, rows[i], rows[j]) != fld.zero]
+    bad = [pair for pair, p in _pair_products(space.field, rows) if p]
     if bad:
         detail = "; ".join(
             f"rows {i} and {j} ({list(rows[i])} vs {list(rows[j])})" for i, j in bad)

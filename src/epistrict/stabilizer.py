@@ -38,9 +38,9 @@ from .symplectic import (
     SymplecticAffine,
     _apply_j,
     _apply_jt,
+    _pair_products,
     _symplectic_closure,
     enumerate_isotropic,
-    symp_inner,
 )
 from .epistemic import (
     EpistemicState,
@@ -84,12 +84,11 @@ class StabilizerGroup:
             if all(x == 0 for x in m):
                 raise ValueError("zero vector cannot generate a stabilizer")
             gens.append((m, int(e) % d))
-        for i, (m, _) in enumerate(gens):
-            for mp, _ in gens[i + 1:]:
-                if symp_inner(self.space, m, mp) != 0:
-                    raise ValueError(
-                        f"generators {m} and {mp} do not commute "
-                        "(nonzero symplectic product)")
+        ms = [m for m, _ in gens]
+        for (i, j), p in _pair_products(self.space.field, ms):
+            if p:
+                raise ValueError(f"generators {ms[i]} and {ms[j]} do not commute "
+                                 "(nonzero symplectic product)")
         object.__setattr__(self, "generators", tuple(gens))
 
     def operator(self, i: int) -> np.ndarray:

@@ -16,7 +16,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from operator import mul
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .fields import Field, Scalar, SizeCapExceeded
 from .linalg import (
@@ -135,6 +135,12 @@ def symp_inner(space: PhaseSpace, f: Iterable, g: Iterable) -> Scalar:
     return _symp(fld, f, g)
 
 
+def _pair_products(field: Field, rows) -> Iterator:
+    """``((i, j), <rows[i], rows[j]>)`` for every pair i < j of canonical vectors."""
+    for i, j in itertools.combinations(range(len(rows)), 2):
+        yield (i, j), _symp(field, rows[i], rows[j])
+
+
 @dataclass(frozen=True)
 class QuadratureFunctional:
     """An affine functional f(m) = <f, m> + c on phase space."""
@@ -177,17 +183,19 @@ def _check_point_cap(space: PhaseSpace):
     if not space.field.is_finite:
         raise UnsupportedOperation(
             "operation needs to enumerate phase-space points; field is infinite")
-    _capped_power("phase-space point enumeration", space.d, space.dim, POINT_CAP)
+    _capped_product("phase-space point enumeration", itertools.repeat(space.d, space.dim),
+                    f"{space.d}^{space.dim}", POINT_CAP)
 
 
-def _capped_power(what: str, base: int, exp: int, limit: int) -> int:
-    """``base ** exp``, refused as ``base^exp`` once the running product passes
-    ``limit``, so a huge exponent costs a few steps rather than a huge integer."""
+def _capped_product(what: str, terms: Iterable[int], required: str, limit: int) -> int:
+    """The product of ``terms`` (each at least 1), refused as ``required`` once the
+    running product passes ``limit``, so a huge count costs a few steps rather than a
+    huge integer."""
     value = 1
-    for _ in range(exp):
-        value *= base
+    for term in terms:
+        value *= term
         if value > limit:
-            raise SizeCapExceeded(what, f"{base}^{exp}", limit)
+            raise SizeCapExceeded(what, required, limit)
     return value
 
 
@@ -242,10 +250,7 @@ def is_isotropic(space: PhaseSpace, v: AffineSubspace) -> bool:
         return False
     if v.rank > space.n:
         return False
-    rows = v.basis
-    fld = space.field
-    return all(_symp(fld, rows[i], rows[j]) == 0
-               for i in range(len(rows)) for j in range(i + 1, len(rows)))
+    return not any(p for _, p in _pair_products(space.field, v.basis))
 
 
 def is_lagrangian(space: PhaseSpace, v: AffineSubspace) -> bool:
@@ -273,11 +278,12 @@ def _euclidean_complement(space: PhaseSpace, v: AffineSubspace) -> AffineSubspac
 
 
 def _symplectic_complement(space: PhaseSpace, v: AffineSubspace) -> AffineSubspace:
+    # <f, x> = (J^T f) . x, so V^C is the null space of the rows J^T f.
+    fld = space.field
     if not v.basis:
-        return AffineSubspace.full(space.field, space.dim)
-    j = symplectic_form(space)
-    constraint = Matrix(space.field, v.basis) @ j
-    return AffineSubspace.span(space.field, null_space(constraint), ambient=space.dim)
+        return AffineSubspace.full(fld, space.dim)
+    constraint = Matrix(fld, tuple(_apply_jt(fld, f) for f in v.basis))
+    return AffineSubspace.span(fld, null_space(constraint), ambient=space.dim)
 
 
 def complements(space: PhaseSpace, v: AffineSubspace) -> Complements:
@@ -305,10 +311,12 @@ def complements(space: PhaseSpace, v: AffineSubspace) -> Complements:
 
 
 def is_symplectic(space: PhaseSpace, s: Matrix) -> bool:
-    if s.shape != (space.dim, space.dim):
+    """S^T J S = J entry by entry: <S e_i, S e_j> = J_ij.  Both sides are
+    antisymmetric, so the pairs i < j decide; there J_ij is 1 on a (q, p) pair, else 0."""
+    if s.shape != (space.dim, space.dim) or s.field != space.field:
         return False
-    j = symplectic_form(space)
-    return s.T @ j @ s == j
+    return all(p == (1 if i % 2 == 0 and j == i + 1 else 0)
+               for (i, j), p in _pair_products(space.field, s.T.rows))
 
 
 @dataclass(frozen=True)
@@ -389,17 +397,11 @@ def symplectic_group_order(d: int, n: int) -> int:
 
 def _capped_group_order(what: str, d: int, n: int, shifts: bool) -> int:
     """|Sp(2n, Z_d)|, times the d^{2n} shifts when ``shifts``, refused symbolically
-    once the running product passes ``GROUP_CAP``.  Every factor is at least 1, so a
-    huge n costs a few steps rather than a huge integer."""
-    factors = itertools.chain(itertools.repeat(d, n * n + (2 * n if shifts else 0)),
-                              (d ** (2 * i) - 1 for i in range(1, n + 1)))
-    order = 1
-    for factor in factors:
-        order *= factor
-        if order > GROUP_CAP:
-            required = f"|Sp({2 * n}, Z_{d})|" + (f" * {d}^{2 * n}" if shifts else "")
-            raise SizeCapExceeded(what, required, GROUP_CAP)
-    return order
+    once past ``GROUP_CAP``."""
+    terms = itertools.chain(itertools.repeat(d, n * n + (2 * n if shifts else 0)),
+                            (d ** (2 * i) - 1 for i in range(1, n + 1)))
+    required = f"|Sp({2 * n}, Z_{d})|" + (f" * {d}^{2 * n}" if shifts else "")
+    return _capped_product(what, terms, required, GROUP_CAP)
 
 
 def _symplectic_closure(space: PhaseSpace) -> tuple:
@@ -508,15 +510,7 @@ def enumerate_isotropic(space: PhaseSpace, rank: Optional[int] = None) -> list:
                     rows[i][pivots[i]] = space.field.one
                 for (i, j), val in zip(free_slots, values):
                     rows[i][j] = val
-                ok = True
-                for i in range(k):
-                    for j in range(i + 1, k):
-                        if symp_inner(space, rows[i], rows[j]) != space.field.zero:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if ok:
+                if not any(p for _, p in _pair_products(space.field, rows)):
                     out.append(AffineSubspace.span(space.field, rows, ambient=space.dim))
     return out
 
@@ -531,6 +525,9 @@ def extend_to_symplectic(space: PhaseSpace, f: Iterable) -> Matrix:
     """
     fld = space.field
     f = vec(fld, f)
+    if len(f) != space.dim:
+        raise ValueError(f"functional of length {len(f)} on a phase space of "
+                         f"dimension {space.dim}")
     if all(x == fld.zero for x in f):
         raise ValueError("cannot extend the zero functional")
     basis = Matrix.identity(fld, space.dim).rows
@@ -538,8 +535,8 @@ def extend_to_symplectic(space: PhaseSpace, f: Iterable) -> Matrix:
     def corrected(c, pairs):
         # c + sum_i (<w_i, c> u_i - <u_i, c> w_i) kills all products with chosen pairs.
         for u, w in pairs:
-            cu = symp_inner(space, u, c)
-            cw = symp_inner(space, w, c)
+            cu = _symp(fld, u, c)
+            cw = _symp(fld, w, c)
             c = vec_add(fld, c, vec_sub(fld, vec_scale(fld, cw, u),
                                         vec_scale(fld, cu, w)))
         return c
@@ -547,7 +544,7 @@ def extend_to_symplectic(space: PhaseSpace, f: Iterable) -> Matrix:
     def pick_partner(u, pairs):
         for g in basis:
             g2 = corrected(g, pairs)
-            ip = symp_inner(space, u, g2)
+            ip = _symp(fld, u, g2)
             if ip != fld.zero:
                 return vec_scale(fld, fld.inv(ip), g2)
         raise AssertionError("no symplectic partner found; form would be degenerate")

@@ -53,6 +53,17 @@ def test_every_private_helper_has_a_caller():
     assert defined and orphans == []
 
 
+def test_symplectic_layer_does_not_call_its_public_product():
+    # Inside ``symplectic`` every pairwise product goes through ``_symp`` or the
+    # ``_pair_products`` kernel on canonical vectors; ``symp_inner`` is only the public
+    # entry that coerces and validates its input.
+    path = Path(epistrict.__file__).parent / "symplectic.py"
+    found = [f"symplectic.py:{node.lineno}"
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Name) and node.id == "symp_inner"]
+    assert found == []
+
+
 def test_classical_modules_use_no_floats():
     # The exact side computes in ints and Fractions: no numpy, no float or complex
     # literal.  numpy and floats belong to the quantum and Wigner layers.

@@ -68,10 +68,20 @@ def test_booleans_are_refused_as_scalars():
 
 
 def test_non_isotropic_preparation_names_the_rows():
-    data = make()
-    data["preparation"] = {"known": [[1, 0], [0, 1]]}
-    with pytest.raises(ScenarioError, match="rows 0 and 1"):
-        scenario_from_dict(data)
+    for n, known, named in [
+        (1, [[1, 0], [0, 1]], "rows 0 and 1 ([1, 0] vs [0, 1])"),
+        # Every nonzero pair is listed, in order; rows 1 and 2 commute.
+        (2, [[1, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
+         "rows 0 and 1 ([1, 0, 1, 0] vs [0, 1, 0, 0]); "
+         "rows 0 and 2 ([1, 0, 1, 0] vs [0, 0, 0, 1])"),
+    ]:
+        data = make(n=n)
+        data["preparation"] = {"known": known}
+        data["measurement"] = {"measured": [[0] * (2 * n - 1) + [1]]}
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_dict(data)
+        assert str(err.value) == ("preparation.known: functionals must pairwise "
+                                  "Poisson-commute (isotropic span); offending " + named)
 
 
 def test_non_symplectic_transformation_is_rejected():

@@ -1,6 +1,7 @@
 """Stabilizer translation, parity obstructions, and the operational witness scan."""
 
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -119,8 +120,15 @@ def test_inconsistent_phases_rejected():
 
 
 def test_noncommuting_generators_rejected():
-    with pytest.raises(ValueError, match="commute"):
-        StabilizerGroup(D2, (((1, 0), 0), ((0, 1), 0)))       # X and Z
+    for space, gens, named in [
+        (D2, ((1, 0), (0, 1)), "(1, 0) and (0, 1)"),                           # X, Z
+        # X1 and X2 commute; the first anticommuting pair is X1 with Z1 (reduced).
+        (D3x2, ((1, 0, 0, 0), (0, 0, 1, 0), (0, 4, 0, 0)),
+         "(1, 0, 0, 0) and (0, 1, 0, 0)"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(
+                f"generators {named} do not commute (nonzero symplectic product)")):
+            StabilizerGroup(space, tuple((m, 0) for m in gens))
 
 
 @pytest.mark.parametrize("m", [(1, 0, 1, 1), (1,)])

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from epistrict.fields import RATIONALS, PrimeField, RationalField
-from epistrict.linalg import AffineSubspace, Matrix
+from epistrict.linalg import AffineSubspace, Matrix, null_space
 from epistrict.symplectic import (
     PhaseSpace,
     _apply_j,
@@ -241,11 +242,17 @@ def test_complements_of_position_line_mod3():
 def test_complement_identity_all_isotropic(key):
     """(V-perp)^C == J V is checked internally; construction must never raise."""
     space = SPACES[key]
+    fld, j = space.field, symplectic_form(space)
     for v in enumerate_isotropic(space):
         c = complements(space, v)
         if v.basis:
             assert c.j_image.rank == v.rank
         assert c.symplectic.rank == space.dim - v.rank
+        # V^C = {x : f^T J x = 0 for f in V}, by the literal product with J.
+        literal = (AffineSubspace.span(fld, null_space(Matrix(fld, v.basis) @ j),
+                                       ambient=space.dim)
+                   if v.basis else AffineSubspace.full(fld, space.dim))
+        assert c.symplectic == literal
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +299,64 @@ def test_closure_column_updates_match_dense_products(key):
     space = SPACES[key]
     gens, words = _symplectic_closure(space)
     assert list(words.items()) == list(_closure_by_products(space, gens).items())
+
+
+def _literal_is_symplectic(space, s):
+    """S^T J S == J as two dense products: the reference for ``is_symplectic``."""
+    j = symplectic_form(space)
+    return s.T @ j @ s == j
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_is_symplectic_on_every_2x2_matrix(d):
+    space = PhaseSpace(PrimeField(d), 1)
+    every = [Matrix(space.field, rows)
+             for rows in product(product(range(d), repeat=2), repeat=2)]
+    got = [s.rows for s in every if is_symplectic(space, s)]
+    assert got == [s.rows for s in every if _literal_is_symplectic(space, s)]
+    assert sorted(got) == oracles.symplectic_2x2(d)
+
+
+def _seeded_symplectic(space, rng):
+    """A seeded symplectic matrix; over Q a word of four rational transvections."""
+    if space.field.is_finite:
+        return random_symplectic_affine(space, rng).s
+    s = Matrix.identity(space.field, space.dim)
+    for _ in range(4):
+        u = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(space.dim)]
+        s = s @ transvection(space, u, Fraction(rng.randint(1, 4), rng.randint(1, 4)))
+    return s
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("fld", [PrimeField(2), PrimeField(3), PrimeField(5), RATIONALS],
+                         ids=repr)
+def test_is_symplectic_matches_the_literal_form_product(fld, n):
+    """The identity and seeded symplectic matrices, and each one-entry perturbation of
+    them; bumping the identity's (q_i, p_i) entry gives a shear, which stays symplectic."""
+    space = PhaseSpace(fld, n)
+    rng = random.Random(31 * n + (fld.modulus if fld.is_finite else 0))
+    verdicts = set()
+    seeded = [_seeded_symplectic(space, rng) for _ in range(6)]
+    for s in [Matrix.identity(fld, space.dim)] + seeded:
+        assert is_symplectic(space, s) and _literal_is_symplectic(space, s)
+        for i, k in product(range(space.dim), repeat=2):
+            rows = [list(r) for r in s.rows]
+            rows[i][k] = fld.reduce(rows[i][k] + 1)
+            bent = Matrix(fld, tuple(map(tuple, rows)))
+            verdicts.add(is_symplectic(space, bent))
+            assert is_symplectic(space, bent) == _literal_is_symplectic(space, bent)
+    assert verdicts == {True, False}
+
+
+def test_is_symplectic_refuses_wrong_shapes_and_fields():
+    space = SPACES[3, 1]
+    for rows in ((), ((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((1, 0, 0, 0), (0, 1, 0, 0)),
+                 ((1, 0), (0, 1), (0, 0), (0, 0)), ((1,),)):
+        assert not is_symplectic(space, Matrix(space.field, rows))
+    other = Matrix.identity(PrimeField(5), 2)
+    assert not is_symplectic(space, other)
+    assert not _literal_is_symplectic(space, other)
 
 
 def test_affine_group_size_d2():
@@ -450,6 +515,10 @@ def test_extension_over_rationals_is_pinned(f, rows):
 def test_extension_rejects_zero():
     with pytest.raises(ValueError):
         extend_to_symplectic(SPACES[3, 1], (0, 0))
+    # A functional of another length is refused before any product is formed.
+    for f in [(1,), (1, 0, 0), (0, 1, 0, 0)]:
+        with pytest.raises(ValueError, match=f"length {len(f)} on a phase space"):
+            extend_to_symplectic(SPACES[3, 1], f)
 
 
 def test_extension_over_rationals():
