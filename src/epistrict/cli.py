@@ -307,6 +307,13 @@ def build_parser() -> _Parser:
     return parser
 
 
+#: What ``main`` reports as ``error: ...``, with its exit code, matched in order:
+#: ``UnsupportedOperation`` and ``ScenarioError`` are both ``ValueError``s.
+_FAILURES = ((_ArgumentError, EXIT_INVALID), (SizeCapExceeded, EXIT_CAP),
+             (UnsupportedOperation, EXIT_CAP), (ScenarioError, EXIT_INVALID),
+             (OSError, EXIT_INVALID))
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     try:
@@ -315,21 +322,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             parser.print_help()
             return EXIT_INVALID
         return args.func(args)
-    except _ArgumentError as exc:
+    except tuple(kind for kind, _ in _FAILURES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except SizeCapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except UnsupportedOperation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        return next(code for kind, code in _FAILURES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":  # pragma: no cover

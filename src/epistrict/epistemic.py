@@ -392,12 +392,14 @@ def _outcome_span(space: PhaseSpace, known: AffineSubspace,
 def possible_values(state: EpistemicState, m: SharpMeasurement) -> AffineSubspace:
     """The affine set of jointly possible value tuples over the canonical basis of V'.
 
-    Works over any field: it is the image of the reach under the measured functionals.
+    Works over any field: the measured functionals F vanish on V'-perp, so the image
+    of the reach support + V'-perp is that of the support, F(v) + span F(V-perp).
     """
-    reach = possibilistic(state, m)
+    if m.space != state.space:
+        raise ValueError("measurement lives on a different phase space")
+    sup = state.support()
     return AffineSubspace(state.space.field, m.measured.rank,
-                          tuple(m.values_at(b) for b in reach.basis),
-                          m.values_at(reach.offset))
+                          tuple(m.values_at(h) for h in sup.basis), m.values_at(sup.offset))
 
 
 # ---------------------------------------------------------------------------

@@ -358,24 +358,30 @@ def quadrature_pvm(space: PhaseSpace, known: AffineSubspace) -> dict:
     return dict(zip(labels, projs))
 
 
+def _traces(xs: np.ndarray, ys: np.ndarray, what: str) -> np.ndarray:
+    """Tr(X_k Y_m) = sum_ij X_k[i, j] Y_m[j, i] for stacks xs (K, D, D) and ys (M, D, D),
+    as a real (K, M) array: one product of the flattened X_k^T with the flattened Y_m.
+    Every entry must be real."""
+    size = xs.shape[-1] ** 2
+    vals = xs.transpose(0, 2, 1).reshape(len(xs), size) @ ys.reshape(len(ys), size).T
+    if np.any(np.abs(vals.imag) > TOL):
+        raise AssertionError(f"{what} has an imaginary part")
+    return vals.real
+
+
 def born_table(rhos: np.ndarray, projectors: np.ndarray, starts=(0,)) -> np.ndarray:
     """Born probabilities Tr(rho_s P_k) of a stack of states over stacked PVMs.
 
     ``rhos`` is (S, D, D) and ``projectors`` (K, D, D) holds complete PVMs back to back,
-    PVM j starting at row ``starts[j]``.  Returns the real (S, K) table.  Each entry is
-    the O(D^2) contraction Tr(rho P) = sum_ij rho_ij P_ji; every entry must be real and
-    every PVM's probabilities must sum to 1 in every state.
+    PVM j starting at row ``starts[j]``.  Returns the real (S, K) table; every PVM's
+    probabilities must sum to 1 in every state.
     """
-    size = rhos.shape[-1] ** 2
-    probs = (rhos.transpose(0, 2, 1).reshape(len(rhos), size)
-             @ projectors.reshape(len(projectors), size).T)
-    if np.any(np.abs(probs.imag) > TOL):
-        raise AssertionError("Born probability has an imaginary part")
-    totals = np.add.reduceat(probs.real, list(starts), axis=1)
+    probs = _traces(rhos, projectors, "Born probability")
+    totals = np.add.reduceat(probs, list(starts), axis=1)
     bad = np.abs(totals - 1.0) > TOL
     if np.any(bad):
         raise AssertionError(f"Born probabilities sum to {totals[bad][0]}")
-    return probs.real
+    return probs
 
 
 def born(rho: np.ndarray, pvm: dict) -> dict:

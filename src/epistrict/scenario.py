@@ -177,11 +177,8 @@ def scenario_from_dict(data: dict) -> Scenario:
     _require_isotropic(space, known_rows, "preparation.known")
     valuation = (_vector_in(fld, prep["valuation"], dim, "preparation.valuation")
                  if "valuation" in prep else space.zero())
-    known = AffineSubspace.span(fld, known_rows, ambient=dim)
-    try:
-        preparation = EpistemicState(space, known, valuation)
-    except ValueError as exc:  # pragma: no cover — pre-checked above
-        raise ScenarioError(f"preparation: {exc}") from exc
+    preparation = EpistemicState(space, AffineSubspace.span(fld, known_rows, ambient=dim),
+                                 valuation)
 
     transformation = None
     if "transformation" in data:

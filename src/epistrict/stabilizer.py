@@ -26,6 +26,7 @@ or None when the exhaustive scan finds perfect agreement.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product as iproduct
 from typing import Optional
@@ -72,20 +73,20 @@ class StabilizerGroup:
     generators: tuple
 
     def __post_init__(self):
-        d = self.space.field.modulus if self.space.field.is_finite else None
-        if d is None:
+        fld = self.space.field
+        if not fld.is_finite:
             raise ValueError("stabilizer groups live over finite fields")
         gens = []
         for m, e in self.generators:
-            m = tuple(int(x) % d for x in m)
+            m = vec(fld, m)
             if len(m) != self.space.dim:
                 raise ValueError(f"Weyl vector of length {len(m)} on a phase space of "
                                  f"dimension 2n = {self.space.dim}")
             if all(x == 0 for x in m):
                 raise ValueError("zero vector cannot generate a stabilizer")
-            gens.append((m, int(e) % d))
+            gens.append((m, fld.element(e)))
         ms = [m for m, _ in gens]
-        for (i, j), p in _pair_products(self.space.field, ms):
+        for (i, j), p in _pair_products(fld, ms):
             if p:
                 raise ValueError(f"generators {ms[i]} and {ms[j]} do not commute "
                                  "(nonzero symplectic product)")
@@ -166,19 +167,20 @@ def weyl_value_report(space: PhaseSpace, known, valuation) -> ValueReport:
     """Check char(v . f) against the true eigenvalue of W(J f) for every f in V."""
     state = EpistemicState(space, known, valuation)
     rho = quadrature_state(space, state.known, state.valuation).rho
-    tr = np.trace(rho).real
-    d = space.d
     elements = [f for f in state.known.points() if any(f)]
     flipped = []
     for f in elements:
         naive = vec_dot(space.field, f, state.valuation)
-        m = _apply_j(space.field, f)
-        # Eigenvalue of W(m) on the state, read off the trace.
-        actual = np.trace(weyl(space, m) @ rho) / tr
-        predicted = np.conj(_pair_char(d, naive))
-        if abs(actual - predicted) > PROB_TOL:
+        actual = _weyl_value(space, _apply_j(space.field, f), rho)
+        if abs(actual - np.conj(_pair_char(space.d, naive))) > PROB_TOL:
             flipped.append(f)
     return ValueReport(len(elements), len(flipped), tuple(flipped))
+
+
+def _weyl_value(space: PhaseSpace, m, rho: np.ndarray) -> complex:
+    """Tr(W(m) rho) / Tr rho: the eigenvalue of W(m) on a state in one of its
+    eigenspaces, read off the trace."""
+    return np.trace(weyl(space, m) @ rho) / np.trace(rho).real
 
 
 # ---------------------------------------------------------------------------
@@ -232,24 +234,17 @@ def mermin_square() -> MerminReport:
     row_signs = tuple(_sign_of_product(space, row) for row in grid)
     col_signs = tuple(_sign_of_product(space, [grid[r][c] for r in range(3)])
                       for c in range(3))
-    constraints = [([(r, c) for c in range(3)], row_signs[r]) for r in range(3)]
-    constraints += [([(r, c) for r in range(3)], col_signs[c]) for c in range(3)]
-
-    def count(active) -> int:
-        n = 0
-        for bits in iproduct((1, -1), repeat=9):
-            val = {(r, c): bits[3 * r + c] for r in range(3) for c in range(3)}
-            if all(np.prod([val[cell] for cell in cells]) == sign
-                   for cells, sign in active):
-                n += 1
-        return n
+    # One +-1 value per cell, cell (r, c) at index 3 r + c.
+    constraints = [([3 * r + c for c in range(3)], row_signs[r]) for r in range(3)]
+    constraints += [([3 * r + c for r in range(3)], col_signs[c]) for c in range(3)]
 
     negative = [k for k, (_, sign) in enumerate(constraints) if sign == -1]
     if len(negative) != 1:
         raise AssertionError("the Mermin square needs exactly one negative constraint")
     relaxed = [c for k, c in enumerate(constraints) if k != negative[0]]
     return MerminReport(grid, row_signs, col_signs, 512,
-                        count(constraints), count(relaxed))
+                        _count_assignments(9, constraints),
+                        _count_assignments(9, relaxed))
 
 
 @dataclass(frozen=True)
@@ -282,26 +277,21 @@ def ghz_test() -> GhzReport:
     for m in (xyy, yxy, yyx):
         if not span.contains(m):
             raise AssertionError("derived observables must lie in the stabilizer span")
-    eigs = tuple(int(round(np.trace(weyl(space, m) @ rho).real / np.trace(rho).real))
-                 for m in (xxx, xyy, yxy, yyx))
+    words = (xxx, xyy, yxy, yyx)
+    eigs = tuple(int(round(_weyl_value(space, m, rho).real)) for m in words)
+    # Local assignments give one +-1 value to each of X_i (index i) and Y_i (index
+    # 3 + i); site i of a word is Y exactly when its p bit is set.
+    full = [([i + 3 * m[2 * i + 1] for i in range(3)], eig) for m, eig in zip(words, eigs)]
+    return GhzReport(gens, (xyy, yxy, yyx), eigs, 64,
+                     _count_assignments(6, full), _count_assignments(6, full[1:]))
 
-    # Local assignments give one +-1 value to each of X_i, Y_i.
-    def count(constraints) -> int:
-        n = 0
-        for bits in iproduct((1, -1), repeat=6):
-            vx, vy = bits[:3], bits[3:]
-            words = {
-                xxx: vx[0] * vx[1] * vx[2],
-                xyy: vx[0] * vy[1] * vy[2],
-                yxy: vy[0] * vx[1] * vy[2],
-                yyx: vy[0] * vy[1] * vx[2],
-            }
-            if all(words[m] == want for m, want in constraints):
-                n += 1
-        return n
 
-    full = list(zip((xxx, xyy, yxy, yyx), eigs))
-    return GhzReport(gens, (xyy, yxy, yyx), eigs, 64, count(full), count(full[1:]))
+def _count_assignments(size: int, constraints) -> int:
+    """How many of the 2^size assignments of +-1 values satisfy every constraint
+    ``(indices, sign)``: the values at ``indices`` multiply to ``sign``."""
+    return sum(all(math.prod(bits[i] for i in indices) == sign
+                   for indices, sign in constraints)
+               for bits in iproduct((1, -1), repeat=size))
 
 
 # ---------------------------------------------------------------------------

@@ -239,10 +239,13 @@ def poisson_bracket_fd(space: PhaseSpace, f_table: dict, g_table: dict) -> dict:
 def is_isotropic(space: PhaseSpace, v: AffineSubspace) -> bool:
     """Whether the (linear) subspace has pairwise-vanishing symplectic products.
 
-    A subspace of another ambient dimension than the phase space's is refused.
-    Memoized and bounded: states and measurements check the same few subspaces over
-    and over.  A refusal raises, so it is never cached.
+    A subspace over another field, or of another ambient dimension, than the phase
+    space's is refused.  Memoized and bounded: states and measurements check the same
+    few subspaces over and over.  A refusal raises, so it is never cached.
     """
+    if v.field != space.field:
+        raise ValueError(f"subspace is over {v.field!r}, but the phase space is over "
+                         f"{space.field!r}")
     if v.ambient != space.dim:
         raise ValueError(f"subspace has ambient dimension {v.ambient}, but the phase "
                          f"space has dimension {space.dim}")
@@ -404,6 +407,29 @@ def _capped_group_order(what: str, d: int, n: int, shifts: bool) -> int:
     return _capped_product(what, terms, required, GROUP_CAP)
 
 
+def _transvection_product(field: Field, u: Vector, c: int):
+    """Right multiplication by ``transvection(u, c)`` over Z_d, as a function of int row
+    tuples: m @ T = m + c (m u)(J u)^T, so each row gains c (row . u) J u, which
+    touches only the columns where J u is nonzero."""
+    d = field.modulus
+    sums = [(j, x) for j, x in enumerate(u) if x]
+    targets = [(k, c * x % d) for k, x in enumerate(_apply_j(field, u)) if x]
+
+    def times(m: tuple) -> tuple:
+        out = []
+        for row in m:
+            w = sum(row[j] * x for j, x in sums) % d
+            if w:
+                row = list(row)
+                for k, x in targets:
+                    row[k] = (row[k] + x * w) % d
+                row = tuple(row)
+            out.append(row)
+        return tuple(out)
+
+    return times
+
+
 def _symplectic_closure(space: PhaseSpace) -> tuple:
     """Close the unit transvections under multiplication, recording each element's word.
 
@@ -415,28 +441,12 @@ def _symplectic_closure(space: PhaseSpace) -> tuple:
         raise UnsupportedOperation("cannot enumerate symplectic maps over Q")
     expected = _capped_group_order("symplectic group enumeration", space.d, space.n,
                                    shifts=False)
-    fld, d = space.field, space.d
+    fld = space.field
     units = [tuple(int(k == j) for k in range(space.dim)) for j in range(space.dim)]
     chain = [tuple(int(k in (2 * i, 2 * i + 2)) for k in range(space.dim))
              for i in range(space.n - 1)]
     gens = [transvection(space, u, 1) for u in units + chain]
-    # m @ T_u = m + (m u)(J u)^T: the columns where J u is nonzero each gain a signed
-    # copy of the column sum m u, taken over the (one or two) columns where u is 1.
-    updates = [([j for j, x in enumerate(u) if x],
-                [(k, x) for k, x in enumerate(_apply_j(fld, u)) if x])
-               for u in units + chain]
-
-    def times(m, sums, targets):
-        out = []
-        for row in m:
-            w = sum(row[j] for j in sums)
-            if w % d:
-                row = list(row)
-                for k, x in targets:
-                    row[k] = (row[k] + x * w) % d
-                row = tuple(row)
-            out.append(row)
-        return tuple(out)
+    products = [_transvection_product(fld, u, 1) for u in units + chain]
 
     identity = Matrix.identity(fld, space.dim).rows
     words = {identity: (None, None)}
@@ -444,8 +454,8 @@ def _symplectic_closure(space: PhaseSpace) -> tuple:
     while frontier:
         nxt = []
         for m in frontier:
-            for k, (sums, targets) in enumerate(updates):
-                prod = times(m, sums, targets)
+            for k, times in enumerate(products):
+                prod = times(m)
                 if prod not in words:
                     words[prod] = (m, k)
                     nxt.append(prod)
@@ -575,13 +585,11 @@ def random_symplectic_affine(space: PhaseSpace, rng) -> SymplecticAffine:
     if not space.field.is_finite:
         raise UnsupportedOperation("random sampling needs a finite field")
     d = space.d
-    fld = space.field
-    s = Matrix.identity(fld, space.dim)
+    rows = Matrix.identity(space.field, space.dim).rows
     for _ in range(2 * space.dim + 2):
         u = tuple(rng.randrange(d) for _ in range(space.dim))
         if not any(u):
             continue
-        c = rng.randrange(1, d)
-        s = s @ transvection(space, u, c)
+        rows = _transvection_product(space.field, u, rng.randrange(1, d))(rows)
     a = tuple(rng.randrange(d) for _ in range(space.dim))
-    return SymplecticAffine(space, s, a)
+    return SymplecticAffine(space, Matrix(space.field, rows), a)

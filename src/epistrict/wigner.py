@@ -24,9 +24,9 @@ covariance failures appear and are reported, not asserted away.
 The basis stores the d^{2n} operators once, as one read-only (N, D, D) stack with
 N = d^{2n} and D = d^n, built from the monomial (index plus phase) form of the Weyl
 operators.  Every table is then one matrix product over the flattened (N, D^2) stack,
-Tr(X A(m)) = sum_ij X_ij A(m)_ji, and a channel acts once on the whole stack.  The
-equivalence suite works on arrays indexed by position and shares its Born contraction
-with ``quantum.born``.
+Tr(X A(m)) = sum_ij X_ij A(m)_ji, through the trace kernel behind ``quantum.born``,
+and a channel acts once on the whole stack.  The equivalence suite works on arrays
+indexed by position.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .symplectic import PhaseSpace, SymplecticAffine, UnsupportedOperation
 from .epistemic import EpistemicState, SharpMeasurement, measure, transform
 from .quantum import (
     TOL,
+    _traces,
     _weyl_monomials,
     born_table,
     clifford,
@@ -115,19 +116,9 @@ def point_operators(space: PhaseSpace, net: Optional[tuple] = None) -> PointOper
     return PointOperatorBasis(space, ops, index, net if d == 2 else None)
 
 
-def _traces(basis: PointOperatorBasis, xs: np.ndarray, what: str) -> np.ndarray:
-    """Tr(X_k A(m)) = sum_ij X_k[i, j] A(m)[j, i] for a stack xs (K, D, D), as a real
-    (K, N) array: one product of the flattened X_k^T with the flattened stack."""
-    size = basis.ops[0].size
-    vals = xs.transpose(0, 2, 1).reshape(len(xs), size) @ basis.ops.reshape(-1, size).T
-    if np.any(np.abs(vals.imag) > TOL):
-        raise AssertionError(f"{what} table entry has an imaginary part")
-    return vals.real
-
-
 def _state_rows(basis: PointOperatorBasis, rhos: np.ndarray) -> np.ndarray:
     """State tables of a stack of density matrices, one row each."""
-    rows = _traces(basis, rhos, "state") / rhos.shape[-1]
+    rows = _traces(rhos, basis.ops, "state table entry") / rhos.shape[-1]
     totals = rows.sum(axis=1)
     bad = np.abs(totals - 1.0) > TOL
     if np.any(bad):
@@ -137,7 +128,7 @@ def _state_rows(basis: PointOperatorBasis, rhos: np.ndarray) -> np.ndarray:
 
 def _meas_rows(basis: PointOperatorBasis, pvm: dict) -> np.ndarray:
     """Response tables of one PVM, one row per outcome in the PVM's order."""
-    rows = _traces(basis, np.stack(list(pvm.values())), "effect")
+    rows = _traces(np.stack(list(pvm.values())), basis.ops, "effect table entry")
     if np.any(np.abs(rows.sum(axis=0) - 1.0) > TOL):
         raise AssertionError("response tables do not sum to 1 at an ontic point")
     return rows
@@ -149,7 +140,7 @@ def _channel_rows(basis: PointOperatorBasis, channel: Callable) -> np.ndarray:
     if images.shape != basis.ops.shape:
         raise ValueError(f"the channel mapped the {basis.ops.shape} stack of point "
                          f"operators to shape {images.shape}")
-    rows = _traces(basis, images, "channel") / images.shape[-1]
+    rows = _traces(images, basis.ops, "channel table entry") / images.shape[-1]
     sums = rows.sum(axis=1)
     bad = np.abs(sums - 1.0) > TOL
     if np.any(bad):

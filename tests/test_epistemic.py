@@ -10,7 +10,7 @@ import pytest
 import oracles
 from epistrict import epistemic
 from epistrict.fields import RATIONALS, PrimeField
-from epistrict.linalg import AffineSubspace
+from epistrict.linalg import AffineSubspace, Matrix
 from epistrict.epistemic import (
     EpistemicState,
     OutcomeDistribution,
@@ -22,6 +22,7 @@ from epistrict.epistemic import (
     measure,
     possibilistic,
     possible_labels,
+    possible_values,
     product_state,
     scenario,
     transform,
@@ -359,6 +360,68 @@ def _reach_labels(state, m):
     return [label for label in m.outcomes() if reach.contains(label)]
 
 
+def _reach_values(state, m):
+    """Reference route: the measured functionals applied to the reach support + V'-perp."""
+    reach = possibilistic(state, m)
+    return AffineSubspace(state.space.field, m.measured.rank,
+                          tuple(m.values_at(b) for b in reach.basis), m.values_at(reach.offset))
+
+
+@pytest.mark.parametrize("space", [D2_2, D3_2, D5], ids=repr)
+def test_possible_values_match_the_reach_route_on_every_pair(space):
+    meas = [SharpMeasurement(space, v) for v in enumerate_isotropic(space) if v.rank > 0]
+    for s in enumerate_states(space):
+        for m in meas:
+            assert possible_values(s, m) == _reach_values(s, m)
+
+
+def _rational_isotropic(space, s, rng, require):
+    """A seeded isotropic span of columns of the symplectic ``s``: per degree of
+    freedom i, none, S e_{q_i} or S e_{p_i}; at least ``require`` of them."""
+    while True:
+        picks = [rng.choice((None, 0, 1)) for _ in range(space.n)]
+        chosen = [2 * i + k for i, k in enumerate(picks) if k is not None]
+        if len(chosen) >= require:
+            break
+    rows = [tuple(row[j] for row in s.rows) for j in chosen]
+    return AffineSubspace.span(space.field, rows or [space.zero()], ambient=space.dim)
+
+
+def test_possible_values_match_the_reach_route_over_rationals():
+    """400 seeded rational states and measurements, n <= 3.  Half of the measurements
+    share the state's symplectic frame, so partly known and sharp outcomes occur."""
+    rng = random.Random(41)
+    ranks = set()
+
+    def small():
+        return Fraction(rng.randrange(-3, 4), rng.randrange(1, 4))
+
+    def frame(space):
+        s = Matrix.identity(space.field, space.dim)
+        for _ in range(3):
+            s = s @ transvection(space, [rng.randrange(-2, 3) for _ in range(space.dim)],
+                                 small())
+        return s
+
+    for _ in range(400):
+        space = PhaseSpace(RATIONALS, rng.choice((1, 2, 3)))
+        s = frame(space)
+        state = EpistemicState(space, _rational_isotropic(space, s, rng, 0),
+                               [small() for _ in range(space.dim)])
+        m = SharpMeasurement(space, _rational_isotropic(
+            space, s if rng.random() < 0.5 else frame(space), rng, 1))
+        got = possible_values(state, m)
+        assert got == _reach_values(state, m)
+        assert all(type(x) is Fraction for x in got.offset)
+        ranks.add((got.rank < m.measured.rank, got.rank == 0))
+    assert ranks == {(False, False), (True, False), (True, True)}
+
+
+def test_possible_values_refuses_another_space():
+    with pytest.raises(ValueError, match="different phase space"):
+        possible_values(q_state(D3, 0), SharpMeasurement.of_functional(D2, (0, 1)))
+
+
 def _dense_transform(state, t):
     """Reference route: known rows through the dense products J^T (S (J f))."""
     space = state.space
@@ -534,7 +597,17 @@ def test_memos_refuse_bad_input_on_every_call():
     q1_p1 = AffineSubspace.span(D2_2.field, [(1, 0, 0, 0), (0, 1, 0, 0)])
     other_ambient = AffineSubspace.span(D2_2.field, [(1, 0)])
     elsewhere = SharpMeasurement.of_functional(D2, (1, 0))
+    over_z5 = AffineSubspace.span(PrimeField(5), [(1, 4)])
+    over_q = AffineSubspace.span(RATIONALS, [(1, Fraction(1, 2))])
     for _ in range(3):
+        for wrong, name in ((over_z5, r"PrimeField\(5\)"), (over_q, r"RationalField\(\)")):
+            message = rf"subspace is over {name}, but the phase space is over PrimeField\(3\)"
+            with pytest.raises(ValueError, match=message):
+                is_isotropic(D3, wrong)
+            with pytest.raises(ValueError, match=message):
+                EpistemicState(D3, wrong)
+            with pytest.raises(ValueError, match=message):
+                SharpMeasurement(D3, wrong)
         assert not is_isotropic(D2_2, q1_p1)
         with pytest.raises(ValueError, match="isotropic"):
             EpistemicState(D2_2, q1_p1)

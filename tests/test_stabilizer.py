@@ -137,6 +137,19 @@ def test_generator_of_the_wrong_length_rejected(m):
         StabilizerGroup(D2, ((m, 0),))
 
 
+@pytest.mark.parametrize("generator", [((1.7, 0), 0), ((1, 0), 0.9), ((True, 0), 0),
+                                       ((1, 0), False), ((np.float64(1), 0), 0)])
+def test_generator_entries_must_be_field_elements(generator):
+    with pytest.raises(TypeError, match="prime-field element must be an int"):
+        StabilizerGroup(D2, (generator,))
+
+
+def test_generator_entries_are_reduced_in_the_field():
+    group = StabilizerGroup(D3, (((4, Fraction(1, 2)), -1),))
+    assert group.generators == (((1, 2), 2),)
+    assert all(type(x) is int for x in group.generators[0][0])
+
+
 def test_zero_generator_rejected():
     with pytest.raises(ValueError, match="zero"):
         StabilizerGroup(D2, (((0, 0), 0),))

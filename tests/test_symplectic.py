@@ -359,6 +359,28 @@ def test_is_symplectic_refuses_wrong_shapes_and_fields():
     assert not _literal_is_symplectic(space, other)
 
 
+def _dense_random_affine(space, rng):
+    """Reference route: the draws of ``random_symplectic_affine``, one dense
+    ``Matrix @ transvection(u, c)`` per nonzero u."""
+    d = space.d
+    s = Matrix.identity(space.field, space.dim)
+    for _ in range(2 * space.dim + 2):
+        u = tuple(rng.randrange(d) for _ in range(space.dim))
+        if any(u):
+            s = s @ transvection(space, u, rng.randrange(1, d))
+    return SymplecticAffine(space, s, tuple(rng.randrange(d) for _ in range(space.dim)))
+
+
+@pytest.mark.parametrize("d, n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3),
+                                  (5, 2), (7, 2), (11, 2)])
+def test_random_affine_is_the_dense_transvection_word(d, n):
+    space = PhaseSpace(PrimeField(d), n)
+    for seed in range(200):
+        got = random_symplectic_affine(space, random.Random(seed))
+        assert got == _dense_random_affine(space, random.Random(seed))
+        assert all(type(x) is int for row in got.s.rows for x in row)
+
+
 def test_affine_group_size_d2():
     assert len(enumerate_group(SPACES[2, 1])) == 24
 
