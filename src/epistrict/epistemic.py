@@ -45,6 +45,7 @@ from .symplectic import (
     _apply_j,
     _apply_jt,
     _euclidean_complement,
+    _require_on_space,
     enumerate_isotropic,
     is_isotropic,
 )
@@ -73,6 +74,7 @@ class EpistemicState:
     @classmethod
     def from_support(cls, space: PhaseSpace, sup: AffineSubspace) -> "EpistemicState":
         """Reconstruct (V, v) from an ontic support of the valid affine form."""
+        _require_on_space(space, sup)
         if sup.is_empty:
             raise ValueError("a state must have nonempty support")
         direction = sup.direction()

@@ -14,6 +14,7 @@ No floats anywhere in this module; equality of canonical scalars is meaningful.
 
 from __future__ import annotations
 
+import numbers
 from fractions import Fraction
 from typing import Union
 
@@ -103,9 +104,10 @@ class PrimeField(Field):
                     raise ValueError(f"{value} has no value in Z_{self.modulus}: "
                                      f"its denominator is divisible by {self.modulus}")
                 return value.numerator * self.inv(value.denominator) % self.modulus
-        if not isinstance(value, int) or isinstance(value, bool):
+        # Any exact integer type (numpy's among them) is accepted; bools are not.
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
             raise TypeError(f"prime-field element must be an int, got {value!r}")
-        return value % self.modulus
+        return int(value) % self.modulus
 
     def reduce(self, x: int) -> int:
         return x % self.modulus

@@ -20,6 +20,9 @@ Convention audit (executable in the test suite):
   holds exactly, along with W(a)^dag = W(-a).  At d = 2 the prefactor is i^{q p},
   making every W(a) a Hermitian tensor of I, X, Y, Z (W(1,1) = Y); composition then
   holds up to a phase in {1, i, -1, -i} and operators commute iff <a, a'> = 0.
+  Both cases are one exact integer law, W(a) W(b) = r^beta(a, b) W(a + b) with
+  r = i at d = 2 and r = omega = exp(2 pi i / d) at odd d, where beta is read off
+  the prefactors (``_composition_exponents``).
   Every W(a) is monomial (one nonzero entry per column), so it is built from a
   target index and a phase per basis vector rather than from dense products.
 * Metaplectic section: U(S)|0> is the +1 joint eigenvector psi of the W(S e_{p_i}),
@@ -30,6 +33,13 @@ Convention audit (executable in the test suite):
   global phase.  At d = 2 the image of a sum of unit vectors can pick up a sign,
   U W(a) U^dag = +-W(S a), because the i^{q p} lift is not preserved by S; so the
   channels of U(A B) and U(A) U(B) can differ, while at odd d they agree.
+  The sign is exact: U W(a) U^dag = r^sigma_S(a) W(S a), where sigma_S vanishes on
+  the unit vectors and follows the lexicographic walk a = a' + e_j (e_j the last
+  nonzero coordinate of a) as
+
+      sigma_S(a' + e_j) = sigma_S(a') + beta(S a', S e_j) - beta(a', e_j).
+
+  beta is symplectic-invariant at odd d, so sigma_S vanishes there.
 * A quadrature functional f is measured by the projectors on the Weyl line through Jf,
   P_f(t) = (1/d) sum_s chi(t s) W(s Jf) (doubled character at d = 2), scattered from
   the monomial form of the multiples s Jf and multiplied left to right into joint ones.
@@ -58,8 +68,8 @@ from .symplectic import (
     _apply_j,
     _apply_jt,
     _capped_product,
+    _unit_steps,
     is_symplectic,
-    symp_inner,
 )
 from .epistemic import SharpMeasurement
 
@@ -117,35 +127,61 @@ def _basis_digits(d: int, n: int) -> np.ndarray:
 _I_POWERS = np.array([1, 1j, -1, -1j])
 
 
+def _weyl_lift(d: int) -> tuple:
+    """``(order, c, k)`` for W(q, p) = r^{c q p} S(q) B(p) per degree of freedom, with
+    B(p)|x> = r^{k p x}|x> and r = exp(2 pi i / order): r = i, c = 1, k = 2 at d = 2
+    (the doubled character is i^2), r = omega, c = -inv2, k = 1 at odd d."""
+    if d == 2:
+        return 4, 1, 2
+    return d, (d - 1) // 2, 1
+
+
 def _weyl_monomials(d: int, n: int, vectors) -> tuple:
     """Each Weyl operator as a monomial matrix: W(a)|x> = phases[x] |rows[x]>.
 
-    Per degree of freedom W(q, p)|x> = c(q, p) chi(p x)|x - q> with the prefactor c of
-    the module docstring, so one target index and one phase per column describe W(a).
-    ``vectors`` holds K interleaved integer vectors; ``rows`` (int) and ``phases``
-    (complex) are both (K, d^n), with columns in basis order.
+    Per degree of freedom W(q, p)|x> = r^{c q p + k p x}|x - q> (``_weyl_lift``), so
+    one target index and one phase per column describe W(a).  ``vectors`` holds K
+    interleaved integer vectors; ``rows`` (int) and ``phases`` (complex) are both
+    (K, d^n), with columns in basis order.
     """
     a = np.asarray(vectors, dtype=np.int64).reshape(-1, 2 * n)
     q, p = a[:, 0::2], a[:, 1::2]
     x = _basis_digits(d, n)
     rows = ((x[None, :, :] - q[:, None, :]) % d) @ (d ** np.arange(n - 1, -1, -1))
-    qp = np.sum(q * p, axis=1)[:, None]
-    px = p @ x.T
+    order, c, k = _weyl_lift(d)
+    exponents = (c * np.sum(q * p, axis=1)[:, None] + k * (p @ x.T)) % order
     if d == 2:
-        # i^{q p} per degree of freedom, times the doubled character (-1)^{p x}.
-        return rows, _I_POWERS[(qp + 2 * px) % 4]
-    inv2 = (d + 1) // 2
-    return rows, np.exp(2j * np.pi * ((px - inv2 * qp) % d) / d)
+        return rows, _I_POWERS[exponents]
+    return rows, np.exp(2j * np.pi * exponents / d)
+
+
+def _composition_exponents(d: int, a, b) -> np.ndarray:
+    """beta(a, b) with W(a) W(b) = r^beta W(a + b), reduced mod the order of r.
+
+    ``a`` and ``b`` are int arrays of canonical interleaved vectors, broadcast over
+    their leading axes.  B(p) S(q') = r^{-k p q'} S(q') B(p), so per degree of freedom
+    W(a) W(b) = r^{c (q p + q' p' - s t) - k p q'} W(a + b), where (s, t) is the
+    canonical (q + q', p + p') (``_weyl_lift``).
+    """
+    order, c, k = _weyl_lift(d)
+    q, p, q2, p2 = a[..., 0::2], a[..., 1::2], b[..., 0::2], b[..., 1::2]
+    s, t = (q + q2) % d, (p + p2) % d
+    return np.sum(c * (q * p + q2 * p2 - s * t) - k * p * q2, axis=-1) % order
+
+
+def _weyl_vector(space: PhaseSpace, a) -> tuple:
+    """The canonical Weyl vector of ``a``, which must have length 2n."""
+    a = vec(space.field, a)
+    if len(a) != space.dim:
+        raise ValueError(f"Weyl vector of length {len(a)} on a phase space of "
+                         f"dimension 2n = {space.dim}")
+    return a
 
 
 def weyl(space: PhaseSpace, a: Iterable) -> np.ndarray:
     """The Weyl (phase-point displacement) operator for an interleaved vector a."""
     dim = hilbert_dim(space)
-    a = vec(space.field, a)
-    if len(a) != space.dim:
-        raise ValueError(f"Weyl vector of length {len(a)} on a phase space of "
-                         f"dimension 2n = {space.dim}")
-    rows, phases = _weyl_monomials(space.d, space.n, [int(x) for x in a])
+    rows, phases = _weyl_monomials(space.d, space.n, _weyl_vector(space, a))
     out = np.zeros((dim, dim), dtype=complex)
     out[rows[0], np.arange(dim)] = phases[0]
     return out
@@ -156,8 +192,8 @@ def weyl_phase(space: PhaseSpace, a: Iterable, b: Iterable) -> complex:
     d = space.d
     if d == 2:
         raise UnsupportedOperation("at d = 2 the composition phase is not a character")
-    inv2 = (d + 1) // 2
-    return chi(space.field, (inv2 * int(symp_inner(space, a, b))) % d)
+    a, b = (np.array(_weyl_vector(space, x)) for x in (a, b))
+    return chi(space.field, int(_composition_exponents(d, a, b)))
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +307,33 @@ def clifford(space: PhaseSpace, t: SymplecticAffine) -> CliffordChannel:
         raise ValueError("transformation acts on a different phase space")
     u = weyl(space, vec_scale(space.field, -1, t.a)) @ metaplectic(space, t.s)
     return CliffordChannel(space, t, u)
+
+
+def _channel_exponents(space: PhaseSpace, s_rows, shifts) -> tuple:
+    """How ``clifford`` moves characteristic functions, exactly, for M maps at once.
+
+    For the maps m -> S_i m + a_i (``s_rows`` (M, 2n, 2n), ``shifts`` (M, 2n)) returns
+    ``(sources, exponents)``, both (M, P) over the points b in ``points()`` order, with
+    Tr(W(b) C_i(rho)) = r^{-exponents[i, b]} Tr(W(sources[i, b]) rho) for channel C_i,
+    where point sources[i, b] is S_i^{-1} b.  The channel's unitary is W(c) U(S) with
+    c = -a: U(S) conjugates W(m) to r^sigma_S(m) W(S m) (the recurrence of the module
+    docstring, walked along ``_unit_steps``), and W(c) conjugates W(S m) to
+    r^{beta(c, S m) - beta(S m, c)} W(S m).
+    """
+    d = space.d
+    points = np.array(list(space.points()), dtype=np.int64)
+    walk = [(0, 0)] + [(i, d ** (space.dim - 1 - j)) for i, j in _unit_steps(space)]
+    parents, units = np.array(walk, dtype=np.int64).T
+    images = points @ np.asarray(s_rows, dtype=np.int64).transpose(0, 2, 1) % d
+    steps = (_composition_exponents(d, images[:, parents], images[:, units])
+             - _composition_exponents(d, points[parents], points[units]))
+    sigma = np.zeros_like(steps)
+    for b, i in enumerate(parents.tolist()[1:], 1):
+        sigma[:, b] = sigma[:, i] + steps[:, b]
+    c = -np.asarray(shifts, dtype=np.int64)[:, None, :] % d
+    sigma += _composition_exponents(d, c, images) - _composition_exponents(d, images, c)
+    sources = np.argsort(images @ (d ** np.arange(space.dim - 1, -1, -1)), axis=1)
+    return sources, np.take_along_axis(sigma % _weyl_lift(d)[0], sources, axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,7 @@ from .symplectic import (
     _apply_jt,
     _pair_products,
     _symplectic_closure,
+    _unit_steps,
     enumerate_isotropic,
 )
 from .epistemic import (
@@ -54,11 +55,14 @@ from .epistemic import (
 from .quantum import (
     PROB_TOL,
     TOL,
+    _channel_exponents,
+    _composition_exponents,
     _joint_projectors,
     _pair_char,
+    _weyl_lift,
+    _weyl_vector,
     born,
     clifford,
-    metaplectic,
     quadrature_pvm,
     quadrature_state,
     weyl,
@@ -78,10 +82,7 @@ class StabilizerGroup:
             raise ValueError("stabilizer groups live over finite fields")
         gens = []
         for m, e in self.generators:
-            m = vec(fld, m)
-            if len(m) != self.space.dim:
-                raise ValueError(f"Weyl vector of length {len(m)} on a phase space of "
-                                 f"dimension 2n = {self.space.dim}")
+            m = _weyl_vector(self.space, m)
             if all(x == 0 for x in m):
                 raise ValueError("zero vector cannot generate a stabilizer")
             gens.append((m, fld.element(e)))
@@ -189,17 +190,21 @@ def _weyl_value(space: PhaseSpace, m, rho: np.ndarray) -> complex:
 
 
 def _sign_of_product(space: PhaseSpace, vectors) -> int:
-    """Sign s with W(m1) W(m2) ... = s * I, for vectors summing to zero."""
-    dim = space.d ** space.n
-    prod = np.eye(dim, dtype=complex)
+    """Sign s with W(m1) W(m2) ... = s * I, for vectors summing to zero: the product's
+    exponent is the sum of the composition exponents met while multiplying in."""
+    d = space.d
+    order = _weyl_lift(d)[0]
+    total, exponent = np.zeros(space.dim, dtype=np.int64), 0
     for m in vectors:
-        prod = prod @ weyl(space, m)
-    val = prod[0, 0]
-    if not np.max(np.abs(prod - val * np.eye(dim))) < PROB_TOL:
+        m = np.array(m, dtype=np.int64)
+        exponent += int(_composition_exponents(d, total, m))
+        total = (total + m) % d
+    exponent %= order
+    if total.any():
         raise AssertionError("Weyl product is not a multiple of the identity")
-    if not (abs(abs(val) - 1) < PROB_TOL and abs(val.imag) < PROB_TOL):
-        raise AssertionError(f"Weyl product phase {val} is not a real sign")
-    return int(round(val.real))
+    if 2 * exponent % order:
+        raise AssertionError(f"Weyl product phase r^{exponent} is not a real sign")
+    return -1 if exponent else 1
 
 
 @dataclass(frozen=True)
@@ -311,27 +316,72 @@ class Witness:
     max_diff: float
 
 
-def _close_pairs(images: np.ndarray, rhos: np.ndarray) -> np.ndarray:
-    """Mask of the (image, state) pairs within TOL in squared Hilbert-Schmidt distance.
+def _characteristic_table(space: PhaseSpace, states: list) -> np.ndarray:
+    """Exact characteristic functions: Tr(W(m) rho_s) = r^table[s, m] for every state s
+    and point m (``points()`` order, r of ``_weyl_lift``), and -1 where the trace
+    vanishes, off the span of the state's stabilizer group.
 
-    ||X - rho||^2 = ||X||^2 + ||rho||^2 - 2 Re <X, rho>, and Re <X, rho> is the dot
-    product of the float views, so all pairs take one real matrix product.
+    Each generator (J f, f.v) of ``stabilizer_of_quadrature`` fixes rho with the
+    phase char(f.v), so Tr(W(J f) rho) = r^{-k f.v}; W(x + m) = r^{-beta(x, m)} W(x) W(m)
+    carries the values over the span: lambda(x + m) = lambda(x) + lambda(m) - beta(x, m).
     """
-    x, r = (np.ascontiguousarray(m).reshape(len(m), -1).view(np.float64)
-            for m in (images, rhos))
-    dist = np.sum(x ** 2, axis=1)[:, None] + np.sum(r ** 2, axis=1) - 2 * (x @ r.T)
-    return dist < TOL
+    d = space.d
+    order, _, k = _weyl_lift(d)
+    place = d ** np.arange(space.dim - 1, -1, -1)
+    table = np.full((len(states), d ** space.dim), -1, dtype=np.int64)
+    for row, state in zip(table, states):
+        span, values = np.zeros((1, space.dim), dtype=np.int64), np.zeros(1, dtype=np.int64)
+        for m, e in stabilizer_of_quadrature(space, state.known, state.valuation).generators:
+            m = np.array(m, dtype=np.int64)
+            layers = [(span, values)]
+            for _ in range(d - 1):
+                x, lam = layers[-1]
+                layers.append(((x + m) % d,
+                               (lam - k * e - _composition_exponents(d, x, m)) % order))
+            span = np.concatenate([x for x, _ in layers])
+            values = np.concatenate([lam for _, lam in layers])
+        row[span @ place] = values
+    return table
 
 
-def _quantum_perm(rhos: np.ndarray, unitary: np.ndarray) -> np.ndarray:
-    """The state permutation of a unitary: each image matched to exactly one state."""
-    hits = _close_pairs(unitary @ rhos @ unitary.conj().T, rhos)
-    if np.any(hits.sum(axis=0) > 1):
-        raise AssertionError("a Clifford unitary merged two quadrature states")
-    if not np.all(hits.sum(axis=1) == 1):
-        raise AssertionError(
-            "a Clifford image of a quadrature state is not exactly one quadrature state")
-    return hits.argmax(axis=1)
+def _row_codes(rows: np.ndarray) -> np.ndarray:
+    """Each row of a 2-D array as one opaque code: equal codes are equal rows."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(f"V{rows.shape[1] * rows.itemsize}").ravel()
+
+
+#: Maps whose phase tables are built at once.  The batch's arrays are the scan's
+#: largest transients, so a small batch bounds its memory at every group size.
+CHANNEL_BATCH = 128
+
+
+def _quantum_perms(space: PhaseSpace, table: np.ndarray, s_rows: list,
+                   shifts: list) -> np.ndarray:
+    """The (M, K) state permutations of the Clifford channels of the maps
+    m -> S_i m + a_i: each state's characteristic row is moved by
+    ``_channel_exponents`` and matched by its exact code to exactly one state's row."""
+    order = _weyl_lift(space.d)[0]
+    codes = _row_codes(table)
+    by_code = np.argsort(codes)
+    known = codes[by_code]
+    if np.any(known[1:] == known[:-1]):
+        raise AssertionError("two quadrature states share a characteristic function")
+    perms = np.empty((len(s_rows), len(table)), dtype=np.int64)
+    for start in range(0, len(s_rows), CHANNEL_BATCH):
+        batch = slice(start, start + CHANNEL_BATCH)
+        sources, exponents = _channel_exponents(space, s_rows[batch], shifts[batch])
+        for perm, src, exps in zip(perms[batch], sources, exponents):
+            moved = table[:, src]
+            image = _row_codes(np.where(moved < 0, -1, (moved - exps) % order))
+            pos = np.minimum(np.searchsorted(known, image), len(known) - 1)
+            hit = known[pos] == image
+            perm[:] = by_code[pos]
+            if len(set(perm[hit].tolist())) < np.count_nonzero(hit):
+                raise AssertionError("a Clifford unitary merged two quadrature states")
+            if not hit.all():
+                raise AssertionError("a Clifford image of a quadrature state is not "
+                                     "exactly one quadrature state")
+    return perms
 
 
 def _classical_perms(space: PhaseSpace, states: list, gens: list, words: dict) -> tuple:
@@ -357,13 +407,10 @@ def _classical_perms(space: PhaseSpace, states: list, gens: list, words: dict) -
                         else linear[parent][gen_perms[k]])
     units = Matrix.identity(space.field, space.dim).rows
     shift_perms = [direct(SymplecticAffine.displacement(space, u)) for u in units]
-    shifts = {}
-    for a in map(tuple, space.points()):
-        # a - e_j, for the last nonzero coordinate j, precedes a lexicographically.
-        j = max((i for i, x in enumerate(a) if x), default=None)
-        shifts[a] = (np.arange(len(states)) if j is None else
-                     shifts[a[:j] + (a[j] - 1,) + a[j + 1:]][shift_perms[j]])
-    return linear, shifts
+    shifts = [np.arange(len(states))]
+    for i, j in _unit_steps(space):
+        shifts.append(shifts[i][shift_perms[j]])
+    return linear, dict(zip(map(tuple, space.points()), shifts))
 
 
 def scan_for_witness(space: PhaseSpace) -> Optional[Witness]:
@@ -371,36 +418,36 @@ def scan_for_witness(space: PhaseSpace) -> Optional[Witness]:
 
     Both theories act on the same finite state set, so every affine map is first
     reduced on each side to a permutation of state labels: classical ones composed
-    along the symplectic closure's generator words, quantum ones by matching each
-    element's conjugated density matrices to the states (at d = 2 U(AB) and
-    U(A) U(B) can induce different channels, so these are not composed).  A (state,
-    transformation) pair whose two labels agree yields equal statistics for every
-    measurement and is skipped; on the first disagreeing pair the measurements are
+    along the symplectic closure's generator words, quantum ones by moving each
+    state's exact characteristic row with the map's conjugation exponents and
+    matching it to a state's row (at d = 2 U(AB) and U(A) U(B) can induce different
+    channels, so these are not composed).  A (state, transformation) pair whose two
+    labels agree yields equal statistics for every measurement and is skipped; on the first disagreeing pair the measurements are
     scanned in enumeration order for distinguishing statistics, and the winning
     triple is re-verified through an honest Born computation.  Returns None when
     the exhaustive scan finds no disagreement anywhere.
     """
     states = enumerate_states(space)
-    rhos = np.array([quadrature_state(space, s.known, s.valuation).rho for s in states])
-    if np.count_nonzero(_close_pairs(rhos, rhos)) != len(states):
-        raise AssertionError("two quadrature states share a density matrix")
     c_lin, c_disp = _classical_perms(space, states, *_symplectic_closure(space))
-    symplectics = [Matrix(space.field, rows) for rows in sorted(c_lin)]
-    q_lin = [_quantum_perm(rhos, metaplectic(space, s)) for s in symplectics]
-    q_disp = [_quantum_perm(rhos, clifford(
-        space, SymplecticAffine.displacement(space, a)).unitary) for a in c_disp]
+    linear = sorted(c_lin)
+    # Every linear map, then every displacement, in one batch of channels.
+    identity = Matrix.identity(space.field, space.dim).rows
+    q_perms = _quantum_perms(space, _characteristic_table(space, states),
+                             linear + [identity] * len(c_disp),
+                             [space.zero()] * len(linear) + list(c_disp))
+    q_lin, q_disp = q_perms[:len(linear)], q_perms[len(linear):]
 
     measurements = [SharpMeasurement(space, v) for v in enumerate_isotropic(space)
                     if v.rank > 0]
 
     # The affine group in enumerate_group's order; a map is built only to be reported.
-    for s, q_s in zip(symplectics, q_lin):
+    for rows, q_s in zip(linear, q_lin):
         for (a, c_a), q_a in zip(c_disp.items(), q_disp):
             q_perm = q_a[q_s]
-            c_perm = c_a[c_lin[s.rows]]
+            c_perm = c_a[c_lin[rows]]
             if np.array_equal(q_perm, c_perm):
                 continue
-            t = SymplecticAffine(space, s, a)
+            t = SymplecticAffine(space, Matrix(space.field, rows), a)
             for i in range(len(states)):
                 if q_perm[i] == c_perm[i]:
                     continue
@@ -411,8 +458,9 @@ def scan_for_witness(space: PhaseSpace) -> Optional[Witness]:
                     q_dist_exact = measure(quantum_image, meas)
                     if c_dist == q_dist_exact:
                         continue
-                    # Honest re-verification through the quantum route.
-                    evolved = clifford(space, t).apply(rhos[i])
+                    # Honest re-verification through the dense quantum route.
+                    rho = quadrature_state(space, states[i].known, states[i].valuation).rho
+                    evolved = clifford(space, t).apply(rho)
                     q_dist = born(evolved, quadrature_pvm(space, meas.measured))
                     diff = max(abs(q_dist[k] - float(c_dist.probability(k)))
                                for k in q_dist)

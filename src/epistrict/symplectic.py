@@ -91,6 +91,21 @@ class PhaseSpace:
         return 2 * i + 1
 
 
+def _unit_steps(space: PhaseSpace) -> list:
+    """How each point after the first is reached in ``points()`` order: ``(i, j)`` when
+    it is the point at index i plus the unit vector e_j, for its last nonzero
+    coordinate j.  Always i is smaller, so a walk in this order meets a - e_j first."""
+    d, dim = space.d, space.dim
+    steps = []
+    for index in range(1, d ** dim):
+        j, rest = dim - 1, index
+        while rest % d == 0:
+            rest //= d
+            j -= 1
+        steps.append((index - d ** (dim - 1 - j), j))
+    return steps
+
+
 @functools.lru_cache(maxsize=256)
 def symplectic_form(space: PhaseSpace) -> Matrix:
     """The matrix J of the symplectic form, block-diagonal in the (q, p) interleaving."""
@@ -235,6 +250,17 @@ def poisson_bracket_fd(space: PhaseSpace, f_table: dict, g_table: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _require_on_space(space: PhaseSpace, v: AffineSubspace):
+    """Refuse a subspace over another field, or of another ambient dimension, than the
+    phase space's."""
+    if v.field != space.field:
+        raise ValueError(f"subspace is over {v.field!r}, but the phase space is over "
+                         f"{space.field!r}")
+    if v.ambient != space.dim:
+        raise ValueError(f"subspace has ambient dimension {v.ambient}, but the phase "
+                         f"space has dimension {space.dim}")
+
+
 @functools.lru_cache(maxsize=4096)
 def is_isotropic(space: PhaseSpace, v: AffineSubspace) -> bool:
     """Whether the (linear) subspace has pairwise-vanishing symplectic products.
@@ -243,12 +269,7 @@ def is_isotropic(space: PhaseSpace, v: AffineSubspace) -> bool:
     space's is refused.  Memoized and bounded: states and measurements check the same
     few subspaces over and over.  A refusal raises, so it is never cached.
     """
-    if v.field != space.field:
-        raise ValueError(f"subspace is over {v.field!r}, but the phase space is over "
-                         f"{space.field!r}")
-    if v.ambient != space.dim:
-        raise ValueError(f"subspace has ambient dimension {v.ambient}, but the phase "
-                         f"space has dimension {space.dim}")
+    _require_on_space(space, v)
     if v.is_empty or not v.is_linear():
         return False
     if v.rank > space.n:

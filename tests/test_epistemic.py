@@ -3,6 +3,7 @@
 import itertools
 import operator
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -129,6 +130,14 @@ def test_from_support_roundtrip_and_rejection():
         EpistemicState.from_support(D2_2, bad)  # would entail knowing q1 and p1 jointly
     with pytest.raises(ValueError):
         EpistemicState.from_support(D2, AffineSubspace.empty(D2.field, 2))
+
+
+@pytest.mark.parametrize("field", [RATIONALS, PrimeField(5)])
+def test_from_support_refuses_a_support_over_another_field(field):
+    sup = AffineSubspace.span(field, [(1, Fraction(1, 2) if field is RATIONALS else 4)])
+    with pytest.raises(ValueError, match=re.escape(
+            f"subspace is over {field!r}, but the phase space is over PrimeField(3)")):
+        EpistemicState.from_support(D3, sup)
 
 
 def test_valuation_canonicalized_to_coset_representative():

@@ -14,6 +14,7 @@ from epistrict.epistemic import (
     measure,
 )
 from epistrict import quantum
+from epistrict.stabilizer import mermin_square
 from epistrict.quantum import (
     born,
     born_table,
@@ -87,6 +88,14 @@ def test_weyl_recovers_paulis():
     assert np.allclose(weyl(D2, (1, 1)), Y)
 
 
+def test_weyl_accepts_numpy_integers_but_not_floats_or_bools():
+    assert np.array_equal(weyl(D3, np.array([1, 0])), weyl(D3, (1, 0)))
+    assert np.array_equal(weyl(D3, np.array([4, -1], dtype=np.int64)), weyl(D3, (1, 2)))
+    for bad in (np.array([1.0, 0.0]), (True, 0), (np.float64(1), 0)):
+        with pytest.raises(TypeError, match="prime-field element must be an int"):
+            weyl(D3, bad)
+
+
 @pytest.mark.parametrize("a", [(1, 0, 1, 1), (1,), ()])
 def test_weyl_rejects_a_vector_of_the_wrong_length(a):
     with pytest.raises(ValueError, match=f"length {len(a)} .* 2n = 2"):
@@ -141,6 +150,32 @@ def test_composition_law_d2_phases_and_commutation():
             assert len(phases) == 1
             sign = (-1) ** symp_inner(D2, a, b)
             assert np.max(np.abs(prod - sign * wb @ wa)) < 1e-10
+
+
+def test_composition_exponents_and_mermin_signs_match_dense_products():
+    """W(a) W(b) = r^beta(a, b) W(a + b) for every pair, r = i at d = 2 and omega at
+    odd d; the Mermin square's exact signs are those of its dense products."""
+    for space in (D2, D2_2, D3, D5):
+        d, fld = space.d, space.field
+        order = 4 if d == 2 else d
+        ws = {a: weyl(space, a) for a in vectors(space)}
+        for a, wa in ws.items():
+            for b, wb in ws.items():
+                beta = int(quantum._composition_exponents(d, np.array(a), np.array(b)))
+                target = ws[tuple(fld.reduce(x + y) for x, y in zip(a, b))]
+                assert 0 <= beta < order
+                assert np.max(np.abs(wa @ wb
+                                     - np.exp(2j * np.pi * beta / order) * target)) < 1e-10
+                if d > 2:
+                    assert weyl_phase(space, a, b) == chi(fld, beta)
+    with pytest.raises(UnsupportedOperation, match="not a character"):
+        weyl_phase(D2, (1, 0), (0, 1))
+
+    report = mermin_square()
+    lines = [list(row) for row in report.grid] + [list(col) for col in zip(*report.grid)]
+    for line, sign in zip(lines, report.row_signs + report.col_signs):
+        product = np.linalg.multi_dot([weyl(D2_2, m) for m in line])
+        assert np.max(np.abs(product - sign * np.eye(4))) < 1e-10
 
 
 def test_composition_law_random_two_dof():

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from epistrict import stabilizer, symplectic
+from epistrict import quantum, stabilizer, symplectic
 from epistrict.fields import PrimeField
 from epistrict.linalg import AffineSubspace, Matrix
 from epistrict.symplectic import PhaseSpace, SymplecticAffine, _apply_jt
@@ -142,6 +142,13 @@ def test_generator_of_the_wrong_length_rejected(m):
 def test_generator_entries_must_be_field_elements(generator):
     with pytest.raises(TypeError, match="prime-field element must be an int"):
         StabilizerGroup(D2, (generator,))
+
+
+def test_generator_entries_may_be_numpy_integers():
+    group = StabilizerGroup(D3, ((np.array([1, 4], dtype=np.int64), np.int64(-1)),))
+    assert group.generators == (((1, 1), 2),)
+    assert all(type(x) is int for x in group.generators[0][0])
+    assert type(group.generators[0][1]) is int
 
 
 def test_generator_entries_are_reduced_in_the_field():
@@ -403,16 +410,64 @@ def test_composed_classical_perms_equal_direct_transforms(space):
         assert perm.tolist() == _direct_classical_perm(states, t)
 
 
-@pytest.mark.parametrize("space", [D2, D3, D2x2])
-def test_matched_quantum_perms_equal_the_fingerprint_route(space):
+D3x2_SAMPLE = random.Random(15).sample(enumerate_states(D3x2), 60)
+
+
+@pytest.mark.parametrize("space, states", [
+    (D2, None), (D3, None), (D5, None), (D2x2, None), (D3x2, D3x2_SAMPLE)])
+def test_characteristic_table_is_the_dense_weyl_trace(space, states):
+    """Every exact exponent, and every vanishing entry, against dense Tr(W(m) rho)."""
+    states = enumerate_states(space) if states is None else states
+    table = stabilizer._characteristic_table(space, states)
+    assert table.shape == (len(states), space.d ** space.dim)
+    root = 1j if space.d == 2 else np.exp(2j * np.pi / space.d)
+    ws = np.array([weyl(space, m) for m in space.points()])
+    for state, row in zip(states, table):
+        rho = quadrature_state(space, state.known, state.valuation).rho
+        want = np.einsum("mij,ji->m", ws, rho)
+        got = np.where(row < 0, 0, root ** np.maximum(row, 0))
+        assert np.max(np.abs(got - want)) < 1e-10
+        assert np.count_nonzero(row >= 0) == space.d ** state.rank
+
+
+@pytest.mark.parametrize("space", [D2, D3, D5, D2x2])
+def test_matched_quantum_perms_equal_the_fingerprint_route(monkeypatch, space):
+    """The phase-table permutation of every symplectic matrix and every displacement
+    equals the dense route's, which conjugates the density matrices.  Small batches
+    make every space cross batch boundaries."""
+    monkeypatch.setattr(stabilizer, "CHANNEL_BATCH", 7)
     states = enumerate_states(space)
     rhos = np.array([quadrature_state(space, s.known, s.valuation).rho for s in states])
-    unitaries = [metaplectic(space, s) for s in symplectic.enumerate_symplectic(space)]
+    symplectics = symplectic.enumerate_symplectic(space)
+    points = list(space.points())
+    identity = Matrix.identity(space.field, space.dim).rows
+    perms = stabilizer._quantum_perms(
+        space, stabilizer._characteristic_table(space, states),
+        [s.rows for s in symplectics] + [identity] * len(points),
+        [space.zero()] * len(symplectics) + points)
+    unitaries = [metaplectic(space, s) for s in symplectics]
     unitaries += [clifford(space, SymplecticAffine.displacement(space, a)).unitary
-                  for a in space.points()]
-    for u in unitaries:
-        assert stabilizer._quantum_perm(rhos, u).tolist() == \
-            _fingerprint_quantum_perm(rhos, u)
+                  for a in points]
+    assert len(perms) == len(unitaries)
+    for perm, u in zip(perms, unitaries):
+        assert perm.tolist() == _fingerprint_quantum_perm(rhos, u)
+
+
+def test_a_two_qubit_scan_builds_at_most_one_unitary(monkeypatch):
+    """The scan's quantum side is exact phase arithmetic: only the witness's dense
+    re-verification builds a unitary, so a return to one build per map fails here."""
+    calls = []
+    original = quantum.metaplectic
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(quantum, "metaplectic", counting)
+    monkeypatch.setattr(stabilizer, "metaplectic", counting, raising=False)
+    monkeypatch.setattr(quantum, "_metaplectic_cache", {})
+    assert scan_for_witness(D2x2) is not None
+    assert len(calls) == 1  # the counter is live: the re-verification's one build
 
 
 def test_a_generator_that_merges_two_states_is_caught(monkeypatch):
@@ -427,27 +482,37 @@ def test_a_generator_that_merges_two_states_is_caught(monkeypatch):
         scan_for_witness(D2)
 
 
-def _substitute_identity_metaplectic(monkeypatch, matrix):
-    """Replace the unitary the scan builds for the identity symplectic matrix."""
-    original = stabilizer.metaplectic
+def _corrupt_identity_channel(monkeypatch, corrupt):
+    """Let ``corrupt(sources, exponents)`` edit the phase tables the scan computes for
+    the identity map at (2,1), whose points are I, Z, X, Y in ``points()`` order."""
+    original = stabilizer._channel_exponents
 
-    def substituted(space, s):
-        return matrix if s.rows == ((1, 0), (0, 1)) else original(space, s)
+    def corrupted(space, s_rows, shifts):
+        sources, exponents = original(space, s_rows, shifts)
+        for i, (s, a) in enumerate(zip(s_rows, shifts)):
+            if s == ((1, 0), (0, 1)) and not any(a):
+                corrupt(sources[i], exponents[i])
+        return sources, exponents
 
-    monkeypatch.setattr(stabilizer, "metaplectic", substituted)
+    monkeypatch.setattr(stabilizer, "_channel_exponents", corrupted)
 
 
 def test_a_unitary_that_leaves_the_state_set_is_caught(monkeypatch):
-    # A pi/8 rotation about Y turns the Bloch sphere by pi/4: off the octahedron.
-    c, s = np.cos(np.pi / 8), np.sin(np.pi / 8)
-    _substitute_identity_metaplectic(monkeypatch, np.array([[c, -s], [s, c]], dtype=complex))
+    # One flipped exponent: Tr(Y rho) picks up a factor i, which no state's row has.
+    def flip(sources, exponents):
+        exponents[3] += 1
+
+    _corrupt_identity_channel(monkeypatch, flip)
     with pytest.raises(AssertionError, match="not exactly one quadrature state"):
         scan_for_witness(D2)
 
 
 def test_a_map_that_merges_two_states_is_caught(monkeypatch):
-    # No unitary can merge states, so a broken build stands in: sqrt(2) |0><+| sends
-    # |0>, |1> and the maximally mixed state all to |0><0|.
-    _substitute_identity_metaplectic(monkeypatch, np.array([[1, 1], [0, 0]], dtype=complex))
+    # No channel can merge states, so a broken target map stands in: the X column
+    # reads the Z column, which sends both X eigenstates to the maximally mixed state.
+    def merge(sources, exponents):
+        sources[2] = 1
+
+    _corrupt_identity_channel(monkeypatch, merge)
     with pytest.raises(AssertionError, match="merged two quadrature states"):
         scan_for_witness(D2)
