@@ -85,13 +85,9 @@ class EpistemicState:
         return state
 
     def support(self) -> AffineSubspace:
-        cached = self.__dict__.get("_support_memo")
-        if cached is None:
-            hidden = _euclidean_complement(self.space, self.known)
-            cached = AffineSubspace(self.space.field, self.space.dim, hidden.basis,
-                                    self.valuation)
-            object.__setattr__(self, "_support_memo", cached)
-        return cached
+        hidden = _euclidean_complement(self.space, self.known)
+        return AffineSubspace(self.space.field, self.space.dim, hidden.basis,
+                              self.valuation)
 
     @property
     def rank(self) -> int:
@@ -116,7 +112,7 @@ class EpistemicState:
         return fld.reduce(vec_dot(fld, vector, self.valuation) + const)
 
 
-#: Fixed cap on the number of states ``enumerate_states`` lists.
+#: Fixed cap on the states ``enumerate_states`` lists and the outcomes a measurement has.
 STATE_CAP = 500_000
 
 
@@ -381,14 +377,16 @@ def _outcome_span(space: PhaseSpace, known: AffineSubspace,
 
     Everything in the outcome set but the offset P(v) depends on (V, V') alone, and a
     run meets few such pairs.  Memoized and bounded; it holds only tuples and a
-    ``Fraction``.
+    ``Fraction``.  A span past ``STATE_CAP`` points is refused before it is listed.
     """
     cells = _euclidean_complement(space, measured)
     hidden = _euclidean_complement(space, known)
-    span = tuple(AffineSubspace(space.field, space.dim,
-                                tuple(cells.representative(h) for h in hidden.basis))
-                 .points())
-    return cells.basis, span, Fraction(1, len(span))
+    span = AffineSubspace(space.field, space.dim,
+                          tuple(cells.representative(h) for h in hidden.basis))
+    if space.d ** span.rank > STATE_CAP:
+        raise SizeCapExceeded("outcome enumeration", f"{space.d}^{span.rank}", STATE_CAP)
+    points = tuple(span.points())
+    return cells.basis, points, Fraction(1, len(points))
 
 
 def possible_values(state: EpistemicState, m: SharpMeasurement) -> AffineSubspace:

@@ -7,8 +7,8 @@ abelian group generated by
 
 since W(J f) acts on the value-t eigenspace of the functional f as char(-t).  This
 module translates in both directions between that presentation and the (V, v) one,
-rebuilds density matrices from generator lists by multiplying eigenprojectors, and
-measures how far value assignments on the full group can be pushed:
+rebuilds density matrices from generator lists, reads each Tr(W(m) rho) as an exact
+exponent, and measures how far value assignments on the full group can be pushed:
 
   * at odd d the naive additive assignment a = J f  ->  char(v . f) is consistent on
     every group element, because Weyl products over an isotropic subspace carry no
@@ -63,6 +63,7 @@ from .quantum import (
     _weyl_vector,
     born,
     clifford,
+    hilbert_dim,
     quadrature_pvm,
     quadrature_state,
     weyl,
@@ -165,23 +166,39 @@ class ValueReport:
 
 
 def weyl_value_report(space: PhaseSpace, known, valuation) -> ValueReport:
-    """Check char(v . f) against the true eigenvalue of W(J f) for every f in V."""
+    """Check char(v . f) against the true eigenvalue r^lambda(J f) of W(J f) for every
+    f in V: the assignment holds where lambda(J f) = -k v.f (``_weyl_lift``)."""
     state = EpistemicState(space, known, valuation)
-    rho = quadrature_state(space, state.known, state.valuation).rho
+    hilbert_dim(space)  # the domain of the state the report describes
+    order, _, k = _weyl_lift(space.d)
+    exponent = _stabilizer_exponents(stabilizer_of_quadrature(space, known, valuation))
     elements = [f for f in state.known.points() if any(f)]
-    flipped = []
-    for f in elements:
-        naive = vec_dot(space.field, f, state.valuation)
-        actual = _weyl_value(space, _apply_j(space.field, f), rho)
-        if abs(actual - np.conj(_pair_char(space.d, naive))) > PROB_TOL:
-            flipped.append(f)
-    return ValueReport(len(elements), len(flipped), tuple(flipped))
+    flipped = tuple(f for f in elements if exponent[_apply_j(space.field, f)]
+                    != -k * vec_dot(space.field, f, state.valuation) % order)
+    return ValueReport(len(elements), len(flipped), flipped)
 
 
-def _weyl_value(space: PhaseSpace, m, rho: np.ndarray) -> complex:
-    """Tr(W(m) rho) / Tr rho: the eigenvalue of W(m) on a state in one of its
-    eigenspaces, read off the trace."""
-    return np.trace(weyl(space, m) @ rho) / np.trace(rho).real
+def _stabilizer_exponents(group: StabilizerGroup) -> dict:
+    """lambda(x) with Tr(W(x) rho) = r^lambda(x) on the group's state (r of
+    ``_weyl_lift``), keyed by every point x of the span of the (independent) generators.
+
+    Each generator char(e) W(m) fixes rho, so Tr(W(m) rho) = r^{-k e};
+    W(x + m) = r^{-beta(x, m)} W(x) W(m) carries the values over the span:
+    lambda(x + m) = lambda(x) + lambda(m) - beta(x, m).
+    """
+    d, dim = group.space.d, group.space.dim
+    order, _, k = _weyl_lift(d)
+    span, values = np.zeros((1, dim), dtype=np.int64), np.zeros(1, dtype=np.int64)
+    for m, e in group.generators:
+        m = np.array(m, dtype=np.int64)
+        layers = [(span, values)]
+        for _ in range(d - 1):
+            x, lam = layers[-1]
+            layers.append(((x + m) % d,
+                           (lam - k * e - _composition_exponents(d, x, m)) % order))
+        span = np.concatenate([x for x, _ in layers])
+        values = np.concatenate([lam for _, lam in layers])
+    return dict(zip(map(tuple, span.tolist()), values.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -272,18 +289,17 @@ def ghz_test() -> GhzReport:
     from .fields import PrimeField
     space = PhaseSpace(PrimeField(2), 3)
     gens = ((1, 0, 1, 0, 1, 0), (0, 1, 0, 1, 0, 0), (0, 0, 0, 1, 0, 1))
-    group = StabilizerGroup(space, tuple((m, 0) for m in gens))
-    rho = state_from_stabilizer(group)
+    exponent = _stabilizer_exponents(StabilizerGroup(space, tuple((m, 0) for m in gens)))
     xxx = (1, 0, 1, 0, 1, 0)
     xyy = (1, 0, 1, 1, 1, 1)
     yxy = (1, 1, 1, 0, 1, 1)
     yyx = (1, 1, 1, 1, 1, 0)
-    span = AffineSubspace.span(space.field, gens)
-    for m in (xyy, yxy, yyx):
-        if not span.contains(m):
-            raise AssertionError("derived observables must lie in the stabilizer span")
+    if any(m not in exponent for m in (xyy, yxy, yyx)):
+        raise AssertionError("derived observables must lie in the stabilizer span")
     words = (xxx, xyy, yxy, yyx)
-    eigs = tuple(int(round(_weyl_value(space, m, rho).real)) for m in words)
+    if any(exponent[m] not in (0, _weyl_lift(2)[0] // 2) for m in words):
+        raise AssertionError("a GHZ word's eigenvalue is not a real sign")
+    eigs = tuple(-1 if exponent[m] else 1 for m in words)
     # Local assignments give one +-1 value to each of X_i (index i) and Y_i (index
     # 3 + i); site i of a word is Y exactly when its p bit is set.
     full = [([i + 3 * m[2 * i + 1] for i in range(3)], eig) for m, eig in zip(words, eigs)]
@@ -318,29 +334,14 @@ class Witness:
 
 def _characteristic_table(space: PhaseSpace, states: list) -> np.ndarray:
     """Exact characteristic functions: Tr(W(m) rho_s) = r^table[s, m] for every state s
-    and point m (``points()`` order, r of ``_weyl_lift``), and -1 where the trace
-    vanishes, off the span of the state's stabilizer group.
-
-    Each generator (J f, f.v) of ``stabilizer_of_quadrature`` fixes rho with the
-    phase char(f.v), so Tr(W(J f) rho) = r^{-k f.v}; W(x + m) = r^{-beta(x, m)} W(x) W(m)
-    carries the values over the span: lambda(x + m) = lambda(x) + lambda(m) - beta(x, m).
-    """
-    d = space.d
-    order, _, k = _weyl_lift(d)
-    place = d ** np.arange(space.dim - 1, -1, -1)
-    table = np.full((len(states), d ** space.dim), -1, dtype=np.int64)
+    and point m (``points()`` order), scattered from ``_stabilizer_exponents``, and -1
+    where the trace vanishes, off the span of the state's stabilizer group."""
+    place = space.d ** np.arange(space.dim - 1, -1, -1)
+    table = np.full((len(states), space.d ** space.dim), -1, dtype=np.int64)
     for row, state in zip(table, states):
-        span, values = np.zeros((1, space.dim), dtype=np.int64), np.zeros(1, dtype=np.int64)
-        for m, e in stabilizer_of_quadrature(space, state.known, state.valuation).generators:
-            m = np.array(m, dtype=np.int64)
-            layers = [(span, values)]
-            for _ in range(d - 1):
-                x, lam = layers[-1]
-                layers.append(((x + m) % d,
-                               (lam - k * e - _composition_exponents(d, x, m)) % order))
-            span = np.concatenate([x for x, _ in layers])
-            values = np.concatenate([lam for _, lam in layers])
-        row[span @ place] = values
+        exponent = _stabilizer_exponents(
+            stabilizer_of_quadrature(space, state.known, state.valuation))
+        row[np.array(list(exponent)) @ place] = list(exponent.values())
     return table
 
 

@@ -106,7 +106,6 @@ def _unit_steps(space: PhaseSpace) -> list:
     return steps
 
 
-@functools.lru_cache(maxsize=256)
 def symplectic_form(space: PhaseSpace) -> Matrix:
     """The matrix J of the symplectic form, block-diagonal in the (q, p) interleaving."""
     f = space.field

@@ -3,10 +3,14 @@
 Everything in this module is deliberately written from scratch on raw ints and
 Fractions — no imports from the package's linear algebra — so that agreement between a
 library result and an oracle result is a genuine two-route check, not a tautology.
+The one dense oracle, ``dense_weyl_trace``, builds its Weyl operator from the
+convention alone, in numpy.
 """
 
 from fractions import Fraction
 from itertools import product
+
+import numpy as np
 
 
 def f_elements(d):
@@ -151,3 +155,22 @@ def symplectic_2x2(d):
     """
     return sorted(((a, b), (c, e)) for a, b, c, e in product(range(d), repeat=4)
                   if (a * e - b * c) % d == 1)
+
+
+def dense_weyl_trace(d, m, rho):
+    """Tr(W(m) rho) / Tr rho for an interleaved Weyl vector m over Z_d.
+
+    W(m) is built densely from its convention: per degree of freedom
+    W(q, p)|x> = r^(c q p + k p x)|x - q>, with r = i, c = 1, k = 2 at d = 2 and
+    r = exp(2 pi i / d), c = (d - 1) / 2, k = 1 at odd d; the first degree of freedom
+    is the most significant tensor factor.
+    """
+    order, c, k = (4, 1, 2) if d == 2 else (d, (d - 1) // 2, 1)
+    w = np.ones((1, 1), dtype=complex)
+    for q, p in zip(m[0::2], m[1::2]):
+        factor = np.zeros((d, d), dtype=complex)
+        for x in range(d):
+            factor[(x - q) % d, x] = np.exp(2j * np.pi * ((c * q * p + k * p * x) % order)
+                                            / order)
+        w = np.kron(w, factor)
+    return np.trace(w @ rho) / np.trace(rho).real

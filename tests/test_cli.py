@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from epistrict import acceptance, cli
+from epistrict import acceptance, cli, linalg
+from epistrict.epistemic import STATE_CAP
 from epistrict.cli import (
     EXIT_CAP,
     EXIT_INVALID,
@@ -168,6 +169,31 @@ def test_simulate_rational_scenario(scenario_file, capsys):
                  scenario_file(RATIONAL_SCENARIO)]) == EXIT_OK
     out = capsys.readouterr().out
     assert "deterministic: yes" in out
+
+
+@pytest.mark.parametrize("known", [[], [[1, 0]]])
+def test_simulate_past_the_outcome_cap_exits_2(scenario_file, capsys, monkeypatch,
+                                               known):
+    # 500009 is the first prime past STATE_CAP, so measuring one functional has more
+    # outcomes than the cap allows, whether or not the state knows it.  The refusal
+    # comes before any subspace with a direction is listed.
+    assert STATE_CAP < 500_009
+    listed = linalg.AffineSubspace.points
+
+    def points(self):
+        if self.basis:
+            raise AssertionError(f"listed the {self.field.modulus}^{len(self.basis)} "
+                                 "points of a subspace")
+        return listed(self)
+
+    monkeypatch.setattr(linalg.AffineSubspace, "points", points)
+    assert main(["simulate", "--scenario", scenario_file({
+        "field": 500_009, "n": 1, "mode": "epistricted",
+        "preparation": {"known": known},
+        "measurement": {"measured": [[1, 0]]}})]) == EXIT_CAP
+    err = capsys.readouterr().err
+    assert "outcome enumeration: needs 500009^1, cap is 500000" in err
+    assert "Traceback" not in err
 
 
 def test_simulate_missing_file_exits_3(capsys):

@@ -99,3 +99,19 @@ def test_fixed_limits_are_not_parameters():
                     if (path.name, name, arg) != ("quantum.py", "hilbert_dim", "cap"):
                         found.append(f"{path.name}:{node.lineno} {name}({arg})")
     assert found == []
+
+
+def test_stabilizer_expectations_take_no_tolerance():
+    # Tr(W(m) rho) is an exact exponent in ``stabilizer``: only the witness scan's dense
+    # re-verification reads PROB_TOL, and no float is rounded back to an integer.
+    path = Path(epistrict.__file__).parent / "stabilizer.py"
+    found = []
+    for top in ast.parse(path.read_text(encoding="utf-8")).body:
+        for node in ast.walk(top):
+            name = getattr(node, "id", getattr(node, "attr", None))
+            if name == "PROB_TOL" and getattr(top, "name", None) != "scan_for_witness":
+                found.append(f"stabilizer.py:{node.lineno} PROB_TOL")
+            if isinstance(node, ast.Call) and getattr(
+                    node.func, "id", getattr(node.func, "attr", None)) == "round":
+                found.append(f"stabilizer.py:{node.lineno} round(")
+    assert found == []

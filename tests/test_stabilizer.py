@@ -2,13 +2,15 @@
 
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import oracles
 from epistrict import quantum, stabilizer, symplectic
-from epistrict.fields import PrimeField
+from epistrict.fields import PrimeField, SizeCapExceeded
 from epistrict.linalg import AffineSubspace, Matrix
 from epistrict.symplectic import PhaseSpace, SymplecticAffine, _apply_jt
 from epistrict.epistemic import enumerate_states, measure, transform
@@ -21,6 +23,7 @@ from epistrict.quantum import (
     weyl,
 )
 from epistrict.stabilizer import (
+    GhzReport,
     StabilizerGroup,
     Witness,
     ghz_test,
@@ -36,6 +39,8 @@ D2 = PhaseSpace(PrimeField(2), 1)
 D3 = PhaseSpace(PrimeField(3), 1)
 D2x2 = PhaseSpace(PrimeField(2), 2)
 D3x2 = PhaseSpace(PrimeField(3), 2)
+D5 = PhaseSpace(PrimeField(5), 1)
+D3x2_SAMPLE = random.Random(15).sample(enumerate_states(D3x2), 60)
 
 
 def test_position_state_is_stabilized_by_signed_z():
@@ -222,6 +227,56 @@ def test_some_two_qubit_state_always_flips_but_product_states_do_not():
     assert any(n == 0 for n in flips.values())
 
 
+@pytest.mark.parametrize("space, states", [
+    (D2, None), (D3, None), (D5, None), (D2x2, None), (D3x2, D3x2_SAMPLE)])
+def test_value_report_matches_the_dense_weyl_trace(space, states):
+    """f dissents exactly when the dense Tr(W(J f) rho) is not conj(char(f . v))."""
+    d = space.d
+    for state in enumerate_states(space) if states is None else states:
+        rho = quadrature_state(space, state.known, state.valuation).rho
+        want = []
+        for f in state.known.points():
+            if not any(f):
+                continue
+            jf = [x for q, p in zip(f[0::2], f[1::2]) for x in (p, -q % d)]
+            value = sum(a * b for a, b in zip(f, state.valuation)) % d
+            naive = (-1) ** value if d == 2 else np.exp(-2j * np.pi * value / d)
+            if abs(oracles.dense_weyl_trace(d, jf, rho) - naive) > 1e-9:
+                want.append(f)
+        report = weyl_value_report(space, state.known, state.valuation)
+        assert report.flipped == tuple(want)
+        assert (report.n_elements, report.n_flips) == (d ** state.rank - 1, len(want))
+
+
+@pytest.mark.parametrize("d, n", [(2, 8), (11, 3)])
+def test_value_report_keeps_the_hilbert_space_cap(d, n):
+    space = PhaseSpace(PrimeField(d), n)
+    with pytest.raises(SizeCapExceeded, match="Hilbert space"):
+        weyl_value_report(space, AffineSubspace.span(space.field, [], ambient=space.dim),
+                          None)
+
+
+def test_the_audits_build_no_dense_state(monkeypatch):
+    """Both audits read exact exponents: with every dense builder they could reach
+    made to fail, they still return the reports pinned here."""
+    def refuse(*args):
+        raise AssertionError("a dense operator was built")
+
+    for name in ("weyl", "quadrature_state", "state_from_stabilizer"):
+        monkeypatch.setattr(stabilizer, name, refuse)
+    reports = Counter()
+    for state in enumerate_states(D2x2):
+        report = weyl_value_report(D2x2, state.known, state.valuation)
+        reports[report.n_elements, report.n_flips, report.flipped] += 1
+    assert reports == {(0, 0, ()): 1, (1, 0, ()): 30, (3, 0, ()): 48,
+                       (3, 1, ((1, 1, 0, 1),)): 4, (3, 1, ((1, 1, 1, 0),)): 4,
+                       (3, 1, ((1, 1, 1, 1),)): 4}
+    assert ghz_test() == GhzReport(
+        ((1, 0, 1, 0, 1, 0), (0, 1, 0, 1, 0, 0), (0, 0, 0, 1, 0, 1)),
+        ((1, 0, 1, 1, 1, 1), (1, 1, 1, 0, 1, 1), (1, 1, 1, 1, 1, 0)),
+        (1, -1, -1, -1), 64, 0, 8)
+
+
 # ---------------------------------------------------------------------------
 # the classic parity obstructions
 # ---------------------------------------------------------------------------
@@ -247,6 +302,16 @@ def test_ghz_has_no_local_assignment():
 def test_ghz_relaxed_count_is_eight():
     # Three independent parity constraints on six signs leave 2^6 / 2^3 options.
     assert ghz_test().n_satisfying_relaxed == 8
+
+
+def test_ghz_eigenvalues_are_the_dense_weyl_traces():
+    report = ghz_test()
+    space = PhaseSpace(PrimeField(2), 3)
+    group = StabilizerGroup(space, tuple((m, 0) for m in report.generators))
+    rho = state_from_stabilizer(group)
+    words = (report.generators[0],) + report.derived    # XXX, then XYY, YXY, YYX
+    got = np.array([oracles.dense_weyl_trace(2, m, rho) for m in words])
+    assert np.max(np.abs(got - np.array(report.eigenvalues))) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -360,8 +425,6 @@ def test_two_qubit_witness_found_and_verified():
 # ---------------------------------------------------------------------------
 
 
-D5 = PhaseSpace(PrimeField(5), 1)
-
 
 def _direct_classical_perm(states, t):
     """Reference route: push every state through transform."""
@@ -409,8 +472,6 @@ def test_composed_classical_perms_equal_direct_transforms(space):
         t = SymplecticAffine.displacement(space, a)
         assert perm.tolist() == _direct_classical_perm(states, t)
 
-
-D3x2_SAMPLE = random.Random(15).sample(enumerate_states(D3x2), 60)
 
 
 @pytest.mark.parametrize("space, states", [
