@@ -31,12 +31,16 @@ from .epistemic import (
     possible_values,
     transform,
 )
-from .fields import RATIONALS, Field, PrimeField
+from .fields import RATIONALS, Field, PrimeField, SizeCapExceeded
 from .linalg import AffineSubspace, Matrix
 from .quantum import PROB_TOL, born, clifford, quadrature_pvm, quadrature_state
 from .symplectic import PhaseSpace, SymplecticAffine, _pair_products
 
 MODES = ("epistricted", "quantum", "compare")
+
+#: Most degrees of freedom a scenario may declare: the full-space complements cost
+#: about n^3 time and n^2 memory, under a second at n = 100, hours by n = 5000.
+MAX_N = 100
 
 
 class ScenarioError(ValueError):
@@ -160,6 +164,8 @@ def scenario_from_dict(data: dict) -> Scenario:
     n = data["n"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ScenarioError(f"n: expected a positive int, got {n!r}")
+    if n > MAX_N:
+        raise SizeCapExceeded("scenario degrees of freedom n", n, MAX_N)
     space = PhaseSpace(fld, n)
     dim = space.dim
 
@@ -191,7 +197,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         a = (_vector_in(fld, tr["a"], dim, "transformation.a")
              if "a" in tr else space.zero())
         try:
-            transformation = SymplecticAffine(space, Matrix.from_rows(fld, s_rows), a)
+            transformation = SymplecticAffine(space, Matrix(fld, s_rows), a)
         except ValueError as exc:
             raise ScenarioError(f"transformation.S: {exc}") from exc
 
@@ -208,7 +214,7 @@ def scenario_from_dict(data: dict) -> Scenario:
 def parse_scenario(text: str) -> Scenario:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # syntax, digit limit, nesting
         raise ScenarioError(f"not valid JSON: {exc}") from exc
     return scenario_from_dict(data)
 
@@ -248,7 +254,7 @@ def serialize_scenario(sc: Scenario) -> str:
 def run_scenario(sc: Scenario) -> dict:
     """Execute the scenario and return a JSON-ready report."""
     state = sc.preparation
-    if sc.transformation is not None:
+    if sc.transformation is not None and sc.mode != "quantum":
         state = transform(state, sc.transformation)
 
     report = {

@@ -19,9 +19,9 @@ exponent, and measures how far value assignments on the full group can be pushed
 
 The same obstruction is packaged in two classic finite forms (`mermin_square`,
 `ghz_test`) with exhaustive assignment searches, and `scan_for_witness` performs the
-full operational comparison: it enumerates every (state, transformation, measurement)
-triple and returns the first whose classical and quantum outcome statistics differ,
-or None when the exhaustive scan finds perfect agreement.
+full operational comparison: from one state permutation per theory for each symplectic
+matrix and unit shift, it returns the first (state, transformation, measurement) triple
+whose outcome statistics differ, or None when the two theories agree on every triple.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from .symplectic import (
     _apply_jt,
     _pair_products,
     _symplectic_closure,
-    _unit_steps,
     enumerate_isotropic,
 )
 from .epistemic import (
@@ -386,12 +385,12 @@ def _quantum_perms(space: PhaseSpace, table: np.ndarray, s_rows: list,
 
 
 def _classical_perms(space: PhaseSpace, states: list, gens: list, words: dict) -> tuple:
-    """Classical state permutations of every symplectic matrix (keyed by rows) and
-    every displacement (keyed by point, in lexicographic order).
+    """Classical state permutations of every symplectic matrix (keyed by rows) and of
+    the 2n unit shifts (in the order of the identity's rows).
 
-    Only the generators and the 2n unit shifts go through ``transform``, each checked
-    to be a bijection; element = parent @ gens[k] acts as perm[parent][perm[k]], and
-    shifts compose additively, so products of bijections give the rest.
+    Only the generators and the unit shifts go through ``transform``, each checked to
+    be a bijection; element = parent @ gens[k] acts as perm[parent][perm[k]], so
+    products of bijections give the other matrices.
     """
     index_of_state = {s: i for i, s in enumerate(states)}
 
@@ -407,68 +406,62 @@ def _classical_perms(space: PhaseSpace, states: list, gens: list, words: dict) -
         linear[rows] = (np.arange(len(states)) if parent is None
                         else linear[parent][gen_perms[k]])
     units = Matrix.identity(space.field, space.dim).rows
-    shift_perms = [direct(SymplecticAffine.displacement(space, u)) for u in units]
-    shifts = [np.arange(len(states))]
-    for i, j in _unit_steps(space):
-        shifts.append(shifts[i][shift_perms[j]])
-    return linear, dict(zip(map(tuple, space.points()), shifts))
+    return linear, [direct(SymplecticAffine.displacement(space, u)) for u in units]
 
 
 def scan_for_witness(space: PhaseSpace) -> Optional[Witness]:
     """Exhaustively compare the two theories over every scenario triple.
 
-    Both theories act on the same finite state set, so every affine map is first
-    reduced on each side to a permutation of state labels: classical ones composed
-    along the symplectic closure's generator words, quantum ones by moving each
-    state's exact characteristic row with the map's conjugation exponents and
-    matching it to a state's row (at d = 2 U(AB) and U(A) U(B) can induce different
-    channels, so these are not composed).  A (state, transformation) pair whose two
-    labels agree yields equal statistics for every measurement and is skipped; on the first disagreeing pair the measurements are
-    scanned in enumeration order for distinguishing statistics, and the winning
-    triple is re-verified through an honest Born computation.  Returns None when
-    the exhaustive scan finds no disagreement anywhere.
+    Both theories act on the same finite state set, so each map is first reduced on
+    each side to a permutation of state labels: classical ones composed along the
+    symplectic closure's generator words, quantum ones by moving each state's exact
+    characteristic row with the map's conjugation exponents and matching it to a
+    state's row (at d = 2 U(AB) and U(A) U(B) can induce different channels, so
+    these are not composed).  The scan compares maps, not (S, a) pairs: on both sides
+    (S, a) acts as S followed by the displacement by a, and displacements compose
+    exactly (classical shifts add; W(a) W(b) = r^beta W(a + b)).  So once the 2n unit
+    shifts agree, as checked here (a disagreeing one would break Weyl covariance and
+    raises ``AssertionError``), every displacement does; (S, a) then disagrees on a
+    state exactly when S does, and the first disagreeing map in ``enumerate_group``
+    order is the first disagreeing S with a = 0.  For its disagreeing states the
+    measurements are scanned in enumeration order for distinguishing statistics, and
+    the winning triple is re-verified through an honest Born computation.  Returns
+    None when the exhaustive scan finds no disagreement anywhere.
     """
     states = enumerate_states(space)
-    c_lin, c_disp = _classical_perms(space, states, *_symplectic_closure(space))
+    c_lin, c_units = _classical_perms(space, states, *_symplectic_closure(space))
     linear = sorted(c_lin)
-    # Every linear map, then every displacement, in one batch of channels.
+    # Every linear map, then the identity with each unit shift (the identity's rows).
     identity = Matrix.identity(space.field, space.dim).rows
     q_perms = _quantum_perms(space, _characteristic_table(space, states),
-                             linear + [identity] * len(c_disp),
-                             [space.zero()] * len(linear) + list(c_disp))
-    q_lin, q_disp = q_perms[:len(linear)], q_perms[len(linear):]
+                             linear + [identity] * len(identity),
+                             [space.zero()] * len(linear) + list(identity))
+    for u, c_u, q_u in zip(identity, c_units, q_perms[len(linear):]):
+        if not np.array_equal(c_u, q_u):
+            raise AssertionError(f"the unit shift {u} breaks Weyl covariance")
 
     measurements = [SharpMeasurement(space, v) for v in enumerate_isotropic(space)
                     if v.rank > 0]
 
-    # The affine group in enumerate_group's order; a map is built only to be reported.
-    for rows, q_s in zip(linear, q_lin):
-        for (a, c_a), q_a in zip(c_disp.items(), q_disp):
-            q_perm = q_a[q_s]
-            c_perm = c_a[c_lin[rows]]
-            if np.array_equal(q_perm, c_perm):
-                continue
-            t = SymplecticAffine(space, Matrix(space.field, rows), a)
-            for i in range(len(states)):
-                if q_perm[i] == c_perm[i]:
+    # The linear parts in enumerate_group's order; a map is built only to be reported.
+    for rows, q_perm in zip(linear, q_perms):
+        c_perm = c_lin[rows]
+        for i in np.flatnonzero(q_perm != c_perm):
+            for meas in measurements:
+                c_dist = measure(states[c_perm[i]], meas)
+                if c_dist == measure(states[q_perm[i]], meas):
                     continue
-                classical_image = states[c_perm[i]]
-                quantum_image = states[q_perm[i]]
-                for meas in measurements:
-                    c_dist = measure(classical_image, meas)
-                    q_dist_exact = measure(quantum_image, meas)
-                    if c_dist == q_dist_exact:
-                        continue
-                    # Honest re-verification through the dense quantum route.
-                    rho = quadrature_state(space, states[i].known, states[i].valuation).rho
-                    evolved = clifford(space, t).apply(rho)
-                    q_dist = born(evolved, quadrature_pvm(space, meas.measured))
-                    diff = max(abs(q_dist[k] - float(c_dist.probability(k)))
-                               for k in q_dist)
-                    if not diff > PROB_TOL:
-                        raise AssertionError(
-                            "label mismatch must show up in some statistics")
-                    return Witness(states[i], t, meas, c_dist, q_dist, diff)
-                raise AssertionError(
-                    "distinct quadrature states must differ in some sharp measurement")
+                # Honest re-verification through the dense quantum route.
+                t = SymplecticAffine(space, Matrix(space.field, rows), space.zero())
+                rho = quadrature_state(space, states[i].known, states[i].valuation).rho
+                evolved = clifford(space, t).apply(rho)
+                q_dist = born(evolved, quadrature_pvm(space, meas.measured))
+                diff = max(abs(q_dist[k] - float(c_dist.probability(k)))
+                           for k in q_dist)
+                if not diff > PROB_TOL:
+                    raise AssertionError(
+                        "label mismatch must show up in some statistics")
+                return Witness(states[i], t, meas, c_dist, q_dist, diff)
+            raise AssertionError(
+                "distinct quadrature states must differ in some sharp measurement")
     return None

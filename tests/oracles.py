@@ -4,7 +4,8 @@ Everything in this module is deliberately written from scratch on raw ints and
 Fractions — no imports from the package's linear algebra — so that agreement between a
 library result and an oracle result is a genuine two-route check, not a tautology.
 The one dense oracle, ``dense_weyl_trace``, builds its Weyl operator from the
-convention alone, in numpy.
+convention alone, in numpy; ``affine_map_table`` uses numpy integer products, exact
+at these sizes.
 """
 
 from fractions import Fraction
@@ -53,6 +54,20 @@ def solve_set(d, a_rows, b):
                for row, rhs in zip(a_rows, b)):
             sols.add(x)
     return frozenset(sols)
+
+
+def label_support(d, known_rows, valuation):
+    """The support {x : f . x = f . v for every known f} of the epistemic state whose
+    known functionals span ``known_rows``, with valuation v, by full enumeration."""
+    rows = list(known_rows) or [(0,) * len(valuation)]
+    return solve_set(d, rows, [sum(a * b for a, b in zip(f, valuation)) for f in rows])
+
+
+def affine_map_table(d, s_rows, a):
+    """The map x -> S x + a over Z_d, as a dict on every point."""
+    points = np.array(list(product(range(d), repeat=len(a))), dtype=np.int64)
+    images = (points @ np.array(s_rows, dtype=np.int64).T + np.array(a)) % d
+    return dict(zip(map(tuple, points.tolist()), map(tuple, images.tolist())))
 
 
 def rational_combo_contains(rows, offset, x):

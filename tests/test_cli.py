@@ -1,11 +1,17 @@
 """Command-line behavior: enumeration dumps, scenario runs, renders, exit codes."""
 
+import contextlib
+import copy
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from epistrict import acceptance, cli, linalg
+from epistrict import acceptance, cli, linalg, scenario
 from epistrict.epistemic import STATE_CAP
+from epistrict.fields import SizeCapExceeded
 from epistrict.cli import (
     EXIT_CAP,
     EXIT_INVALID,
@@ -193,6 +199,122 @@ def test_simulate_past_the_outcome_cap_exits_2(scenario_file, capsys, monkeypatc
         "measurement": {"measured": [[1, 0]]}})]) == EXIT_CAP
     err = capsys.readouterr().err
     assert "outcome enumeration: needs 500009^1, cap is 500000" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("n", [scenario.MAX_N + 1, 10**9])
+def test_simulate_past_the_degrees_of_freedom_cap_exits_2(scenario_file, capsys,
+                                                          monkeypatch, n):
+    # The refusal comes before the phase space, whose complements cost about n^3.
+    def no_space(*args):
+        raise AssertionError("built a phase space past the cap")
+
+    monkeypatch.setattr(scenario, "PhaseSpace", no_space)
+    assert main(["simulate", "--scenario", scenario_file({
+        "field": 2, "n": n, "mode": "epistricted",
+        "preparation": {"known": []}, "measurement": {"measured": []}})]) == EXIT_CAP
+    err = capsys.readouterr().err
+    assert f"degrees of freedom n: needs {n}, cap is {scenario.MAX_N}" in err
+    assert "Traceback" not in err
+
+
+FUZZ_SCENARIO = {
+    "field": 3,
+    "n": 2,
+    "mode": "compare",
+    "preparation": {"known": [[1, 0, 0, 0], [0, 0, 1, 0]], "valuation": [2, 0, 1, 0]},
+    "transformation": {"S": [[0, 1, 0, 0], [2, 0, 0, 0], [0, 0, 1, 1], [0, 0, 0, 1]],
+                       "a": [1, 0, 2, 1]},
+    "measurement": {"measured": [[0, 1, 0, 0]]},
+}
+
+_JUNK = st.one_of(st.none(), st.booleans(), st.floats(allow_nan=False),
+                  st.text(max_size=4), st.integers(-10**30, 10**30),
+                  st.sampled_from([[], {}, [[]], "1/0", "2/3"]))
+_ENTRY = st.one_of(st.integers(-10**30, 10**30), _JUNK)
+_ROW = st.lists(st.integers(-3, 3), min_size=4, max_size=4)
+
+
+@st.composite
+def _mutated_scenarios(draw):
+    """FUZZ_SCENARIO with one field changed: its type, a length, the modulus, n, the
+    rank of a subspace, the mode, an entry, or a key dropped or added."""
+    data = copy.deepcopy(FUZZ_SCENARIO)
+    kind = draw(st.sampled_from(["type", "length", "modulus", "n", "rank", "mode",
+                                 "entry", "drop", "extra"]))
+    path = draw(st.sampled_from([("field",), ("n",), ("mode",), ("preparation",),
+                                 ("preparation", "known"), ("preparation", "valuation"),
+                                 ("transformation",), ("transformation", "S"),
+                                 ("transformation", "a"), ("measurement",),
+                                 ("measurement", "measured")]))
+    *parents, key = path
+    where = data
+    for p in parents:
+        where = where[p]
+    if kind == "type":
+        where[key] = draw(_JUNK)
+    elif kind == "length" and isinstance(where[key], list) and where[key]:
+        target = where[key]
+        if isinstance(target[0], list) and draw(st.booleans()):
+            target = target[draw(st.integers(0, len(target) - 1))]
+        if draw(st.booleans()):
+            target.pop()
+        else:
+            target.append(draw(st.integers(0, 2)))
+    elif kind == "modulus":
+        data["field"] = draw(st.sampled_from(
+            [0, 1, 2, 4, 5, 7, 9, 11, 13, -3, 500_009, 2**61 - 1, 10**30, "rational"]))
+    elif kind == "n":
+        data["n"] = draw(st.sampled_from(
+            [-1, 0, 1, 3, scenario.MAX_N, scenario.MAX_N + 1, 10**9, 10**30]))
+    elif kind == "rank":
+        part, rows = draw(st.sampled_from([("preparation", "known"),
+                                           ("measurement", "measured")]))
+        data[part][rows] = draw(st.lists(_ROW, max_size=5))
+    elif kind == "mode":
+        data["mode"] = draw(st.sampled_from(["epistricted", "quantum", "compare", "",
+                                             "Compare", "both"]))
+    elif kind == "entry":
+        part, vector = draw(st.sampled_from([("preparation", "valuation"),
+                                             ("transformation", "a")]))
+        data[part][vector][draw(st.integers(0, 3))] = draw(_ENTRY)
+    elif kind == "drop":
+        del where[key]
+    elif kind == "extra":
+        (where if parents else data)["unexpected"] = draw(_JUNK)
+    return data
+
+
+@given(_mutated_scenarios())
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+def test_simulate_survives_one_mutated_field(tmp_path_factory, data):
+    """Every mutation ends in exit 0, 2 or 3 with no traceback, and every scenario that
+    parses is a parse -> serialize -> parse fixed point."""
+    path = tmp_path_factory.mktemp("fuzz") / "scenario.json"
+    text = json.dumps(data)
+    path.write_text(text, encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["simulate", "--scenario", str(path)])
+    assert code in (EXIT_OK, EXIT_CAP, EXIT_INVALID), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    try:
+        once = scenario.serialize_scenario(scenario.parse_scenario(text))
+    except (ValueError, SizeCapExceeded):  # ScenarioError is a ValueError
+        assert code != EXIT_OK
+        return
+    assert scenario.serialize_scenario(scenario.parse_scenario(once)) == once
+
+
+@pytest.mark.parametrize("text", ["[" * 100_000, '{"field": ' + "7" * 5000 + "}"])
+def test_simulate_json_past_the_decoder_limits_exits_3(tmp_path, capsys, text):
+    # Nesting past the recursion limit, and an int past the 4,300-digit conversion
+    # limit, fail inside json.loads with errors other than JSONDecodeError.
+    path = tmp_path / "scenario.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["simulate", "--scenario", str(path)]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert "not valid JSON" in err
     assert "Traceback" not in err
 
 

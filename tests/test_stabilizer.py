@@ -467,10 +467,33 @@ def test_composed_classical_perms_equal_direct_transforms(space):
     for rows, perm in linear.items():
         t = SymplecticAffine(space, Matrix(space.field, rows), space.zero())
         assert perm.tolist() == _direct_classical_perm(states, t)
-    assert list(shifts) == [tuple(a) for a in space.points()]
-    for a, perm in shifts.items():
+    units = Matrix.identity(space.field, space.dim).rows
+    assert len(shifts) == len(units)
+    for u, perm in zip(units, shifts):
+        t = SymplecticAffine.displacement(space, u)
+        assert perm.tolist() == _direct_classical_perm(states, t)
+
+
+@pytest.mark.parametrize("space", [D2, D3, D5, D2x2, D3x2])
+def test_every_displacement_is_its_unit_shifts_on_both_sides(space):
+    """What lets the scan check displacements through the 2n unit shifts alone: every
+    displacement's phase-table permutation equals its classical ``transform``
+    permutation and the composition of the unit-shift permutations along
+    ``_unit_steps``."""
+    states = enumerate_states(space)
+    points = list(space.points())
+    identity = Matrix.identity(space.field, space.dim).rows
+    perms = stabilizer._quantum_perms(
+        space, stabilizer._characteristic_table(space, states),
+        [identity] * len(points), points)
+    unit_perms = [perms[points.index(u)] for u in identity]
+    composed = [np.arange(len(states))]
+    for i, j in symplectic._unit_steps(space):
+        composed.append(composed[i][unit_perms[j]])
+    for a, perm, path in zip(points, perms, composed):
         t = SymplecticAffine.displacement(space, a)
         assert perm.tolist() == _direct_classical_perm(states, t)
+        assert np.array_equal(perm, path)
 
 
 
@@ -529,6 +552,36 @@ def test_a_two_qubit_scan_builds_at_most_one_unitary(monkeypatch):
     monkeypatch.setattr(quantum, "_metaplectic_cache", {})
     assert scan_for_witness(D2x2) is not None
     assert len(calls) == 1  # the counter is live: the re-verification's one build
+
+
+@pytest.mark.parametrize("space", [D2, D3, D2x2])
+def test_a_scan_matches_each_symplectic_matrix_and_unit_shift_once(monkeypatch, space):
+    """The scan's quantum side sees |Sp(2n, d)| + 2n maps, not one per displacement."""
+    sizes = []
+    original = stabilizer._quantum_perms
+
+    def counting(space, table, s_rows, shifts):
+        sizes.append(len(s_rows))
+        return original(space, table, s_rows, shifts)
+
+    monkeypatch.setattr(stabilizer, "_quantum_perms", counting)
+    scan_for_witness(space)
+    assert sizes == [symplectic.symplectic_group_order(space.d, space.n) + space.dim]
+
+
+def test_a_unit_shift_that_disagrees_is_an_internal_fault(monkeypatch):
+    """Weyl covariance makes the unit shifts agree, so a shift whose phase table is
+    another unit's is caught, never reported as a witness."""
+    original = stabilizer._channel_exponents
+
+    def swapped(space, s_rows, shifts):
+        return original(space, s_rows, [(0, 1) if tuple(a) == (1, 0) else a
+                                        for a in shifts])
+
+    monkeypatch.setattr(stabilizer, "_channel_exponents", swapped)
+    message = re.escape("unit shift (1, 0) breaks Weyl covariance")
+    with pytest.raises(AssertionError, match=message):
+        scan_for_witness(D2)
 
 
 def test_a_generator_that_merges_two_states_is_caught(monkeypatch):
