@@ -268,12 +268,12 @@ class AffineSubspace:
     def span(cls, field: Field, rows: Iterable[Iterable], ambient: int = None,
              offset: Iterable = None) -> "AffineSubspace":
         rows = [vec(field, r) for r in rows]
+        offset = None if offset is None else vec(field, offset)
         if ambient is None:
             if not rows and offset is None:
                 raise ValueError("ambient dimension is ambiguous")
-            ambient = len(rows[0]) if rows else len(tuple(offset))
-        return cls(field, ambient, tuple(rows),
-                   None if offset is None else vec(field, offset))
+            ambient = len(rows[0]) if rows else len(offset)
+        return cls(field, ambient, tuple(rows), offset)
 
     @classmethod
     def point(cls, field: Field, x: Iterable) -> "AffineSubspace":
@@ -323,7 +323,7 @@ class AffineSubspace:
         """Canonical representative of the coset ``x + direction`` (x need not lie here)."""
         x = vec(self.field, x)
         if len(x) != self.ambient:
-            raise ValueError("offset length does not match ambient dimension")
+            raise ValueError(f"point of length {len(x)} in dimension {self.ambient}")
         return _clear_pivots(self.field, x, self.basis)
 
     def points(self) -> Iterator[Vector]:

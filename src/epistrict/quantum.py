@@ -3,12 +3,15 @@
 Numerics are complex doubles behind one entrywise tolerance (``TOL``), with
 ``PROB_TOL`` for a probability computed by both theories; Hilbert-space dimensions
 are capped (d^n <= 128 by default).  Coordinates stay interleaved
-(q1, p1, ...) exactly as on the classical side; the computational basis is indexed by
-position vectors x in (Z_d)^n with the first degree of freedom as the most significant
-digit.
+(q1, p1, ...) exactly as on the classical side.
 
 Convention audit (executable in the test suite):
 
+* one point order: the basis vectors |x>, x in (Z_d)^n, and the phase-space points
+  run in ``PhaseSpace.points()`` order, first coordinate most significant, as
+  ``_digits`` lists them; ``_codes`` gives each point's position.
+* one root of unity: every phase is r^e for an integer e (``_roots``), with r = i at
+  d = 2 and r = omega = exp(2 pi i / d) at odd d.
 * shift: S(q)|x> = |x - q>, boost: B(p)|x> = chi(p x)|x>, with the doubled character
   exp(2*pi*i/2) -> (-1) inside boost at d = 2, so B(1) = diag(1, -1).
 * Weyl prefactor per degree of freedom: chi(-inv2 * q * p) S(q) B(p) at odd d, where
@@ -20,9 +23,8 @@ Convention audit (executable in the test suite):
   holds exactly, along with W(a)^dag = W(-a).  At d = 2 the prefactor is i^{q p},
   making every W(a) a Hermitian tensor of I, X, Y, Z (W(1,1) = Y); composition then
   holds up to a phase in {1, i, -1, -i} and operators commute iff <a, a'> = 0.
-  Both cases are one exact integer law, W(a) W(b) = r^beta(a, b) W(a + b) with
-  r = i at d = 2 and r = omega = exp(2 pi i / d) at odd d, where beta is read off
-  the prefactors (``_composition_exponents``).
+  Both cases are one exact integer law, W(a) W(b) = r^beta(a, b) W(a + b), where
+  beta is read off the prefactors (``_composition_exponents``).
   Every W(a) is monomial (one nonzero entry per column), so it is built from a
   target index and a phase per basis vector rather than from dense products.
 * Metaplectic section: U(S)|0> is the +1 joint eigenvector psi of the W(S e_{p_i}),
@@ -68,7 +70,6 @@ from .symplectic import (
     _apply_j,
     _apply_jt,
     _capped_product,
-    _unit_steps,
     is_symplectic,
 )
 from .epistemic import SharpMeasurement
@@ -92,39 +93,44 @@ def chi(field: Field, c) -> complex:
     """The field's character: exp(2 pi i c / d); i^c at d = 2; exp(i c) over Q."""
     if isinstance(field, RationalField):
         return complex(np.exp(1j * float(Fraction(c))))
-    d = field.modulus  # type: ignore[attr-defined]
-    if d == 2:
-        return 1j ** (int(c) % 4)
-    return complex(np.exp(2j * np.pi * (int(c) % d) / d))
+    return complex(_roots(field.modulus, int(c)))  # type: ignore[attr-defined]
 
 
-def _pair_char(d: int, c: int) -> complex:
+def _pair_char(d: int, c):
     """Character used in eigenvalue/projector pairings: doubled at d = 2."""
-    if d == 2:
-        return float((-1) ** (c % 2))
-    return complex(np.exp(2j * np.pi * (c % d) / d))
+    return _roots(d, _weyl_lift(d)[2] * c)
 
 
 def shift(d: int, q: int) -> np.ndarray:
-    """Single-dof shift S(q)|x> = |x - q>."""
-    m = np.zeros((d, d), dtype=complex)
-    for x in range(d):
-        m[(x - q) % d, x] = 1.0
-    return m
+    """Single-dof shift S(q)|x> = |x - q>: row x - q holds the 1 of column x."""
+    return np.eye(d, dtype=complex)[(np.arange(d) + q) % d]
 
 
 def boost(d: int, p: int) -> np.ndarray:
     """Single-dof boost B(p)|x> = chi(p x)|x> (doubled character at d = 2)."""
-    return np.diag([_pair_char(d, p * x) for x in range(d)]).astype(complex)
+    return np.diag(_pair_char(d, p * np.arange(d)))
 
 
-def _basis_digits(d: int, n: int) -> np.ndarray:
-    """The (d^n, n) position vectors x of the basis, first digit most significant."""
-    return (np.arange(d ** n)[:, None] // d ** np.arange(n - 1, -1, -1)) % d
+def _digits(d: int, m: int) -> np.ndarray:
+    """The (d^m, m) points of (Z_d)^m in ``points()`` order, first digit leading."""
+    return (np.arange(d ** m)[:, None] // d ** np.arange(m - 1, -1, -1)) % d
+
+
+def _codes(d: int, x) -> np.ndarray:
+    """The position in ``points()`` order of each point along the last axis of ``x``."""
+    return np.asarray(x) @ d ** np.arange(np.shape(x)[-1] - 1, -1, -1)
 
 
 #: i^k for k mod 4, exact: the d = 2 Weyl entries are fourth roots of unity.
 _I_POWERS = np.array([1, 1j, -1, -1j])
+
+
+def _roots(d: int, e):
+    """r^e for integer exponents e: exactly i^e at d = 2, omega^e at odd d."""
+    e = np.asarray(e)
+    if d == 2:
+        return _I_POWERS[e % 4]
+    return np.exp(2j * np.pi * (e % d) / d)
 
 
 def _weyl_lift(d: int) -> tuple:
@@ -146,13 +152,10 @@ def _weyl_monomials(d: int, n: int, vectors) -> tuple:
     """
     a = np.asarray(vectors, dtype=np.int64).reshape(-1, 2 * n)
     q, p = a[:, 0::2], a[:, 1::2]
-    x = _basis_digits(d, n)
-    rows = ((x[None, :, :] - q[:, None, :]) % d) @ (d ** np.arange(n - 1, -1, -1))
-    order, c, k = _weyl_lift(d)
-    exponents = (c * np.sum(q * p, axis=1)[:, None] + k * (p @ x.T)) % order
-    if d == 2:
-        return rows, _I_POWERS[exponents]
-    return rows, np.exp(2j * np.pi * exponents / d)
+    x = _digits(d, n)
+    _, c, k = _weyl_lift(d)
+    rows = _codes(d, (x[None, :, :] - q[:, None, :]) % d)
+    return rows, _roots(d, c * np.sum(q * p, axis=1)[:, None] + k * (p @ x.T))
 
 
 def _composition_exponents(d: int, a, b) -> np.ndarray:
@@ -237,14 +240,12 @@ def metaplectic(space: PhaseSpace, s) -> np.ndarray:
     # Column x starts as psi and takes W(S e_{q_i})^{-x_i} = W(-x_i S e_{q_i}), one
     # degree of freedom per scatter.
     u = np.repeat(psi[:, None], dim, axis=1)
-    digits = _basis_digits(d, n)
     columns = np.arange(dim)
-    for i in range(n):
+    for i, x in enumerate(_digits(d, n).T):  # x: digit i of every column
         rows, phases = _weyl_monomials(
             d, n, [[(-k * int(c)) % d for c in images[2 * i]] for k in range(d)])
-        k = digits[:, i]
         out = np.empty_like(u)
-        out[rows[k].T, columns] = phases[k].T * u
+        out[rows[x].T, columns] = phases[x].T * u
         u = out
 
     _verify_generator_covariance(space, s, u)
@@ -309,6 +310,16 @@ def clifford(space: PhaseSpace, t: SymplecticAffine) -> CliffordChannel:
     return CliffordChannel(space, t, u)
 
 
+def _unit_steps(d: int, dim: int) -> tuple:
+    """The walk over ``points()``: the point at position k + 1 is the one at
+    ``parents[k]`` <= k plus the unit vector at ``units[k]``, e_j for its last nonzero
+    coordinate j, so a walk in this order meets a - e_j first."""
+    points = _digits(d, dim)[1:]
+    last = dim - 1 - np.argmax(points[:, ::-1] != 0, axis=1)
+    units = np.eye(dim, dtype=np.int64)[last]
+    return _codes(d, points - units), _codes(d, units)
+
+
 def _channel_exponents(space: PhaseSpace, s_rows, shifts) -> tuple:
     """How ``clifford`` moves characteristic functions, exactly, for M maps at once.
 
@@ -321,18 +332,17 @@ def _channel_exponents(space: PhaseSpace, s_rows, shifts) -> tuple:
     r^{beta(c, S m) - beta(S m, c)} W(S m).
     """
     d = space.d
-    points = np.array(list(space.points()), dtype=np.int64)
-    walk = [(0, 0)] + [(i, d ** (space.dim - 1 - j)) for i, j in _unit_steps(space)]
-    parents, units = np.array(walk, dtype=np.int64).T
+    points = _digits(d, space.dim)
+    parents, units = _unit_steps(d, space.dim)
     images = points @ np.asarray(s_rows, dtype=np.int64).transpose(0, 2, 1) % d
     steps = (_composition_exponents(d, images[:, parents], images[:, units])
              - _composition_exponents(d, points[parents], points[units]))
-    sigma = np.zeros_like(steps)
-    for b, i in enumerate(parents.tolist()[1:], 1):
-        sigma[:, b] = sigma[:, i] + steps[:, b]
+    sigma = np.zeros(images.shape[:2], dtype=np.int64)
+    for b, (i, step) in enumerate(zip(parents.tolist(), steps.T), 1):
+        sigma[:, b] = sigma[:, i] + step
     c = -np.asarray(shifts, dtype=np.int64)[:, None, :] % d
     sigma += _composition_exponents(d, c, images) - _composition_exponents(d, images, c)
-    sources = np.argsort(images @ (d ** np.arange(space.dim - 1, -1, -1)), axis=1)
+    sources = np.argsort(_codes(d, images), axis=1)
     return sources, np.take_along_axis(sigma % _weyl_lift(d)[0], sources, axis=1)
 
 
@@ -348,8 +358,8 @@ def _joint_projectors(space: PhaseSpace, functionals, values) -> np.ndarray:
     """
     dim = hilbert_dim(space)
     d, n = space.d, space.n
-    pair = np.array([_pair_char(d, c) for c in range(d)], dtype=complex)
     steps, columns = np.arange(d), np.arange(dim)
+    pair = _pair_char(d, steps)
     out = np.repeat(np.eye(dim, dtype=complex)[None], len(values), axis=0)
     for i, f in enumerate(functionals):
         jf = np.array(_apply_j(space.field, f), dtype=np.int64)

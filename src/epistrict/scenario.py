@@ -101,6 +101,9 @@ def _vector_in(fld: Field, raw, length: int, where: str) -> tuple:
 def _rows_in(fld: Field, raw, width: int, where: str) -> tuple:
     if not isinstance(raw, list):
         raise ScenarioError(f"{where}: expected a list of row vectors")
+    if len(raw) > width:  # more rows span nothing new, and the pairing is quadratic
+        raise ScenarioError(
+            f"{where}: expected at most 2n = {width} rows, got {len(raw)}")
     return tuple(_vector_in(fld, row, width, f"{where}[{i}]")
                  for i, row in enumerate(raw))
 

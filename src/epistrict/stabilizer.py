@@ -55,6 +55,7 @@ from .quantum import (
     PROB_TOL,
     TOL,
     _channel_exponents,
+    _codes,
     _composition_exponents,
     _joint_projectors,
     _pair_char,
@@ -335,12 +336,11 @@ def _characteristic_table(space: PhaseSpace, states: list) -> np.ndarray:
     """Exact characteristic functions: Tr(W(m) rho_s) = r^table[s, m] for every state s
     and point m (``points()`` order), scattered from ``_stabilizer_exponents``, and -1
     where the trace vanishes, off the span of the state's stabilizer group."""
-    place = space.d ** np.arange(space.dim - 1, -1, -1)
     table = np.full((len(states), space.d ** space.dim), -1, dtype=np.int64)
     for row, state in zip(table, states):
         exponent = _stabilizer_exponents(
             stabilizer_of_quadrature(space, state.known, state.valuation))
-        row[np.array(list(exponent)) @ place] = list(exponent.values())
+        row[_codes(space.d, list(exponent))] = list(exponent.values())
     return table
 
 

@@ -91,21 +91,6 @@ class PhaseSpace:
         return 2 * i + 1
 
 
-def _unit_steps(space: PhaseSpace) -> list:
-    """How each point after the first is reached in ``points()`` order: ``(i, j)`` when
-    it is the point at index i plus the unit vector e_j, for its last nonzero
-    coordinate j.  Always i is smaller, so a walk in this order meets a - e_j first."""
-    d, dim = space.d, space.dim
-    steps = []
-    for index in range(1, d ** dim):
-        j, rest = dim - 1, index
-        while rest % d == 0:
-            rest //= d
-            j -= 1
-        steps.append((index - d ** (dim - 1 - j), j))
-    return steps
-
-
 def symplectic_form(space: PhaseSpace) -> Matrix:
     """The matrix J of the symplectic form, block-diagonal in the (q, p) interleaving."""
     f = space.field
@@ -354,6 +339,8 @@ class SymplecticAffine:
         fld = self.space.field
         a = self.a if self.a is not None else self.space.zero()
         object.__setattr__(self, "a", vec(fld, a))
+        if self.s.field == fld:  # a matrix over another field fails the check below
+            object.__setattr__(self, "s", Matrix.from_rows(fld, self.s.rows))
         if len(self.a) != self.space.dim:
             raise ValueError("displacement has wrong length")
         if not is_symplectic(self.space, self.s):
@@ -365,7 +352,7 @@ class SymplecticAffine:
 
     @classmethod
     def displacement(cls, space: PhaseSpace, a: Iterable) -> "SymplecticAffine":
-        return cls(space, Matrix.identity(space.field, space.dim), vec(space.field, a))
+        return cls(space, Matrix.identity(space.field, space.dim), a)
 
     @classmethod
     def linear(cls, space: PhaseSpace, s: Iterable) -> "SymplecticAffine":

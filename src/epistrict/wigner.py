@@ -41,6 +41,8 @@ from .symplectic import PhaseSpace, SymplecticAffine, UnsupportedOperation
 from .epistemic import EpistemicState, SharpMeasurement, measure, transform
 from .quantum import (
     TOL,
+    _codes,
+    _digits,
     _traces,
     _weyl_monomials,
     born_table,
@@ -91,8 +93,7 @@ def point_operators(space: PhaseSpace, net: Optional[tuple] = None) -> PointOper
         raise ValueError("net signs are a d = 2 freedom only")
     if d == 2:
         net = CANONICAL_NET if net is None else _checked_net(net)
-    points = [tuple(m) for m in space.points()]
-    pts = np.array(points, dtype=np.int64)
+    pts = _digits(d, space.dim)
     rows, phases = _weyl_monomials(d, n, pts)
     if d == 2:
         sx, sy, sz = net
@@ -108,11 +109,11 @@ def point_operators(space: PhaseSpace, net: Optional[tuple] = None) -> PointOper
     # the parity-like A(0).  W(-m) sends |x> to phase[x] |row[x]>, so W A(0) W^dag
     # holds phase[x] A(0)[x, y] conj(phase[y]) at (row[x], row[y]).
     rows, phases = _weyl_monomials(d, n, -pts)
-    ops = np.empty((len(points), dim, dim), dtype=complex)
-    ops[np.arange(len(points))[:, None, None], rows[:, :, None], rows[:, None, :]] = (
+    ops = np.empty((len(pts), dim, dim), dtype=complex)
+    ops[np.arange(len(pts))[:, None, None], rows[:, :, None], rows[:, None, :]] = (
         phases[:, :, None] * a0 * phases.conj()[:, None, :])
     ops.setflags(write=False)
-    index = {m: i for i, m in enumerate(points)}
+    index = {m: i for i, m in enumerate(map(tuple, pts.tolist()))}
     return PointOperatorBasis(space, ops, index, net if d == 2 else None)
 
 
@@ -150,10 +151,9 @@ def _channel_rows(basis: PointOperatorBasis, channel: Callable) -> np.ndarray:
 
 def _image_positions(basis: PointOperatorBasis, t: SymplecticAffine) -> np.ndarray:
     """Position of S m + a for every point m, in ``points()`` order."""
-    pts = np.array(basis.points(), dtype=np.int64)
-    s = np.array(t.s.rows, dtype=np.int64)
-    images = (pts @ s.T + np.array(t.a, dtype=np.int64)) % basis.space.d
-    return np.array([basis.index[m] for m in map(tuple, images.tolist())])
+    d = basis.space.d
+    images = _digits(d, basis.space.dim) @ np.array(t.s.rows, dtype=np.int64).T + t.a
+    return _codes(d, images % d)
 
 
 def wigner_state(basis: PointOperatorBasis, rho: np.ndarray) -> dict:

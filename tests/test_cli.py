@@ -4,6 +4,7 @@ import contextlib
 import copy
 import io
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -327,6 +328,32 @@ def test_simulate_non_isotropic_scenario_names_rows(scenario_file, capsys):
     bad = dict(COMPARE_SCENARIO, preparation={"known": [[1, 0], [0, 1]]})
     assert main(["simulate", "--scenario", scenario_file(bad)]) == EXIT_INVALID
     assert "rows 0 and 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key", [("preparation", "known"),
+                                          ("measurement", "measured")])
+def test_simulate_refuses_100000_rows_before_reading_them(scenario_file, capsys,
+                                                         monkeypatch, section, key):
+    # Pairing every listed row was quadratic in the file: 3,000 rows took 8 s.  The
+    # count is refused before any row is coerced, so none is paired either.
+    vector_in, vectors = scenario._vector_in, []
+
+    def counted(*args):
+        vectors.append(args)
+        if len(vectors) > 8:  # the few rows and vectors of the other sections
+            raise AssertionError("read a row past the bound")
+        return vector_in(*args)
+
+    monkeypatch.setattr(scenario, "_vector_in", counted)
+    data = copy.deepcopy(FUZZ_SCENARIO)
+    data[section] = {key: [[1, 0, 0, 0]] * 100_000}
+    path = scenario_file(data)
+    start = time.perf_counter()
+    assert main(["simulate", "--scenario", path]) == EXIT_INVALID
+    assert time.perf_counter() - start < 5.0
+    err = capsys.readouterr().err
+    assert f"{section}.{key}: expected at most 2n = 4 rows, got 100000" in err
+    assert "Traceback" not in err
 
 
 def test_simulate_writes_out_file(scenario_file, tmp_path, capsys):

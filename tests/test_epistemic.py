@@ -251,6 +251,12 @@ def test_cells_partition_phase_space():
         assert meas.cell(meas.label_of(point)).contains(point)
 
 
+def test_label_of_names_a_point_of_the_wrong_length():
+    meas = SharpMeasurement(D3_2, AffineSubspace.span(D3_2.field, [(1, 0, 2, 0)], ambient=4))
+    with pytest.raises(ValueError, match="point of length 2 in dimension 4"):
+        meas.label_of((1, 2))
+
+
 def test_probabilities_are_reciprocal_powers_of_d():
     rng = random.Random(3)
     states = enumerate_states(D3_2)

@@ -115,3 +115,34 @@ def test_stabilizer_expectations_take_no_tolerance():
                     node.func, "id", getattr(node.func, "attr", None)) == "round":
                 found.append(f"stabilizer.py:{node.lineno} round(")
     assert found == []
+
+
+def _numpy_name(func) -> str:
+    """``name`` for a call written ``np.name(...)``, else the empty string."""
+    is_np = isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "np"
+    return func.attr if is_np else ""
+
+
+def test_point_order_and_roots_of_unity_live_in_three_helpers():
+    # The two conventions every array layer shares: the place values of the point
+    # order (``d ** np.arange(...)``) appear only in quantum's ``_digits`` and
+    # ``_codes``, and the root of unity (``np.exp(2j ...)``) only in ``_roots``.
+    homes = {"_digits", "_codes", "_roots"}
+    found, seen = [], set()
+    for path in SOURCES:
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                place = (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+                         and isinstance(node.right, ast.Call)
+                         and _numpy_name(node.right.func) == "arange")
+                root = (isinstance(node, ast.Call) and _numpy_name(node.func) == "exp"
+                        and any(isinstance(c, ast.Constant) and c.value == 2j
+                                for arg in node.args for c in ast.walk(arg)))
+                if not (place or root):
+                    continue
+                name = getattr(top, "name", None)
+                if path.name == "quantum.py" and name in homes:
+                    seen.add(name)
+                else:
+                    found.append(f"{path.name}:{node.lineno} in {name}")
+    assert found == [] and seen == homes

@@ -388,6 +388,19 @@ def test_representative_depends_only_on_coset():
     assert AffineSubspace.span(F3, s.basis, ambient=4, offset=x).contains(shifted)
 
 
+def test_span_reads_an_offset_iterator_once():
+    s = AffineSubspace.span(F3, [], offset=(x for x in (1, 2)))
+    assert s == AffineSubspace.point(F3, (1, 2))
+    line = AffineSubspace.span(F3, [(1, 0)], offset=iter((2, 2)))
+    assert line.offset == (0, 2)
+
+
+def test_representative_names_a_point_of_the_wrong_length():
+    s = AffineSubspace.span(F3, [(1, 0, 2, 0)], ambient=4)
+    with pytest.raises(ValueError, match="point of length 3 in dimension 4"):
+        s.representative((1, 2, 0))
+
+
 def test_matrix_inverse_and_product():
     m = Matrix.from_rows(F5, [[1, 2], [3, 4]])
     inv = m.inverse()

@@ -1,5 +1,6 @@
 """Weyl algebra, metaplectic covariance, quadrature PVMs: the convention audit."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -67,6 +68,65 @@ def test_chi_conventions():
     assert chi(PrimeField(2), 2) == -1
     assert abs(chi(PrimeField(3), 1) - np.exp(2j * np.pi / 3)) < 1e-12
     assert abs(chi(RATIONALS, Fraction(1, 2)) - np.exp(0.5j)) < 1e-12
+
+
+def _bits(values) -> bytes:
+    """The exact bytes of a complex array, signed zeros included."""
+    return np.ascontiguousarray(values).tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_roots_equal_the_former_character_formulas_bit_for_bit(d):
+    # The formulas ``chi``, ``_pair_char`` and the Weyl phases wrote before they
+    # shared ``_roots``: i^c and (-1)^c at d = 2, exp(2 pi i c / d) at odd d.
+    order = 4 if d == 2 else d
+    e = np.arange(-3 * order, 3 * order)
+    roots = quantum._roots(d, e)
+    assert roots.dtype == np.complex128
+    if d == 2:
+        old_chi = [1j ** (c % 4) for c in e.tolist()]
+        old_pair = [float((-1) ** (c % 2)) for c in e.tolist()]
+        old_weyl = quantum._I_POWERS[e % order]
+    else:
+        old_chi = [complex(np.exp(2j * np.pi * (c % d) / d)) for c in e.tolist()]
+        old_pair = old_chi
+        old_weyl = np.exp(2j * np.pi * (e % order) / d)
+    assert _bits(roots) == _bits(np.array(old_chi)) == _bits(old_weyl)
+    pair = quantum._pair_char(d, e)
+    assert pair.dtype == np.complex128
+    assert _bits(pair) == _bits(np.array(old_pair, dtype=complex))
+    for c, want in zip(e.tolist(), old_chi):
+        got = chi(PrimeField(d), c)
+        assert type(got) is complex and _bits(np.array(got)) == _bits(np.array(want))
+        assert _bits(quantum._roots(d, c)) == _bits(roots[c + 3 * order])
+
+
+@pytest.mark.parametrize("d, m", [(2, 1), (2, 2), (3, 2), (5, 2), (2, 4), (3, 4),
+                                  (2, 6), (5, 3)])
+def test_digits_list_the_points_in_order_and_codes_invert_them(d, m):
+    points = list(itertools.product(range(d), repeat=m))
+    if m % 2 == 0:
+        assert points == list(PhaseSpace(PrimeField(d), m // 2).points())
+    digits = quantum._digits(d, m)
+    assert digits.dtype == np.int64
+    assert np.array_equal(digits, np.array(points))
+    assert np.array_equal(quantum._codes(d, digits), np.arange(d ** m))
+    # Codes read the last axis, whatever the leading ones.
+    stacked = np.stack([digits, digits[::-1]])
+    assert np.array_equal(quantum._codes(d, stacked),
+                          [np.arange(d ** m), np.arange(d ** m)[::-1]])
+
+
+@pytest.mark.parametrize("d, dim", [(2, 2), (3, 2), (5, 2), (2, 4), (3, 4), (2, 6)])
+def test_every_walk_step_adds_the_last_unit_vector_to_an_earlier_point(d, dim):
+    points = quantum._digits(d, dim)
+    parents, units = quantum._unit_steps(d, dim)
+    assert len(parents) == len(units) == len(points) - 1
+    for b, (parent, unit) in enumerate(zip(parents.tolist(), units.tolist()), 1):
+        assert parent < b
+        j = max(i for i in range(dim) if points[b][i])
+        assert points[unit].tolist() == [int(i == j) for i in range(dim)]
+        assert np.array_equal(points[parent] + points[unit], points[b])
 
 
 def test_shift_example_d3():

@@ -84,6 +84,19 @@ def test_non_isotropic_preparation_names_the_rows():
                                   "Poisson-commute (isotropic span); offending " + named)
 
 
+@pytest.mark.parametrize("section, key", [("preparation", "known"),
+                                          ("measurement", "measured")])
+def test_a_section_lists_at_most_2n_rows(section, key):
+    data = make(n=2, preparation={"known": []}, measurement={"measured": [[0, 1, 0, 0]]})
+    data[section] = {key: [[1, 0, 0, 0]] * 4}
+    sc = scenario_from_dict(data)
+    assert getattr(getattr(sc, section), key).basis == ((1, 0, 0, 0),)
+    data[section] = {key: [[1, 0, 0, 0]] * 5}
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(data)
+    assert str(err.value) == f"{section}.{key}: expected at most 2n = 4 rows, got 5"
+
+
 def test_non_symplectic_transformation_is_rejected():
     data = make(transformation={"S": [[1, 0], [1, 1]], "a": [0, 0]})
     data["transformation"]["S"] = [[1, 1], [1, 1]]

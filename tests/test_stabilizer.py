@@ -479,17 +479,16 @@ def test_every_displacement_is_its_unit_shifts_on_both_sides(space):
     """What lets the scan check displacements through the 2n unit shifts alone: every
     displacement's phase-table permutation equals its classical ``transform``
     permutation and the composition of the unit-shift permutations along
-    ``_unit_steps``."""
+    ``quantum._unit_steps``."""
     states = enumerate_states(space)
     points = list(space.points())
     identity = Matrix.identity(space.field, space.dim).rows
     perms = stabilizer._quantum_perms(
         space, stabilizer._characteristic_table(space, states),
         [identity] * len(points), points)
-    unit_perms = [perms[points.index(u)] for u in identity]
     composed = [np.arange(len(states))]
-    for i, j in symplectic._unit_steps(space):
-        composed.append(composed[i][unit_perms[j]])
+    for parent, unit in zip(*quantum._unit_steps(space.d, space.dim)):
+        composed.append(composed[parent][perms[unit]])
     for a, perm, path in zip(points, perms, composed):
         t = SymplecticAffine.displacement(space, a)
         assert perm.tolist() == _direct_classical_perm(states, t)

@@ -381,6 +381,24 @@ def test_random_affine_is_the_dense_transvection_word(d, n):
         assert all(type(x) is int for row in got.s.rows for x in row)
 
 
+def test_an_affine_map_holds_its_matrix_in_canonical_form():
+    space = SPACES[3, 1]
+    raw = SymplecticAffine(space, Matrix(space.field, ((4, 0), (-2, 1))))
+    assert raw.s.rows == ((1, 0), (1, 1))
+    assert raw == SymplecticAffine(space, Matrix.from_rows(space.field, [[1, 0], [1, 1]]))
+    assert SymplecticAffine(space, Matrix(space.field, ((4, 0), (0, 1)))) == (
+        SymplecticAffine.identity(space))
+    # A float never reaches the exact side through the raw constructor.
+    with pytest.raises(TypeError, match="prime-field element must be an int"):
+        SymplecticAffine(space, Matrix(space.field, ((1.0, 0), (0, 1))))
+    # A matrix over another field is refused, not coerced into this one.
+    for field in (PrimeField(5), RATIONALS):
+        with pytest.raises(ValueError, match="does not preserve the symplectic form"):
+            SymplecticAffine(space, Matrix.identity(field, 2))
+    shift = SymplecticAffine.displacement(space, (x for x in (4, -1)))
+    assert shift.a == (1, 2) and shift.apply((1, 2)) == (2, 1)
+
+
 def test_affine_group_size_d2():
     assert len(enumerate_group(SPACES[2, 1])) == 24
 

@@ -232,6 +232,20 @@ def test_covariance_is_exact_for_every_affine_map_at_odd_d():
     assert worst < 1e-10
 
 
+@pytest.mark.parametrize("space, maps", [
+    (D3, None), (D3x2, 40), (PhaseSpace(PrimeField(5), 2), 40)])
+def test_image_positions_are_the_basis_index_of_each_image(space, maps):
+    basis = point_operators(space)
+    assert list(basis.index.values()) == list(range(len(basis.ops)))
+    rng = random.Random(23)
+    group = (enumerate_group(space) if maps is None
+             else [random_symplectic_affine(space, rng) for _ in range(maps)])
+    for t in group:
+        want = [basis.index[t.apply(m)] for m in space.points()]
+        got = wigner._image_positions(basis, t)
+        assert got.dtype == np.int64 and got.tolist() == want
+
+
 def test_covariance_at_d2_holds_for_displacements_but_not_all_linear_maps():
     basis = point_operators(D2)
     for a in D2.points():
