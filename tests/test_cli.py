@@ -334,7 +334,7 @@ def test_simulate_non_isotropic_scenario_names_rows(scenario_file, capsys):
                                           ("measurement", "measured")])
 def test_simulate_refuses_100000_rows_before_reading_them(scenario_file, capsys,
                                                          monkeypatch, section, key):
-    # Pairing every listed row was quadratic in the file: 3,000 rows took 8 s.  The
+    # Pairing every listed row was quadratic in the file: 1,500 rows took 2 s.  The
     # count is refused before any row is coerced, so none is paired either.
     vector_in, vectors = scenario._vector_in, []
 

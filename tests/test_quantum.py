@@ -123,8 +123,8 @@ def test_every_walk_step_adds_the_last_unit_vector_to_an_earlier_point(d, dim):
     parents, units = quantum._unit_steps(d, dim)
     assert len(parents) == len(units) == len(points) - 1
     for b, (parent, unit) in enumerate(zip(parents.tolist(), units.tolist()), 1):
-        assert parent < b
         j = max(i for i in range(dim) if points[b][i])
+        assert parent == b - d ** (dim - 1 - j) < b
         assert points[unit].tolist() == [int(i == j) for i in range(dim)]
         assert np.array_equal(points[parent] + points[unit], points[b])
 
