@@ -196,8 +196,7 @@ class SharpMeasurement:
 
     @classmethod
     def of_functional(cls, space: PhaseSpace, f: Iterable) -> "SharpMeasurement":
-        return cls(space, AffineSubspace.span(space.field, [vec(space.field, f)],
-                                              ambient=space.dim))
+        return cls(space, AffineSubspace.span(space.field, [f], ambient=space.dim))
 
     def _hidden(self) -> AffineSubspace:
         return _euclidean_complement(self.space, self.measured)
@@ -209,8 +208,7 @@ class SharpMeasurement:
     def cell(self, label: Iterable) -> AffineSubspace:
         """All ontic states producing this outcome (the response set)."""
         hidden = self._hidden()
-        return AffineSubspace(self.space.field, self.space.dim, hidden.basis,
-                              vec(self.space.field, label))
+        return AffineSubspace(self.space.field, self.space.dim, hidden.basis, label)
 
     def outcomes(self) -> list:
         """All canonical outcome labels, lexicographically ordered (finite fields):
@@ -316,7 +314,7 @@ def scenario(state: EpistemicState, t: Optional[SymplecticAffine],
         shifted = vec_sub(fld, label, t.a)
         targets = [vec_dot(fld, f, shifted) for f in m.measured.basis]
         if pulled_rows:
-            cell = solve_affine(Matrix(fld, tuple(pulled_rows)), targets)
+            cell = solve_affine(Matrix(fld, pulled_rows), targets)
         else:
             cell = AffineSubspace.full(fld, state.space.dim)
         p = pulled_dist.probability(pulled.label_of(cell.offset)) if not cell.is_empty \

@@ -75,23 +75,23 @@ def vec_dot(field: Field, u: Vector, v: Vector) -> Scalar:
 
 @dataclass(frozen=True)
 class Matrix:
-    """An immutable exact matrix: a tuple of row tuples plus the field they live in."""
+    """An immutable exact matrix: a tuple of row tuples plus the field they live in.
+
+    Canonical on construction: every entry goes through ``field.element`` (floats are
+    refused) and ragged rows are refused, so ``==`` is matrix equality."""
 
     field: Field
     rows: tuple
 
-    @classmethod
-    def from_rows(cls, field: Field, rows: Iterable[Iterable]) -> "Matrix":
-        coerced = tuple(vec(field, r) for r in rows)
-        if coerced and any(len(r) != len(coerced[0]) for r in coerced):
+    def __post_init__(self):
+        rows = tuple(vec(self.field, r) for r in self.rows)
+        if rows and any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("ragged rows")
-        return cls(field, coerced)
+        object.__setattr__(self, "rows", rows)
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
-        return cls(field, tuple(
-            tuple(field.one if i == j else field.zero for j in range(n))
-            for i in range(n)))
+        return cls(field, [[int(i == j) for j in range(n)] for i in range(n)])
 
     @property
     def nrows(self) -> int:
@@ -107,9 +107,10 @@ class Matrix:
 
     @property
     def T(self) -> "Matrix":
-        return Matrix(self.field, tuple(zip(*self.rows))) if self.rows else self
+        return Matrix(self.field, tuple(zip(*self.rows)))
 
-    def matvec(self, v: Vector) -> Vector:
+    def matvec(self, v: Iterable) -> Vector:
+        v = vec(self.field, v)
         if self.rows and len(v) != len(self.rows[0]):
             raise ValueError(f"product of a {self.shape} matrix and a vector of "
                              f"length {len(v)}")
@@ -117,6 +118,7 @@ class Matrix:
         return tuple(reduce(sum(map(mul, row, v))) for row in self.rows)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
+        _require_field(other, self.field, "the left factor")
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
         cols = other.T.rows
@@ -125,20 +127,24 @@ class Matrix:
             for row in self.rows))
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.field, tuple(vec_scale(self.field, -1, r) for r in self.rows))
+        return Matrix(self.field, [[-x for x in r] for r in self.rows])
 
     def inverse(self) -> "Matrix":
         """Exact inverse via Gauss-Jordan; raises ValueError on singular input."""
         n = self.nrows
         if n != self.ncols:
             raise ValueError("inverse of a non-square matrix")
-        aug = [list(row) + [self.field.one if i == j else self.field.zero
-                            for j in range(n)]
-               for i, row in enumerate(self.rows)]
+        aug = [row + e for row, e in zip(self.rows, Matrix.identity(self.field, n).rows)]
         reduced, pivots = _rref_rows(self.field, aug)
         if pivots != list(range(n)):
             raise ValueError("matrix is singular")
-        return Matrix(self.field, tuple(tuple(row[n:]) for row in reduced[:n]))
+        return Matrix(self.field, tuple(row[n:] for row in reduced[:n]))
+
+
+def _require_field(m: Matrix, field: Field, where: str):
+    """Refuse a matrix over another field than ``where``'s, before anything reads it."""
+    if m.field != field:
+        raise ValueError(f"matrix is over {m.field!r}, but {where} is over {field!r}")
 
 
 def _rref_rows(field: Field, rows: Sequence[Sequence[Scalar]]):
@@ -195,15 +201,12 @@ def rref(m: Matrix) -> tuple:
     the bottom; the second component is the rank.
     """
     reduced, pivots = _rref_rows(m.field, m.rows) if m.rows else ([], [])
-    return Matrix(m.field, tuple(tuple(r) for r in reduced)), len(pivots)
+    return Matrix(m.field, reduced), len(pivots)
 
 
 def null_space(m: Matrix) -> list:
     """A canonical (RREF-derived) basis of ``{x : m @ x = 0}`` as a list of row vectors."""
     field = m.field
-    if not m.rows:
-        return [tuple(field.one if i == j else field.zero for j in range(m.ncols))
-                for i in range(m.ncols)]
     reduced, pivots = _rref_rows(field, m.rows)
     ncols = m.ncols
     free = [c for c in range(ncols) if c not in pivots]
@@ -267,8 +270,8 @@ class AffineSubspace:
     @classmethod
     def span(cls, field: Field, rows: Iterable[Iterable], ambient: int = None,
              offset: Iterable = None) -> "AffineSubspace":
-        rows = [vec(field, r) for r in rows]
-        offset = None if offset is None else vec(field, offset)
+        rows = [tuple(r) for r in rows]
+        offset = None if offset is None else tuple(offset)
         if ambient is None:
             if not rows and offset is None:
                 raise ValueError("ambient dimension is ambiguous")
@@ -277,12 +280,12 @@ class AffineSubspace:
 
     @classmethod
     def point(cls, field: Field, x: Iterable) -> "AffineSubspace":
-        x = vec(field, x)
+        x = tuple(x)
         return cls(field, len(x), (), x)
 
     @classmethod
     def full(cls, field: Field, ambient: int) -> "AffineSubspace":
-        return cls(field, ambient, tuple(Matrix.identity(field, ambient).rows), None)
+        return cls(field, ambient, Matrix.identity(field, ambient).rows)
 
     @classmethod
     def empty(cls, field: Field, ambient: int) -> "AffineSubspace":
@@ -316,8 +319,8 @@ class AffineSubspace:
         """Enlarge the direction space by extra spanning rows (offset kept)."""
         if self.is_empty:
             raise ValueError("cannot enlarge the empty set")
-        extra = tuple(vec(self.field, r) for r in rows)
-        return AffineSubspace(self.field, self.ambient, self.basis + extra, self.offset)
+        return AffineSubspace(self.field, self.ambient, self.basis + tuple(rows),
+                              self.offset)
 
     def representative(self, x: Iterable) -> Vector:
         """Canonical representative of the coset ``x + direction`` (x need not lie here)."""
@@ -363,5 +366,5 @@ def solve_affine(a: Matrix, b: Iterable) -> AffineSubspace:
     particular = [f.zero] * ncols
     for i, p in enumerate(pivots):
         particular[p] = reduced[i][ncols]
-    kernel = null_space(Matrix(f, tuple(tuple(row) for row in a.rows)))
+    kernel = null_space(a)
     return AffineSubspace(f, ncols, tuple(kernel), tuple(particular))

@@ -61,7 +61,7 @@ from typing import Dict, Iterable
 import numpy as np
 
 from .fields import Field, RationalField
-from .linalg import AffineSubspace, Matrix, vec, vec_scale
+from .linalg import AffineSubspace, Matrix, _require_field, vec, vec_scale
 from .symplectic import (
     PhaseSpace,
     QuadratureFunctional,
@@ -218,7 +218,8 @@ def metaplectic(space: PhaseSpace, s) -> np.ndarray:
     read-only; covariance on the unit vectors is re-verified after every build.
     """
     if not isinstance(s, Matrix):
-        s = Matrix.from_rows(space.field, s)
+        s = Matrix(space.field, s)
+    _require_field(s, space.field, "the phase space")
     key = (space.d, space.n, s.rows)
     cached = _metaplectic_cache.get(key)
     if cached is not None:

@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import AffineSubspace, Matrix, solve_affine, vec, vec_dot
+from .linalg import AffineSubspace, Matrix, solve_affine, vec_dot
 from .symplectic import (
     PhaseSpace,
     SymplecticAffine,
@@ -141,12 +141,10 @@ def quadrature_of_stabilizer(group: StabilizerGroup) -> EpistemicState:
         return EpistemicState.ignorance(space)
     # J^T = J^{-1}: J^2 = -I and J is antisymmetric (symmetric at d = 2)
     functionals = [_apply_jt(f, m) for m, _ in group.generators]
-    rows = Matrix.from_rows(f, functionals)
     known = AffineSubspace.span(f, functionals, ambient=space.dim)
     if known.rank != len(group.generators):
         raise ValueError("generators are dependent; phases cannot be read additively")
-    targets = vec(f, [e for _, e in group.generators])
-    sol = solve_affine(rows, targets)
+    sol = solve_affine(Matrix(f, functionals), [e for _, e in group.generators])
     if sol.is_empty:
         raise AssertionError("independent generators gave an inconsistent phase system")
     return EpistemicState(space, known, sol.offset)

@@ -23,6 +23,7 @@ from .linalg import (
     AffineSubspace,
     Matrix,
     Vector,
+    _require_field,
     null_space,
     vec,
     vec_add,
@@ -93,12 +94,8 @@ class PhaseSpace:
 
 def symplectic_form(space: PhaseSpace) -> Matrix:
     """The matrix J of the symplectic form, block-diagonal in the (q, p) interleaving."""
-    f = space.field
-    rows = [[0] * space.dim for _ in range(space.dim)]
-    for i in range(space.n):
-        rows[2 * i][2 * i + 1] = 1
-        rows[2 * i + 1][2 * i] = -1
-    return Matrix.from_rows(f, rows)
+    f = space.field  # row k of J is J^T e_k
+    return Matrix(f, [_apply_jt(f, e) for e in Matrix.identity(f, space.dim).rows])
 
 
 def _apply_j(field: Field, x: Vector) -> Vector:
@@ -324,7 +321,7 @@ def is_symplectic(space: PhaseSpace, s: Matrix) -> bool:
     if s.shape != (space.dim, space.dim) or s.field != space.field:
         return False
     return all(p == (1 if i % 2 == 0 and j == i + 1 else 0)
-               for (i, j), p in _pair_products(space.field, s.T.rows))
+               for (i, j), p in _pair_products(space.field, list(zip(*s.rows))))
 
 
 @dataclass(frozen=True)
@@ -336,11 +333,9 @@ class SymplecticAffine:
     a: tuple = None  # type: ignore[assignment]
 
     def __post_init__(self):
-        fld = self.space.field
         a = self.a if self.a is not None else self.space.zero()
-        object.__setattr__(self, "a", vec(fld, a))
-        if self.s.field == fld:  # a matrix over another field fails the check below
-            object.__setattr__(self, "s", Matrix.from_rows(fld, self.s.rows))
+        object.__setattr__(self, "a", vec(self.space.field, a))
+        _require_field(self.s, self.space.field, "the phase space")
         if len(self.a) != self.space.dim:
             raise ValueError("displacement has wrong length")
         if not is_symplectic(self.space, self.s):
@@ -356,7 +351,7 @@ class SymplecticAffine:
 
     @classmethod
     def linear(cls, space: PhaseSpace, s: Iterable) -> "SymplecticAffine":
-        return cls(space, s if isinstance(s, Matrix) else Matrix.from_rows(space.field, s))
+        return cls(space, s if isinstance(s, Matrix) else Matrix(space.field, s))
 
     def apply(self, m: Iterable) -> Vector:
         fld = self.space.field
@@ -393,7 +388,7 @@ def transvection(space: PhaseSpace, u: Iterable, c) -> Matrix:
     c = fld.element(c)
     ju = _apply_j(fld, u)  # <x, u> = x . (J u)
     return Matrix(fld, tuple(
-        tuple(fld.reduce(c * u[i] * ju[k] + int(i == k)) for k in range(space.dim))
+        tuple(c * u[i] * ju[k] + int(i == k) for k in range(space.dim))
         for i in range(space.dim)))
 
 

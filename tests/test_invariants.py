@@ -2,6 +2,7 @@
 no private helper is left without a caller; the classical side stays exact."""
 
 import ast
+import dataclasses
 import importlib
 import pkgutil
 from pathlib import Path
@@ -82,6 +83,20 @@ def test_classical_modules_use_no_floats():
             if isinstance(node, ast.Constant) and type(node.value) in (float, complex):
                 found.append(f"{name}:{node.lineno} literal {node.value!r}")
     assert found == []
+
+
+def test_every_exact_value_type_is_canonical_by_construction():
+    # A frozen dataclass of the exact layers has one constructor, and it canonicalizes:
+    # without a ``__post_init__`` the raw dataclass constructor would accept anything.
+    exact = {"epistrict.linalg", "epistrict.symplectic", "epistrict.epistemic"}
+    exported = (getattr(epistrict, name) for name in epistrict.__all__)
+    types = [obj for obj in exported
+             if isinstance(obj, type) and dataclasses.is_dataclass(obj)
+             and obj.__module__ in exact and obj.__dataclass_params__.frozen]
+    unchecked = sorted(t.__name__ for t in types if "__post_init__" not in vars(t))
+    assert {"Matrix", "AffineSubspace", "SymplecticAffine", "EpistemicState",
+            "SharpMeasurement"} <= {t.__name__ for t in types}
+    assert unchecked == []
 
 
 def test_fixed_limits_are_not_parameters():

@@ -7,6 +7,7 @@ import sys
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -105,14 +106,14 @@ def test_prime_field_accepts_compatible_fractions():
 
 
 def test_rref_dependent_rows_mod3():
-    m = Matrix.from_rows(F3, [[1, 2], [2, 4]])
+    m = Matrix(F3, [[1, 2], [2, 4]])
     echelon, rank = rref(m)
     assert rank == 1
     assert echelon.rows == ((1, 2), (0, 0))
 
 
 def test_rref_rational_proportional_rows():
-    m = Matrix.from_rows(RATIONALS, [[1, Fraction(1, 2)], [Fraction(1, 3), Fraction(1, 6)]])
+    m = Matrix(RATIONALS, [[1, Fraction(1, 2)], [Fraction(1, 3), Fraction(1, 6)]])
     echelon, rank = rref(m)
     assert rank == 1
     assert echelon.rows[0] == (Fraction(1), Fraction(1, 2))
@@ -132,7 +133,7 @@ def test_rref_preserves_row_space_exhaustively(d):
         seen = 0
         for flat in product(range(d), repeat=nrows * ncols):
             rows = [flat[i * ncols:(i + 1) * ncols] for i in range(nrows)]
-            echelon, rank = rref(Matrix.from_rows(field, rows))
+            echelon, rank = rref(Matrix(field, rows))
             before = oracles.combo_set(d, rows, (0,) * ncols)
             after = oracles.combo_set(d, echelon.rows, (0,) * ncols)
             assert before == after
@@ -148,7 +149,7 @@ def test_rref_idempotent_rational(nrows, ncols, data):
         st.fractions(min_value=-3, max_value=3, max_denominator=4),
         min_size=nrows * ncols, max_size=nrows * ncols))
     rows = [entries[i * ncols:(i + 1) * ncols] for i in range(nrows)]
-    once, rank1 = rref(Matrix.from_rows(RATIONALS, rows))
+    once, rank1 = rref(Matrix(RATIONALS, rows))
     twice, rank2 = rref(once)
     assert once == twice and rank1 == rank2
 
@@ -166,7 +167,7 @@ def test_prime_field_arithmetic_matches_raw_ints(d, nrows, ncols, kcols, data):
 
     a_rows, b_rows = draw_rows(nrows, ncols), draw_rows(ncols, kcols)
     x = draw_rows(1, ncols)[0]
-    a, b = Matrix.from_rows(field, a_rows), Matrix.from_rows(field, b_rows)
+    a, b = Matrix(field, a_rows), Matrix(field, b_rows)
     for row in a_rows:
         assert vec_dot(field, tuple(row), tuple(x)) \
             == sum(r * e for r, e in zip(row, x)) % d
@@ -219,7 +220,7 @@ def test_rational_results_are_fractions(n, data):
 
 
 def test_solve_inconsistent_system_is_empty_mod3():
-    a = Matrix.from_rows(F3, [[1, 1], [2, 2]])
+    a = Matrix(F3, [[1, 1], [2, 2]])
     sol = solve_affine(a, (1, 0))
     assert sol.is_empty
     assert list(sol.points()) == []
@@ -227,7 +228,7 @@ def test_solve_inconsistent_system_is_empty_mod3():
 
 
 def test_solve_single_constraint_line():
-    sol = solve_affine(Matrix.from_rows(F3, [[1, 0]]), (1,))
+    sol = solve_affine(Matrix(F3, [[1, 0]]), (1,))
     assert not sol.is_empty
     assert sol.rank == 1
     assert sol.contains((1, 0)) and sol.contains((1, 2))
@@ -250,20 +251,20 @@ def test_solve_matches_enumeration(d):
         for flat in product(range(d), repeat=nrows * (ncols + 1)):
             rows = [flat[i * ncols:(i + 1) * ncols] for i in range(nrows)]
             b = flat[nrows * ncols:]
-            sol = solve_affine(Matrix.from_rows(field, rows), b)
+            sol = solve_affine(Matrix(field, rows), b)
             expect = oracles.solve_set(d, rows, b)
             got = frozenset(sol.points())
             assert got == expect
 
 
 def test_null_space_orthogonality():
-    m = Matrix.from_rows(F5, [[1, 2, 3], [0, 1, 4]])
+    m = Matrix(F5, [[1, 2, 3], [0, 1, 4]])
     for v in null_space(m):
         assert m.matvec(v) == (0, 0)
 
 
 def test_rational_solve_exact():
-    a = Matrix.from_rows(RATIONALS, [[Fraction(1, 2), 1], [1, 3]])
+    a = Matrix(RATIONALS, [[Fraction(1, 2), 1], [1, 3]])
     sol = solve_affine(a, (1, Fraction(5, 2)))
     assert sol.rank == 0
     x = sol.offset
@@ -402,10 +403,59 @@ def test_representative_names_a_point_of_the_wrong_length():
 
 
 def test_matrix_inverse_and_product():
-    m = Matrix.from_rows(F5, [[1, 2], [3, 4]])
+    m = Matrix(F5, [[1, 2], [3, 4]])
     inv = m.inverse()
     assert m @ inv == Matrix.identity(F5, 2)
     with pytest.raises(ValueError):
-        Matrix.from_rows(F5, [[1, 2], [2, 4]]).inverse()
-    q = Matrix.from_rows(RATIONALS, [[2, 1], [1, 1]])
+        Matrix(F5, [[1, 2], [2, 4]]).inverse()
+    q = Matrix(RATIONALS, [[2, 1], [1, 1]])
     assert q.inverse() @ q == Matrix.identity(RATIONALS, 2)
+
+
+# ---------------------------------------------------------------------------
+# Matrix is canonical on construction
+# ---------------------------------------------------------------------------
+
+
+def test_a_matrix_reduces_its_entries_on_construction():
+    m = Matrix(F3, ((4, -1), (Fraction(1, 2), Fraction(6, 2))))
+    assert m.rows == ((1, 2), (2, 0))
+    assert m == Matrix(F3, [[1, 2], [2, 0]])
+    assert all(type(x) is int for row in m.rows for x in row)
+    half = Matrix(RATIONALS, ((2, Fraction(2, 4)),))
+    assert half.rows == ((Fraction(2), Fraction(1, 2)),) and type(half.rows[0][0]) is Fraction
+    exact = Matrix(F3, np.array([[4, 0], [0, 1]]))
+    assert exact == Matrix.identity(F3, 2)
+    assert all(type(x) is int for row in exact.rows for x in row)
+
+
+def test_a_matrix_refuses_floats_bools_and_ragged_rows():
+    for entry in (1.0, True):
+        with pytest.raises(TypeError, match="prime-field element must be an int"):
+            Matrix(F3, ((entry, 0), (0, 1)))
+    with pytest.raises(TypeError, match="floats are not exact"):
+        Matrix(RATIONALS, ((0.5,),))
+    with pytest.raises(ValueError, match="ragged rows"):
+        Matrix(F3, ((1, 0), (1,)))
+
+
+def test_rref_and_solve_read_an_unreduced_entry_as_its_residue():
+    # 3 is 0 in Z_3, so the row (3, 1) has its pivot in the second column.
+    echelon, rank = rref(Matrix(F3, ((3, 1),)))
+    assert echelon.rows == ((0, 1),) and rank == 1
+    line = solve_affine(Matrix(F3, ((3, 1),)), (1,))
+    assert line == AffineSubspace.span(F3, [(1, 0)], offset=(0, 1))
+    assert sorted(line.points()) == [(0, 1), (1, 1), (2, 1)]
+
+
+def test_products_stay_in_one_field():
+    m = Matrix(F3, ((1, 2), (0, 1)))
+    for other in (Matrix.identity(F5, 2), Matrix.identity(RATIONALS, 2)):
+        with pytest.raises(ValueError, match="matrix is over .*, but the left factor "
+                                             "is over PrimeField\\(3\\)"):
+            m @ other
+    assert m.matvec((4, -1)) == (2, 2)
+    with pytest.raises(TypeError, match="prime-field element must be an int"):
+        m.matvec((1.5, 0))
+    with pytest.raises(ValueError, match="product of a \\(2, 2\\) matrix"):
+        m.matvec((1, 0, 0))

@@ -332,7 +332,7 @@ def test_covariance_random_two_dof():
 def test_singular_momentum_block_is_handled():
     shear = [[1, 0], [1, 1]]
     u = metaplectic(D3, shear)
-    s = Matrix.from_rows(D3.field, shear)
+    s = Matrix(D3.field, shear)
     for a in vectors(D3):
         lhs = u @ weyl(D3, a) @ u.conj().T
         assert np.max(np.abs(lhs - weyl(D3, s.matvec(a)))) < 1e-9
@@ -374,6 +374,25 @@ def test_metaplectic_cache_holds_only_the_requested_matrices(monkeypatch):
     for s in requested:  # the first three have a zero momentum block
         metaplectic(D3, s)
     assert len(quantum._metaplectic_cache) == len(requested)
+
+
+def test_metaplectic_keys_its_memo_on_the_canonical_matrix(monkeypatch):
+    monkeypatch.setattr(quantum, "_metaplectic_cache", {})
+    u = metaplectic(D3, Matrix.identity(D3.field, 2))
+    assert metaplectic(D3, Matrix(D3.field, ((4, 0), (0, 1)))) is u
+    assert metaplectic(D3, [[-2, 3], [0, 1]]) is u
+    assert len(quantum._metaplectic_cache) == 1
+
+
+def test_metaplectic_refuses_a_float_or_foreign_matrix_before_its_memo():
+    metaplectic(D3, Matrix.identity(D3.field, 2))  # the identity is cached from here on
+    for rows in (((1.0, 0), (0, 1)), [[1, 0], [0, 1.0]]):
+        with pytest.raises(TypeError, match="prime-field element must be an int"):
+            metaplectic(D3, rows)
+    for field in (PrimeField(5), RATIONALS):
+        with pytest.raises(ValueError, match="matrix is over .*, but the phase space is "
+                                             "over PrimeField\\(3\\)"):
+            metaplectic(D3, Matrix.identity(field, 2))
 
 
 def test_metaplectic_cache_clears_at_its_limit(monkeypatch):
@@ -557,7 +576,7 @@ def test_effect_transformation_law_odd_d():
     the functional transforms contragrediently and the displacement shifts the
     outcome the same way it shifts the phase-space cell {f = t}."""
     fld = D3.field
-    j = Matrix.from_rows(fld, [[0, 1], [2, 0]])
+    j = Matrix(fld, [[0, 1], [2, 0]])
     for s in enumerate_symplectic(D3):
         s_inv_t = (j.T @ s.T @ j).T
         for a in [(0, 0), (1, 0), (2, 1)]:

@@ -283,7 +283,7 @@ def test_clifford_channel_table_is_the_permutation_kernel():
 
 def _shear3():
     from epistrict.linalg import Matrix
-    return Matrix.from_rows(PrimeField(3), [(1, 0), (1, 1)])
+    return Matrix(PrimeField(3), [(1, 0), (1, 1)])
 
 
 def test_dephasing_channel_table_randomizes_momentum_only():
@@ -388,7 +388,7 @@ def test_equivalence_spot_check_at_d5():
     from epistrict.linalg import AffineSubspace, Matrix
     transforms = [
         SymplecticAffine.identity(D5),
-        SymplecticAffine(D5, Matrix.from_rows(f, [(1, 0), (3, 1)]), (2, 4)),
+        SymplecticAffine(D5, Matrix(f, [(1, 0), (3, 1)]), (2, 4)),
     ]
     measurements = [SharpMeasurement(D5, AffineSubspace.span(f, [(0, 1)]))]
     report = equivalence_suite(D5, states, transforms, measurements)
