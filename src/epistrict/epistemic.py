@@ -23,7 +23,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .fields import Scalar
 from .linalg import (
@@ -31,19 +31,16 @@ from .linalg import (
     Matrix,
     Vector,
     _clear_pivots,
-    solve_affine,
-    vec,
     vec_dot,
-    vec_sub,
 )
 from .symplectic import (
     PhaseSpace,
-    QuadratureFunctional,
     SizeCapExceeded,
     SymplecticAffine,
     UnsupportedOperation,
     _apply_j,
     _apply_jt,
+    _as_functional,
     _euclidean_complement,
     _require_on_space,
     enumerate_isotropic,
@@ -102,14 +99,10 @@ class EpistemicState:
 
     def value_of(self, f) -> Scalar:
         """The sharp value of a known functional (constant on the support)."""
-        fld = self.space.field
-        if isinstance(f, QuadratureFunctional):
-            vector, const = f.f, f.c
-        else:
-            vector, const = vec(fld, f), fld.zero
-        if not self.known.contains(vector):
+        f = _as_functional(self.space, f)
+        if not self.known.contains(f.f):
             raise ValueError("functional is not known in this state")
-        return fld.reduce(vec_dot(fld, vector, self.valuation) + const)
+        return f.evaluate(self.valuation)
 
 
 #: Fixed cap on the states ``enumerate_states`` lists and the outcomes a measurement has.
@@ -218,7 +211,7 @@ class SharpMeasurement:
     def values_at(self, label: Iterable) -> tuple:
         """The value tuple (f_i applied to the label) over the canonical basis of V'."""
         fld = self.space.field
-        label = vec(fld, label)
+        label = self.space.vector(label, "label")
         return tuple(vec_dot(fld, f, label) for f in self.measured.basis)
 
 
@@ -286,45 +279,6 @@ def measure(state: EpistemicState, m: SharpMeasurement) -> OutcomeDistribution:
             "probabilities need a finite ontic space; use possibilistic() over Q")
     labels, p = _labels_and_weight(state, m)
     return OutcomeDistribution(dict.fromkeys(labels, p))
-
-
-def scenario(state: EpistemicState, t: Optional[SymplecticAffine],
-             m: SharpMeasurement) -> OutcomeDistribution:
-    """Prepare, transform, measure — computed by two routes and cross-checked.
-
-    Route one transforms the state and measures; route two pulls the measurement back
-    through the transformation (measured subspace S^T V', value labels shifted by the
-    displacement) and measures the original state.  Both must agree exactly.
-    """
-    if t is None:
-        return measure(state, m)
-    direct = measure(transform(state, t), m)
-
-    fld = state.space.field
-    pulled_rows = [t.s.T.matvec(f) for f in m.measured.basis]
-    pulled = SharpMeasurement(
-        state.space,
-        AffineSubspace.span(fld, pulled_rows or [state.space.zero()],
-                            ambient=state.space.dim))
-    pulled_dist = measure(state, pulled)
-    relabelled = {}
-    for label in m.outcomes():
-        # Outcome `label` after the map corresponds to pulled-back values
-        # f_i(label) - f_i(a) = f_i(label - a) on the original state.
-        shifted = vec_sub(fld, label, t.a)
-        targets = [vec_dot(fld, f, shifted) for f in m.measured.basis]
-        if pulled_rows:
-            cell = solve_affine(Matrix(fld, pulled_rows), targets)
-        else:
-            cell = AffineSubspace.full(fld, state.space.dim)
-        p = pulled_dist.probability(pulled.label_of(cell.offset)) if not cell.is_empty \
-            else Fraction(0)
-        if p:
-            relabelled[label] = p
-    indirect = OutcomeDistribution(relabelled)
-    if direct != indirect:
-        raise AssertionError("transform-then-measure disagrees with pulled-back route")
-    return direct
 
 
 def possibilistic(state: EpistemicState, m: SharpMeasurement) -> AffineSubspace:

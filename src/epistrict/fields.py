@@ -85,6 +85,11 @@ class PrimeField(Field):
     is_finite = True
 
     def __init__(self, modulus: int):
+        # A float or bool modulus would compare and hash equal to the int one while
+        # its elements came out as floats; numpy integers become plain ints.
+        if not isinstance(modulus, numbers.Integral) or isinstance(modulus, bool):
+            raise TypeError(f"modulus must be an int, got {modulus!r}")
+        modulus = int(modulus)
         if modulus >= MAX_MODULUS:
             raise SizeCapExceeded("prime modulus", modulus, MAX_MODULUS)
         if not _is_prime(modulus):

@@ -304,10 +304,8 @@ class AffineSubspace:
                 and all(x == self.field.zero for x in self.offset))
 
     def contains(self, x: Iterable) -> bool:
-        if self.is_empty:
-            return False
-        f = self.field
-        return not any(_clear_pivots(f, vec_sub(f, vec(f, x), self.offset), self.basis))
+        """Whether ``x`` lies here: the canonical offset is its coset's representative."""
+        return not self.is_empty and self.representative(x) == self.offset
 
     def direction(self) -> "AffineSubspace":
         """The underlying linear subspace (offset dropped)."""

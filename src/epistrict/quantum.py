@@ -61,14 +61,14 @@ from typing import Dict, Iterable
 import numpy as np
 
 from .fields import Field, RationalField
-from .linalg import AffineSubspace, Matrix, _require_field, vec, vec_scale
+from .linalg import AffineSubspace, Matrix, _require_field, vec_scale
 from .symplectic import (
     PhaseSpace,
-    QuadratureFunctional,
     SymplecticAffine,
     UnsupportedOperation,
     _apply_j,
     _apply_jt,
+    _as_functional,
     _capped_product,
     is_symplectic,
 )
@@ -172,19 +172,10 @@ def _composition_exponents(d: int, a, b) -> np.ndarray:
     return np.sum(c * (q * p + q2 * p2 - s * t) - k * p * q2, axis=-1) % order
 
 
-def _weyl_vector(space: PhaseSpace, a) -> tuple:
-    """The canonical Weyl vector of ``a``, which must have length 2n."""
-    a = vec(space.field, a)
-    if len(a) != space.dim:
-        raise ValueError(f"Weyl vector of length {len(a)} on a phase space of "
-                         f"dimension 2n = {space.dim}")
-    return a
-
-
 def weyl(space: PhaseSpace, a: Iterable) -> np.ndarray:
     """The Weyl (phase-point displacement) operator for an interleaved vector a."""
     dim = hilbert_dim(space)
-    rows, phases = _weyl_monomials(space.d, space.n, _weyl_vector(space, a))
+    rows, phases = _weyl_monomials(space.d, space.n, space.vector(a, "Weyl vector"))
     out = np.zeros((dim, dim), dtype=complex)
     out[rows[0], np.arange(dim)] = phases[0]
     return out
@@ -195,7 +186,7 @@ def weyl_phase(space: PhaseSpace, a: Iterable, b: Iterable) -> complex:
     d = space.d
     if d == 2:
         raise UnsupportedOperation("at d = 2 the composition phase is not a character")
-    a, b = (np.array(_weyl_vector(space, x)) for x in (a, b))
+    a, b = (np.array(space.vector(x, "Weyl vector")) for x in (a, b))
     return chi(space.field, int(_composition_exponents(d, a, b)))
 
 
@@ -382,17 +373,11 @@ def quadrature_projector(space: PhaseSpace, f, value) -> np.ndarray:
     through Jf; the functional's constant offsets the outcome label.
     """
     fld = space.field
-    if isinstance(f, QuadratureFunctional):
-        vector, const = f.f, f.c
-    else:
-        vector, const = vec(fld, f), fld.zero
-    if len(vector) != space.dim:
-        raise ValueError(f"functional of length {len(vector)} on a phase space of "
-                         f"dimension {space.dim}")
-    if all(x == fld.zero for x in vector):
+    f = _as_functional(space, f)
+    if all(x == fld.zero for x in f.f):
         raise ValueError("the zero functional has no outcome projectors")
-    t = fld.reduce(fld.element(value) - const)
-    return _joint_projectors(space, [vector], [(t,)])[0]
+    t = fld.reduce(fld.element(value) - f.c)
+    return _joint_projectors(space, [f.f], [(t,)])[0]
 
 
 @dataclass(frozen=True)

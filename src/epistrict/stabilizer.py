@@ -60,7 +60,6 @@ from .quantum import (
     _joint_projectors,
     _pair_char,
     _weyl_lift,
-    _weyl_vector,
     born,
     clifford,
     hilbert_dim,
@@ -83,7 +82,7 @@ class StabilizerGroup:
             raise ValueError("stabilizer groups live over finite fields")
         gens = []
         for m, e in self.generators:
-            m = _weyl_vector(self.space, m)
+            m = self.space.vector(m, "Weyl vector")
             if all(x == 0 for x in m):
                 raise ValueError("zero vector cannot generate a stabilizer")
             gens.append((m, fld.element(e)))

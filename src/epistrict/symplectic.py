@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import numbers
 from dataclasses import dataclass
 from operator import mul
 from typing import Iterable, Iterator, Optional
@@ -50,12 +51,16 @@ class PhaseSpace:
     """The arena F^{2n}: a field and a number of canonical (q, p) pairs.
 
     Hashed once, on construction: every memo in the package is keyed on a space.
+    :meth:`vector` is the one check of a phase-space vector argument.
     """
 
     field: Field
     n: int
 
     def __post_init__(self):
+        if not isinstance(self.n, numbers.Integral) or isinstance(self.n, bool):
+            raise TypeError(f"degrees of freedom must be an int, got {self.n!r}")
+        object.__setattr__(self, "n", int(self.n))
         if self.n < 1:
             raise ValueError("need at least one degree of freedom")
         object.__setattr__(self, "_hash", hash((self.field, self.n)))
@@ -84,6 +89,15 @@ class PhaseSpace:
 
     def zero(self) -> Vector:
         return zero_vec(self.field, self.dim)
+
+    def vector(self, x: Iterable, what: str) -> Vector:
+        """``x`` as a canonical vector of this space, refused unless it has length 2n;
+        ``what`` names the argument in the refusal."""
+        x = vec(self.field, x)
+        if len(x) != self.dim:
+            raise ValueError(f"{what} of length {len(x)} on a phase space of dimension "
+                             f"2n = {self.dim}")
+        return x
 
     def q_index(self, i: int) -> int:
         return 2 * i
@@ -122,13 +136,8 @@ def _symp(field: Field, f: Vector, g: Vector) -> Scalar:
 
 def symp_inner(space: PhaseSpace, f: Iterable, g: Iterable) -> Scalar:
     """The symplectic inner product <f, g> = f^T J g."""
-    fld = space.field
-    f = vec(fld, f)
-    g = vec(fld, g)
-    if len(f) != space.dim or len(g) != space.dim:
-        raise ValueError(f"symplectic product of vectors of lengths {len(f)} and "
-                         f"{len(g)} on a phase space of dimension {space.dim}")
-    return _symp(fld, f, g)
+    return _symp(space.field, space.vector(f, "first vector"),
+                 space.vector(g, "second vector"))
 
 
 def _pair_products(field: Field, rows) -> Iterator:
@@ -147,9 +156,7 @@ class QuadratureFunctional:
 
     def __post_init__(self):
         fld = self.space.field
-        object.__setattr__(self, "f", vec(fld, self.f))
-        if len(self.f) != self.space.dim:
-            raise ValueError("functional vector has wrong length")
+        object.__setattr__(self, "f", self.space.vector(self.f, "functional"))
         object.__setattr__(self, "c",
                            fld.zero if self.c is None else fld.element(self.c))
 
@@ -167,12 +174,22 @@ class QuadratureFunctional:
 
     def evaluate(self, m: Iterable) -> Scalar:
         fld = self.space.field
-        return fld.reduce(vec_dot(fld, self.f, vec(fld, m)) + self.c)
+        return fld.reduce(vec_dot(fld, self.f, self.space.vector(m, "point")) + self.c)
 
     def table(self) -> dict:
         """The functional as an explicit value table over all points (finite case)."""
         _check_point_cap(self.space)
         return {m: self.evaluate(m) for m in self.space.points()}
+
+
+def _as_functional(space: PhaseSpace, f) -> QuadratureFunctional:
+    """A functional argument on ``space``: a :class:`QuadratureFunctional` of this space,
+    or a raw vector read as the functional with constant 0."""
+    if not isinstance(f, QuadratureFunctional):
+        return QuadratureFunctional(space, f)
+    if f.space != space:
+        raise ValueError("functional lives on a different phase space")
+    return f
 
 
 def _check_point_cap(space: PhaseSpace):
@@ -334,10 +351,8 @@ class SymplecticAffine:
 
     def __post_init__(self):
         a = self.a if self.a is not None else self.space.zero()
-        object.__setattr__(self, "a", vec(self.space.field, a))
+        object.__setattr__(self, "a", self.space.vector(a, "displacement"))
         _require_field(self.s, self.space.field, "the phase space")
-        if len(self.a) != self.space.dim:
-            raise ValueError("displacement has wrong length")
         if not is_symplectic(self.space, self.s):
             raise ValueError("matrix does not preserve the symplectic form")
 
@@ -354,12 +369,8 @@ class SymplecticAffine:
         return cls(space, s if isinstance(s, Matrix) else Matrix(space.field, s))
 
     def apply(self, m: Iterable) -> Vector:
-        fld = self.space.field
-        m = vec(fld, m)
-        if len(m) != self.space.dim:
-            raise ValueError(f"point of length {len(m)} on a phase space of dimension "
-                             f"{self.space.dim}")
-        reduce = fld.reduce
+        m = self.space.vector(m, "point")
+        reduce = self.space.field.reduce
         return tuple(reduce(sum(map(mul, row, m)) + c)
                      for row, c in zip(self.s.rows, self.a))
 
@@ -381,10 +392,7 @@ class SymplecticAffine:
 def transvection(space: PhaseSpace, u: Iterable, c) -> Matrix:
     """The symplectic transvection x -> x + c <x, u> u."""
     fld = space.field
-    u = vec(fld, u)
-    if len(u) != space.dim:
-        raise ValueError(f"transvection vector of length {len(u)} on a phase space "
-                         f"of dimension {space.dim}")
+    u = space.vector(u, "transvection vector")
     c = fld.element(c)
     ju = _apply_j(fld, u)  # <x, u> = x . (J u)
     return Matrix(fld, tuple(
@@ -536,10 +544,7 @@ def extend_to_symplectic(space: PhaseSpace, f: Iterable) -> Matrix:
     ``f``.  The zero vector labels no quadrature and is refused.
     """
     fld = space.field
-    f = vec(fld, f)
-    if len(f) != space.dim:
-        raise ValueError(f"functional of length {len(f)} on a phase space of "
-                         f"dimension {space.dim}")
+    f = space.vector(f, "functional")
     if all(x == fld.zero for x in f):
         raise ValueError("cannot extend the zero functional")
     basis = Matrix.identity(fld, space.dim).rows

@@ -198,14 +198,12 @@ def verify_covariance(basis: PointOperatorBasis, t: SymplecticAffine) -> Covaria
 
 
 def negativity(table: dict) -> tuple:
-    """Smallest entry of a state table and the first point attaining it."""
-    best = None
-    where = None
-    for m in sorted(table):
-        if best is None or table[m] < best - 1e-15:
-            best = table[m]
-            where = m
-    return best, where
+    """Smallest entry of a state table and the first point, in point order, attaining
+    it; ``(None, None)`` for an empty table."""
+    if not table:
+        return None, None
+    where = min(sorted(table), key=table.__getitem__)
+    return table[where], where
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from epistrict.epistemic import (
     possible_labels,
     possible_values,
     product_state,
-    scenario,
     transform,
 )
 from epistrict.symplectic import (
@@ -271,11 +270,8 @@ def test_probabilities_are_reciprocal_powers_of_d():
 
 
 def test_scenario_cross_route_and_ontic_oracle_exhaustive_d2():
-    """Every (state, transform, measurement) triple over the single bit.
-
-    scenario() already cross-checks its two affine routes internally; here the result
-    is additionally compared against raw ontic pushforward counting.
-    """
+    """Every (state, transform, measurement) triple over the single bit, measured
+    after the transform and compared against raw ontic pushforward counting."""
     states = enumerate_states(D2)
     transforms = enumerate_group(D2)
     measurements = [SharpMeasurement(D2, v) for v in enumerate_isotropic(D2, rank=1)]
@@ -283,7 +279,7 @@ def test_scenario_cross_route_and_ontic_oracle_exhaustive_d2():
         support_pts = list(s.support().points())
         for t in transforms:
             for m in measurements:
-                got = scenario(s, t, m)
+                got = measure(transform(s, t), m)
                 raw = oracles.ontic_distribution(
                     2, support_pts, t.s.rows, t.a, m.measured.basis)
                 translated = {m.values_at(label): p for label, p in got.items()}
@@ -299,7 +295,7 @@ def test_scenario_matches_oracle_sampled_d3_two_dof():
         s = states[rng.randrange(len(states))]
         t = random_symplectic_affine(D3_2, rng)
         m = meas_pool[rng.randrange(len(meas_pool))]
-        got = scenario(s, t, m)
+        got = measure(transform(s, t), m)
         raw = oracles.ontic_distribution(
             3, list(s.support().points()), t.s.rows, t.a, m.measured.basis)
         assert {m.values_at(k): p for k, p in got.items()} == raw

@@ -65,6 +65,29 @@ def test_symplectic_layer_does_not_call_its_public_product():
     assert found == []
 
 
+def test_phase_space_vectors_are_coerced_in_one_place():
+    # Outside ``linalg``, which knows nothing of phase spaces, a raw vector argument
+    # is coerced and length-checked only by ``PhaseSpace.vector``.
+    found, homed = [], 0
+    for path in SOURCES:
+        if path.name == "linalg.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        home = set()
+        for top in tree.body:
+            if path.name == "symplectic.py" and getattr(top, "name", None) == "PhaseSpace":
+                home = {id(n) for item in top.body if getattr(item, "name", None) == "vector"
+                        for n in ast.walk(item)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "id", getattr(node.func, "attr", None)) == "vec"):
+                if id(node) in home:
+                    homed += 1
+                else:
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == [] and homed == 1
+
+
 def test_classical_modules_use_no_floats():
     # The exact side computes in ints and Fractions: no numpy, no float or complex
     # literal.  numpy and floats belong to the quantum and Wigner layers.

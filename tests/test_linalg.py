@@ -49,6 +49,16 @@ def test_prime_field_requires_prime_modulus():
     assert PrimeField(2 ** 61 - 1).modulus == 2 ** 61 - 1
 
 
+def test_prime_field_refuses_a_non_int_modulus():
+    # A float modulus used to equal and hash like the int one, with float elements.
+    for bad in (3.0, Fraction(3), "3", True, False):
+        with pytest.raises(TypeError, match="modulus must be an int"):
+            PrimeField(bad)
+    field = PrimeField(np.int64(3))
+    assert type(field.modulus) is int and field == PrimeField(3)
+    assert type(field.element(4)) is int and field.inv(2) == 2
+
+
 def test_primality_agrees_with_trial_division_below_10_000():
     def trial(n):
         return n >= 2 and all(n % f for f in range(2, int(n ** 0.5) + 1))

@@ -4,13 +4,17 @@ import random
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from epistrict.epistemic import EpistemicState, SharpMeasurement
 from epistrict.fields import RATIONALS, PrimeField, RationalField
 from epistrict.linalg import AffineSubspace, Matrix, null_space
+from epistrict.quantum import quadrature_projector, weyl, weyl_phase
+from epistrict.stabilizer import StabilizerGroup
 from epistrict.symplectic import (
     PhaseSpace,
     _apply_j,
@@ -90,12 +94,74 @@ def test_inner_product_antisymmetric_exhaustive_or_sampled(key):
 
 def test_inner_product_rejects_wrong_lengths():
     space = SPACES[2, 1]
-    with pytest.raises(ValueError, match="lengths 3 and 3 .* dimension 2"):
+    with pytest.raises(ValueError, match="first vector of length 3 .* dimension 2n = 2"):
         symp_inner(space, (1, 0, 5), (0, 1, 7))
-    with pytest.raises(ValueError, match="lengths 1 and 2"):
+    with pytest.raises(ValueError, match="first vector of length 1 "):
         symp_inner(space, (1,), (0, 1))
-    with pytest.raises(ValueError, match="lengths 4 and 4"):
+    with pytest.raises(ValueError, match="first vector of length 4 "):
         symp_inner(space, (1, 0, 0, 0), (0, 1, 0, 0))
+
+
+D3 = SPACES[3, 1]
+D3_POSITION = EpistemicState(D3, AffineSubspace.span(D3.field, [(1, 0)]))
+D3_POSITION_MEAS = SharpMeasurement.of_functional(D3, (1, 0))
+
+#: Every public entry that reads a phase-space vector or a functional, called on D3
+#: with ``x`` in that argument.
+VECTOR_ENTRIES = [
+    pytest.param(lambda x: symp_inner(D3, x, (1, 0)), id="symp_inner-f"),
+    pytest.param(lambda x: symp_inner(D3, (1, 0), x), id="symp_inner-g"),
+    pytest.param(lambda x: QuadratureFunctional(D3, x), id="QuadratureFunctional"),
+    pytest.param(lambda x: QuadratureFunctional.position(D3).evaluate(x),
+                 id="QuadratureFunctional.evaluate"),
+    pytest.param(lambda x: SymplecticAffine(D3, Matrix.identity(D3.field, 2), x),
+                 id="SymplecticAffine-a"),
+    pytest.param(lambda x: SymplecticAffine.displacement(D3, x),
+                 id="SymplecticAffine.displacement"),
+    pytest.param(lambda x: SymplecticAffine.identity(D3).apply(x),
+                 id="SymplecticAffine.apply"),
+    pytest.param(lambda x: transvection(D3, x, 1), id="transvection"),
+    pytest.param(lambda x: extend_to_symplectic(D3, x), id="extend_to_symplectic"),
+    pytest.param(lambda x: EpistemicState(D3, D3_POSITION.known, x),
+                 id="EpistemicState-valuation"),
+    pytest.param(D3_POSITION.value_of, id="EpistemicState.value_of"),
+    pytest.param(D3_POSITION_MEAS.label_of, id="SharpMeasurement.label_of"),
+    pytest.param(D3_POSITION_MEAS.values_at, id="SharpMeasurement.values_at"),
+    pytest.param(AffineSubspace.full(D3.field, 2).contains, id="AffineSubspace.contains"),
+    pytest.param(lambda x: quadrature_projector(D3, x, 0), id="quadrature_projector"),
+    pytest.param(lambda x: weyl(D3, x), id="weyl"),
+    pytest.param(lambda x: weyl_phase(D3, x, (1, 0)), id="weyl_phase-a"),
+    pytest.param(lambda x: weyl_phase(D3, (1, 0), x), id="weyl_phase-b"),
+    pytest.param(lambda x: StabilizerGroup(D3, ((x, 0),)), id="StabilizerGroup"),
+]
+
+
+@pytest.mark.parametrize("call", VECTOR_ENTRIES)
+@pytest.mark.parametrize("x", [(1,), (1, 0, 1)], ids=["short", "long"])
+def test_every_vector_argument_refuses_a_wrong_length(call, x):
+    with pytest.raises(ValueError, match=f"of length {len(x)} "):
+        call(x)
+
+
+def test_a_functional_from_another_space_is_refused():
+    assert D3_POSITION.value_of(QuadratureFunctional.position(D3, c=1)) == 1
+    # Z_5 on a Z_3 state used to be evaluated without complaint.
+    for other in (SPACES[5, 1], PhaseSpace(PrimeField(3), 2)):
+        f = QuadratureFunctional.position(other)
+        with pytest.raises(ValueError, match="functional lives on a different phase"):
+            D3_POSITION.value_of(f)
+        with pytest.raises(ValueError, match="functional lives on a different phase"):
+            quadrature_projector(D3, f, 0)
+
+
+def test_phase_space_refuses_a_non_int_dof_count():
+    # A float n used to equal and hash like the int one, then fail in zero().
+    for bad in (1.0, Fraction(1), "1", True):
+        with pytest.raises(TypeError, match="degrees of freedom must be an int"):
+            PhaseSpace(PrimeField(3), bad)
+    space = PhaseSpace(PrimeField(3), np.int64(1))
+    assert type(space.n) is int and space == SPACES[3, 1]
+    assert space.zero() == (0, 0)
 
 
 @pytest.mark.parametrize("key", list(SPACES) + ["Q2"])

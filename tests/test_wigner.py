@@ -217,6 +217,15 @@ def test_negativity_reports_the_lexicographically_first_minimum():
     assert where == (0, 1)
 
 
+def test_negativity_finds_the_exact_minimum_and_reads_an_empty_table():
+    # A later entry smaller by less than 1e-15 is still the minimum.
+    below = -0.5 - 4e-16
+    assert below < -0.5
+    assert negativity({(0, 1): -0.5, (1, 0): below}) == (below, (1, 0))
+    assert negativity({(1, 0): -0.5, (0, 1): -0.5}) == (-0.5, (0, 1))
+    assert negativity({}) == (None, None)
+
+
 # ---------------------------------------------------------------------------
 # covariance
 # ---------------------------------------------------------------------------
