@@ -65,14 +65,18 @@ def _emit(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+def _field(d: int) -> PrimeField:
+    """``--d`` as a field; a modulus that is not prime is invalid input."""
+    try:
+        return PrimeField(d)
+    except ValueError as exc:
+        raise ScenarioError(f"--d: {exc}") from exc
+
+
 def _space(d: int, n: int) -> PhaseSpace:
     if n < 1:
         raise ScenarioError(f"--n must be a positive integer, got {n}")
-    try:
-        field = PrimeField(d)
-    except ValueError as exc:
-        raise ScenarioError(f"--d: {exc}") from exc
-    return PhaseSpace(field, n)
+    return PhaseSpace(_field(d), n)
 
 
 def _max_dim(text: str) -> int:
@@ -236,6 +240,8 @@ def _format_accept(results, suite: str, modulus: Optional[int]) -> str:
 
 
 def cmd_accept(args) -> int:
+    if args.d is not None:
+        _field(args.d)  # refused before any criterion runs
     try:
         seed = acceptance.default_seed()
     except ValueError as exc:

@@ -206,7 +206,9 @@ class SharpMeasurement:
     def outcomes(self) -> list:
         """All canonical outcome labels, lexicographically ordered (finite fields):
         the outcomes possible in the state of no knowledge."""
-        return possible_labels(EpistemicState.ignorance(self.space), self)
+        if not self.space.field.is_finite:
+            raise UnsupportedOperation("cannot enumerate outcomes over Q")
+        return _labels_and_weight(EpistemicState.ignorance(self.space), self)[0]
 
     def values_at(self, label: Iterable) -> tuple:
         """The value tuple (f_i applied to the label) over the canonical basis of V'."""
@@ -293,21 +295,14 @@ def possibilistic(state: EpistemicState, m: SharpMeasurement) -> AffineSubspace:
     return sup.plus_directions(m._hidden().basis)
 
 
-def possible_labels(state: EpistemicState, m: SharpMeasurement) -> list:
-    """Canonical labels of outcomes with nonzero support overlap, in outcome order.
+def _labels_and_weight(state: EpistemicState, m: SharpMeasurement) -> tuple:
+    """The possible labels in outcome order, and the probability 1/count of each.
 
     The label of a point is its pivot-clearing projection P onto the canonical
     representatives of V'-perp cosets, and P is linear.  So the labels met by the
     support V-perp + v are exactly the points of P(v) + span{P(h) : h spans V-perp}
     (finite fields only).
     """
-    if not state.space.field.is_finite:
-        raise UnsupportedOperation("cannot enumerate outcomes over Q")
-    return _labels_and_weight(state, m)[0]
-
-
-def _labels_and_weight(state: EpistemicState, m: SharpMeasurement) -> tuple:
-    """The possible labels in outcome order, and the probability 1/count of each."""
     if m.space != state.space:
         raise ValueError("measurement lives on a different phase space")
     d = state.space.d
@@ -353,78 +348,3 @@ def possible_values(state: EpistemicState, m: SharpMeasurement) -> AffineSubspac
     return AffineSubspace(state.space.field, m.measured.rank,
                           tuple(m.values_at(h) for h in sup.basis), m.values_at(sup.offset))
 
-
-# ---------------------------------------------------------------------------
-# ancilla constructions
-# ---------------------------------------------------------------------------
-
-
-def join_spaces(sys: PhaseSpace, anc: PhaseSpace) -> PhaseSpace:
-    if sys.field != anc.field:
-        raise ValueError("system and ancilla must share a field")
-    return PhaseSpace(sys.field, sys.n + anc.n)
-
-
-def product_state(sys_state: EpistemicState, anc_state: EpistemicState) -> EpistemicState:
-    """The joint state knowing exactly what each factor knows."""
-    sys, anc = sys_state.space, anc_state.space
-    joint = join_spaces(sys, anc)
-    fld = joint.field
-    zero_sys = (fld.zero,) * sys.dim
-    zero_anc = (fld.zero,) * anc.dim
-    rows = [b + zero_anc for b in sys_state.known.basis]
-    rows += [zero_sys + b for b in anc_state.known.basis]
-    known = AffineSubspace.span(fld, rows or [joint.zero()], ambient=joint.dim)
-    return EpistemicState(joint, known,
-                          sys_state.valuation + anc_state.valuation)
-
-
-def _dilation_kernel(sys: PhaseSpace, anc_state: EpistemicState,
-                     coupling: SymplecticAffine, read) -> dict:
-    """For each system point, the distribution of ``read`` at the coupled images of
-    the ancilla's support points, each weighted by the ancilla's distribution."""
-    if not sys.field.is_finite:
-        raise UnsupportedOperation("dilation kernels need a finite ontic space")
-    if coupling.space != join_spaces(sys, anc_state.space):
-        raise ValueError("coupling must act on the joined system+ancilla space")
-    anc_points = list(anc_state.support().points())
-    weight = Fraction(1, len(anc_points))
-    kernel = {}
-    for m_sys in sys.points():
-        row: dict = {}
-        for m_anc in anc_points:
-            key = read(coupling.apply(m_sys + m_anc))
-            row[key] = row.get(key, Fraction(0)) + weight
-        if sum(row.values()) != 1:
-            raise AssertionError("kernel row does not sum to 1")
-        kernel[m_sys] = row
-    return kernel
-
-
-def dilate_unsharp(sys: PhaseSpace, anc_state: EpistemicState,
-                   coupling: SymplecticAffine, anc_meas: SharpMeasurement) -> dict:
-    """Effective (generally unsharp) measurement induced on the system.
-
-    Couple the system to the ancilla, then sharply measure the ancilla.  The result is
-    a response kernel: for each system ontic state, the exact outcome distribution
-
-        kernel[m_sys][label] = sum over ancilla support of the sharp response at the
-                               coupled image, weighted by the ancilla's distribution.
-
-    Rows always sum to 1.
-    """
-    if anc_meas.space != anc_state.space:
-        raise ValueError("ancilla measurement must live on the ancilla space")
-    return _dilation_kernel(sys, anc_state, coupling,
-                            lambda image: anc_meas.label_of(image[sys.dim:]))
-
-
-def dilate_irreversible(sys: PhaseSpace, anc_state: EpistemicState,
-                        coupling: SymplecticAffine) -> dict:
-    """Effective (generally irreversible) transformation induced on the system.
-
-    Couple to the ancilla, then discard it: for each system ontic state the kernel row
-    is the exact distribution over system ontic states after marginalizing the ancilla.
-    """
-    return _dilation_kernel(sys, anc_state, coupling,
-                            lambda image: image[:sys.dim])

@@ -159,6 +159,9 @@ class RationalField(Field):
     def element(self, value) -> Fraction:
         if isinstance(value, float):
             raise TypeError("floats are not exact; pass int, Fraction or 'num/den' str")
+        if isinstance(value, bool):
+            raise TypeError(f"rational element must be an int, Fraction or 'num/den' "
+                            f"str, got {value!r}")
         return self.reduce(value)
 
     def reduce(self, x) -> Fraction:

@@ -13,7 +13,8 @@ Convention audit (executable in the test suite):
 * one root of unity: every phase is r^e for an integer e (``_roots``), with r = i at
   d = 2 and r = omega = exp(2 pi i / d) at odd d.
 * shift: S(q)|x> = |x - q>, boost: B(p)|x> = chi(p x)|x>, with the doubled character
-  exp(2*pi*i/2) -> (-1) inside boost at d = 2, so B(1) = diag(1, -1).
+  exp(2*pi*i/2) -> (-1) inside boost at d = 2, so B(1) = diag(1, -1).  Neither is
+  built here; the tests build the dense S-then-B product as a reference route.
 * Weyl prefactor per degree of freedom: chi(-inv2 * q * p) S(q) B(p) at odd d, where
   inv2 is the field inverse of 2.  This is the unique choice (given the S-then-B order)
   for which the composition law
@@ -99,16 +100,6 @@ def chi(field: Field, c) -> complex:
 def _pair_char(d: int, c):
     """Character used in eigenvalue/projector pairings: doubled at d = 2."""
     return _roots(d, _weyl_lift(d)[2] * c)
-
-
-def shift(d: int, q: int) -> np.ndarray:
-    """Single-dof shift S(q)|x> = |x - q>: row x - q holds the 1 of column x."""
-    return np.eye(d, dtype=complex)[(np.arange(d) + q) % d]
-
-
-def boost(d: int, p: int) -> np.ndarray:
-    """Single-dof boost B(p)|x> = chi(p x)|x> (doubled character at d = 2)."""
-    return np.diag(_pair_char(d, p * np.arange(d)))
 
 
 def _digits(d: int, m: int) -> np.ndarray:

@@ -102,9 +102,6 @@ class PhaseSpace:
     def q_index(self, i: int) -> int:
         return 2 * i
 
-    def p_index(self, i: int) -> int:
-        return 2 * i + 1
-
 
 def symplectic_form(space: PhaseSpace) -> Matrix:
     """The matrix J of the symplectic form, block-diagonal in the (q, p) interleaving."""
@@ -164,12 +161,6 @@ class QuadratureFunctional:
     def position(cls, space: PhaseSpace, dof: int = 0, c=None) -> "QuadratureFunctional":
         v = [space.field.zero] * space.dim
         v[space.q_index(dof)] = space.field.one
-        return cls(space, tuple(v), c)
-
-    @classmethod
-    def momentum(cls, space: PhaseSpace, dof: int = 0, c=None) -> "QuadratureFunctional":
-        v = [space.field.zero] * space.dim
-        v[space.p_index(dof)] = space.field.one
         return cls(space, tuple(v), c)
 
     def evaluate(self, m: Iterable) -> Scalar:
@@ -279,15 +270,6 @@ def is_lagrangian(space: PhaseSpace, v: AffineSubspace) -> bool:
     return is_isotropic(space, v) and v.rank == space.n
 
 
-@dataclass(frozen=True)
-class Complements:
-    """The three companions of a subspace V used throughout the theory."""
-
-    euclidean: AffineSubspace   # V-perp under the dot product
-    symplectic: AffineSubspace  # V^C under the symplectic form
-    j_image: AffineSubspace     # J V
-
-
 @functools.lru_cache(maxsize=4096)
 def _euclidean_complement(space: PhaseSpace, v: AffineSubspace) -> AffineSubspace:
     # Memoized: a pure function of the (canonical, hashable) subspace, called
@@ -297,34 +279,6 @@ def _euclidean_complement(space: PhaseSpace, v: AffineSubspace) -> AffineSubspac
     if rows is None:
         return AffineSubspace.full(space.field, space.dim)
     return AffineSubspace.span(space.field, rows, ambient=space.dim)
-
-
-def _symplectic_complement(space: PhaseSpace, v: AffineSubspace) -> AffineSubspace:
-    # <f, x> = (J^T f) . x, so V^C is the null space of the rows J^T f.
-    fld = space.field
-    if not v.basis:
-        return AffineSubspace.full(fld, space.dim)
-    constraint = Matrix(fld, tuple(_apply_jt(fld, f) for f in v.basis))
-    return AffineSubspace.span(fld, null_space(constraint), ambient=space.dim)
-
-
-def complements(space: PhaseSpace, v: AffineSubspace) -> Complements:
-    """Euclidean complement, symplectic complement, and J-image of a linear subspace.
-
-    Also checks the structural identity (V-perp)^C == J V that the quantum bridge
-    depends on; it is a theorem, so a failure would mean corrupted input.
-    """
-    if v.is_empty or not v.is_linear():
-        raise ValueError("complements are defined for linear (zero-offset) subspaces")
-    euclid = _euclidean_complement(space, v)
-    symp = _symplectic_complement(space, v)
-    j_image = AffineSubspace.span(
-        space.field, [_apply_j(space.field, b) for b in v.basis] or [space.zero()],
-        ambient=space.dim)
-    check = _symplectic_complement(space, euclid)
-    if check != j_image:
-        raise AssertionError("(V-perp)^C != J V; symplectic structure is inconsistent")
-    return Complements(euclid, symp, j_image)
 
 
 # ---------------------------------------------------------------------------

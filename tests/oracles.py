@@ -3,9 +3,9 @@
 Everything in this module is deliberately written from scratch on raw ints and
 Fractions — no imports from the package's linear algebra — so that agreement between a
 library result and an oracle result is a genuine two-route check, not a tautology.
-The one dense oracle, ``dense_weyl_trace``, builds its Weyl operator from the
-convention alone, in numpy; ``affine_map_table`` uses numpy integer products, exact
-at these sizes.
+The dense oracles, ``shift``, ``boost`` and ``dense_weyl_trace``, build their
+operators from the convention alone, in numpy; ``affine_map_table`` uses numpy
+integer products, exact at these sizes.
 """
 
 from fractions import Fraction
@@ -170,6 +170,17 @@ def symplectic_2x2(d):
     """
     return sorted(((a, b), (c, e)) for a, b, c, e in product(range(d), repeat=4)
                   if (a * e - b * c) % d == 1)
+
+
+def shift(d, q):
+    """Single-dof shift S(q)|x> = |x - q>: row x - q holds the 1 of column x."""
+    return np.eye(d, dtype=complex)[(np.arange(d) + q) % d]
+
+
+def boost(d, p):
+    """Single-dof boost B(p)|x> = exp(2 pi i p x / d)|x>: the character chi(p x) at
+    odd d, and the doubled character (-1)^(p x) at d = 2."""
+    return np.diag(np.exp(2j * np.pi * (p * np.arange(d) % d) / d))
 
 
 def dense_weyl_trace(d, m, rho):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from epistrict import acceptance, cli, linalg, scenario
 from epistrict.epistemic import STATE_CAP
-from epistrict.fields import SizeCapExceeded
+from epistrict.fields import MAX_MODULUS, SizeCapExceeded
 from epistrict.cli import (
     EXIT_CAP,
     EXIT_INVALID,
@@ -446,6 +446,17 @@ def test_accept_failure_exits_1(monkeypatch, capsys):
 def test_accept_unknown_modulus_exits_3(capsys):
     assert main(["accept", "--suite", "equivalence", "--d", "7"]) == EXIT_INVALID
     assert "d=7" in capsys.readouterr().err
+
+
+def test_accept_refuses_a_non_prime_modulus_before_running_the_suite(monkeypatch, capsys):
+    def never(suite, seed=None):
+        raise AssertionError("the suite ran before --d was checked")
+
+    monkeypatch.setattr(acceptance, "run_suite", never)
+    assert main(["accept", "--suite", "equivalence", "--d", "4"]) == EXIT_INVALID
+    assert "--d: modulus must be prime, got 4" in capsys.readouterr().err
+    # A modulus past the fixed cap is a cap refusal, as in ``enumerate``.
+    assert main(["accept", "--suite", "all", "--d", str(MAX_MODULUS)]) == EXIT_CAP
 
 
 def test_accept_bad_suite_exits_3():

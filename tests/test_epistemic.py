@@ -1,4 +1,4 @@
-"""Epistemic states: enumeration, dynamics, sharp statistics, dilations."""
+"""Epistemic states: enumeration, dynamics, sharp statistics."""
 
 import random
 import re
@@ -14,15 +14,10 @@ from epistrict.epistemic import (
     EpistemicState,
     OutcomeDistribution,
     SharpMeasurement,
-    dilate_irreversible,
-    dilate_unsharp,
     enumerate_states,
-    join_spaces,
     measure,
     possibilistic,
-    possible_labels,
     possible_values,
-    product_state,
     transform,
 )
 from epistrict.symplectic import (
@@ -357,7 +352,7 @@ def test_possibilistic_matches_probabilistic_support():
             for m in meas:
                 counted = oracles.ontic_distribution(
                     d, support_pts, identity, (0,) * dim, m.measured.basis)
-                labels = possible_labels(s, m)
+                labels = measure(s, m).labels()
                 assert labels == sorted(labels)
                 assert sorted(m.values_at(k) for k in labels) == sorted(counted)
                 assert {m.values_at(k): p for k, p in measure(s, m).items()} == counted
@@ -464,8 +459,9 @@ def test_labels_and_measure_match_the_reach_route(space, seeded):
         for s in states:
             for m in meas:
                 want = _reach_labels(s, m)
-                assert possible_labels(s, m) == want
-                assert measure(s, m) == OutcomeDistribution(
+                got = measure(s, m)
+                assert got.labels() == want
+                assert got == OutcomeDistribution(
                     {label: Fraction(1, len(want)) for label in want})
         misses.append(epistemic._outcome_span.cache_info().misses)
     assert misses[0] > 0 and misses[1] == misses[0]  # the warm pass only hits
@@ -651,13 +647,12 @@ def test_transform_matches_the_dense_route_over_rationals():
             state = got  # chain, so later maps see non-standard known spaces
 
 
-def test_possible_labels_refuses_rationals_and_other_spaces():
+def test_outcomes_refuse_rationals_and_measure_refuses_other_spaces():
     space = PhaseSpace(RATIONALS, 1)
-    state = EpistemicState(space, AffineSubspace.span(space.field, [(1, 0)], ambient=2))
-    with pytest.raises(UnsupportedOperation):
-        possible_labels(state, SharpMeasurement.of_functional(space, (0, 1)))
+    with pytest.raises(UnsupportedOperation, match="cannot enumerate outcomes over Q"):
+        SharpMeasurement.of_functional(space, (0, 1)).outcomes()
     with pytest.raises(ValueError, match="different phase space"):
-        possible_labels(q_state(D3, 0), SharpMeasurement.of_functional(D2, (0, 1)))
+        measure(q_state(D3, 0), SharpMeasurement.of_functional(D2, (0, 1)))
 
 
 @pytest.mark.parametrize("space, rows", [
@@ -691,84 +686,3 @@ def test_possibilistic_rational_epr():
     psum = SharpMeasurement.of_functional(space, (0, 1, 0, 1))
     cell = possibilistic(epr, psum)
     assert cell == psum.cell(epr.valuation)
-
-
-# ---------------------------------------------------------------------------
-# dilations
-# ---------------------------------------------------------------------------
-
-
-def csum_coupling(space_joint):
-    """q_anc += q_sys (with the compensating p_sys -= p_anc) on one+one dofs."""
-    return SymplecticAffine.linear(space_joint, [
-        [1, 0, 0, 0],
-        [0, 1, 0, -1],
-        [1, 0, 1, 0],
-        [0, 0, 0, 1],
-    ])
-
-
-def test_controlled_sum_dilation_reproduces_sharp_position():
-    joint = join_spaces(D3, D3)
-    anc0 = q_state(D3, 0)
-    anc_meas = SharpMeasurement.of_functional(D3, (1, 0))
-    kernel = dilate_unsharp(D3, anc0, csum_coupling(joint), anc_meas)
-    for m_sys, row in kernel.items():
-        assert row == {(m_sys[0], 0): Fraction(1)}
-
-
-def test_uncoupled_ancilla_measurement_is_state_independent_noise():
-    joint = join_spaces(D3, D3)
-    ident = SymplecticAffine.identity(joint)
-    anc = EpistemicState(D3, AffineSubspace.span(D3.field, [(0, 1)], ambient=2), (0, 1))
-    anc_meas = SharpMeasurement.of_functional(D3, (1, 0))
-    kernel = dilate_unsharp(D3, anc, ident, anc_meas)
-    rows = list(kernel.values())
-    assert all(row == rows[0] for row in rows)
-    # The noise is the ancilla's own position statistics: uniform.
-    assert sorted(rows[0].values()) == [Fraction(1, 3)] * 3
-
-
-def test_swap_then_measure_ancilla_reads_out_the_system():
-    joint = join_spaces(D3, D3)
-    swap = SymplecticAffine.linear(joint, [
-        [0, 0, 1, 0],
-        [0, 0, 0, 1],
-        [1, 0, 0, 0],
-        [0, 1, 0, 0],
-    ])
-    anc = EpistemicState.ignorance(D3)
-    anc_meas = SharpMeasurement.of_functional(D3, (1, 0))
-    kernel = dilate_unsharp(D3, anc, swap, anc_meas)
-    for m_sys, row in kernel.items():
-        assert row == {(m_sys[0], 0): Fraction(1)}
-
-
-def test_swap_with_ignorant_ancilla_is_uniform_channel():
-    joint = join_spaces(D3, D3)
-    swap = SymplecticAffine.linear(joint, [
-        [0, 0, 1, 0],
-        [0, 0, 0, 1],
-        [1, 0, 0, 0],
-        [0, 1, 0, 0],
-    ])
-    kernel = dilate_irreversible(D3, EpistemicState.ignorance(D3), swap)
-    for row in kernel.values():
-        assert all(p == Fraction(1, 9) for p in row.values())
-        assert len(row) == 9
-
-
-def test_identity_coupling_irreversible_kernel_is_deterministic():
-    joint = join_spaces(D2, D2)
-    ident = SymplecticAffine.identity(joint)
-    kernel = dilate_irreversible(D2, EpistemicState.ignorance(D2), ident)
-    for m_sys, row in kernel.items():
-        assert row == {m_sys: Fraction(1)}
-
-
-def test_product_state_knows_both_factors():
-    joint_state = product_state(q_state(D3, 1), q_state(D3, 2))
-    assert joint_state.space == D3_2
-    assert joint_state.value_of((1, 0, 0, 0)) == 1
-    assert joint_state.value_of((0, 0, 1, 0)) == 2
-    assert joint_state.rank == 2

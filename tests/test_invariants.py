@@ -1,5 +1,6 @@
 """Package-wide invariants: internal checks survive ``python -O``; memos are bounded;
-no private helper is left without a caller; the classical side stays exact."""
+no private helper is left without a caller and no public name without an entry point
+that reaches it; the classical side stays exact."""
 
 import ast
 import dataclasses
@@ -10,6 +11,7 @@ from pathlib import Path
 import epistrict
 
 SOURCES = sorted(Path(epistrict.__file__).parent.glob("*.py"))
+REPO = Path(__file__).resolve().parents[1]
 
 
 def test_package_has_no_bare_asserts():
@@ -35,23 +37,48 @@ def test_every_lru_cache_is_bounded():
     assert unbounded == []
 
 
-def test_every_private_helper_has_a_caller():
-    # A module-level ``_name`` function or class must be referenced somewhere in the
-    # package outside its own body; an orphaned helper is dead code.
-    defined, used = {}, set()
-    for path in SOURCES:
+def _defined_and_used(paths) -> tuple:
+    """Each module-level function or class of ``paths`` as ``(file name, name)``, and
+    every name that ``paths`` reference (as an ``ast.Name``, an ``ast.Attribute`` or an
+    imported name) outside the definition of that name."""
+    defined, used = set(), set()
+    for path in paths:
         for top in ast.parse(path.read_text(encoding="utf-8")).body:
             nodes = list(ast.walk(top))
             names = {n.id for n in nodes if isinstance(n, ast.Name)}
             names |= {n.attr for n in nodes if isinstance(n, ast.Attribute)}
             names |= {a.name for n in nodes if isinstance(n, ast.ImportFrom) for a in n.names}
-            if (isinstance(top, (ast.FunctionDef, ast.ClassDef))
-                    and top.name.startswith("_") and not top.name.startswith("__")):
-                defined[top.name] = path.name
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                defined.add((path.name, top.name))
                 names.discard(top.name)
             used |= names
-    orphans = sorted(f"{defined[name]}:{name}" for name in defined if name not in used)
-    assert defined and orphans == []
+    return defined, used
+
+
+def test_every_private_helper_has_a_caller():
+    # A module-level ``_name`` function or class must be referenced somewhere in the
+    # package outside its own body; an orphaned helper is dead code.
+    defined, used = _defined_and_used(SOURCES)
+    private = {(file, name) for file, name in defined
+               if name.startswith("_") and not name.startswith("__")}
+    orphans = sorted(f"{file}:{name}" for file, name in private if name not in used)
+    assert private and orphans == []
+
+
+def test_every_public_name_is_exported_or_reached():
+    # A public module-level function or class is in ``epistrict.__all__`` or is
+    # referenced outside its own body in the package, the demos or perfbench; one that
+    # only tests call is dead code.  The one exception, ``quadrature_projector``, is the
+    # reference that the tests of ``quantum._joint_projectors`` compare against.
+    entry_points = sorted(REPO.glob("demos/*.py")) + sorted(REPO.glob("perfbench/*.py"))
+    defined, used = _defined_and_used(SOURCES)
+    used |= _defined_and_used(entry_points)[1]
+    allowed = set(epistrict.__all__) | {"quadrature_projector"}
+    public = {(file, name) for file, name in defined if not name.startswith("_")}
+    unreached = sorted(f"{file}:{name}" for file, name in public
+                       if name not in used and name not in allowed)
+    assert entry_points and public
+    assert unreached == []
 
 
 def test_symplectic_layer_does_not_call_its_public_product():

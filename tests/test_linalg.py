@@ -21,6 +21,7 @@ from epistrict.linalg import (
     null_space,
     rref,
     solve_affine,
+    vec,
     vec_dot,
 )
 from epistrict.symplectic import (
@@ -88,6 +89,15 @@ def test_rationals_reject_floats_and_reduce():
         RATIONALS.element(0.5)
     x = RATIONALS.element(Fraction(4, -6))
     assert (x.numerator, x.denominator) == (-2, 3)
+
+
+def test_rationals_refuse_bools_as_prime_fields_do():
+    # True would otherwise read as Fraction(1) over Q, where Z_d refuses it.
+    for coerce in (lambda: RATIONALS.element(True),
+                   lambda: vec(RATIONALS, [True, 0]),
+                   lambda: PhaseSpace(RATIONALS, 1).vector((True, 0), "x")):
+        with pytest.raises(TypeError, match="rational element must be .* got True"):
+            coerce()
 
 
 def test_rationals_pass_fractions_through_unchanged():

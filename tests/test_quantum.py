@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import oracles
 from epistrict.fields import RATIONALS, PrimeField
 from epistrict.linalg import AffineSubspace, Matrix
 from epistrict.epistemic import (
@@ -19,7 +20,6 @@ from epistrict.stabilizer import mermin_square
 from epistrict.quantum import (
     born,
     born_table,
-    boost,
     chi,
     clifford,
     hilbert_dim,
@@ -27,7 +27,6 @@ from epistrict.quantum import (
     quadrature_projector,
     quadrature_pvm,
     quadrature_state,
-    shift,
     weyl,
     weyl_phase,
 )
@@ -130,7 +129,7 @@ def test_every_walk_step_adds_the_last_unit_vector_to_an_earlier_point(d, dim):
 
 
 def test_shift_example_d3():
-    s = shift(3, 1)
+    s = oracles.shift(3, 1)
     e0 = np.zeros(3)
     e0[0] = 1
     out = s @ e0
@@ -138,7 +137,7 @@ def test_shift_example_d3():
 
 
 def test_boost_doubled_character_d2():
-    assert np.allclose(boost(2, 1), Z)
+    assert np.allclose(oracles.boost(2, 1), Z)
 
 
 def test_weyl_recovers_paulis():
@@ -172,7 +171,7 @@ def _chain_weyl(space, a):
             prefactor = 1j ** ((q * p) % 4)
         else:
             prefactor = chi(space.field, -((d + 1) // 2) * q * p)
-        out = np.kron(out, prefactor * shift(d, q) @ boost(d, p))
+        out = np.kron(out, prefactor * oracles.shift(d, q) @ oracles.boost(d, p))
     return out
 
 

@@ -19,12 +19,12 @@ from epistrict.symplectic import (
     PhaseSpace,
     _apply_j,
     _apply_jt,
+    _euclidean_complement,
     _symplectic_closure,
     QuadratureFunctional,
     SizeCapExceeded,
     SymplecticAffine,
     UnsupportedOperation,
-    complements,
     enumerate_group,
     enumerate_isotropic,
     enumerate_symplectic,
@@ -291,34 +291,34 @@ def test_isotropic_refuses_another_ambient_dimension():
 
 
 # ---------------------------------------------------------------------------
-# complements
+# the complement identity (V-perp)^C = J V
 # ---------------------------------------------------------------------------
-
-
-def test_complements_of_position_line_mod3():
-    space = SPACES[3, 1]
-    v = AffineSubspace.span(space.field, [(1, 0)], ambient=2)
-    c = complements(space, v)
-    assert c.euclidean == AffineSubspace.span(space.field, [(0, 1)], ambient=2)
-    assert c.symplectic == v
-    assert c.j_image == AffineSubspace.span(space.field, [(0, 1)], ambient=2)
 
 
 @pytest.mark.parametrize("key", [(2, 1), (3, 1), (2, 2), (3, 2)])
 def test_complement_identity_all_isotropic(key):
-    """(V-perp)^C == J V is checked internally; construction must never raise."""
+    """(V-perp)^C == J V for every isotropic V: the identity ``quantum`` relies on.
+
+    W^C = {x : <h, x> = 0 for h in W}, and <h, x> = (J^T h) . x, so (V-perp)^C is the
+    null space of the rows J^T h, h spanning V-perp; those rows are the literal
+    products h^T J.
+    """
     space = SPACES[key]
     fld, j = space.field, symplectic_form(space)
+    found = {}
     for v in enumerate_isotropic(space):
-        c = complements(space, v)
-        if v.basis:
-            assert c.j_image.rank == v.rank
-        assert c.symplectic.rank == space.dim - v.rank
-        # V^C = {x : f^T J x = 0 for f in V}, by the literal product with J.
-        literal = (AffineSubspace.span(fld, null_space(Matrix(fld, v.basis) @ j),
-                                       ambient=space.dim)
-                   if v.basis else AffineSubspace.full(fld, space.dim))
-        assert c.symplectic == literal
+        hidden = _euclidean_complement(space, v)
+        rows = Matrix(fld, [_apply_jt(fld, h) for h in hidden.basis])
+        assert rows == Matrix(fld, hidden.basis) @ j
+        symp = AffineSubspace.span(fld, null_space(rows), ambient=space.dim)
+        j_image = AffineSubspace.span(fld, [_apply_j(fld, f) for f in v.basis],
+                                      ambient=space.dim)
+        assert symp == j_image and symp.rank == v.rank
+        found[v] = hidden, symp
+    if key == (3, 1):
+        # The position line: its V-perp and its J-image are both the momentum line.
+        momentum = AffineSubspace.span(fld, [(0, 1)], ambient=2)
+        assert found[AffineSubspace.span(fld, [(1, 0)], ambient=2)] == (momentum, momentum)
 
 
 # ---------------------------------------------------------------------------
