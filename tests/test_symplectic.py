@@ -295,6 +295,20 @@ def test_isotropic_refuses_another_ambient_dimension():
 # ---------------------------------------------------------------------------
 
 
+def test_complements_of_position_line_mod3():
+    space = SPACES[3, 1]
+    fld = space.field
+    v = AffineSubspace.span(fld, [(1, 0)], ambient=2)
+    momentum = AffineSubspace.span(fld, [(0, 1)], ambient=2)
+    hidden = _euclidean_complement(space, v)
+    assert hidden == momentum
+    # V^C = {x : f^T J x = 0 for f in V}: a Lagrangian line is its own complement.
+    symp = AffineSubspace.span(fld, null_space(Matrix(fld, v.basis) @ symplectic_form(space)),
+                               ambient=2)
+    assert symp == v
+    assert AffineSubspace.span(fld, [_apply_j(fld, f) for f in v.basis], ambient=2) == momentum
+
+
 @pytest.mark.parametrize("key", [(2, 1), (3, 1), (2, 2), (3, 2)])
 def test_complement_identity_all_isotropic(key):
     """(V-perp)^C == J V for every isotropic V: the identity ``quantum`` relies on.
@@ -305,7 +319,6 @@ def test_complement_identity_all_isotropic(key):
     """
     space = SPACES[key]
     fld, j = space.field, symplectic_form(space)
-    found = {}
     for v in enumerate_isotropic(space):
         hidden = _euclidean_complement(space, v)
         rows = Matrix(fld, [_apply_jt(fld, h) for h in hidden.basis])
@@ -314,11 +327,6 @@ def test_complement_identity_all_isotropic(key):
         j_image = AffineSubspace.span(fld, [_apply_j(fld, f) for f in v.basis],
                                       ambient=space.dim)
         assert symp == j_image and symp.rank == v.rank
-        found[v] = hidden, symp
-    if key == (3, 1):
-        # The position line: its V-perp and its J-image are both the momentum line.
-        momentum = AffineSubspace.span(fld, [(0, 1)], ambient=2)
-        assert found[AffineSubspace.span(fld, [(1, 0)], ambient=2)] == (momentum, momentum)
 
 
 # ---------------------------------------------------------------------------
