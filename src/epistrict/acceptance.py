@@ -128,11 +128,6 @@ def _check(criterion: int, name: str, passed: bool, expected, actual,
                        threshold, details, tuple(moduli))
 
 
-def filter_by_modulus(results: List[CheckResult], d: int) -> List[CheckResult]:
-    """Only the checks that exercise prime modulus ``d``."""
-    return [r for r in results if d in r.moduli]
-
-
 # ---------------------------------------------------------------------------
 # 1. enumeration counts
 # ---------------------------------------------------------------------------
@@ -757,6 +752,20 @@ _CRITERIA: Dict[int, Callable[[int], List[CheckResult]]] = {
     8: _criterion_8,
 }
 
+#: The prime moduli each criterion's checks exercise: the union of their
+#: ``CheckResult.moduli``, declared here so a run narrowed to one d runs only the
+#: criteria that can report on it.
+MODULI: Dict[int, frozenset] = {
+    1: frozenset({2, 3}),
+    2: frozenset({2, 3, 5}),
+    3: frozenset({3, 5}),
+    4: frozenset({3, 5}),
+    5: frozenset({2, 3}),
+    6: frozenset({2, 3}),
+    7: frozenset({2, 3}),
+    8: frozenset(),
+}
+
 
 def run_criterion(k: int, seed: Optional[int] = None) -> List[CheckResult]:
     if k not in _CRITERIA:
@@ -764,13 +773,19 @@ def run_criterion(k: int, seed: Optional[int] = None) -> List[CheckResult]:
     return _CRITERIA[k](default_seed() if seed is None else seed)
 
 
-def run_suite(suite: str, seed: Optional[int] = None) -> List[CheckResult]:
+def run_suite(suite: str, seed: Optional[int] = None,
+              modulus: Optional[int] = None) -> List[CheckResult]:
+    """Every check of the suite's criteria; with ``modulus``, only the checks that
+    exercise it, from only the criteria whose ``MODULI`` declare it."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; have {sorted(SUITES)}")
     results: List[CheckResult] = []
     for k in SUITES[suite]:
-        results.extend(run_criterion(k, seed))
-    return results
+        if modulus is None or modulus in MODULI[k]:
+            results.extend(run_criterion(k, seed))
+    if modulus is None:
+        return results
+    return [r for r in results if modulus in r.moduli]
 
 
 def report(results: List[CheckResult], suite: str = "all",

@@ -246,12 +246,9 @@ def cmd_accept(args) -> int:
         seed = acceptance.default_seed()
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
-    results = acceptance.run_suite(args.suite, seed)
-    if args.d is not None:
-        results = acceptance.filter_by_modulus(results, args.d)
-        if not results:
-            raise ScenarioError(
-                f"no checks in suite {args.suite!r} exercise d={args.d}")
+    results = acceptance.run_suite(args.suite, seed, args.d)
+    if args.d is not None and not results:
+        raise ScenarioError(f"no checks in suite {args.suite!r} exercise d={args.d}")
     if args.format == "json":
         rep = acceptance.report(results, args.suite, seed)
         if args.d is not None:

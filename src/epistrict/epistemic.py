@@ -23,6 +23,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable
 
 from .fields import Scalar
@@ -30,7 +31,7 @@ from .linalg import (
     AffineSubspace,
     Matrix,
     Vector,
-    _clear_pivots,
+    _sub_multiple,
     vec_dot,
 )
 from .symplectic import (
@@ -59,9 +60,11 @@ class EpistemicState:
     def __post_init__(self):
         if not is_isotropic(self.space, self.known):
             raise ValueError("known quadratures must span an isotropic linear subspace")
-        raw = self.valuation if self.valuation is not None else self.space.zero()
         hidden = _euclidean_complement(self.space, self.known)
-        object.__setattr__(self, "valuation", hidden.representative(raw))
+        if self.valuation is None:
+            object.__setattr__(self, "valuation", self.space.zero())
+        elif not hidden.is_representative(self.valuation):
+            object.__setattr__(self, "valuation", hidden.representative(self.valuation))
 
     @classmethod
     def ignorance(cls, space: PhaseSpace) -> "EpistemicState":
@@ -139,31 +142,50 @@ def transform(state: EpistemicState, t: SymplecticAffine) -> EpistemicState:
     """Push the state through an affine symplectic map, acting on the label (V, v).
 
     The support V-perp + v maps pointwise onto S V-perp + (S v + a), whose known
-    functionals S^{-T} V depend on (V, S) alone (memoized); only the valuation is
-    computed per call.
+    functionals V' = S^{-T} V depend on (V, S) alone, and so does the pivot clearing
+    P that makes S v + a canonical.  Both are memoized, so a warm call is the one
+    matvec P (S v + a) = [P S | P] (v, a) over canonical scalars.
     """
-    if t.space != state.space:
-        raise ValueError("transformation acts on a different phase space")
     space = state.space
-    return EpistemicState(space, _known_image(space, state.known, t.s.rows),
-                          t.apply(state.valuation))
+    if t.space is not space and t.space != space:
+        raise ValueError("transformation acts on a different phase space")
+    known, rows = _known_image(space, state.known, t.s.rows)
+    reduce = space.field.reduce
+    va = state.valuation + t.a
+    return EpistemicState(space, known, tuple([reduce(sum(map(mul, row, va)))
+                                               for row in rows]))
 
 
 @functools.lru_cache(maxsize=4096)
-def _known_image(space: PhaseSpace, known: AffineSubspace,
-                 s_rows: tuple) -> AffineSubspace:
-    """The canonical S^{-T} V.  For symplectic S, S^{-T} f = J^T S (J f), where J and
-    J^T are signed swaps, so each known row costs one product with S.
+def _known_image(space: PhaseSpace, known: AffineSubspace, s_rows: tuple) -> tuple:
+    """``(V', rows)``: the canonical V' = S^{-T} V, and the rows of the 2n x 4n matrix
+    [P S | P], where P is the pivot clearing against the canonical basis of V'-perp.
+
+    For symplectic S, S^{-T} f = J^T S (J f), where J and J^T are signed swaps, so
+    each known row costs one product with S.  P x = x - sum_i x[k_i] r_i over the
+    rows r_i of that basis, k_i the pivot of r_i, so row a of P [S | I] is row a of
+    [S | I] less r_i[a] times its row k_i, for each i.
 
     A run meets few (V, S) pairs: criterion 7 pushes 91 states through each of
-    11,520 maps, but only 31 distinct V.  Memoized and bounded; it holds only tuples
-    and canonical subspaces.
+    11,520 maps, but only 31 distinct V.  Memoized and bounded; it holds only the
+    canonical subspace V' and tuples of canonical scalars.
     """
     fld = space.field
     s = Matrix(fld, s_rows)
-    return AffineSubspace(fld, space.dim,
-                          tuple(_apply_jt(fld, s.matvec(_apply_j(fld, f)))
-                                for f in known.basis))
+    image = AffineSubspace(fld, space.dim,
+                           tuple(_apply_jt(fld, s.matvec(_apply_j(fld, f)))
+                                 for f in known.basis))
+    one, zero = fld.one, fld.zero
+    aug = [row + tuple(one if i == j else zero for j in range(space.dim))
+           for i, row in enumerate(s.rows)]
+    cells = [(r.index(one), r) for r in _euclidean_complement(space, image).basis]
+    rows = []
+    for a, row in enumerate(aug):
+        for k, r in cells:
+            if r[a]:
+                row = _sub_multiple(fld, row, r[a], aug[k])
+        rows.append(row)
+    return image, tuple(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +270,17 @@ class OutcomeDistribution:
             raise ValueError("negative probability")
         self._probs = cleaned
 
+    @classmethod
+    def _uniform(cls, labels: list, p: Fraction) -> "OutcomeDistribution":
+        """Each of the distinct canonical ``labels`` at probability ``p``.  The sum is
+        not re-added entry by entry: p = 1/len(labels) is checked once, and raises."""
+        probs = dict.fromkeys(labels, p)
+        if p.numerator != 1 or p.denominator != len(probs):
+            raise ValueError(f"uniform probability {p} over {len(probs)} outcomes")
+        dist = cls.__new__(cls)
+        dist._probs = probs
+        return dist
+
     def probability(self, label) -> Fraction:
         return self._probs.get(tuple(label), Fraction(0))
 
@@ -279,8 +312,7 @@ def measure(state: EpistemicState, m: SharpMeasurement) -> OutcomeDistribution:
     if not state.space.field.is_finite:
         raise UnsupportedOperation(
             "probabilities need a finite ontic space; use possibilistic() over Q")
-    labels, p = _labels_and_weight(state, m)
-    return OutcomeDistribution(dict.fromkeys(labels, p))
+    return OutcomeDistribution._uniform(*_labels_and_weight(state, m))
 
 
 def possibilistic(state: EpistemicState, m: SharpMeasurement) -> AffineSubspace:
@@ -303,27 +335,36 @@ def _labels_and_weight(state: EpistemicState, m: SharpMeasurement) -> tuple:
     support V-perp + v are exactly the points of P(v) + span{P(h) : h spans V-perp}
     (finite fields only).
     """
-    if m.space != state.space:
+    space = state.space
+    if m.space is not space and m.space != space:
         raise ValueError("measurement lives on a different phase space")
-    d = state.space.d
-    cells, span, p = _outcome_span(state.space, state.known, m.measured)
-    offset = _clear_pivots(state.space.field, state.valuation, cells)
-    # P(x) is zero in every pivot column of ``cells``, so each sum is canonical, and
-    # the sums are distinct because the span points are.
-    if any(offset):
-        span = (tuple((a + x) % d for a, x in zip(offset, point)) for point in span)
-    return sorted(span), p
+    d = space.field.modulus
+    clearing, span, p = _outcome_span(space, state.known, m.measured)
+    # The offset P(v), cleared further against the span's own rows: then it is zero
+    # in every pivot column of the cells and of the span, so each sum below is a
+    # canonical label and the sums keep the span's (lexicographic) order.
+    x = state.valuation
+    for k, row in clearing:
+        c = x[k]
+        if c:
+            x = tuple([(a - c * b) % d for a, b in zip(x, row)])
+    if any(x):
+        return [tuple([(a + b) % d for a, b in zip(x, point)]) for point in span], p
+    return list(span), p
 
 
 @functools.lru_cache(maxsize=4096)
 def _outcome_span(space: PhaseSpace, known: AffineSubspace,
                   measured: AffineSubspace) -> tuple:
-    """``(cells, span, p)`` for a state knowing ``known`` measured along ``measured``:
-    the canonical basis of V'-perp, whose pivot clearing is the label projection P,
-    the points of span{P(h) : h spans V-perp}, and the uniform probability 1/|span|.
+    """``(clearing, span, p)`` for a state knowing ``known`` measured along ``measured``.
+
+    ``span`` lists, in lexicographic order, the points of span{P(h) : h spans V-perp},
+    where P is the label projection: the pivot clearing against the canonical basis of
+    V'-perp.  ``clearing`` holds ``(pivot column, row)`` for each row of that basis and
+    then of the span's canonical basis, and ``p`` is the uniform probability 1/|span|.
 
     Everything in the outcome set but the offset P(v) depends on (V, V') alone, and a
-    run meets few such pairs.  Memoized and bounded; it holds only tuples and a
+    run meets few such pairs.  Memoized and bounded; it holds only tuples, ints and a
     ``Fraction``.  A span past ``STATE_CAP`` points is refused before it is listed.
     """
     cells = _euclidean_complement(space, measured)
@@ -333,7 +374,8 @@ def _outcome_span(space: PhaseSpace, known: AffineSubspace,
     if space.d ** span.rank > STATE_CAP:
         raise SizeCapExceeded("outcome enumeration", f"{space.d}^{span.rank}", STATE_CAP)
     points = tuple(span.points())
-    return cells.basis, points, Fraction(1, len(points))
+    clearing = tuple((row.index(1), row) for row in cells.basis + span.basis)
+    return clearing, points, Fraction(1, len(points))
 
 
 def possible_values(state: EpistemicState, m: SharpMeasurement) -> AffineSubspace:

@@ -12,6 +12,7 @@ is the algebraic fact the epistemic layer is built on.
 
 from __future__ import annotations
 
+import copy
 import functools
 import itertools
 import numbers
@@ -322,6 +323,13 @@ class SymplecticAffine:
     def linear(cls, space: PhaseSpace, s: Iterable) -> "SymplecticAffine":
         return cls(space, s if isinstance(s, Matrix) else Matrix(space.field, s))
 
+    def _shifted(self, a: Vector) -> "SymplecticAffine":
+        """This map's S with the displacement ``a``, a canonical vector of the space.
+        S was checked when this map was built, so nothing is checked again."""
+        t = copy.copy(self)
+        object.__setattr__(t, "a", a)
+        return t
+
     def apply(self, m: Iterable) -> Vector:
         m = self.space.vector(m, "point")
         reduce = self.space.field.reduce
@@ -441,16 +449,16 @@ def enumerate_symplectic(space: PhaseSpace) -> list:
 
 
 def enumerate_group(space: PhaseSpace) -> list:
-    """Every affine symplectic map (all S paired with all displacements)."""
+    """Every affine symplectic map (all S paired with all displacements), each S
+    checked once rather than once per displacement."""
     if not space.field.is_finite:
         raise UnsupportedOperation("cannot enumerate affine symplectic maps over Q")
     _capped_group_order("affine symplectic group enumeration", space.d, space.n,
                         shifts=True)
-    matrices = enumerate_symplectic(space)
     out = []
-    for s in matrices:
-        for a in space.points():
-            out.append(SymplecticAffine(space, s, a))
+    for s in enumerate_symplectic(space):
+        linear = SymplecticAffine(space, s)
+        out.extend(linear._shifted(a) for a in space.points())
     return out
 
 

@@ -26,6 +26,10 @@ D2_2 = PhaseSpace(PrimeField(2), 2)
 def run_and_report(k: int) -> None:
     results = acceptance.run_criterion(k)
     assert results, f"criterion {k} produced no checks"
+    # ``accept --d`` picks criteria by their declared moduli before running them.
+    exercised = set().union(*(r.moduli for r in results))
+    assert exercised == acceptance.MODULI[k], \
+        f"criterion {k} exercises d in {sorted(exercised)}, declares {sorted(acceptance.MODULI[k])}"
     for r in results:
         mark = "PASS" if r.passed else "FAIL"
         print(f"  [{mark}] {r.name}: {r.actual} (tolerance {r.tolerance})")
@@ -116,6 +120,10 @@ def test_criterion_7_classical_engine_against_brute_force(monkeypatch):
 def test_criterion_8_possibilistic_rational_engine():
     """Correlated-pair value sets and repeatability over the rationals."""
     run_and_report(8)
+
+
+def test_every_criterion_declares_its_moduli():
+    assert sorted(acceptance.MODULI) == sorted(acceptance.SUITES["all"])
 
 
 def test_suites_cover_every_criterion_exactly_once():

@@ -438,7 +438,8 @@ def test_accept_json_report_structure(capsys):
 
 def test_accept_failure_exits_1(monkeypatch, capsys):
     broken = acceptance.CheckResult(1, "engineered failure", False, "x", "y")
-    monkeypatch.setattr(acceptance, "run_suite", lambda suite, seed=None: [broken])
+    monkeypatch.setattr(acceptance, "run_suite",
+                        lambda suite, seed=None, modulus=None: [broken])
     assert main(["accept", "--suite", "algebra"]) == EXIT_REJECT
     assert "REJECT" in capsys.readouterr().out
 
@@ -446,6 +447,26 @@ def test_accept_failure_exits_1(monkeypatch, capsys):
 def test_accept_unknown_modulus_exits_3(capsys):
     assert main(["accept", "--suite", "equivalence", "--d", "7"]) == EXIT_INVALID
     assert "d=7" in capsys.readouterr().err
+
+
+def test_accept_runs_only_the_criteria_that_declare_the_modulus(monkeypatch, capsys):
+    """``--d`` picks the criteria from ``acceptance.MODULI`` before any of them runs:
+    a prime no criterion declares runs none."""
+    ran = []
+
+    def fake(k, seed=None):
+        ran.append(k)
+        return [acceptance.CheckResult(k, f"check {k}", True, "x", "y",
+                                       moduli=tuple(sorted(acceptance.MODULI[k])))]
+
+    monkeypatch.setattr(acceptance, "run_criterion", fake)
+    assert main(["accept", "--suite", "all", "--d", "7"]) == EXIT_INVALID
+    assert ran == []
+    assert "no checks in suite 'all' exercise d=7" in capsys.readouterr().err
+    assert main(["accept", "--suite", "all", "--d", "5"]) == EXIT_OK
+    assert ran == [2, 3, 4]
+    assert main(["accept", "--suite", "algebra"]) == EXIT_OK
+    assert ran == [2, 3, 4, 1, 2, 7, 8]
 
 
 def test_accept_refuses_a_non_prime_modulus_before_running_the_suite(monkeypatch, capsys):

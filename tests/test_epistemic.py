@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from epistrict import epistemic
+from epistrict import epistemic, linalg, symplectic
 from epistrict.fields import RATIONALS, PrimeField
 from epistrict.linalg import AffineSubspace, Matrix
 from epistrict.epistemic import (
@@ -156,6 +156,23 @@ def test_value_of_known_functional():
     assert epr.value_of((1, 1, 2, 1)) == 1   # sums of known are known
     with pytest.raises(ValueError):
         epr.value_of((1, 0, 0, 0))           # bare q1 is not known
+
+
+def test_constructor_keeps_a_valuation_as_given_only_when_canonical():
+    """The constructor skips the coercion and the clear only for a tuple of canonical
+    scalars that is zero in every pivot column of V-perp; any other valuation comes out
+    as its coset's canonical representative, and a bool is still refused."""
+    q = AffineSubspace.span(D3.field, [(1, 0)], ambient=2)
+    for raw in ((4, 0), (-2, 3), [1, 0], (Fraction(4), 0), (1, 2), (1, 0)):
+        st = EpistemicState(D3, q, raw)
+        assert st.valuation == (1, 0) and all(type(x) is int for x in st.valuation)
+    with pytest.raises(TypeError, match="must be an int"):
+        EpistemicState(D3, q, (True, 0))
+    with pytest.raises(ValueError, match="point of length 3"):
+        EpistemicState(D3, q, (1, 0, 0))
+    space = PhaseSpace(RATIONALS, 1)
+    st = EpistemicState(space, AffineSubspace.span(RATIONALS, [(1, 0)], ambient=2), (2, 0))
+    assert st.valuation == (2, 0) and all(type(x) is Fraction for x in st.valuation)
 
 
 # ---------------------------------------------------------------------------
@@ -455,10 +472,13 @@ def test_labels_and_measure_match_the_reach_route(space, seeded):
     states, meas = _states_and_measurements(space, seeded)
     epistemic._outcome_span.cache_clear()
     misses = []
+    for m in meas:
+        assert m.outcomes() == sorted(m.outcomes())
     for _ in ("cold", "warm"):
         for s in states:
             for m in meas:
                 want = _reach_labels(s, m)
+                assert epistemic._labels_and_weight(s, m)[0] == want  # in outcome order
                 got = measure(s, m)
                 assert got.labels() == want
                 assert got == OutcomeDistribution(
@@ -501,6 +521,102 @@ def test_warm_measure_builds_no_subspace(monkeypatch):
     warm = [measure(s, m) for s in states for m in meas]
     assert calls == []
     assert warm == cold
+
+
+def test_warm_measure_builds_its_distribution_without_resumming(monkeypatch):
+    """A warm measure never enters ``OutcomeDistribution.__init__``: the uniform
+    distribution is checked in O(1), not summed entry by entry."""
+    states = enumerate_states(D2_2)
+    meas = [SharpMeasurement(D2_2, v) for v in enumerate_isotropic(D2_2)]
+    cold = [measure(s, m) for s in states for m in meas]
+    entered = []
+    init = OutcomeDistribution.__init__
+
+    def counting_init(self, entries):
+        entered.append(entries)
+        init(self, entries)
+
+    monkeypatch.setattr(OutcomeDistribution, "__init__", counting_init)
+    warm = [measure(s, m) for s in states for m in meas]
+    assert entered == []
+    assert warm == cold
+    assert OutcomeDistribution({(0,): 1}) and len(entered) == 1  # the counter works
+
+
+def test_measure_refuses_an_inconsistent_uniform_probability(monkeypatch):
+    """A memo that hands back p other than 1/len(labels) is refused with ValueError,
+    an exception that ``python -O`` keeps."""
+    state = EpistemicState.ignorance(D2_2)
+    m = SharpMeasurement.of_functional(D2_2, (1, 0, 0, 0))
+    assert len(measure(state, m).labels()) == 2
+    span = epistemic._outcome_span
+    for bad in (Fraction(1, 3), Fraction(1, 4), Fraction(-1, 2), Fraction(0), Fraction(1)):
+        monkeypatch.setattr(epistemic, "_outcome_span",
+                            lambda *key, bad=bad: span(*key)[:2] + (bad,))
+        with pytest.raises(ValueError, match=rf"uniform probability {bad} over 2 outcomes"):
+            measure(state, m)
+
+
+def test_warm_transform_builds_no_subspace_and_coerces_nothing(monkeypatch):
+    """Once the (V, S) images are memoized, a transform builds no AffineSubspace and
+    calls neither ``vec`` nor ``representative``: its valuation is already canonical."""
+    states = enumerate_states(D2_2)
+    rng = random.Random(5)
+    maps = [random_symplectic_affine(D2_2, rng) for _ in range(12)]
+    epistemic._known_image.cache_clear()
+    cold = [transform(s, t) for s in states for t in maps]
+    calls = []
+    post_init = AffineSubspace.__post_init__
+    representative = AffineSubspace.representative
+
+    def counting_post_init(self):
+        calls.append("AffineSubspace")
+        post_init(self)
+
+    def counting_representative(self, x):
+        calls.append("representative")
+        return representative(self, x)
+
+    monkeypatch.setattr(AffineSubspace, "__post_init__", counting_post_init)
+    monkeypatch.setattr(AffineSubspace, "representative", counting_representative)
+    for module in (linalg, symplectic):
+        vec = module.vec
+
+        def counting_vec(field, entries, vec=vec):
+            calls.append("vec")
+            return vec(field, entries)
+
+        monkeypatch.setattr(module, "vec", counting_vec)
+    warm = [transform(s, t) for s in states for t in maps]
+    assert calls == []
+    assert warm == cold
+    assert [s.valuation for s in warm] == [s.valuation for s in cold]
+    EpistemicState(D2_2, states[-1].known, (1, 1, 1, 1))
+    assert {"vec", "representative"} <= set(calls)  # the counters work
+
+
+def test_measure_and_transform_accept_an_equal_space_and_refuse_another():
+    """The space check tests identity first, then equality: an equal but distinct
+    PhaseSpace is the same space, and any other space is refused."""
+    twin = PhaseSpace(PrimeField(2), 2)
+    assert twin is not D2_2 and twin == D2_2
+    rng = random.Random(8)
+    maps = [random_symplectic_affine(D2_2, rng) for _ in range(3)]
+    for s in enumerate_states(D2_2)[::9]:
+        for t in maps:
+            moved = transform(s, t)
+            assert transform(s, SymplecticAffine(twin, t.s, t.a)) == moved
+            for v in enumerate_isotropic(D2_2)[::5]:
+                want = measure(moved, SharpMeasurement(D2_2, v))
+                assert measure(moved, SharpMeasurement(twin, v)) == want
+    state = enumerate_states(D2_2)[40]
+    for other in (PhaseSpace(PrimeField(3), 2), PhaseSpace(RATIONALS, 2)):
+        t = SymplecticAffine.identity(other)
+        m = SharpMeasurement.of_functional(other, (1, 0, 0, 0))
+        with pytest.raises(ValueError, match="transformation acts on a different phase space"):
+            transform(state, t)
+        with pytest.raises(ValueError, match="measurement lives on a different phase space"):
+            measure(state, m)
 
 
 @pytest.mark.parametrize("space, seeded", [

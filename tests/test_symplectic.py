@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from epistrict import symplectic
 from epistrict.epistemic import EpistemicState, SharpMeasurement
 from epistrict.fields import RATIONALS, PrimeField, RationalField
 from epistrict.linalg import AffineSubspace, Matrix, null_space
@@ -478,6 +479,29 @@ def test_an_affine_map_holds_its_matrix_in_canonical_form():
 
 def test_affine_group_size_d2():
     assert len(enumerate_group(SPACES[2, 1])) == 24
+
+
+@pytest.mark.parametrize("d, n", [(2, 1), (3, 1), (2, 2)])
+def test_enumerate_group_checks_each_matrix_once(monkeypatch, d, n):
+    """One symplecticity check per S, not one per (S, a); every map equals the one
+    the checking constructor builds from the same S and a."""
+    space = SPACES[d, n]
+    checked = []
+
+    def counting(space, s):
+        checked.append(s.rows)
+        return is_symplectic(space, s)
+
+    monkeypatch.setattr(symplectic, "is_symplectic", counting)
+    group = enumerate_group(space)
+    monkeypatch.undo()
+    matrices = enumerate_symplectic(space)
+    assert checked == [s.rows for s in matrices]
+    assert len(group) == len(matrices) * d ** space.dim
+    points = list(space.points())
+    for k, t in enumerate(group):
+        s, a = matrices[k // len(points)], points[k % len(points)]
+        assert t == SymplecticAffine(space, s, a) and type(t.a) is tuple
 
 
 def test_equal_spaces_hash_equal():
