@@ -540,7 +540,8 @@ def test_warm_measure_builds_its_distribution_without_resumming(monkeypatch):
     warm = [measure(s, m) for s in states for m in meas]
     assert entered == []
     assert warm == cold
-    assert OutcomeDistribution({(0,): 1}) and len(entered) == 1  # the counter works
+    OutcomeDistribution({(0,): 1})
+    assert len(entered) == 1  # the counter works
 
 
 def test_measure_refuses_an_inconsistent_uniform_probability(monkeypatch):
