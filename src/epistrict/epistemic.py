@@ -20,7 +20,6 @@ over the rational field only the possibilistic layer is available.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -29,7 +28,6 @@ from typing import Iterable
 from .fields import Scalar
 from .linalg import (
     AffineSubspace,
-    Matrix,
     Vector,
     _sub_multiple,
     vec_dot,
@@ -60,11 +58,9 @@ class EpistemicState:
     def __post_init__(self):
         if not is_isotropic(self.space, self.known):
             raise ValueError("known quadratures must span an isotropic linear subspace")
+        raw = self.valuation if self.valuation is not None else self.space.zero()
         hidden = _euclidean_complement(self.space, self.known)
-        if self.valuation is None:
-            object.__setattr__(self, "valuation", self.space.zero())
-        elif not hidden.is_representative(self.valuation):
-            object.__setattr__(self, "valuation", hidden.representative(self.valuation))
+        object.__setattr__(self, "valuation", hidden.representative(raw))
 
     @classmethod
     def ignorance(cls, space: PhaseSpace) -> "EpistemicState":
@@ -162,7 +158,8 @@ def _known_image(space: PhaseSpace, known: AffineSubspace, s_rows: tuple) -> tup
     [P S | P], where P is the pivot clearing against the canonical basis of V'-perp.
 
     For symplectic S, S^{-T} f = J^T S (J f), where J and J^T are signed swaps, so
-    each known row costs one product with S.  P x = x - sum_i x[k_i] r_i over the
+    each known row costs one product with S, read from the validated map's canonical
+    rows as they are.  P x = x - sum_i x[k_i] r_i over the
     rows r_i of that basis, k_i the pivot of r_i, so row a of P [S | I] is row a of
     [S | I] less r_i[a] times its row k_i, for each i.
 
@@ -171,13 +168,17 @@ def _known_image(space: PhaseSpace, known: AffineSubspace, s_rows: tuple) -> tup
     canonical subspace V' and tuples of canonical scalars.
     """
     fld = space.field
-    s = Matrix(fld, s_rows)
+    reduce = fld.reduce
+
+    def s_times(x):
+        return tuple([reduce(sum(map(mul, row, x))) for row in s_rows])
+
     image = AffineSubspace(fld, space.dim,
-                           tuple(_apply_jt(fld, s.matvec(_apply_j(fld, f)))
+                           tuple(_apply_jt(fld, s_times(_apply_j(fld, f)))
                                  for f in known.basis))
     one, zero = fld.one, fld.zero
     aug = [row + tuple(one if i == j else zero for j in range(space.dim))
-           for i, row in enumerate(s.rows)]
+           for i, row in enumerate(s_rows)]
     cells = [(r.index(one), r) for r in _euclidean_complement(space, image).basis]
     rows = []
     for a, row in enumerate(aug):
@@ -222,8 +223,8 @@ class SharpMeasurement:
 
     def cell(self, label: Iterable) -> AffineSubspace:
         """All ontic states producing this outcome (the response set)."""
-        hidden = self._hidden()
-        return AffineSubspace(self.space.field, self.space.dim, hidden.basis, label)
+        return AffineSubspace(self.space.field, self.space.dim, self._hidden().basis,
+                              self.space.vector(label, "label"))
 
     def outcomes(self) -> list:
         """All canonical outcome labels, lexicographically ordered (finite fields):
@@ -243,32 +244,13 @@ class OutcomeDistribution:
     """Exact outcome statistics: canonical labels mapped to ``Fraction`` probabilities."""
 
     def __init__(self, entries: dict):
-        # One pass: coerce, drop zeros, and keep the exact sum as the integer
-        # numerator ``num`` over the running common denominator ``den``.  Each
-        # distinct value object is coerced and put over ``den`` once, since a uniform
-        # distribution repeats one Fraction; ``den`` only grows, so it stays a
-        # multiple of every denominator seen.
-        cleaned = {}
-        num, den, negative = 0, 1, False
-        seen = object()  # matches no value
-        for k, v in entries.items():
-            if v is not seen:
-                seen = v
-                p = v if isinstance(v, Fraction) else Fraction(v)
-                top, q = p.numerator, p.denominator
-                if den % q:
-                    lcm = math.lcm(den, q)
-                    num *= lcm // den
-                    den = lcm
-                negative = negative or top < 0
-            if top:
-                cleaned[tuple(k)] = p
-                num += top * (den // q)
-        if num != den:
-            raise ValueError(f"probabilities sum to {Fraction(num, den)}, not 1")
-        if negative:
+        probs = [Fraction(v) for v in entries.values()]
+        total = sum(probs, Fraction(0))
+        if total != 1:
+            raise ValueError(f"probabilities sum to {total}, not 1")
+        if any(p < 0 for p in probs):
             raise ValueError("negative probability")
-        self._probs = cleaned
+        self._probs = {tuple(k): p for k, p in zip(entries, probs) if p}
 
     @classmethod
     def _uniform(cls, labels: list, p: Fraction) -> "OutcomeDistribution":

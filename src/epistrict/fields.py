@@ -6,8 +6,8 @@ denominator) — so vectors and matrices stay ordinary tuples.  Arithmetic is Py
 ``+``, ``-`` and ``*`` on canonical scalars, which is exact ring arithmetic in both
 cases; a result becomes canonical again through one :meth:`Field.reduce` call (``% d``
 over Z_d, ``Fraction`` over Q).  A :class:`Field` supplies only what differs between
-the two: ``element`` (coercion of outside values), ``reduce``, ``is_canonical``,
-``inv``, ``zero``, ``one`` and, for Z_d, ``elements`` and ``modulus``.
+the two: ``element`` (coercion of outside values), ``reduce``, ``inv``, ``zero``,
+``one`` and, for Z_d, ``elements`` and ``modulus``.
 
 No floats anywhere in this module; equality of canonical scalars is meaningful.
 """
@@ -61,10 +61,6 @@ class Field:
 
     def reduce(self, x: Scalar) -> Scalar:
         """Canonical form of the result of ``+ - *`` on canonical scalars."""
-        raise NotImplementedError
-
-    def is_canonical(self, entries) -> bool:
-        """Whether every entry is already canonical, so ``element`` would change none."""
         raise NotImplementedError
 
     def inv(self, a: Scalar) -> Scalar:
@@ -121,10 +117,6 @@ class PrimeField(Field):
     def reduce(self, x: int) -> int:
         return x % self.modulus
 
-    def is_canonical(self, entries) -> bool:
-        d = self.modulus
-        return all(type(a) is int and 0 <= a < d for a in entries)
-
     def inv(self, a: int) -> int:
         a %= self.modulus
         if a == 0:
@@ -174,9 +166,6 @@ class RationalField(Field):
 
     def reduce(self, x) -> Fraction:
         return x if type(x) is Fraction else Fraction(x)
-
-    def is_canonical(self, entries) -> bool:
-        return all(type(a) is Fraction for a in entries)
 
     def inv(self, a: Fraction) -> Fraction:
         if a == 0:

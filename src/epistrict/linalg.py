@@ -320,14 +320,6 @@ class AffineSubspace:
         return AffineSubspace(self.field, self.ambient, self.basis + tuple(rows),
                               self.offset)
 
-    def is_representative(self, x) -> bool:
-        """Whether ``x`` is already the canonical representative of its coset: a tuple
-        of ``ambient`` canonical scalars, zero in every pivot column.  A few lookups per
-        row, where :meth:`representative` coerces every entry and clears."""
-        one = self.field.one
-        return (type(x) is tuple and len(x) == self.ambient and self.field.is_canonical(x)
-                and not any([x[row.index(one)] for row in self.basis]))
-
     def representative(self, x: Iterable) -> Vector:
         """Canonical representative of the coset ``x + direction`` (x need not lie here)."""
         x = vec(self.field, x)

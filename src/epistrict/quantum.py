@@ -62,7 +62,7 @@ from typing import Dict, Iterable
 import numpy as np
 
 from .fields import Field, RationalField
-from .linalg import AffineSubspace, Matrix, _require_field, vec_scale
+from .linalg import AffineSubspace, Matrix, _require_field, vec_dot, vec_scale
 from .symplectic import (
     PhaseSpace,
     SymplecticAffine,
@@ -73,7 +73,7 @@ from .symplectic import (
     _capped_product,
     is_symplectic,
 )
-from .epistemic import SharpMeasurement
+from .epistemic import EpistemicState, SharpMeasurement
 
 #: Entrywise tolerance on complex matrices, tables and traces.
 TOL = 1e-10
@@ -388,9 +388,9 @@ def quadrature_state(space: PhaseSpace, known: AffineSubspace,
     A product over the canonical echelon basis of V: basis independent at odd d, part of
     the definition at d = 2.
     """
-    meas = SharpMeasurement(space, known)  # validates isotropy
-    label = meas.label_of(valuation)
-    proj = _joint_projectors(space, known.basis, [meas.values_at(label)])[0]
+    label = EpistemicState(space, known, valuation).valuation  # validates isotropy
+    values = tuple(vec_dot(space.field, f, label) for f in known.basis)
+    proj = _joint_projectors(space, known.basis, [values])[0]
     tr = np.trace(proj).real
     expected_rank = space.d ** (space.n - known.rank)
     if abs(tr - expected_rank) > TOL * max(1, expected_rank):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from epistrict import epistemic, linalg, symplectic
+from epistrict import epistemic
 from epistrict.fields import RATIONALS, PrimeField
 from epistrict.linalg import AffineSubspace, Matrix
 from epistrict.epistemic import (
@@ -159,9 +159,9 @@ def test_value_of_known_functional():
 
 
 def test_constructor_keeps_a_valuation_as_given_only_when_canonical():
-    """The constructor skips the coercion and the clear only for a tuple of canonical
-    scalars that is zero in every pivot column of V-perp; any other valuation comes out
-    as its coset's canonical representative, and a bool is still refused."""
+    """Every valuation comes out as its coset's canonical representative, a tuple of
+    canonical scalars: one given that way is kept, an outside ``(4, 0)`` at d = 3 or a
+    list is reduced, and a bool or a wrong length is refused."""
     q = AffineSubspace.span(D3.field, [(1, 0)], ambient=2)
     for raw in ((4, 0), (-2, 3), [1, 0], (Fraction(4), 0), (1, 2), (1, 0)):
         st = EpistemicState(D3, q, raw)
@@ -266,6 +266,16 @@ def test_label_of_names_a_point_of_the_wrong_length():
     meas = SharpMeasurement(D3_2, AffineSubspace.span(D3_2.field, [(1, 0, 2, 0)], ambient=4))
     with pytest.raises(ValueError, match="point of length 2 in dimension 4"):
         meas.label_of((1, 2))
+
+
+def test_cell_names_a_label_of_the_wrong_length():
+    """``cell`` checks its label as ``values_at`` does, naming the label."""
+    meas = SharpMeasurement(D3_2, AffineSubspace.span(D3_2.field, [(1, 0, 2, 0)], ambient=4))
+    for call in (meas.cell, meas.values_at):
+        with pytest.raises(ValueError, match=r"label of length 2 on a phase space of "
+                                             r"dimension 2n = 4"):
+            call((1, 2))
+    assert meas.cell([4, 0, 0, 0]) == meas.cell((1, 0, 0, 0))
 
 
 def test_probabilities_are_reciprocal_powers_of_d():
@@ -558,9 +568,10 @@ def test_measure_refuses_an_inconsistent_uniform_probability(monkeypatch):
             measure(state, m)
 
 
-def test_warm_transform_builds_no_subspace_and_coerces_nothing(monkeypatch):
-    """Once the (V, S) images are memoized, a transform builds no AffineSubspace and
-    calls neither ``vec`` nor ``representative``: its valuation is already canonical."""
+def test_warm_transform_builds_no_subspace_and_canonicalizes_once(monkeypatch):
+    """Once the (V, S) images are memoized, a transform builds no AffineSubspace, and
+    its valuation is made canonical by the one route every state takes: one
+    ``representative`` call, in the state constructor."""
     states = enumerate_states(D2_2)
     rng = random.Random(5)
     maps = [random_symplectic_affine(D2_2, rng) for _ in range(12)]
@@ -580,20 +591,48 @@ def test_warm_transform_builds_no_subspace_and_coerces_nothing(monkeypatch):
 
     monkeypatch.setattr(AffineSubspace, "__post_init__", counting_post_init)
     monkeypatch.setattr(AffineSubspace, "representative", counting_representative)
-    for module in (linalg, symplectic):
-        vec = module.vec
-
-        def counting_vec(field, entries, vec=vec):
-            calls.append("vec")
-            return vec(field, entries)
-
-        monkeypatch.setattr(module, "vec", counting_vec)
     warm = [transform(s, t) for s in states for t in maps]
-    assert calls == []
+    assert calls == ["representative"] * len(warm)
     assert warm == cold
     assert [s.valuation for s in warm] == [s.valuation for s in cold]
-    EpistemicState(D2_2, states[-1].known, (1, 1, 1, 1))
-    assert {"vec", "representative"} <= set(calls)  # the counters work
+
+
+@pytest.mark.parametrize("space", [D2_2, D3_2, PhaseSpace(RATIONALS, 2)])
+def test_known_image_miss_builds_no_matrix(monkeypatch, space):
+    """A ``_known_image`` miss reads S's rows as they are: they come from a validated
+    map, so no ``Matrix`` is rebuilt from them.  (A first pass fills the complement
+    memo, whose own misses build matrices.)"""
+    rng = random.Random(9)
+    if space.field.is_finite:
+        maps = [random_symplectic_affine(space, rng) for _ in range(6)]
+        states = enumerate_states(space)[::7]
+    else:
+        maps = [SymplecticAffine(space, Matrix(space.field, rows), (Fraction(1, 2), 0, 3, 1))
+                for rows in ([(1, 0, 0, 0), (Fraction(1, 3), 1, 0, 0), (0, 0, 1, 0),
+                              (0, 0, 0, 1)],
+                             [(0, 1, 0, 0), (-1, 0, 0, 0), (0, 0, 1, Fraction(2, 5)),
+                              (0, 0, 0, 1)])]
+        states = [EpistemicState(space, AffineSubspace.span(space.field, rows, ambient=4),
+                                 (1, Fraction(1, 2), 0, 2))
+                  for rows in ([], [(1, 0, 0, 0)], [(1, 0, 0, 0), (0, 0, 1, 0)])]
+    want = [_dense_transform(s, t) for s in states for t in maps]
+    assert [transform(s, t) for s in states for t in maps] == want
+    built = []
+    post_init = Matrix.__post_init__
+
+    def counting_post_init(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Matrix, "__post_init__", counting_post_init)
+    epistemic._known_image.cache_clear()
+    moved = [transform(s, t) for s in states for t in maps]
+    assert built == []
+    assert epistemic._known_image.cache_info().misses == len(
+        {(s.known, t.s.rows) for s in states for t in maps})
+    assert moved == want
+    Matrix.identity(space.field, space.dim)
+    assert len(built) == 1  # the counter works
 
 
 def test_measure_and_transform_accept_an_equal_space_and_refuse_another():

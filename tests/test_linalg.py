@@ -409,23 +409,6 @@ def test_representative_depends_only_on_coset():
     assert AffineSubspace.span(F3, s.basis, ambient=4, offset=x).contains(shifted)
 
 
-def test_is_representative_holds_exactly_when_nothing_would_change():
-    """``is_representative(x)`` holds exactly when ``representative`` would hand back
-    ``x`` itself: a tuple of canonical scalars, zero in every pivot column."""
-    line = AffineSubspace.span(F3, [(1, 0, 2, 0)], ambient=4)
-    probes = [x for x in product(range(-1, 4), repeat=4)]
-    probes += [[0, 1, 2, 0], (True, 1, 0, 0), (0, Fraction(1), 0, 0), (0, np.int64(1), 0, 0),
-               (0, 1, 2), (0, 1, 2, 0, 0)]
-    for x in probes:
-        as_given = (type(x) is tuple and len(x) == 4
-                    and all(type(a) is int for a in x) and line.representative(x) == x)
-        assert line.is_representative(x) == as_given, x
-    plane = AffineSubspace.span(RATIONALS, [(1, Fraction(1, 2), 0)], ambient=3)
-    assert plane.is_representative((Fraction(0), Fraction(1, 3), Fraction(5)))
-    assert not plane.is_representative((0, Fraction(1, 3), Fraction(5)))
-    assert not plane.is_representative((Fraction(1), Fraction(0), Fraction(0)))
-
-
 def test_span_reads_an_offset_iterator_once():
     s = AffineSubspace.span(F3, [], offset=(x for x in (1, 2)))
     assert s == AffineSubspace.point(F3, (1, 2))

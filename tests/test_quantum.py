@@ -598,6 +598,17 @@ def test_quadrature_state_ranks():
         assert abs(purity - 3.0 ** (s.rank - 2)) < 1e-10
 
 
+def test_quadrature_state_refuses_a_non_isotropic_v_as_a_state():
+    """A non-isotropic V is refused with the state's message, and the valuation is
+    made canonical as a state's is."""
+    both = AffineSubspace.span(D3.field, [(1, 0), (0, 1)], ambient=2)
+    with pytest.raises(ValueError, match="known quadratures must span an isotropic"):
+        quadrature_state(D3, both, (0, 0))
+    q = AffineSubspace.span(D3.field, [(1, 0)], ambient=2)
+    qs = quadrature_state(D3, q, (4, 2))
+    assert qs.valuation == (1, 0) and np.array_equal(qs.rho, quadrature_state(D3, q, (1, 0)).rho)
+
+
 def test_born_uniform_for_conjugate_quadrature():
     state = quadrature_state(D3, AffineSubspace.span(D3.field, [(1, 0)], ambient=2),
                              (0, 0))
