@@ -268,16 +268,6 @@ def test_label_of_names_a_point_of_the_wrong_length():
         meas.label_of((1, 2))
 
 
-def test_cell_names_a_label_of_the_wrong_length():
-    """``cell`` checks its label as ``values_at`` does, naming the label."""
-    meas = SharpMeasurement(D3_2, AffineSubspace.span(D3_2.field, [(1, 0, 2, 0)], ambient=4))
-    for call in (meas.cell, meas.values_at):
-        with pytest.raises(ValueError, match=r"label of length 2 on a phase space of "
-                                             r"dimension 2n = 4"):
-            call((1, 2))
-    assert meas.cell([4, 0, 0, 0]) == meas.cell((1, 0, 0, 0))
-
-
 def test_probabilities_are_reciprocal_powers_of_d():
     rng = random.Random(3)
     states = enumerate_states(D3_2)

@@ -128,6 +128,7 @@ VECTOR_ENTRIES = [
     pytest.param(D3_POSITION.value_of, id="EpistemicState.value_of"),
     pytest.param(D3_POSITION_MEAS.label_of, id="SharpMeasurement.label_of"),
     pytest.param(D3_POSITION_MEAS.values_at, id="SharpMeasurement.values_at"),
+    pytest.param(D3_POSITION_MEAS.cell, id="SharpMeasurement.cell"),
     pytest.param(AffineSubspace.full(D3.field, 2).contains, id="AffineSubspace.contains"),
     pytest.param(lambda x: quadrature_projector(D3, x, 0), id="quadrature_projector"),
     pytest.param(lambda x: weyl(D3, x), id="weyl"),
