@@ -29,6 +29,7 @@ from .fields import Scalar
 from .linalg import (
     AffineSubspace,
     Vector,
+    _clear_pivots,
     _sub_multiple,
     vec_dot,
 )
@@ -60,7 +61,8 @@ class EpistemicState:
             raise ValueError("known quadratures must span an isotropic linear subspace")
         raw = self.valuation if self.valuation is not None else self.space.zero()
         hidden = _euclidean_complement(self.space, self.known)
-        object.__setattr__(self, "valuation", hidden.representative(raw))
+        object.__setattr__(self, "valuation", _clear_pivots(
+            self.space.field, self.space.vector(raw, "valuation"), hidden.basis))
 
     @classmethod
     def ignorance(cls, space: PhaseSpace) -> "EpistemicState":

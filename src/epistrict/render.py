@@ -17,7 +17,7 @@ finite grid) are refused rather than approximated.
 
 from __future__ import annotations
 
-from typing import Callable, Union
+from typing import Union
 
 from .epistemic import EpistemicState, SharpMeasurement
 from .symplectic import PhaseSpace, UnsupportedOperation
@@ -59,15 +59,34 @@ def _grid_side(space: PhaseSpace) -> int:
     return d if space.n == 1 else d * d
 
 
+def _cell_classes(obj: Union[EpistemicState, SharpMeasurement]) -> tuple:
+    """``(count, class_at)`` for a renderable object: ``class_at(row, col)`` is the class,
+    in ``range(count)``, of the point in that cell, or None outside a state's support.  A
+    state's one class is its support; a measurement's are its ``outcomes()`` in order."""
+    space = obj.space
+    _check_renderable(space)
+    if isinstance(obj, EpistemicState):
+        support = obj.support()
+        return 1, lambda row, col: (
+            0 if support.contains(_point_at(space, row, col)) else None)
+    index = {label: i for i, label in enumerate(obj.outcomes())}
+    return len(index), lambda row, col: index[obj.label_of(_point_at(space, row, col))]
+
+
 # ---------------------------------------------------------------------------
 # ASCII
 # ---------------------------------------------------------------------------
 
 
-def _ascii_grid(space: PhaseSpace, glyph_at: Callable[[int, int], str]) -> str:
-    d = space.field.modulus
-    side = _grid_side(space)
-    nested = space.n == 2
+def _ascii_grid(obj: Union[EpistemicState, SharpMeasurement], glyphs: str) -> str:
+    """The object's cells as ``glyphs[class]``, ``.`` outside a state's support."""
+    count, class_at = _cell_classes(obj)
+    if count > len(glyphs):
+        raise UnsupportedOperation(
+            f"{count} outcomes exceed the {len(glyphs)}-glyph alphabet")
+    d = obj.space.field.modulus
+    side = _grid_side(obj.space)
+    nested = obj.space.n == 2
     lines = []
     for row in range(side):
         if nested and row > 0 and row % d == 0:
@@ -76,37 +95,20 @@ def _ascii_grid(space: PhaseSpace, glyph_at: Callable[[int, int], str]) -> str:
         for col in range(side):
             if nested and col > 0 and col % d == 0:
                 chars.append("|")
-            chars.append(glyph_at(row, col))
+            cls = class_at(row, col)
+            chars.append(EMPTY_GLYPH if cls is None else glyphs[cls])
         lines.append("".join(chars))
     return "\n".join(lines) + "\n"
 
 
 def ascii_state(state: EpistemicState) -> str:
     """Support of the state as a glyph grid (``#`` inside, ``.`` outside)."""
-    _check_renderable(state.space)
-    support = state.support()
-
-    def glyph(row: int, col: int) -> str:
-        point = _point_at(state.space, row, col)
-        return SUPPORT_GLYPH if support.contains(point) else EMPTY_GLYPH
-
-    return _ascii_grid(state.space, glyph)
+    return _ascii_grid(state, SUPPORT_GLYPH)
 
 
 def ascii_measurement(meas: SharpMeasurement) -> str:
     """Outcome cells of the measurement, one glyph per outcome label."""
-    _check_renderable(meas.space)
-    labels = meas.outcomes()
-    if len(labels) > len(OUTCOME_GLYPHS):
-        raise UnsupportedOperation(
-            f"{len(labels)} outcomes exceed the {len(OUTCOME_GLYPHS)}-glyph alphabet")
-    index = {label: i for i, label in enumerate(labels)}
-
-    def glyph(row: int, col: int) -> str:
-        point = _point_at(meas.space, row, col)
-        return OUTCOME_GLYPHS[index[meas.label_of(point)]]
-
-    return _ascii_grid(meas.space, glyph)
+    return _ascii_grid(meas, OUTCOME_GLYPHS)
 
 
 # ---------------------------------------------------------------------------
@@ -119,9 +121,11 @@ def _outcome_fill(i: int, n_outcomes: int) -> str:
     return f"hsl({hue},70%,60%)"
 
 
-def _svg_grid(space: PhaseSpace, fill_at: Callable[[int, int], str]) -> str:
-    d = space.field.modulus
-    side = _grid_side(space)
+def _svg_grid(obj: Union[EpistemicState, SharpMeasurement]) -> str:
+    """The object's cells shaded one hue per class, white outside a state's support."""
+    count, class_at = _cell_classes(obj)
+    d = obj.space.field.modulus
+    side = _grid_side(obj.space)
     size = side * CELL_PX
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>\n',
@@ -130,11 +134,13 @@ def _svg_grid(space: PhaseSpace, fill_at: Callable[[int, int], str]) -> str:
     ]
     for row in range(side):
         for col in range(side):
+            cls = class_at(row, col)
+            fill = "#ffffff" if cls is None else _outcome_fill(cls, count)
             parts.append(
                 f'<rect x="{col * CELL_PX}" y="{row * CELL_PX}" '
                 f'width="{CELL_PX}" height="{CELL_PX}" '
-                f'fill="{fill_at(row, col)}" stroke="#999999" stroke-width="1"/>\n')
-    if space.n == 2:
+                f'fill="{fill}" stroke="#999999" stroke-width="1"/>\n')
+    if obj.space.n == 2:
         for k in range(1, d):
             at = k * d * CELL_PX
             parts.append(
@@ -149,28 +155,12 @@ def _svg_grid(space: PhaseSpace, fill_at: Callable[[int, int], str]) -> str:
 
 def svg_state(state: EpistemicState) -> str:
     """Support of the state as a shaded SVG grid (deterministic bytes)."""
-    _check_renderable(state.space)
-    support = state.support()
-    filled = _outcome_fill(0, 1)
-
-    def fill(row: int, col: int) -> str:
-        point = _point_at(state.space, row, col)
-        return filled if support.contains(point) else "#ffffff"
-
-    return _svg_grid(state.space, fill)
+    return _svg_grid(state)
 
 
 def svg_measurement(meas: SharpMeasurement) -> str:
     """Outcome cells of the measurement, one hue per outcome label."""
-    _check_renderable(meas.space)
-    labels = meas.outcomes()
-    index = {label: i for i, label in enumerate(labels)}
-
-    def fill(row: int, col: int) -> str:
-        point = _point_at(meas.space, row, col)
-        return _outcome_fill(index[meas.label_of(point)], len(labels))
-
-    return _svg_grid(meas.space, fill)
+    return _svg_grid(meas)
 
 
 # ---------------------------------------------------------------------------

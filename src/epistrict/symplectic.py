@@ -483,9 +483,9 @@ def enumerate_isotropic(space: PhaseSpace, rank: Optional[int] = None) -> list:
         for pivots in itertools.combinations(range(space.dim), k):
             free_slots = [(i, j) for i in range(k) for j in range(space.dim)
                           if j > pivots[i] and j not in pivots]
-            if d ** len(free_slots) > ISOTROPIC_CAP:
-                raise SizeCapExceeded("isotropic subspace enumeration",
-                                      d ** len(free_slots), ISOTROPIC_CAP)
+            _capped_product("isotropic subspace enumeration",
+                            itertools.repeat(d, len(free_slots)),
+                            f"{d}^{len(free_slots)}", ISOTROPIC_CAP)
             for values in itertools.product(range(d), repeat=len(free_slots)):
                 rows = [[space.field.zero] * space.dim for _ in range(k)]
                 for i in range(k):

@@ -4,9 +4,9 @@ The point operators are the symplectic Fourier transforms of the Weyl family,
 
     A(m) = d^{-n} * sum_{m'} char(<m', m>) W(m'),      A(m) = W(-m) A(0) W(-m)^dag,
 
-with the doubled character at d = 2 (where the formula reproduces, degree of freedom by
-degree of freedom, the familiar real point operators (I ± X ± Y ± Z)/2; the three
-Weyl-line signs of that net are exposed as a parameter with (+1, +1, +1) canonical).
+with the doubled character at d = 2, where the same formula reproduces, degree of
+freedom by degree of freedom, the familiar real point operators (I ± X ± Y ± Z)/2 of
+one fixed qubit net: every Weyl line enters with sign +1.
 
 Normalization is fixed by Tr A(m) = 1.  The family then resolves the identity only up
 to the constant d^n — sum_m A(m) = d^n * I, since tracing the sum counts all d^{2n}
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -52,54 +52,33 @@ from .quantum import (
     quadrature_state,
 )
 
-#: Sign choices (s_x, s_y, s_z) for the three nontrivial Weyl lines of one qubit.
-CANONICAL_NET = (1, 1, 1)
-
 
 @dataclass(frozen=True)
 class PointOperatorBasis:
     """The full family {A(m)} indexed by phase-space points.
 
-    ``ops`` is one read-only (N, D, D) array aligned with ``points()``; ``op(m)`` is a
-    view of it, not a copy.
+    ``ops`` is one read-only (N, D, D) array and ``pts`` the tuple of its N points, in
+    ``points()`` order.  ``op(m)`` is a view of ``ops``, not a copy: ``PhaseSpace.vector``
+    checks ``m`` (read mod d) and ``quantum._codes`` gives its position.
     """
 
     space: PhaseSpace
     ops: np.ndarray
-    index: dict         # point -> position in ops
-    net: Optional[tuple] = None
+    pts: tuple
 
     def op(self, m) -> np.ndarray:
-        return self.ops[self.index[tuple(m)]]
+        return self.ops[_codes(self.space.d, self.space.vector(m, "point"))]
 
-    def points(self):
-        return list(self.index)
-
-
-def _checked_net(net) -> tuple:
-    if not isinstance(net, tuple) or len(net) != 3:
-        raise ValueError(f"net must be a 3-tuple of signs, got {net!r}")
-    for sign in net:
-        if sign not in (1, -1):
-            raise ValueError(f"net sign {sign!r} is not +1 or -1 (net = {net!r})")
-    return tuple(int(sign) for sign in net)
+    def points(self) -> tuple:
+        return self.pts
 
 
-def point_operators(space: PhaseSpace, net: Optional[tuple] = None) -> PointOperatorBasis:
-    """Build the point-operator basis; ``net`` applies at d = 2 only."""
+def point_operators(space: PhaseSpace) -> PointOperatorBasis:
+    """Build the point-operator basis: one formula at every d."""
     dim = hilbert_dim(space)
     d, n = space.d, space.n
-    if net is not None and d != 2:
-        raise ValueError("net signs are a d = 2 freedom only")
-    if d == 2:
-        net = CANONICAL_NET if net is None else _checked_net(net)
     pts = _digits(d, space.dim)
     rows, phases = _weyl_monomials(d, n, pts)
-    if d == 2:
-        sx, sy, sz = net
-        # The sign of W(m') is the product of its net signs over degrees of freedom.
-        signs = np.array([[1, sz], [sx, sy]])[pts[:, 0::2], pts[:, 1::2]].prod(axis=1)
-        phases = phases * signs[:, None]
     # char(<0, m'>) = 1 for every m', so A(0) is the plain Weyl average.
     a0 = np.zeros((dim, dim), dtype=complex)
     np.add.at(a0, (rows, np.arange(dim)), phases)
@@ -113,8 +92,7 @@ def point_operators(space: PhaseSpace, net: Optional[tuple] = None) -> PointOper
     ops[np.arange(len(pts))[:, None, None], rows[:, :, None], rows[:, None, :]] = (
         phases[:, :, None] * a0 * phases.conj()[:, None, :])
     ops.setflags(write=False)
-    index = {m: i for i, m in enumerate(map(tuple, pts.tolist()))}
-    return PointOperatorBasis(space, ops, index, net if d == 2 else None)
+    return PointOperatorBasis(space, ops, tuple(map(tuple, pts.tolist())))
 
 
 def _state_rows(basis: PointOperatorBasis, rhos: np.ndarray) -> np.ndarray:

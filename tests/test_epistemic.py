@@ -168,7 +168,7 @@ def test_constructor_keeps_a_valuation_as_given_only_when_canonical():
         assert st.valuation == (1, 0) and all(type(x) is int for x in st.valuation)
     with pytest.raises(TypeError, match="must be an int"):
         EpistemicState(D3, q, (True, 0))
-    with pytest.raises(ValueError, match="point of length 3"):
+    with pytest.raises(ValueError, match="valuation of length 3"):
         EpistemicState(D3, q, (1, 0, 0))
     space = PhaseSpace(RATIONALS, 1)
     st = EpistemicState(space, AffineSubspace.span(RATIONALS, [(1, 0)], ambient=2), (2, 0))
@@ -561,7 +561,7 @@ def test_measure_refuses_an_inconsistent_uniform_probability(monkeypatch):
 def test_warm_transform_builds_no_subspace_and_canonicalizes_once(monkeypatch):
     """Once the (V, S) images are memoized, a transform builds no AffineSubspace, and
     its valuation is made canonical by the one route every state takes: one
-    ``representative`` call, in the state constructor."""
+    ``_clear_pivots`` call, in the state constructor, and no ``representative``."""
     states = enumerate_states(D2_2)
     rng = random.Random(5)
     maps = [random_symplectic_affine(D2_2, rng) for _ in range(12)]
@@ -570,6 +570,7 @@ def test_warm_transform_builds_no_subspace_and_canonicalizes_once(monkeypatch):
     calls = []
     post_init = AffineSubspace.__post_init__
     representative = AffineSubspace.representative
+    clear_pivots = epistemic._clear_pivots
 
     def counting_post_init(self):
         calls.append("AffineSubspace")
@@ -579,10 +580,15 @@ def test_warm_transform_builds_no_subspace_and_canonicalizes_once(monkeypatch):
         calls.append("representative")
         return representative(self, x)
 
+    def counting_clear_pivots(field, x, rows):
+        calls.append("_clear_pivots")
+        return clear_pivots(field, x, rows)
+
     monkeypatch.setattr(AffineSubspace, "__post_init__", counting_post_init)
     monkeypatch.setattr(AffineSubspace, "representative", counting_representative)
+    monkeypatch.setattr(epistemic, "_clear_pivots", counting_clear_pivots)
     warm = [transform(s, t) for s in states for t in maps]
-    assert calls == ["representative"] * len(warm)
+    assert calls == ["_clear_pivots"] * len(warm)
     assert warm == cold
     assert [s.valuation for s in warm] == [s.valuation for s in cold]
 

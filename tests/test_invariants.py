@@ -135,6 +135,27 @@ def test_classical_modules_use_no_floats():
     assert found == []
 
 
+def test_exact_layers_import_nothing_from_the_quantum_side():
+    # The exact layers and ``render`` stand below the array layers and the entry
+    # points: none of them imports numpy or a module that does.
+    lower = ("fields.py", "linalg.py", "symplectic.py", "epistemic.py", "render.py")
+    upper = {"quantum", "wigner", "stabilizer", "acceptance", "scenario", "cli", "numpy"}
+    found = []
+    for name in lower:
+        path = Path(epistrict.__file__).parent / name
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                # Joined with each imported name, so ``from . import quantum`` counts.
+                modules = [f"{node.module or ''}.{a.name}" for a in node.names]
+            else:
+                continue
+            found += [f"{name}:{node.lineno} imports {module}" for module in modules
+                      if set(module.split(".")) & upper]
+    assert found == []
+
+
 def test_every_exact_value_type_is_canonical_by_construction():
     # A frozen dataclass of the exact layers has one constructor, and it canonicalizes:
     # without a ``__post_init__`` the raw dataclass constructor would accept anything.
@@ -150,9 +171,9 @@ def test_every_exact_value_type_is_canonical_by_construction():
 
 
 def test_fixed_limits_are_not_parameters():
-    # Size caps and tolerances are module constants with one value each.  The one
-    # settable cap is the Hilbert-space bound, which the CLI's --max-dim lowers.
-    fixed = {"cap", "tol", "tolerance", "max_triples", "factors"}
+    # Size caps, tolerances and the d = 2 point-operator net are fixed, one value each.
+    # The one settable cap is the Hilbert-space bound, which the CLI's --max-dim lowers.
+    fixed = {"cap", "tol", "tolerance", "max_triples", "factors", "net"}
     found = []
     for path in SOURCES:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):

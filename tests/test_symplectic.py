@@ -14,9 +14,10 @@ from epistrict import symplectic
 from epistrict.epistemic import EpistemicState, SharpMeasurement
 from epistrict.fields import RATIONALS, PrimeField, RationalField
 from epistrict.linalg import AffineSubspace, Matrix, null_space
-from epistrict.quantum import quadrature_projector, weyl, weyl_phase
-from epistrict.stabilizer import StabilizerGroup
+from epistrict.quantum import quadrature_projector, quadrature_state, weyl, weyl_phase
+from epistrict.stabilizer import StabilizerGroup, stabilizer_of_quadrature, weyl_value_report
 from epistrict.symplectic import (
+    ISOTROPIC_CAP,
     PhaseSpace,
     _apply_j,
     _apply_jt,
@@ -40,6 +41,7 @@ from epistrict.symplectic import (
     symplectic_group_order,
     transvection,
 )
+from epistrict.wigner import point_operators
 
 SPACES = {
     (2, 1): PhaseSpace(PrimeField(2), 1),
@@ -135,6 +137,7 @@ VECTOR_ENTRIES = [
     pytest.param(lambda x: weyl_phase(D3, x, (1, 0)), id="weyl_phase-a"),
     pytest.param(lambda x: weyl_phase(D3, (1, 0), x), id="weyl_phase-b"),
     pytest.param(lambda x: StabilizerGroup(D3, ((x, 0),)), id="StabilizerGroup"),
+    pytest.param(point_operators(D3).op, id="PointOperatorBasis.op"),
 ]
 
 
@@ -143,6 +146,14 @@ VECTOR_ENTRIES = [
 def test_every_vector_argument_refuses_a_wrong_length(call, x):
     with pytest.raises(ValueError, match=f"of length {len(x)} "):
         call(x)
+
+
+@pytest.mark.parametrize("call", [EpistemicState, quadrature_state, stabilizer_of_quadrature,
+                                  weyl_value_report])
+def test_a_wrong_length_valuation_is_refused_by_its_name(call):
+    with pytest.raises(ValueError, match="valuation of length 3 on a phase space of "
+                                         "dimension 2n = 2"):
+        call(D3, D3_POSITION.known, (1, 0, 0))
 
 
 def test_a_functional_from_another_space_is_refused():
@@ -243,6 +254,13 @@ def test_point_enumeration_cap():
 # ---------------------------------------------------------------------------
 # isotropic subspaces
 # ---------------------------------------------------------------------------
+
+
+def test_isotropic_enumeration_refuses_past_its_cap_by_a_power():
+    # At (3, 5000) one pivot leaves 9999 free entries: 3^9999 has too many digits to
+    # print, so the refusal names the count as a power and never builds it.
+    with pytest.raises(SizeCapExceeded, match=rf"needs 3\^9999, cap is {ISOTROPIC_CAP}"):
+        enumerate_isotropic(PhaseSpace(PrimeField(3), 5000), rank=1)
 
 
 @pytest.mark.parametrize("key,expected", [((2, 1), 3), ((3, 1), 4), ((5, 1), 6),
