@@ -25,7 +25,8 @@ Convention audit (executable in the test suite):
   making every W(a) a Hermitian tensor of I, X, Y, Z (W(1,1) = Y); composition then
   holds up to a phase in {1, i, -1, -i} and operators commute iff <a, a'> = 0.
   Both cases are one exact integer law, W(a) W(b) = r^beta(a, b) W(a + b), where
-  beta is read off the prefactors (``_composition_exponents``).
+  beta is read off the prefactors (``_composition_exponents`` on arrays,
+  ``_composition_exponent`` on one pair of int tuples).
   Every W(a) is monomial (one nonzero entry per column), so it is built from a
   target index and a phase per basis vector rather than from dense products.
 * Metaplectic section: U(S)|0> is the +1 joint eigenvector psi of the W(S e_{p_i}),
@@ -163,6 +164,17 @@ def _composition_exponents(d: int, a, b) -> np.ndarray:
     return np.sum(c * (q * p + q2 * p2 - s * t) - k * p * q2, axis=-1) % order
 
 
+def _composition_exponent(d: int, a: tuple, b: tuple) -> int:
+    """beta(a, b) of ``_composition_exponents`` for one pair of canonical int tuples, in
+    plain ints: the callers that walk a few points at a time pay no array overhead."""
+    order, c, k = _weyl_lift(d)
+    total = 0
+    for i in range(0, len(a), 2):
+        q, p, q2, p2 = a[i], a[i + 1], b[i], b[i + 1]
+        total += c * (q * p + q2 * p2 - (q + q2) % d * ((p + p2) % d)) - k * p * q2
+    return total % order
+
+
 def weyl(space: PhaseSpace, a: Iterable) -> np.ndarray:
     """The Weyl (phase-point displacement) operator for an interleaved vector a."""
     dim = hilbert_dim(space)
@@ -177,8 +189,8 @@ def weyl_phase(space: PhaseSpace, a: Iterable, b: Iterable) -> complex:
     d = space.d
     if d == 2:
         raise UnsupportedOperation("at d = 2 the composition phase is not a character")
-    a, b = (np.array(space.vector(x, "Weyl vector")) for x in (a, b))
-    return chi(space.field, int(_composition_exponents(d, a, b)))
+    a, b = (space.vector(x, "Weyl vector") for x in (a, b))
+    return chi(space.field, _composition_exponent(d, a, b))
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,11 @@ measurement V', and a mode saying which engine(s) to run:
 * ``epistricted`` — exact classical statistics (or, over the rationals, the
   affine set of possible measured values);
 * ``quantum`` — Born-rule statistics of the matching quadrature eigenstate,
-  Clifford unitary and quadrature PVM;
-* ``compare`` — both, with the maximum absolute difference and a verdict.
+  Clifford unitary and quadrature PVM, computed exactly in the stabilizer formalism
+  (``stabilizer._exact_born``: integer Weyl exponents, no density matrix) and
+  reported as the float of an exact ``Fraction``, 0 or d^{j-k};
+* ``compare`` — both, with the maximum absolute difference and a verdict read off
+  exact equality of the two ``Fraction``s.
 
 Numbers in scenario files are exact: integers for prime fields, integers or
 ``"num/den"`` strings for the rationals.  Floats are refused — they would
@@ -33,7 +36,7 @@ from .epistemic import (
 )
 from .fields import RATIONALS, Field, PrimeField, SizeCapExceeded
 from .linalg import AffineSubspace, Matrix
-from .quantum import PROB_TOL, born, clifford, quadrature_pvm, quadrature_state
+from .stabilizer import _exact_born
 from .symplectic import PhaseSpace, SymplecticAffine, _pair_products
 
 MODES = ("epistricted", "quantum", "compare")
@@ -281,17 +284,13 @@ def run_scenario(sc: Scenario) -> dict:
     want_quantum = sc.mode in ("quantum", "compare")
 
     dist = measure(state, sc.measurement) if want_classical else None
-    probs = None
-    if want_quantum:
-        rho = quadrature_state(sc.space, sc.preparation.known,
-                               sc.preparation.valuation).rho
-        if sc.transformation is not None:
-            rho = clifford(sc.space, sc.transformation).apply(rho)
-        probs = born(rho, quadrature_pvm(sc.space, sc.measurement.measured))
+    probs = (_exact_born(sc.preparation, sc.transformation, sc.measurement)
+             if want_quantum else None)
 
     rows = []
-    max_diff = 0.0
-    for label in sc.measurement.outcomes():
+    max_diff = Fraction(0)
+    # The route keys its statistics by ``outcomes()``, in order.
+    for label in probs if want_quantum else sc.measurement.outcomes():
         entry = {
             "label": [int(x) for x in label],
             "values": [int(x) for x in sc.measurement.values_at(label)],
@@ -299,15 +298,15 @@ def run_scenario(sc: Scenario) -> dict:
         if want_classical:
             entry["epistricted"] = str(dist[label])
         if want_quantum:
-            entry["quantum"] = probs[label]
+            entry["quantum"] = float(probs[label])
         if want_classical and want_quantum:
-            diff = abs(float(dist[label]) - probs[label])
-            entry["difference"] = diff
+            diff = abs(dist[label] - probs[label])
+            entry["difference"] = float(diff)
             max_diff = max(max_diff, diff)
         rows.append(entry)
     report["outcomes"] = rows
 
     if sc.mode == "compare":
-        report["max_difference"] = max_diff
-        report["verdict"] = "agree" if max_diff <= PROB_TOL else "differ"
+        report["max_difference"] = float(max_diff)
+        report["verdict"] = "agree" if max_diff == 0 else "differ"
     return report

@@ -8,7 +8,9 @@ abelian group generated by
 since W(J f) acts on the value-t eigenspace of the functional f as char(-t).  This
 module translates in both directions between that presentation and the (V, v) one,
 rebuilds density matrices from generator lists, reads each Tr(W(m) rho) as an exact
-exponent, and measures how far value assignments on the full group can be pushed:
+exponent (from which ``_exact_born`` computes a scenario's Born statistics with no
+density matrix), and measures how far value assignments on the full group can be
+pushed:
 
   * at odd d the naive additive assignment a = J f  ->  char(v . f) is consistent on
     every group element, because Weyl products over an isotropic subspace carry no
@@ -28,7 +30,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product as iproduct
+from operator import mul
 from typing import Optional
 
 import numpy as np
@@ -56,7 +60,7 @@ from .quantum import (
     TOL,
     _channel_exponents,
     _codes,
-    _composition_exponents,
+    _composition_exponent,
     _joint_projectors,
     _pair_char,
     _weyl_lift,
@@ -168,34 +172,120 @@ def weyl_value_report(space: PhaseSpace, known, valuation) -> ValueReport:
     state = EpistemicState(space, known, valuation)
     hilbert_dim(space)  # the domain of the state the report describes
     order, _, k = _weyl_lift(space.d)
-    exponent = _stabilizer_exponents(stabilizer_of_quadrature(space, known, valuation))
+    exponent = _stabilizer_exponents(space, _state_generators(state))
     elements = [f for f in state.known.points() if any(f)]
     flipped = tuple(f for f in elements if exponent[_apply_j(space.field, f)]
                     != -k * vec_dot(space.field, f, state.valuation) % order)
     return ValueReport(len(elements), len(flipped), flipped)
 
 
-def _stabilizer_exponents(group: StabilizerGroup) -> dict:
-    """lambda(x) with Tr(W(x) rho) = r^lambda(x) on the group's state (r of
-    ``_weyl_lift``), keyed by every point x of the span of the (independent) generators.
+def _state_generators(state: EpistemicState) -> list:
+    """The quadrature state's stabilizer generators as ``(m, lambda(m))`` pairs: for f in
+    the canonical basis of V, char(v . f) W(J f) fixes rho, so Tr(W(J f) rho) = r^lambda
+    with lambda = -k v . f (``_weyl_lift``)."""
+    fld = state.space.field
+    order, _, k = _weyl_lift(state.space.d)
+    return [(_apply_j(fld, f), -k * vec_dot(fld, f, state.valuation) % order)
+            for f in state.known.basis]
 
-    Each generator char(e) W(m) fixes rho, so Tr(W(m) rho) = r^{-k e};
+
+def _stabilizer_exponents(space: PhaseSpace, generators) -> dict:
+    """lambda(x) with Tr(W(x) rho) = r^lambda(x) on a stabilizer state (r of
+    ``_weyl_lift``), keyed by every point x of the span of its independent generators.
+
+    ``generators`` holds ``(m, lambda(m))`` pairs of a canonical int tuple and its
+    exponent; a generator char(e) W(m) that fixes rho has lambda(m) = -k e.
     W(x + m) = r^{-beta(x, m)} W(x) W(m) carries the values over the span:
-    lambda(x + m) = lambda(x) + lambda(m) - beta(x, m).
+    lambda(x + m) = lambda(x) + lambda(m) - beta(x, m).  Plain ints throughout: a span
+    holds at most d^n points, too few for arrays to pay.
     """
-    d, dim = group.space.d, group.space.dim
-    order, _, k = _weyl_lift(d)
-    span, values = np.zeros((1, dim), dtype=np.int64), np.zeros(1, dtype=np.int64)
-    for m, e in group.generators:
-        m = np.array(m, dtype=np.int64)
-        layers = [(span, values)]
+    d = space.d
+    order = _weyl_lift(d)[0]
+    span = {space.zero(): 0}
+    for m, lam_m in generators:
+        layer, grown = span, dict(span)
         for _ in range(d - 1):
-            x, lam = layers[-1]
-            layers.append(((x + m) % d,
-                           (lam - k * e - _composition_exponents(d, x, m)) % order))
-        span = np.concatenate([x for x, _ in layers])
-        values = np.concatenate([lam for _, lam in layers])
-    return dict(zip(map(tuple, span.tolist()), values.tolist()))
+            layer = {tuple((a + b) % d for a, b in zip(x, m)):
+                     (lam + lam_m - _composition_exponent(d, x, m)) % order
+                     for x, lam in layer.items()}
+            grown.update(layer)
+        span = grown
+    return span
+
+
+def _clifford_image(d: int, s_rows: tuple, m: tuple) -> tuple:
+    """``(S m, sigma_S(m))`` with U(S) W(m) U(S)^dag = r^sigma_S(m) W(S m) (the section
+    of ``quantum``), walked one unit vector at a time from sigma_S(0) = 0 as
+    sigma_S(a + e_j) = sigma_S(a) + beta(S a, S e_j) - beta(a, e_j), the recurrence that
+    ``quantum._channel_exponents`` walks over every point at once.  sigma_S vanishes at
+    odd d, so only d = 2 needs the walk."""
+    columns = tuple(zip(*s_rows))  # column j is S e_j
+    dim = len(m)
+    a, image, sigma = [0] * dim, (0,) * dim, 0
+    for j, times in enumerate(m):
+        unit = tuple(int(i == j) for i in range(dim))
+        for _ in range(times):
+            sigma += (_composition_exponent(d, image, columns[j])
+                      - _composition_exponent(d, tuple(a), unit))
+            a[j] += 1
+            image = tuple((x + y) % d for x, y in zip(image, columns[j]))
+    return image, sigma % _weyl_lift(d)[0]
+
+
+def _exact_born(state: EpistemicState, t: Optional[SymplecticAffine],
+                meas: SharpMeasurement) -> dict:
+    """Born statistics of the quadrature state, Clifford channel and quadrature PVM of
+    (state, t, meas), as exact ``Fraction``s keyed by ``meas.outcomes()``, with no
+    density matrix, unitary or projector: the stabilizer formalism in plain ints.
+
+    The state's generators (``_state_generators``) move under m -> S m + a as the
+    channel ``clifford(t)`` = W(c) U(S), c = -a, moves characteristic functions:
+    lambda'(S m) = lambda(m) - sigma_S(m) - (beta(c, S m) - beta(S m, c)).  The moved
+    generators and the measurement's, (J f'_i, lambda = -k t_i) for the canonical
+    basis f'_i of V', are spread over their spans; then
+    p(t) = d^{-k'} sum_{x in H} r^{lambda_P,t(x) - lambda'(x)}, H the intersection of
+    the spans and k' = rank V'.  lambda_P,t - lambda' is additive on H, so p(t) is
+    |H| / d^{k'} where it vanishes on H and 0 elsewhere.  With f'_i the canonical basis,
+    x = J g has g = J^T x = sum_i c_i f'_i, so lambda_P,t(x) = lambda_P,0(x) - k g . u
+    at the outcome label u (t_i = f'_i . u).
+    """
+    space = state.space
+    hilbert_dim(space)  # the quantum objects these statistics describe
+    d, fld = space.d, space.field
+    order, _, k = _weyl_lift(d)
+    generators = _state_generators(state)
+    if t is not None:
+        c = tuple(-x % d for x in t.a)
+        moved = []
+        for m, lam in generators:
+            if d == 2:
+                image, sigma = _clifford_image(d, t.s.rows, m)
+            else:
+                image, sigma = tuple(sum(map(mul, row, m)) % d for row in t.s.rows), 0
+            lam = (lam - sigma - _composition_exponent(d, c, image)
+                   + _composition_exponent(d, image, c)) % order
+            if lam % 2 and d == 2:
+                raise AssertionError(f"the moved generator {image} has exponent {lam}: "
+                                     "not a real sign")
+            moved.append((image, lam))
+        generators = moved
+    rho = _stabilizer_exponents(space, generators)
+    pvm = _stabilizer_exponents(space, [(_apply_j(fld, f), 0) for f in meas.measured.basis])
+    # (lambda_P,0(x) - lambda'(x), J^T x) on H less the origin, where both vanish.
+    common = [(lam - rho[x], _apply_jt(fld, x)) for x, lam in pvm.items()
+              if any(x) and x in rho]
+    size, rank = len(common) + 1, len(meas.measured.basis)
+    if size not in {d ** j for j in range(rank + 1)}:
+        raise AssertionError(f"the spans meet in {size} points, not a power d^j <= d^k'")
+    p, zero = Fraction(size, d ** rank), Fraction(0)
+    probs = {u: p if all((delta - k * sum(map(mul, g, u))) % order == 0
+                         for delta, g in common) else zero
+             for u in meas.outcomes()}
+    # The probabilities sum to 1 exactly when d^{k'} / |H| outcomes are possible.
+    possible = sum(1 for x in probs.values() if x)
+    if possible * size != d ** rank:
+        raise AssertionError(f"exact Born probabilities sum to {possible * p}")
+    return probs
 
 
 # ---------------------------------------------------------------------------
@@ -208,13 +298,12 @@ def _sign_of_product(space: PhaseSpace, vectors) -> int:
     exponent is the sum of the composition exponents met while multiplying in."""
     d = space.d
     order = _weyl_lift(d)[0]
-    total, exponent = np.zeros(space.dim, dtype=np.int64), 0
+    total, exponent = space.zero(), 0
     for m in vectors:
-        m = np.array(m, dtype=np.int64)
-        exponent += int(_composition_exponents(d, total, m))
-        total = (total + m) % d
+        exponent += _composition_exponent(d, total, m)
+        total = tuple((a + b) % d for a, b in zip(total, m))
     exponent %= order
-    if total.any():
+    if any(total):
         raise AssertionError("Weyl product is not a multiple of the identity")
     if 2 * exponent % order:
         raise AssertionError(f"Weyl product phase r^{exponent} is not a real sign")
@@ -286,7 +375,9 @@ def ghz_test() -> GhzReport:
     from .fields import PrimeField
     space = PhaseSpace(PrimeField(2), 3)
     gens = ((1, 0, 1, 0, 1, 0), (0, 1, 0, 1, 0, 0), (0, 0, 0, 1, 0, 1))
-    exponent = _stabilizer_exponents(StabilizerGroup(space, tuple((m, 0) for m in gens)))
+    # Every phase e is 0, so every exponent lambda = -k e is 0: the pairs serve as is.
+    group = StabilizerGroup(space, tuple((m, 0) for m in gens))
+    exponent = _stabilizer_exponents(space, group.generators)
     xxx = (1, 0, 1, 0, 1, 0)
     xyy = (1, 0, 1, 1, 1, 1)
     yxy = (1, 1, 1, 0, 1, 1)
@@ -335,8 +426,7 @@ def _characteristic_table(space: PhaseSpace, states: list) -> np.ndarray:
     where the trace vanishes, off the span of the state's stabilizer group."""
     table = np.full((len(states), space.d ** space.dim), -1, dtype=np.int64)
     for row, state in zip(table, states):
-        exponent = _stabilizer_exponents(
-            stabilizer_of_quadrature(space, state.known, state.valuation))
+        exponent = _stabilizer_exponents(space, _state_generators(state))
         row[_codes(space.d, list(exponent))] = list(exponent.values())
     return table
 

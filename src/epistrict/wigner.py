@@ -53,13 +53,14 @@ from .quantum import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointOperatorBasis:
     """The full family {A(m)} indexed by phase-space points.
 
     ``ops`` is one read-only (N, D, D) array and ``pts`` the tuple of its N points, in
     ``points()`` order.  ``op(m)`` is a view of ``ops``, not a copy: ``PhaseSpace.vector``
-    checks ``m`` (read mod d) and ``quantum._codes`` gives its position.
+    checks ``m`` (read mod d) and ``quantum._codes`` gives its position.  A basis
+    compares and hashes by identity: the array field has no elementwise truth value.
     """
 
     space: PhaseSpace

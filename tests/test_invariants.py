@@ -156,6 +156,24 @@ def test_exact_layers_import_nothing_from_the_quantum_side():
     assert found == []
 
 
+def test_scenarios_reach_no_dense_quantum_builder():
+    # ``simulate``'s quantum statistics come from the exact stabilizer route, not from
+    # density matrices compared under a tolerance: ``scenario`` names none of the
+    # dense builders, the Born table or the probability tolerance.
+    dense = {"born", "clifford", "quadrature_pvm", "quadrature_state", "PROB_TOL"}
+    path = Path(epistrict.__file__).parent / "scenario.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            names = {a.name for a in node.names}
+        elif isinstance(node, (ast.Name, ast.Attribute)):
+            names = {getattr(node, "id", getattr(node, "attr", None))}
+        else:
+            continue
+        found += [f"scenario.py:{node.lineno} {name}" for name in sorted(names & dense)]
+    assert found == []
+
+
 def test_every_exact_value_type_is_canonical_by_construction():
     # A frozen dataclass of the exact layers has one constructor, and it canonicalizes:
     # without a ``__post_init__`` the raw dataclass constructor would accept anything.

@@ -237,6 +237,18 @@ def test_composition_exponents_and_mermin_signs_match_dense_products():
         assert np.max(np.abs(product - sign * np.eye(4))) < 1e-10
 
 
+@pytest.mark.parametrize("space", [D2, D2_2, D3, D5])
+def test_scalar_composition_exponent_equals_the_array_form_on_every_pair(space):
+    """The plain-int beta and the vectorized one agree on every pair of points."""
+    points = list(space.points())
+    grid = np.array(points)
+    table = quantum._composition_exponents(space.d, grid[:, None, :], grid[None, :, :])
+    scalar = [[quantum._composition_exponent(space.d, a, b) for b in points]
+              for a in points]
+    assert all(type(x) is int for row in scalar for x in row)
+    assert table.tolist() == scalar
+
+
 def test_composition_law_random_two_dof():
     rng = random.Random(23)
     fld = D3_2.field

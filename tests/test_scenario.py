@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from epistrict.quantum import PROB_TOL
+from epistrict import quantum, stabilizer
+from epistrict.fields import SizeCapExceeded
 from epistrict.scenario import (
     ScenarioError,
     parse_scenario,
@@ -209,9 +210,13 @@ def test_compare_run_agrees_at_d3():
                 transformation={"S": [[0, 1], [2, 0]], "a": [1, 1]})
     report = run_scenario(scenario_from_dict(data))
     assert report["verdict"] == "agree"
-    assert report["max_difference"] <= PROB_TOL
+    assert report["max_difference"] == 0.0
     total = sum(Fraction(row["epistricted"]) for row in report["outcomes"])
     assert total == 1
+    # Both columns are exact: the quantum one is the float of the same Fraction.
+    for row in report["outcomes"]:
+        assert row["quantum"] == float(Fraction(row["epistricted"]))
+        assert row["difference"] == 0.0
 
 
 def test_compare_run_differs_on_the_single_bit_witness():
@@ -225,13 +230,44 @@ def test_compare_run_differs_on_the_single_bit_witness():
     }
     report = run_scenario(scenario_from_dict(data))
     assert report["verdict"] == "differ"
-    assert report["max_difference"] == pytest.approx(1.0)
+    assert report["max_difference"] == 1.0
 
 
 def test_quantum_run_reports_born_probabilities_only():
     report = run_scenario(scenario_from_dict(make(mode="quantum")))
     assert all("epistricted" not in row for row in report["outcomes"])
     assert sum(row["quantum"] for row in report["outcomes"]) == pytest.approx(1.0)
+
+
+def test_quantum_runs_build_no_dense_operator(monkeypatch):
+    """The quantum and compare columns come from exact Weyl exponents: with every dense
+    builder made to fail, the runs still give the pinned statistics."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense operator was built")
+
+    for module in (quantum, stabilizer):
+        for name in ("weyl", "metaplectic", "clifford", "quadrature_state",
+                     "quadrature_pvm", "born", "_joint_projectors", "_weyl_monomials"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    quantum_run = run_scenario(scenario_from_dict(make(mode="quantum")))
+    assert [row["quantum"] for row in quantum_run["outcomes"]] == [1 / 3] * 3
+    witness = run_scenario(scenario_from_dict({
+        "field": 2, "n": 2, "mode": "compare",
+        "preparation": {"known": [[1, 0, 1, 0], [0, 1, 0, 1]]},
+        "transformation": {"S": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]},
+        "measurement": {"measured": [[1, 1, 1, 1]]},
+    }))
+    assert [(row["epistricted"], row["quantum"]) for row in witness["outcomes"]] == [
+        ("1", 0.0), ("0", 1.0)]
+    assert witness["verdict"] == "differ"
+
+
+def test_quantum_runs_keep_the_hilbert_space_cap():
+    data = make(mode="compare", n=7,
+                preparation={"known": []},
+                measurement={"measured": [[1] + [0] * 13]})
+    with pytest.raises(SizeCapExceeded, match="Hilbert space"):
+        run_scenario(scenario_from_dict(data))
 
 
 def test_rational_run_reports_possible_value_sets():

@@ -13,12 +13,14 @@ from epistrict import quantum, stabilizer, symplectic
 from epistrict.fields import PrimeField, SizeCapExceeded
 from epistrict.linalg import AffineSubspace, Matrix
 from epistrict.symplectic import PhaseSpace, SymplecticAffine, _apply_jt
-from epistrict.epistemic import enumerate_states, measure, transform
+from epistrict.epistemic import SharpMeasurement, enumerate_states, measure, transform
 from epistrict.quantum import (
     _pair_char,
+    born,
     clifford,
     metaplectic,
     quadrature_projector,
+    quadrature_pvm,
     quadrature_state,
     weyl,
 )
@@ -40,6 +42,7 @@ D3 = PhaseSpace(PrimeField(3), 1)
 D2x2 = PhaseSpace(PrimeField(2), 2)
 D3x2 = PhaseSpace(PrimeField(3), 2)
 D5 = PhaseSpace(PrimeField(5), 1)
+D5x2 = PhaseSpace(PrimeField(5), 2)
 D3x2_SAMPLE = random.Random(15).sample(enumerate_states(D3x2), 60)
 
 
@@ -629,3 +632,118 @@ def test_a_map_that_merges_two_states_is_caught(monkeypatch):
     _corrupt_identity_channel(monkeypatch, merge)
     with pytest.raises(AssertionError, match="merged two quadrature states"):
         scan_for_witness(D2)
+
+
+# ---------------------------------------------------------------------------
+# exact Born statistics against the dense engine
+# ---------------------------------------------------------------------------
+
+
+def _measurements(space):
+    return [SharpMeasurement(space, v) for v in symplectic.enumerate_isotropic(space)
+            if v.rank > 0]
+
+
+def _route_matches_dense(triples):
+    """The exact route against ``born`` on the dense state, channel and PVM of every
+    (state, map or None, measurement) triple: the same labels in the same order, each
+    probability a ``Fraction`` within 1e-9 of the dense one."""
+    rhos, pvms, count = {}, {}, 0
+    for state, t, meas in triples:
+        if (state, t) not in rhos:
+            rho = quadrature_state(state.space, state.known, state.valuation).rho
+            rhos[state, t] = rho if t is None else clifford(state.space, t).apply(rho)
+        if meas not in pvms:
+            pvms[meas] = quadrature_pvm(meas.space, meas.measured)
+        dense = born(rhos[state, t], pvms[meas])
+        exact = stabilizer._exact_born(state, t, meas)
+        assert list(exact) == list(dense)
+        assert all(type(p) is Fraction for p in exact.values())
+        assert max(abs(float(exact[u]) - dense[u]) for u in exact) < 1e-9
+        count += 1
+    return count
+
+
+def test_exact_born_equals_the_dense_engine_on_every_triple_at_d2():
+    maps = [None] + symplectic.enumerate_group(D2)
+    triples = [(s, t, m) for s in enumerate_states(D2) for t in maps
+               for m in _measurements(D2)]
+    assert _route_matches_dense(triples) == 525
+
+
+def test_exact_born_equals_the_dense_engine_at_d3_under_seeded_maps():
+    rng = random.Random(31)
+    maps = [None, SymplecticAffine(D3, Matrix.identity(D3.field, 2), D3.zero())]
+    maps += [symplectic.random_symplectic_affine(D3, rng) for _ in range(40)]
+    triples = [(s, t, m) for s in enumerate_states(D3) for t in maps
+               for m in _measurements(D3)]
+    assert _route_matches_dense(triples) == 13 * 42 * 4
+
+
+@pytest.mark.parametrize("space, seed", [(D2x2, 41), (D3x2, 43), (D5x2, 47)])
+def test_exact_born_equals_the_dense_engine_on_seeded_triples(space, seed):
+    rng = random.Random(seed)
+    states, measurements = enumerate_states(space), _measurements(space)
+    triples = [(rng.choice(states),
+                symplectic.random_symplectic_affine(space, rng) if rng.random() < 0.8
+                else None,
+                rng.choice(measurements)) for _ in range(300)]
+    assert _route_matches_dense(triples) == 300
+
+
+@pytest.mark.parametrize("space", [D2, D2x2, D3, D5])
+def test_the_sigma_walk_equals_the_channel_exponents_on_every_point(space):
+    """Walked per point, sigma_S is what ``_channel_exponents`` gives for every linear
+    map, with S m as the image; at odd d it vanishes everywhere."""
+    points = list(space.points())
+    maps = symplectic.enumerate_symplectic(space)
+    sources, sigmas = quantum._channel_exponents(
+        space, [s.rows for s in maps], [space.zero()] * len(maps))
+    for s, source, sigma in zip(maps, sources, sigmas):
+        for b, (src, want) in enumerate(zip(source.tolist(), sigma.tolist())):
+            assert stabilizer._clifford_image(space.d, s.rows, points[src]) == (
+                points[b], want)
+            assert want == 0 or space.d == 2
+    assert sigmas.any() == (space.d == 2)
+
+
+def test_an_odd_moved_exponent_at_d2_is_an_internal_fault(monkeypatch):
+    original = stabilizer._clifford_image
+
+    def shifted(d, s_rows, m):
+        image, sigma = original(d, s_rows, m)
+        return image, sigma + 1
+
+    monkeypatch.setattr(stabilizer, "_clifford_image", shifted)
+    state = enumerate_states(D2)[1]
+    t = SymplecticAffine(D2, Matrix(D2.field, ((0, 1), (1, 0))), D2.zero())
+    with pytest.raises(AssertionError, match="not a real sign"):
+        stabilizer._exact_born(state, t, _measurements(D2)[0])
+
+
+def test_a_non_additive_character_is_an_internal_fault(monkeypatch):
+    """Exponents that break the spread's law leave no outcome possible, and the sum
+    check raises rather than report a distribution that does not sum to 1."""
+    original = stabilizer._stabilizer_exponents
+    calls = []
+
+    def corrupted(space, generators):
+        spread = original(space, generators)
+        calls.append(spread)
+        if len(calls) == 1:  # the state's spread, not the measurement's
+            return {x: (lam + 1) % space.d if any(x) else lam for x, lam in spread.items()}
+        return spread
+
+    monkeypatch.setattr(stabilizer, "_stabilizer_exponents", corrupted)
+    state = next(s for s in enumerate_states(D3) if s.known.basis == ((1, 0),))
+    meas = SharpMeasurement.of_functional(D3, (1, 0))
+    with pytest.raises(AssertionError, match="sum to 0"):
+        stabilizer._exact_born(state, None, meas)
+
+
+def test_exact_born_keeps_the_hilbert_space_cap():
+    space = PhaseSpace(PrimeField(2), 8)
+    state = stabilizer.EpistemicState.ignorance(space)
+    meas = SharpMeasurement.of_functional(space, (1,) + (0,) * 15)
+    with pytest.raises(SizeCapExceeded, match="Hilbert space"):
+        stabilizer._exact_born(state, None, meas)

@@ -155,6 +155,13 @@ def test_op_reads_a_point_as_every_vector_argument_does():
     assert basis.points() is basis.points()
 
 
+def test_a_basis_compares_and_hashes_by_identity():
+    basis, again = point_operators(D3), point_operators(D3)
+    assert basis == basis and basis != again
+    assert hash(basis) == hash(basis)
+    assert len({basis, basis, again}) == 2
+
+
 # ---------------------------------------------------------------------------
 # state tables
 # ---------------------------------------------------------------------------
