@@ -156,10 +156,10 @@ def test_exact_layers_import_nothing_from_the_quantum_side():
     assert found == []
 
 
-def test_scenarios_reach_no_dense_quantum_builder():
+def test_scenarios_import_no_dense_quantum_route():
     # ``simulate``'s quantum statistics come from the exact stabilizer route, not from
     # density matrices compared under a tolerance: ``scenario`` names none of the
-    # dense builders, the Born table or the probability tolerance.
+    # dense constructors, the Born table or the probability tolerance.
     dense = {"born", "clifford", "quadrature_pvm", "quadrature_state", "PROB_TOL"}
     path = Path(epistrict.__file__).parent / "scenario.py"
     found = []

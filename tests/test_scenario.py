@@ -241,7 +241,7 @@ def test_quantum_run_reports_born_probabilities_only():
 
 def test_quantum_runs_build_no_dense_operator(monkeypatch):
     """The quantum and compare columns come from exact Weyl exponents: with every dense
-    builder made to fail, the runs still give the pinned statistics."""
+    constructor made to fail, the runs still give the pinned statistics."""
     def refuse(*args, **kwargs):
         raise AssertionError("a dense operator was built")
 
