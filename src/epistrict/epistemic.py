@@ -31,7 +31,6 @@ from .linalg import (
     Vector,
     _clear_pivots,
     _sub_multiple,
-    vec_dot,
 )
 from .symplectic import (
     PhaseSpace,
@@ -231,15 +230,23 @@ class SharpMeasurement:
     def outcomes(self) -> list:
         """All canonical outcome labels, lexicographically ordered (finite fields):
         the outcomes possible in the state of no knowledge."""
-        if not self.space.field.is_finite:
+        space = self.space
+        if not space.field.is_finite:
             raise UnsupportedOperation("cannot enumerate outcomes over Q")
-        return _labels_and_weight(EpistemicState.ignorance(self.space), self)[0]
+        # The ignorance state knows the zero subspace and has the zero valuation, so
+        # its outcome set is the memoized span itself, with no offset to add.
+        return list(_outcome_span(space, AffineSubspace(space.field, space.dim),
+                                  self.measured)[1])
 
     def values_at(self, label: Iterable) -> tuple:
         """The value tuple (f_i applied to the label) over the canonical basis of V'."""
-        fld = self.space.field
-        label = self.space.vector(label, "label")
-        return tuple(vec_dot(fld, f, label) for f in self.measured.basis)
+        return _values_at(self, self.space.vector(label, "label"))
+
+
+def _values_at(m: SharpMeasurement, label: tuple) -> tuple:
+    """``m.values_at`` of a label that is already a canonical vector of the space."""
+    reduce = m.space.field.reduce
+    return tuple([reduce(sum(map(mul, f, label))) for f in m.measured.basis])
 
 
 class OutcomeDistribution:
@@ -372,5 +379,6 @@ def possible_values(state: EpistemicState, m: SharpMeasurement) -> AffineSubspac
         raise ValueError("measurement lives on a different phase space")
     sup = state.support()
     return AffineSubspace(state.space.field, m.measured.rank,
-                          tuple(m.values_at(h) for h in sup.basis), m.values_at(sup.offset))
+                          tuple(_values_at(m, h) for h in sup.basis),
+                          _values_at(m, sup.offset))
 

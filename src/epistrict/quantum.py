@@ -74,7 +74,7 @@ from .symplectic import (
     _capped_product,
     is_symplectic,
 )
-from .epistemic import EpistemicState, SharpMeasurement
+from .epistemic import EpistemicState, SharpMeasurement, _values_at
 
 #: Entrywise tolerance on complex matrices, tables and traces.
 TOL = 1e-10
@@ -414,7 +414,7 @@ def quadrature_pvm(space: PhaseSpace, known: AffineSubspace) -> dict:
     """The full PVM of a joint quadrature measurement, keyed by canonical labels."""
     meas = SharpMeasurement(space, known)
     labels = meas.outcomes()
-    projs = _joint_projectors(space, known.basis, [meas.values_at(x) for x in labels])
+    projs = _joint_projectors(space, known.basis, [_values_at(meas, x) for x in labels])
     if np.max(np.abs(projs.sum(axis=0) - np.eye(projs.shape[-1]))) > TOL:
         raise AssertionError("quadrature PVM does not resolve the identity")
     return dict(zip(labels, projs))

@@ -30,6 +30,7 @@ from typing import Optional
 from .epistemic import (
     EpistemicState,
     SharpMeasurement,
+    _values_at,
     measure,
     possible_values,
     transform,
@@ -293,7 +294,7 @@ def run_scenario(sc: Scenario) -> dict:
     for label in probs if want_quantum else sc.measurement.outcomes():
         entry = {
             "label": [int(x) for x in label],
-            "values": [int(x) for x in sc.measurement.values_at(label)],
+            "values": [int(x) for x in _values_at(sc.measurement, label)],
         }
         if want_classical:
             entry["epistricted"] = str(dist[label])

@@ -26,7 +26,10 @@ N = d^{2n} and D = d^n, built from the monomial (index plus phase) form of the W
 operators.  Every table is then one matrix product over the flattened (N, D^2) stack,
 Tr(X A(m)) = sum_ij X_ij A(m)_ji, through the trace kernel behind ``quantum.born``,
 and a channel acts once on the whole stack.  The equivalence suite works on arrays
-indexed by position.
+indexed by position, the classical side included: its state and response tables are
+written at the ``quantum._codes`` of their points and its Born rows at each outcome's
+column, and its channel tables conjugate the stack by as many maps at once as fit in
+the fixed ``IMAGE_BATCH``.
 """
 
 from __future__ import annotations
@@ -120,6 +123,11 @@ def _channel_rows(basis: PointOperatorBasis, channel: Callable) -> np.ndarray:
     if images.shape != basis.ops.shape:
         raise ValueError(f"the channel mapped the {basis.ops.shape} stack of point "
                          f"operators to shape {images.shape}")
+    return _image_rows(basis, images)
+
+
+def _image_rows(basis: PointOperatorBasis, images: np.ndarray) -> np.ndarray:
+    """Channel table rows d^{-n} Tr(A(m) X) of a stack of point-operator images X."""
     rows = _traces(images, basis.ops, "channel table entry") / images.shape[-1]
     sums = rows.sum(axis=1)
     bad = np.abs(sums - 1.0) > TOL
@@ -239,9 +247,33 @@ def classical_meas_table(meas: SharpMeasurement) -> dict:
     return out
 
 
-def _dense(basis: PointOperatorBasis, table: dict) -> np.ndarray:
-    """An exact classical table over points as floats in ``points()`` order."""
-    return np.array([float(table.get(m, 0)) for m in basis.points()])
+#: Complex entries in one stacked batch of point-operator images (1 MiB): the
+#: equivalence suite conjugates the whole stack by as many maps at once as fit.
+IMAGE_BATCH = 2 ** 16
+
+
+def _indicator_rows(basis: PointOperatorBasis, subspaces: list) -> np.ndarray:
+    """One float row per subspace in ``points()`` order: 1 at the positions of its
+    points, 0 elsewhere."""
+    rows = np.zeros((len(subspaces), len(basis.ops)))
+    for row, sub in zip(rows, subspaces):
+        row[_codes(basis.space.d, list(sub.points()))] = 1.0
+    return rows
+
+
+def _classical_born(state: EpistemicState, transforms: list, measurements: list,
+                    columns: list) -> np.ndarray:
+    """Classical Born rows of one state, one per transform: each entry of
+    ``measure(transform(state, t), meas)`` at its outcome's column.  A label that has
+    no column is left out, so its mass shows as a deviation."""
+    rows = np.zeros((len(transforms), sum(map(len, columns))))
+    for row, t in zip(rows, transforms):
+        image = transform(state, t)
+        for meas, column in zip(measurements, columns):
+            for label, p in measure(image, meas)._probs.items():
+                if label in column:
+                    row[column[label]] = p.numerator / p.denominator
+    return rows
 
 
 def _max_abs(x: np.ndarray) -> float:
@@ -270,52 +302,53 @@ def equivalence_suite(space: PhaseSpace,
     measurements = list(measurements)
     basis = point_operators(space)
     dim = hilbert_dim(space)
+    n_points = len(basis.ops)
 
     rhos = np.array([quadrature_state(space, s.known, s.valuation).rho for s in states],
                     dtype=complex).reshape(-1, dim, dim)
-    classical_states = np.array([_dense(basis, classical_state_table(s)) for s in states])
+    # The classical state table is uniform on the support, the response tables are
+    # the indicators of the cells: both are read off the positions of their points.
+    supports = _indicator_rows(basis, [s.support() for s in states])
     max_state_dev = _max_abs(_state_rows(basis, rhos)
-                             - classical_states.reshape(len(states), len(basis.ops)))
+                             - supports / supports.sum(axis=1, keepdims=True))
 
-    unitaries = []
+    # Every map's image stack at once, in batches of at most IMAGE_BATCH entries.
+    unitaries = np.array([clifford(space, t).unitary for t in transforms],
+                         dtype=complex).reshape(-1, dim, dim)
+    adjoints = unitaries.conj().transpose(0, 2, 1)
+    batch = max(1, IMAGE_BATCH // basis.ops.size)
     max_channel_dev = 0.0
-    for t in transforms:
-        channel = clifford(space, t)
-        unitaries.append(channel.unitary)
-        table = _channel_rows(basis, channel)
-        table[np.arange(len(table)), _image_positions(basis, t)] -= 1.0
-        max_channel_dev = max(max_channel_dev, _max_abs(table))
+    for start in range(0, len(transforms), batch):
+        images = (unitaries[start:start + batch, None] @ basis.ops
+                  @ adjoints[start:start + batch, None])
+        tables = _image_rows(basis, images.reshape(-1, dim, dim)).reshape(
+            len(images), n_points, n_points)
+        for table, t in zip(tables, transforms[start:start + batch]):
+            table[np.arange(n_points), _image_positions(basis, t)] -= 1.0
+        max_channel_dev = max(max_channel_dev, _max_abs(tables))
 
     pvms = [quadrature_pvm(space, meas.measured) for meas in measurements]
+    starts = np.cumsum([0] + [len(pvm) for pvm in pvms]).tolist()
+    columns = [dict(zip(pvm, range(a, b))) for pvm, a, b in zip(pvms, starts, starts[1:])]
     responses = []
     max_meas_dev = 0.0
     for meas, pvm in zip(measurements, pvms):
         rows = _meas_rows(basis, pvm)
-        classical = classical_meas_table(meas)
-        dense = np.array([_dense(basis, classical[label]) for label in pvm])
-        max_meas_dev = max(max_meas_dev, _max_abs(rows - dense))
+        cells = _indicator_rows(basis, [meas.cell(label) for label in pvm])
+        max_meas_dev = max(max_meas_dev, _max_abs(rows - cells))
         responses.append(rows)
 
     n_triples = len(states) * len(transforms) * len(measurements)
     max_born_dev = 0.0
     if n_triples:
-        starts = np.cumsum([0] + [len(pvm) for pvm in pvms])
         projectors = np.stack([proj for pvm in pvms for proj in pvm.values()])
         response = np.concatenate(responses)
-        unitaries = np.stack(unitaries)
-        adjoints = unitaries.conj().transpose(0, 2, 1)
         for state, rho in zip(states, rhos):
             # One stacked evolve per state: rows are transforms, columns outcomes.
             evolved = unitaries @ rho @ adjoints
             quantum = born_table(evolved, projectors, starts[:-1])
             contracted = _state_rows(basis, evolved) @ response.T
-            classical = np.empty_like(quantum)
-            for j, t in enumerate(transforms):
-                image = transform(state, t)
-                for k, (meas, pvm) in enumerate(zip(measurements, pvms)):
-                    dist = measure(image, meas)
-                    classical[j, starts[k]:starts[k + 1]] = [
-                        float(dist.probability(label)) for label in pvm]
+            classical = _classical_born(state, transforms, measurements, columns)
             max_born_dev = max(max_born_dev, _max_abs(quantum - classical),
                                _max_abs(contracted - quantum),
                                _max_abs(contracted - classical))

@@ -5,7 +5,9 @@ Fractions — no imports from the package's linear algebra — so that agreement
 library result and an oracle result is a genuine two-route check, not a tautology.
 The dense oracles, ``shift``, ``boost`` and ``dense_weyl_trace``, build their
 operators from the convention alone, in numpy; ``affine_map_table`` uses numpy
-integer products, exact at these sizes.
+integer products, exact at these sizes.  ``dense_table`` and ``per_label_born_rows``
+are the slow route of the equivalence suite's classical side: exact tables and
+distributions read into floats one point or one label at a time.
 """
 
 from fractions import Fraction
@@ -200,3 +202,19 @@ def dense_weyl_trace(d, m, rho):
                                             / order)
         w = np.kron(w, factor)
     return np.trace(w @ rho) / np.trace(rho).real
+
+
+def dense_table(points, table):
+    """An exact classical table over points as floats in the order of ``points``; a
+    point the table lacks reads 0."""
+    return np.array([float(table.get(m, 0)) for m in points])
+
+
+def per_label_born_rows(dists, labels):
+    """Classical Born rows read one label at a time: ``dists[j][k]`` is the outcome
+    distribution of transform j under measurement k, and row j holds
+    ``float(dists[j][k].probability(label))`` for each label of ``labels[k]`` in order,
+    measurement after measurement."""
+    return np.array([[float(dist.probability(label))
+                      for dist, outcome in zip(row, labels) for label in outcome]
+                     for row in dists])

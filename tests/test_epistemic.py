@@ -87,6 +87,30 @@ def test_outcomes_are_every_cell_label_in_order():
             assert m.outcomes() == sorted({m.label_of(p) for p in space.points()})
 
 
+@pytest.mark.parametrize("space", [D2, D3, D2_2, D3_2, D5, D5_2],
+                         ids=["2,1", "3,1", "2,2", "3,2", "5,1", "5,2"])
+def test_outcomes_read_the_zero_subspace_span_and_build_no_state(monkeypatch, space):
+    """``outcomes`` lists the labels that the ignorance state's outcome route lists,
+    without building that state (or any other) on the way."""
+    ms = [SharpMeasurement(space, v) for v in enumerate_isotropic(space)]
+    ignorance = EpistemicState.ignorance(space)
+    want = [epistemic._labels_and_weight(ignorance, m)[0] for m in ms]
+    built = []
+    post_init = EpistemicState.__post_init__
+
+    def counting_post_init(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(EpistemicState, "__post_init__", counting_post_init)
+    epistemic._outcome_span.cache_clear()
+    assert [m.outcomes() for m in ms] == want   # cold
+    assert [m.outcomes() for m in ms] == want   # warm
+    assert built == []
+    EpistemicState.ignorance(space)
+    assert len(built) == 1                      # the counter works
+
+
 def test_self_skew_direction_still_gives_full_outcome_set():
     """V = span{(1,1)} over Z_2 contains its own perp; the coset parametrization
     still yields two distinct states whose own-quantity outcomes differ."""
@@ -266,6 +290,33 @@ def test_label_of_names_a_point_of_the_wrong_length():
     meas = SharpMeasurement(D3_2, AffineSubspace.span(D3_2.field, [(1, 0, 2, 0)], ambient=4))
     with pytest.raises(ValueError, match="point of length 2 in dimension 4"):
         meas.label_of((1, 2))
+
+
+@pytest.mark.parametrize("space", [D2_2, D3_2], ids=["2,2", "3,2"])
+def test_values_at_kernel_equals_the_checked_route_on_every_label(space):
+    """The kernel that ``run_scenario``, ``quadrature_pvm`` and ``possible_values``
+    call on canonical labels gives ``values_at``'s values, and those are the dot
+    products of the measured basis with the label."""
+    fld = space.field
+    for v in enumerate_isotropic(space):
+        m = SharpMeasurement(space, v)
+        for label in space.points():
+            got = epistemic._values_at(m, label)
+            assert got == m.values_at(label) == tuple(
+                sum(a * b for a, b in zip(f, label)) % space.d for f in v.basis)
+            assert all(type(x) is int and 0 <= x < fld.modulus for x in got)
+        with pytest.raises(ValueError, match="label of length 3 on a phase space"):
+            m.values_at((0, 0, 0))
+
+
+def test_values_at_kernel_over_rationals():
+    space = PhaseSpace(RATIONALS, 2)
+    m = SharpMeasurement(space, AffineSubspace.span(
+        RATIONALS, [(1, 0, -1, 0), (0, 1, 0, 1)], ambient=4))
+    label = tuple(Fraction(k, 3) for k in (1, -2, 0, 5))
+    got = epistemic._values_at(m, label)
+    assert got == m.values_at(label) == (Fraction(1, 3), Fraction(1))
+    assert all(type(x) is Fraction for x in got)
 
 
 def test_probabilities_are_reciprocal_powers_of_d():

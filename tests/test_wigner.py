@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+import oracles
 from epistrict import wigner
 from epistrict.fields import PrimeField
 from epistrict.linalg import AffineSubspace
@@ -22,6 +23,8 @@ from epistrict.epistemic import (
     OutcomeDistribution,
     SharpMeasurement,
     enumerate_states,
+    measure,
+    transform,
 )
 from epistrict.quantum import (
     TOL,
@@ -404,6 +407,93 @@ def test_equivalence_spot_check_at_d5():
     measurements = [SharpMeasurement(D5, AffineSubspace.span(f, [(0, 1)]))]
     report = equivalence_suite(D5, states, transforms, measurements)
     assert report.ok
+
+
+# ---------------------------------------------------------------------------
+# the suite's positional classical side against the per-label slow route
+# ---------------------------------------------------------------------------
+
+
+def _columns(pvms):
+    """The suite's outcome columns: each PVM's labels at consecutive positions."""
+    starts = np.cumsum([0] + [len(pvm) for pvm in pvms]).tolist()
+    return [dict(zip(pvm, range(a, b))) for pvm, a, b in zip(pvms, starts, starts[1:])]
+
+
+def _check_positional_rows(space, states, transforms, measurements):
+    """The suite's position-written tables equal the exact tables read into floats one
+    point or one label at a time, bit for bit."""
+    basis = point_operators(space)
+    points = basis.points()
+    pvms = [quadrature_pvm(space, m.measured) for m in measurements]
+    columns = _columns(pvms)
+    for state in states:
+        supports = wigner._indicator_rows(basis, [state.support()])
+        assert np.array_equal(supports / supports.sum(axis=1, keepdims=True),
+                              [oracles.dense_table(points, classical_state_table(state))])
+        fast = wigner._classical_born(state, transforms, measurements, columns)
+        dists = [[measure(transform(state, t), m) for m in measurements]
+                 for t in transforms]
+        assert np.array_equal(fast, oracles.per_label_born_rows(dists, pvms))
+    for meas, pvm in zip(measurements, pvms):
+        classical = classical_meas_table(meas)
+        assert np.array_equal(
+            wigner._indicator_rows(basis, [meas.cell(label) for label in pvm]),
+            [oracles.dense_table(points, classical[label]) for label in pvm])
+
+
+def test_positional_rows_equal_the_per_label_route_on_every_triple_at_d3():
+    _check_positional_rows(D3, enumerate_states(D3), enumerate_group(D3),
+                           [SharpMeasurement(D3, v) for v in enumerate_isotropic(D3)])
+
+
+@pytest.mark.parametrize("space", [D3x2, D5], ids=["3,2", "5,1"])
+def test_positional_rows_equal_the_per_label_route_on_seeded_triples(space):
+    rng = random.Random(61)
+    states = rng.sample(enumerate_states(space), 12)
+    transforms = [random_symplectic_affine(space, rng) for _ in range(10)]
+    isotropic = enumerate_isotropic(space)
+    measurements = [SharpMeasurement(space, v) for v in rng.sample(isotropic, 6)]
+    _check_positional_rows(space, states, transforms, measurements)
+
+
+def test_a_label_the_pvm_lacks_shows_as_a_born_deviation(monkeypatch):
+    """A distribution holding a label that no PVM has is read around, not looked up:
+    its mass is missing from the classical row, so the report fails."""
+    states = enumerate_states(D3)[:2]
+    transforms = enumerate_group(D3)[:3]
+    measurements = [SharpMeasurement(D3, _position_line())]
+    assert equivalence_suite(D3, states, transforms, measurements).ok
+    monkeypatch.setattr(wigner, "measure",
+                        lambda state, meas: OutcomeDistribution({(1, 1, 1): 1}))
+    report = equivalence_suite(D3, states, transforms, measurements)
+    # Every quantum row still holds its outcomes' probabilities, at least 1/3 each.
+    assert not report.ok and report.max_born_dev > 0.3
+
+
+def test_channel_batches_do_not_change_the_report(monkeypatch):
+    """Splitting the stacked channel tables into smaller batches, evenly or with a
+    short last batch, leaves the report as it is; so does one map per batch."""
+    states = enumerate_states(D3)
+    transforms = enumerate_group(D3)
+    measurements = [SharpMeasurement(D3, v) for v in enumerate_isotropic(D3)]
+    image_rows = wigner._image_rows
+    batches = []
+
+    def counting_image_rows(basis, images):
+        batches.append(len(images) // len(basis.ops))
+        return image_rows(basis, images)
+
+    monkeypatch.setattr(wigner, "_image_rows", counting_image_rows)
+    whole = equivalence_suite(D3, states, transforms, measurements)
+    assert whole.ok and batches == [216]
+    per_map = 9 * 3 * 3
+    for cap, want in [(5 * per_map, [5] * 43 + [1]), (8 * per_map + 1, [8] * 27),
+                      (1, [1] * 216)]:
+        monkeypatch.setattr(wigner, "IMAGE_BATCH", cap)
+        batches.clear()
+        assert equivalence_suite(D3, states, transforms, measurements) == whole
+        assert batches == want
 
 
 def test_classical_tables_are_normalized():
