@@ -9,6 +9,11 @@ over Z_d, ``Fraction`` over Q).  A :class:`Field` supplies only what differs bet
 the two: ``element`` (coercion of outside values), ``reduce``, ``inv``, ``zero``,
 ``one`` and, for Z_d, ``elements`` and ``modulus``.
 
+Over Q the row kernels of ``linalg`` (elimination, pivot clearing, dot products) do
+not compute one ``Fraction`` at a time: they carry each row as integers over one
+common denominator and build ``Fraction``s once, for the row they return.  So every
+scalar that leaves them is still a canonical ``Fraction``.
+
 No floats anywhere in this module; equality of canonical scalars is meaningful.
 """
 

@@ -8,12 +8,24 @@ coincides with set equality:
 * the offset has zero entries in every pivot coordinate of that basis (each coset has
   exactly one such representative);
 * the empty set is a first-class value, distinct from every singleton ``{offset}``.
+
+Over Q the kernels compute on integer rows (after Bareiss, Math. Comp. 22 (1968)
+565-578): a row of ``Fraction``s is scaled by the lcm of its denominators, rows are
+combined by integer cross-multiplication and divided by their content, and a result
+becomes a ``Fraction`` tuple only once, when the kernel returns it.  That covers row
+reduction (``_rref_rows``), the pivot clearing (``_clear_pivots`` and
+``_pivot_clearing_rows``) and the one dot/matvec kernel (``_matvec``).  Every value
+that leaves a kernel is canonical ``Fraction``s, as before, so equality, hashing and
+every output are unchanged; over Z_d the kernels compute mod d on ints as they always
+have.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
@@ -52,25 +64,113 @@ def _sub_multiple(field: Field, u: Vector, c: Scalar, v: Vector) -> Vector:
     return tuple(reduce(a - c * b) for a, b in zip(u, v, strict=True))
 
 
+# -- integer rows over Q ----------------------------------------------------------
+
+
+def _int_row(row: Sequence[Fraction]) -> tuple:
+    """``(ints, den)`` with ``row == ints / den``, ``den`` the lcm of the denominators."""
+    den = lcm(*[x.denominator for x in row])
+    return [x.numerator * (den // x.denominator) for x in row], den
+
+
+def _fraction_row(ints: Sequence[int], den: int) -> Vector:
+    """The canonical ``Fraction`` tuple of ``ints / den``."""
+    zero = Fraction(0)
+    return tuple([Fraction(x, den) if x else zero for x in ints])
+
+
+def _primitive(ints: list) -> list:
+    """An integer row divided by its content (the gcd of its entries)."""
+    g = gcd(*ints)
+    return ints if g <= 1 else [x // g for x in ints]
+
+
+def _sub_scaled(x: list, den: int, cn: int, cd: int, y: list, e: int) -> tuple:
+    """``x/den - (cn/cd) y/e`` as ``(ints, den)`` over the lcm of the denominators,
+    divided by the common content of the ints and the denominator."""
+    ce = cd * e
+    common = lcm(den, ce)
+    mx, my = common // den, cn * (common // ce)
+    out = [mx * a - my * b for a, b in zip(x, y)]
+    g = gcd(common, *out)
+    return ([a // g for a in out], common // g) if g > 1 else (out, common)
+
+
+# -- kernels -------------------------------------------------------------------------
+
+
+def _matvec(field: Field, rows: Sequence[Vector], x: Vector) -> Vector:
+    """``(row . x for row in rows)`` for canonical vectors of one length, unchecked: the
+    one dot/matvec kernel.  Over Q each row and ``x`` meet as integer rows, so each
+    entry is one integer dot product over the product of two lcms."""
+    if field.is_finite:
+        d = field.modulus
+        return tuple([sum(map(mul, row, x)) % d for row in rows])
+    xs, xd = _int_row(x)
+    out = []
+    for row in rows:
+        ints, den = _int_row(row)
+        out.append(Fraction(sum(map(mul, ints, xs)), den * xd))
+    return tuple(out)
+
+
 def _clear_pivots(field: Field, x: Vector, rows: Sequence[Vector]) -> Vector:
     """Zero ``x`` in the pivot column of every reduced-row-echelon row, by subtracting
     multiples of the rows: the canonical representative of ``x + span(rows)``.
 
     A row's pivot is its first nonzero entry, which is 1, so ``row.index(one)`` finds it.
-    The map is linear in ``x``.
+    The map is linear in ``x``.  Over Q, ``x`` is carried as one integer row over a
+    common denominator and becomes ``Fraction``s once, at the end.
     """
     one = field.one
-    for row in rows:
-        c = x[row.index(one)]
-        if c != 0:
-            x = _sub_multiple(field, x, c, row)
-    return x
+    if field.is_finite:
+        for row in rows:
+            c = x[row.index(one)]
+            if c != 0:
+                x = _sub_multiple(field, x, c, row)
+        return x
+    hits = [(k, row) for k, row in ((row.index(one), row) for row in rows) if x[k]]
+    if not hits:
+        return x
+    xs, den = _int_row(x)
+    for k, row in hits:
+        # The rows are reduced, so clearing one pivot leaves x's entries at the
+        # others' as they were; the coefficient is read off the running row.
+        xs, den = _sub_scaled(xs, den, xs[k], den, *_int_row(row))
+    return _fraction_row(xs, den)
+
+
+def _pivot_clearing_rows(field: Field, basis: Sequence[Vector],
+                         m_rows: Sequence[Vector]) -> tuple:
+    """The rows of P M, for P the pivot clearing against the reduced rows ``basis``
+    (``_clear_pivots`` as a linear map): P x = x - sum_i x[k_i] r_i over the rows r_i,
+    k_i the pivot of r_i, so row a of P M is row a of M less r_i[a] times its row k_i,
+    for each i.  Over Q each row is combined on integers and read back once."""
+    one = field.one
+    cells = [(r.index(one), r) for r in basis]
+    if field.is_finite:
+        rows = []
+        for a, row in enumerate(m_rows):
+            for k, r in cells:
+                if r[a]:
+                    row = _sub_multiple(field, row, r[a], m_rows[k])
+            rows.append(row)
+        return tuple(rows)
+    ints = [_int_row(row) for row in m_rows]
+    rows = []
+    for a, (xs, den) in enumerate(ints):
+        for k, r in cells:
+            c = r[a]
+            if c:
+                xs, den = _sub_scaled(xs, den, c.numerator, c.denominator, *ints[k])
+        rows.append(_fraction_row(xs, den))
+    return tuple(rows)
 
 
 def vec_dot(field: Field, u: Vector, v: Vector) -> Scalar:
     if len(u) != len(v):
         raise ValueError(f"dot product of vectors of lengths {len(u)} and {len(v)}")
-    return field.reduce(sum(map(mul, u, v), field.zero))
+    return _matvec(field, (u,), v)[0]
 
 
 @dataclass(frozen=True)
@@ -114,17 +214,15 @@ class Matrix:
         if self.rows and len(v) != len(self.rows[0]):
             raise ValueError(f"product of a {self.shape} matrix and a vector of "
                              f"length {len(v)}")
-        reduce = self.field.reduce
-        return tuple(reduce(sum(map(mul, row, v))) for row in self.rows)
+        return _matvec(self.field, self.rows, v)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         _require_field(other, self.field, "the left factor")
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
         cols = other.T.rows
-        return Matrix(self.field, tuple(
-            tuple(vec_dot(self.field, row, col) for col in cols)
-            for row in self.rows))
+        return Matrix(self.field, tuple(_matvec(self.field, cols, row)
+                                        for row in self.rows))
 
     def __neg__(self) -> "Matrix":
         return Matrix(self.field, [[-x for x in r] for r in self.rows])
@@ -152,8 +250,10 @@ def _rref_rows(field: Field, rows: Sequence[Sequence[Scalar]]):
 
     Returns ``(reduced_rows, pivot_columns)`` where ``reduced_rows`` has the same number
     of rows as the input (zero rows collected at the bottom) and ``pivot_columns[i]`` is
-    the pivot column of row ``i``.
+    the pivot column of row ``i``.  Over Q the elimination runs on integer rows.
     """
+    if not field.is_finite:
+        return _rref_int_rows(rows)
     work = list(rows)
     nrows = len(work)
     ncols = len(work[0]) if nrows else 0
@@ -176,6 +276,39 @@ def _rref_rows(field: Field, rows: Sequence[Sequence[Scalar]]):
     return work, pivots
 
 
+def _rref_int_rows(rows: Sequence[Sequence[Fraction]]):
+    """``_rref_rows`` over Q, fraction-free.  Each row is scaled to integers (which
+    spans the same line) and kept primitive; a pivot row p with pivot a clears column
+    c of row w as (a w - w[c] p) / gcd(a, w[c]), then divided by its content.  The
+    reduced rows share the row space, pivots and zero pattern of the RREF, so dividing
+    each pivot row by its pivot gives the RREF itself, as ``Fraction``s."""
+    work = [_primitive(_int_row(r)[0]) for r in rows]
+    nrows = len(work)
+    ncols = len(work[0]) if nrows else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, nrows) if work[i][c]), None)
+        if pivot_row is None:
+            continue
+        work[r], work[pivot_row] = work[pivot_row], work[r]
+        p = work[r]
+        a = p[c]
+        for i in range(nrows):
+            b = work[i][c]
+            if i != r and b:
+                g = gcd(a, b)
+                ma, mb = a // g, b // g
+                work[i] = _primitive([ma * x - mb * y for x, y in zip(work[i], p)])
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    zero = Fraction(0)
+    reduced = [_fraction_row(work[i], work[i][c]) for i, c in enumerate(pivots)]
+    return reduced + [(zero,) * ncols] * (nrows - r), pivots
+
+
 #: Memo for subspace canonicalization: identical basis rows arrive over and over
 #: when states are pushed around by enumerated transformation groups.
 _RREF_CACHE: dict = {}
@@ -183,6 +316,11 @@ _RREF_CACHE_LIMIT = 200_000
 
 
 def _rref_cached(field: Field, rows: tuple):
+    if not field.is_finite:
+        # Rational rows rarely repeat, and a key of Fractions is slow to hash: over Q
+        # the fraction-free elimination is cheaper than the lookup.
+        reduced, pivots = _rref_rows(field, rows)
+        return tuple(reduced), tuple(pivots)
     key = (field, rows)
     hit = _RREF_CACHE.get(key)
     if hit is None:

@@ -14,15 +14,21 @@ measurement V', and a mode saying which engine(s) to run:
   exact equality of the two ``Fraction``s.
 
 Numbers in scenario files are exact: integers for prime fields, integers or
-``"num/den"`` strings for the rationals.  Floats are refused — they would
-silently destroy the exactness the engines guarantee.  Parsing canonicalizes
-every subspace and coset representative, so parse → serialize → parse is a
-fixed point.
+strings of the form ``[-]digits[/digits]`` (``"3"``, ``"-1/2"``) for the
+rationals.  Floats are refused — they would silently destroy the exactness the
+engines guarantee — and so is every other string (``"0.5"``, ``"1e5"``,
+``"1_000"``), before any number is built from it.  A reported entry whose
+numerator or denominator has more decimal digits than the interpreter converts
+to text (``sys.get_int_max_str_digits()``) is refused as a size cap.  Parsing
+canonicalizes every subspace and coset representative, so parse → serialize →
+parse is a fixed point.
 """
 
 from __future__ import annotations
 
 import json
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -67,6 +73,11 @@ class Scenario:
 # ---------------------------------------------------------------------------
 
 
+#: The one string form of a rational entry: an optional minus, digits, and an
+#: optional slash and digits (ASCII only).
+_RATIONAL_TEXT = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
 def _scalar_in(fld: Field, raw, where: str):
     if isinstance(raw, bool):
         raise ScenarioError(f"{where}: booleans are not field elements")
@@ -77,6 +88,9 @@ def _scalar_in(fld: Field, raw, where: str):
         if fld.is_finite:
             raise ScenarioError(
                 f"{where}: entries over a prime field must be plain ints, got {raw!r}")
+        if not _RATIONAL_TEXT.fullmatch(raw):
+            raise ScenarioError(
+                f"{where}: expected an int or a '[-]num/den' string, got {raw[:40]!r}")
         try:
             raw = Fraction(raw)
         except (ValueError, ZeroDivisionError) as exc:
@@ -91,6 +105,13 @@ def _scalar_out(fld: Field, x):
     if fld.is_finite:
         return int(x)
     frac = Fraction(x)
+    limit = sys.get_int_max_str_digits()  # 0: no limit
+    big = max(abs(frac.numerator), frac.denominator)
+    # 10^limit has more than 3 limit bits, so the power is built only for huge entries.
+    if limit and big.bit_length() > 3 * limit and big >= 10 ** limit:
+        raise SizeCapExceeded(
+            "decimal digits of a reported rational entry (sys.get_int_max_str_digits())",
+            f"more than {limit}", limit)
     return frac.numerator if frac.denominator == 1 else f"{frac.numerator}/{frac.denominator}"
 
 

@@ -25,6 +25,7 @@ from .linalg import (
     AffineSubspace,
     Matrix,
     Vector,
+    _matvec,
     _require_field,
     null_space,
     vec,
@@ -127,9 +128,8 @@ def _apply_jt(field: Field, x: Vector) -> Vector:
 
 
 def _symp(field: Field, f: Vector, g: Vector) -> Scalar:
-    """<f, g> = f^T J g for canonical vectors of the same even length."""
-    return field.reduce(sum(f[i] * g[i + 1] - f[i + 1] * g[i]
-                            for i in range(0, len(f), 2)))
+    """<f, g> = f^T J g = g . (J^T f) for canonical vectors of the same even length."""
+    return _matvec(field, (g,), _apply_jt(field, f))[0]
 
 
 def symp_inner(space: PhaseSpace, f: Iterable, g: Iterable) -> Scalar:
@@ -139,9 +139,11 @@ def symp_inner(space: PhaseSpace, f: Iterable, g: Iterable) -> Scalar:
 
 
 def _pair_products(field: Field, rows) -> Iterator:
-    """``((i, j), <rows[i], rows[j]>)`` for every pair i < j of canonical vectors."""
-    for i, j in itertools.combinations(range(len(rows)), 2):
-        yield (i, j), _symp(field, rows[i], rows[j])
+    """``((i, j), <rows[i], rows[j]>)`` for every pair i < j of canonical vectors, in
+    that order: the products with rows[i] are one matvec by J^T rows[i]."""
+    for i, f in enumerate(rows[:-1]):
+        for j, p in enumerate(_matvec(field, rows[i + 1:], _apply_jt(field, f)), i + 1):
+            yield (i, j), p
 
 
 @dataclass(frozen=True)

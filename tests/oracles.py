@@ -7,7 +7,10 @@ The dense oracles, ``shift``, ``boost`` and ``dense_weyl_trace``, build their
 operators from the convention alone, in numpy; ``affine_map_table`` uses numpy
 integer products, exact at these sizes.  ``dense_table`` and ``per_label_born_rows``
 are the slow route of the equivalence suite's classical side: exact tables and
-distributions read into floats one point or one label at a time.
+distributions read into floats one point or one label at a time.  ``rref_fraction``,
+``clear_pivots_fraction``, ``pivot_clearing_rows_fraction``, ``null_space_fraction``,
+``inverse_fraction`` and ``solve_fraction`` are the slow route of the rational
+kernels: Gauss-Jordan elimination one ``Fraction`` at a time.
 """
 
 from fractions import Fraction
@@ -218,3 +221,85 @@ def per_label_born_rows(dists, labels):
     return np.array([[float(dist.probability(label))
                       for dist, outcome in zip(row, labels) for label in outcome]
                      for row in dists])
+
+
+# ---------------------------------------------------------------------------
+# the Fraction route over Q
+# ---------------------------------------------------------------------------
+
+
+def rref_fraction(rows):
+    """Reduced row echelon form over Q by Gauss-Jordan one ``Fraction`` at a time:
+    each pivot row is divided by its pivot, and its multiples are subtracted from every
+    other row.  Returns ``(rows, pivots)``, zero rows at the bottom, as tuples."""
+    m = [[Fraction(e) for e in r] for r in rows]
+    pivots = []
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        pv = m[r][c]
+        m[r] = [e / pv for e in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [e - f * p for e, p in zip(m[i], m[r])]
+        pivots.append(c)
+    return [tuple(r) for r in m], pivots
+
+
+def clear_pivots_fraction(x, rows):
+    """``x`` less ``x[k]`` times each reduced row, ``k`` the row's pivot (its first
+    nonzero entry), one ``Fraction`` at a time."""
+    x = [Fraction(e) for e in x]
+    for row in rows:
+        k = next(i for i, e in enumerate(row) if e != 0)
+        c = x[k]
+        x = [e - c * r for e, r in zip(x, row)]
+    return tuple(x)
+
+
+def pivot_clearing_rows_fraction(basis, m_rows):
+    """P M, with P x = ``clear_pivots_fraction(x, basis)``, column by column: P is
+    applied to each column of M, and the columns are read back as rows."""
+    cols = [clear_pivots_fraction(col, basis) for col in zip(*m_rows)]
+    return [tuple(r) for r in zip(*cols)]
+
+
+def null_space_fraction(rows, ncols):
+    """A basis of ``{x : rows x = 0}``, one vector per free column of the RREF."""
+    reduced, pivots = rref_fraction(rows) if rows else ([], [])
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for i, p in enumerate(pivots):
+            v[p] = -reduced[i][f]
+        basis.append(tuple(v))
+    return basis
+
+
+def inverse_fraction(rows):
+    """The inverse of a square matrix by Gauss-Jordan on ``[A | I]``, or None when A
+    is singular."""
+    n = len(rows)
+    aug = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    reduced, pivots = rref_fraction(aug)
+    if pivots != list(range(n)):
+        return None
+    return [tuple(r[n:]) for r in reduced]
+
+
+def solve_fraction(rows, b):
+    """``(particular, kernel)`` for ``rows x = b``: the solution with zeros in the free
+    columns and the null-space basis, or None when the system is inconsistent."""
+    ncols = len(rows[0])
+    reduced, pivots = rref_fraction([list(r) + [e] for r, e in zip(rows, b)])
+    if ncols in pivots:
+        return None
+    particular = [Fraction(0)] * ncols
+    for i, p in enumerate(pivots):
+        particular[p] = reduced[i][ncols]
+    return tuple(particular), null_space_fraction(rows, ncols)

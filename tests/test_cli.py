@@ -4,6 +4,7 @@ import contextlib
 import copy
 import io
 import json
+import sys
 import time
 
 import pytest
@@ -217,6 +218,34 @@ def test_simulate_past_the_degrees_of_freedom_cap_exits_2(scenario_file, capsys,
     err = capsys.readouterr().err
     assert f"degrees of freedom n: needs {n}, cap is {scenario.MAX_N}" in err
     assert "Traceback" not in err
+
+
+def test_simulate_rational_entry_outside_the_format_exits_3(scenario_file, capsys):
+    assert main(["simulate", "--scenario", scenario_file({
+        "field": "rational", "n": 1, "mode": "epistricted",
+        "preparation": {"known": [[1, 0]], "valuation": ["1e5000", 0]},
+        "measurement": {"measured": [[1, 0]]}})]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert "preparation.valuation[0]: expected an int or a '[-]num/den' string" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_simulate_report_past_the_int_string_limit_exits_2(scenario_file, capsys, fmt):
+    """Entries in the documented form whose result has more digits than the
+    interpreter converts to text are refused as a size cap, not a traceback."""
+    nines = "9" * 4000
+    assert main(["simulate", "--format", fmt, "--scenario", scenario_file({
+        "field": "rational", "n": 1, "mode": "epistricted",
+        "preparation": {"known": [[1, 0]], "valuation": [nines, 0]},
+        "transformation": {"S": [[nines, 0], [0, "1/" + nines]]},
+        "measurement": {"measured": [[1, 0]]}})]) == EXIT_CAP
+    captured = capsys.readouterr()
+    limit = sys.get_int_max_str_digits()
+    assert (f"decimal digits of a reported rational entry "
+            f"(sys.get_int_max_str_digits()): needs more than {limit}, cap is {limit}"
+            in captured.err)
+    assert "Traceback" not in captured.err and captured.out == ""
 
 
 FUZZ_SCENARIO = {

@@ -91,24 +91,34 @@ def test_outcomes_are_every_cell_label_in_order():
                          ids=["2,1", "3,1", "2,2", "3,2", "5,1", "5,2"])
 def test_outcomes_read_the_zero_subspace_span_and_build_no_state(monkeypatch, space):
     """``outcomes`` lists the labels that the ignorance state's outcome route lists,
-    without building that state (or any other) on the way."""
+    without building that state (or any other) on the way; a warm call builds no
+    ``AffineSubspace`` either, since the zero subspace is built once per space."""
     ms = [SharpMeasurement(space, v) for v in enumerate_isotropic(space)]
     ignorance = EpistemicState.ignorance(space)
     want = [epistemic._labels_and_weight(ignorance, m)[0] for m in ms]
     built = []
     post_init = EpistemicState.__post_init__
+    subspace_post_init = AffineSubspace.__post_init__
 
     def counting_post_init(self):
         built.append(self)
         post_init(self)
 
+    def counting_subspace_post_init(self):
+        built.append("AffineSubspace")
+        subspace_post_init(self)
+
     monkeypatch.setattr(EpistemicState, "__post_init__", counting_post_init)
     epistemic._outcome_span.cache_clear()
+    epistemic._zero_subspace.cache_clear()
     assert [m.outcomes() for m in ms] == want   # cold
+    assert built == []
+    monkeypatch.setattr(AffineSubspace, "__post_init__", counting_subspace_post_init)
     assert [m.outcomes() for m in ms] == want   # warm
     assert built == []
-    EpistemicState.ignorance(space)
-    assert len(built) == 1                      # the counter works
+    EpistemicState.ignorance(space)              # the counters work
+    assert "AffineSubspace" in built
+    assert any(isinstance(b, EpistemicState) for b in built)
 
 
 def test_self_skew_direction_still_gives_full_outcome_set():
@@ -680,6 +690,62 @@ def test_known_image_miss_builds_no_matrix(monkeypatch, space):
     assert moved == want
     Matrix.identity(space.field, space.dim)
     assert len(built) == 1  # the counter works
+
+
+def _j(x):
+    return tuple(e for q, p in zip(x[0::2], x[1::2]) for e in (p, -q))
+
+
+def _jt(x):
+    return tuple(e for q, p in zip(x[0::2], x[1::2]) for e in (-p, q))
+
+
+def _rational_map(space, rng, size):
+    """A word of 2n + 1 transvections with entries in {-1, 0, 1} and factors c whose
+    numerator and denominator have up to log10(size) digits."""
+    s = Matrix.identity(space.field, space.dim)
+    for _ in range(space.dim + 1):
+        u = [rng.choice((-1, 0, 0, 1)) for _ in range(space.dim)]
+        if any(u):
+            c = Fraction(rng.randrange(1, size + 1) * rng.choice((-1, 1)),
+                         rng.randrange(1, size + 1))
+            s = s @ transvection(space, u, c)
+    return SymplecticAffine(space, s, [Fraction(rng.randrange(-size, size + 1),
+                                                 rng.randrange(1, size + 1))
+                                       for _ in range(space.dim)])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_rational_known_image_equals_the_fraction_route(n):
+    """Over Q, ``_known_image``'s V' and [P S | P] rows equal the Fraction route: V'
+    from the raw products J^T S J f, the complement from the oracle null space, and
+    P [S | I] applied column by column; with one-digit and 50-digit factors."""
+    space = PhaseSpace(RATIONALS, n)
+    dim = space.dim
+    rng = random.Random(30 + n)
+    for size in (3, 10 ** 50):
+        for _ in range(4):
+            t = _rational_map(space, rng, size)
+            axes = _rational_map(space, rng, size).s.rows
+            # The images of the q axes under a symplectic map are isotropic.
+            known_rows = [tuple(row[2 * i] for row in axes) for i in range(n)]
+            for rank in range(n + 1):
+                state = EpistemicState(space, AffineSubspace.span(
+                    RATIONALS, known_rows[:rank], ambient=dim),
+                    [Fraction(rng.randrange(-size, size), rng.randrange(1, size))
+                     for _ in range(dim)])
+                image, rows = epistemic._known_image(space, state.known, t.s.rows)
+                moved = [_jt([sum(a * b for a, b in zip(r, _j(f))) for r in t.s.rows])
+                         for f in state.known.basis]
+                reduced, pivots = oracles.rref_fraction(moved) if moved else ([], [])
+                assert image.basis == tuple(reduced[:len(pivots)])
+                hidden, pivots = oracles.rref_fraction(
+                    oracles.null_space_fraction(image.basis, dim))
+                aug = [tuple(r) + tuple(Fraction(int(i == j)) for j in range(dim))
+                       for i, r in enumerate(t.s.rows)]
+                assert list(rows) == oracles.pivot_clearing_rows_fraction(
+                    hidden[:len(pivots)], aug)
+                assert transform(state, t) == _dense_transform(state, t)
 
 
 def test_measure_and_transform_accept_an_equal_space_and_refuse_another():

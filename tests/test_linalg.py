@@ -2,6 +2,7 @@
 
 import os
 import pickle
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -18,6 +19,9 @@ from epistrict.fields import MAX_MODULUS, RATIONALS, PrimeField, SizeCapExceeded
 from epistrict.linalg import (
     AffineSubspace,
     Matrix,
+    _clear_pivots,
+    _pivot_clearing_rows,
+    _rref_rows,
     null_space,
     rref,
     solve_affine,
@@ -162,16 +166,26 @@ def test_rref_preserves_row_space_exhaustively(d):
         assert seen == d ** (nrows * ncols)
 
 
+#: Rational entries with 50-digit numerators and denominators.
+BIG_FRACTIONS = st.builds(Fraction, st.integers(-10 ** 50, 10 ** 50),
+                          st.integers(1, 10 ** 50))
+
+
 @given(st.integers(2, 4), st.integers(2, 4), st.data())
 @settings(max_examples=60, deadline=None)
 def test_rref_idempotent_rational(nrows, ncols, data):
+    """Idempotent, and equal to the Fraction-route elimination, on small and on
+    50-digit entries."""
     entries = data.draw(st.lists(
-        st.fractions(min_value=-3, max_value=3, max_denominator=4),
+        st.one_of(st.fractions(min_value=-3, max_value=3, max_denominator=4),
+                  BIG_FRACTIONS),
         min_size=nrows * ncols, max_size=nrows * ncols))
     rows = [entries[i * ncols:(i + 1) * ncols] for i in range(nrows)]
     once, rank1 = rref(Matrix(RATIONALS, rows))
     twice, rank2 = rref(once)
     assert once == twice and rank1 == rank2
+    want, pivots = oracles.rref_fraction(rows)
+    assert once.rows == tuple(want) and rank1 == len(pivots)
 
 
 @given(st.sampled_from([2, 3, 5]), st.integers(1, 4), st.integers(1, 4),
@@ -213,7 +227,8 @@ def test_rational_results_are_fractions(n, data):
     space = PhaseSpace(RATIONALS, n)
     dim = space.dim
     scalar = st.one_of(st.integers(-3, 3),
-                       st.fractions(min_value=-3, max_value=3, max_denominator=4))
+                       st.fractions(min_value=-3, max_value=3, max_denominator=4),
+                       BIG_FRACTIONS)
     vector = st.lists(scalar, min_size=dim, max_size=dim)
     nonzero = vector.filter(lambda v: any(v))
 
@@ -232,6 +247,100 @@ def test_rational_results_are_fractions(n, data):
     assert all_fractions(symplectic_form(space).rows, s.rows, sub.basis, [sub.offset],
                          moved.known.basis, [moved.valuation], inv.s.rows, [inv.a])
     assert inv.compose(t) == SymplecticAffine.identity(space)
+
+
+# ---------------------------------------------------------------------------
+# the integer-row kernels over Q against the Fraction route
+# ---------------------------------------------------------------------------
+
+
+def _rational_matrices(seed):
+    """Seeded rational matrices: generic ones, and the same with a zero row, a
+    duplicate row, a proportional row and a combination of two rows (rank deficient);
+    half the entries zero; negative entries throughout; entries of one digit and of
+    50 digits over denominators as large."""
+    rng = random.Random(seed)
+
+    def entry(size):
+        return Fraction(rng.randrange(-size, size + 1), rng.randrange(1, size + 1))
+
+    cases = [[[Fraction(0)] * 3] * 2]
+    for size in (3, 10 ** 50):
+        for nrows, ncols in ((1, 1), (1, 4), (2, 2), (2, 3), (3, 3), (4, 4), (4, 6),
+                             (6, 4), (6, 6)):
+            rows = [[entry(size) for _ in range(ncols)] for _ in range(nrows)]
+            sparse = [[e if rng.random() < 0.5 else Fraction(0) for e in r] for r in rows]
+            c = entry(size) or Fraction(-1)
+            cases += [rows, sparse,
+                      rows[:-1] + [[Fraction(0)] * ncols],
+                      rows + [list(rows[0])],
+                      rows + [[c * e for e in rows[-1]]],
+                      rows + [[c * a - b for a, b in zip(rows[0], rows[-1])]]]
+    return cases
+
+
+RATIONAL_MATRICES = _rational_matrices(27)
+
+
+def _vector(rng, ncols):
+    big = 10 ** 50
+    return tuple(Fraction(rng.randrange(-big, big), rng.randrange(1, big))
+                 for _ in range(ncols))
+
+
+def test_rational_rref_rows_equal_the_fraction_route():
+    """Same rows in the same order, zero rows at the bottom, same pivots, every entry a
+    Fraction."""
+    for rows in RATIONAL_MATRICES:
+        reduced, pivots = _rref_rows(RATIONALS, Matrix(RATIONALS, rows).rows)
+        assert (list(reduced), pivots) == oracles.rref_fraction(rows)
+        assert all(type(e) is Fraction for r in reduced for e in r)
+
+
+def test_rational_pivot_clearing_equals_the_fraction_route():
+    """``_clear_pivots`` on a vector and ``_pivot_clearing_rows`` on a matrix, against
+    every reduced basis of the seeded matrices, with 50-digit entries."""
+    rng = random.Random(28)
+    for rows in RATIONAL_MATRICES:
+        reduced, pivots = oracles.rref_fraction(rows)
+        basis = reduced[:len(pivots)]
+        ncols = len(rows[0])
+        for x in (_vector(rng, ncols), tuple(Fraction(rng.randrange(-3, 4))
+                                             for _ in range(ncols))):
+            cleared = _clear_pivots(RATIONALS, x, basis)
+            assert cleared == oracles.clear_pivots_fraction(x, basis)
+            assert all(type(e) is Fraction for e in cleared)
+        m_rows = [_vector(rng, 3) for _ in range(ncols)]
+        got = _pivot_clearing_rows(RATIONALS, basis, m_rows)
+        assert list(got) == oracles.pivot_clearing_rows_fraction(basis, m_rows)
+        assert all(type(e) is Fraction for r in got for e in r)
+
+
+def test_rational_null_space_inverse_and_solve_equal_the_fraction_route():
+    rng = random.Random(29)
+    for rows in RATIONAL_MATRICES:
+        m = Matrix(RATIONALS, rows)
+        nrows, ncols = m.shape
+        assert null_space(m) == oracles.null_space_fraction(rows, ncols)
+        if nrows == ncols:
+            want = oracles.inverse_fraction(rows)
+            if want is None:
+                with pytest.raises(ValueError, match="singular"):
+                    m.inverse()
+            else:
+                assert m.inverse().rows == tuple(want)
+        # One consistent right-hand side (an image) and one drawn at random.
+        for b in (m.matvec(_vector(rng, ncols)), _vector(rng, nrows)):
+            got = solve_affine(m, b)
+            want = oracles.solve_fraction(rows, b)
+            if want is None:
+                assert got.is_empty
+                continue
+            particular, kernel = want
+            reduced, pivots = oracles.rref_fraction(kernel) if kernel else ([], [])
+            basis = tuple(reduced[:len(pivots)])
+            assert got.basis == basis
+            assert got.offset == oracles.clear_pivots_fraction(particular, basis)
 
 
 # ---------------------------------------------------------------------------

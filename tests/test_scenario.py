@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from epistrict import quantum, stabilizer
+from epistrict import quantum, scenario, stabilizer
 from epistrict.fields import SizeCapExceeded
 from epistrict.scenario import (
     ScenarioError,
@@ -59,6 +59,32 @@ def test_floats_are_refused():
     data["preparation"]["valuation"] = [0.5, 0]
     with pytest.raises(ScenarioError, match="num/den"):
         scenario_from_dict(data)
+
+
+@pytest.mark.parametrize("raw", ["1e5000", "1e999999999", "0.5", "1_000", "+1", " 1",
+                                 "1 ", "1/-2", "1/2/3", "1/", "/2", "-", "", "\u0661",
+                                 "inf", "nan"])
+def test_rational_strings_outside_the_documented_form_are_refused(monkeypatch, raw):
+    """Only ``[-]digits[/digits]`` is read, and anything else is refused by name before
+    a Fraction is built from it, so no exponent is ever expanded."""
+    def no_fraction(*args):
+        raise AssertionError(f"built a Fraction from {args!r}")
+
+    monkeypatch.setattr(scenario, "Fraction", no_fraction)
+    data = make(field="rational")
+    data["preparation"]["valuation"] = [raw, 0]
+    with pytest.raises(ScenarioError, match=r"^preparation\.valuation\[0\]: expected an "
+                                            r"int or a '\[-\]num/den' string, got "):
+        scenario_from_dict(data)
+
+
+def test_rational_strings_in_the_documented_form_are_read():
+    data = make(field="rational")
+    data["preparation"] = {"known": [["2", "-4/6"]], "valuation": ["-3/1", "007"]}
+    data["measurement"] = {"measured": [[1, "-1/3"]]}
+    sc = scenario_from_dict(data)
+    assert sc.preparation.known.basis == ((1, Fraction(-1, 3)),)
+    assert sc.preparation.value_of((3, -1)) == -16
 
 
 def test_booleans_are_refused_as_scalars():
