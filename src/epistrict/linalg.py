@@ -129,14 +129,13 @@ def _clear_pivots(field: Field, x: Vector, rows: Sequence[Vector]) -> Vector:
             if c != 0:
                 x = _sub_multiple(field, x, c, row)
         return x
-    hits = [(k, row) for k, row in ((row.index(one), row) for row in rows) if x[k]]
-    if not hits:
+    cells = [(row.index(one), row) for row in rows]
+    if not any(x[k] for k, _ in cells):
         return x
     xs, den = _int_row(x)
-    for k, row in hits:
-        # The rows are reduced, so clearing one pivot leaves x's entries at the
-        # others' as they were; the coefficient is read off the running row.
-        xs, den = _sub_scaled(xs, den, xs[k], den, *_int_row(row))
+    for k, row in cells:
+        if xs[k]:
+            xs, den = _sub_scaled(xs, den, xs[k], den, *_int_row(row))
     return _fraction_row(xs, den)
 
 

@@ -89,6 +89,7 @@ def _scalar_in(fld: Field, raw, where: str):
             raise ScenarioError(
                 f"{where}: entries over a prime field must be plain ints, got {raw!r}")
         if not _RATIONAL_TEXT.fullmatch(raw):
+            # Named by its first 40 characters: the string may be arbitrarily long.
             raise ScenarioError(
                 f"{where}: expected an int or a '[-]num/den' string, got {raw[:40]!r}")
         try:
