@@ -13,11 +13,10 @@ from epistrict import (
     PhaseSpace,
     PrimeField,
     SharpMeasurement,
-    ascii_measurement,
-    ascii_state,
     enumerate_group,
     enumerate_isotropic,
     enumerate_states,
+    render,
 )
 
 
@@ -38,11 +37,11 @@ def main() -> None:
     # one state per quadrature direction, all with value 0
     for v in enumerate_isotropic(trit, rank=1):
         state = EpistemicState(trit, v, trit.zero())
-        row = ascii_state(state).strip().splitlines()
+        row = render(state).strip().splitlines()
         print(f"known {v.basis[0]}:   " + "  ".join(row))
 
     section("the ignorance state")
-    print(ascii_state(EpistemicState.ignorance(trit)), end="")
+    print(render(EpistemicState.ignorance(trit)), end="")
 
     section("reversible dynamics")
     group = enumerate_group(trit)
@@ -55,7 +54,7 @@ def main() -> None:
           "into 3 parallel lines:")
     for v in quads:
         meas = SharpMeasurement(trit, v)
-        rows = ascii_measurement(meas).strip().splitlines()
+        rows = render(meas).strip().splitlines()
         print(f"measure {v.basis[0]}:   " + "  ".join(rows))
 
     section("the same counts at a single bit (d=2)")

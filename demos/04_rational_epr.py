@@ -20,7 +20,7 @@ from epistrict import (
     EpistemicState,
     PhaseSpace,
     SharpMeasurement,
-    possibilistic,
+    possible_values,
     run_scenario,
     scenario_from_dict,
 )
@@ -35,12 +35,7 @@ def describe(state, functional_rows, label):
     space = state.space
     meas = SharpMeasurement(
         space, AffineSubspace.span(RATIONALS, functional_rows, ambient=space.dim))
-    reach = possibilistic(state, meas)
-    rows = meas.measured.basis
-    offset = tuple(sum(f * x for f, x in zip(row, reach.offset)) for row in rows)
-    directions = [tuple(sum(f * x for f, x in zip(row, b)) for row in rows)
-                  for b in reach.basis]
-    image = AffineSubspace(RATIONALS, len(rows), tuple(directions), offset)
+    image = possible_values(state, meas)
     if image.rank == 0:
         print(f"{label}: deterministic, value {fmt(image.offset)}")
     else:

@@ -22,7 +22,7 @@ from .epistemic import (
     SharpMeasurement,
     enumerate_states,
     measure,
-    possibilistic,
+    possible_values,
     transform,
 )
 from .fields import RATIONALS, PrimeField, RationalField
@@ -39,7 +39,7 @@ from .quantum import (
     weyl,
     weyl_phase,
 )
-from .render import ascii_measurement, ascii_state, render, svg_measurement, svg_state
+from .render import render
 from .scenario import (
     Scenario,
     ScenarioError,
@@ -71,7 +71,6 @@ from .symplectic import (
     enumerate_symplectic,
     extend_to_symplectic,
     is_isotropic,
-    is_lagrangian,
     is_symplectic,
     poisson_bracket_fd,
     random_symplectic_affine,
@@ -115,7 +114,6 @@ __all__ = [
     "poisson_bracket_fd",
     "is_symplectic",
     "is_isotropic",
-    "is_lagrangian",
     "transvection",
     "extend_to_symplectic",
     "symplectic_group_order",
@@ -130,7 +128,7 @@ __all__ = [
     "enumerate_states",
     "transform",
     "measure",
-    "possibilistic",
+    "possible_values",
     # quantum side
     "chi",
     "weyl",
@@ -164,10 +162,6 @@ __all__ = [
     "scan_for_witness",
     "Witness",
     # rendering / scenarios
-    "ascii_state",
-    "ascii_measurement",
-    "svg_state",
-    "svg_measurement",
     "render",
     "Scenario",
     "ScenarioError",

@@ -13,8 +13,9 @@ allowed knowledge are therefore pairs (V, v):
   coset form also covers the self-orthogonal-direction cases that arise over finite
   fields, keeping outcome-completeness intact.)
 
-The ontic support is V-perp + v.  All probabilities are exact ``Fraction`` values;
-over the rational field only the possibilistic layer is available.
+The ontic support is V-perp + v.  All probabilities are exact ``Fraction`` values
+(``measure``, finite fields).  Over the rational field only the possibilistic layer
+is available: ``possible_values``, the affine set of measured values that can occur.
 """
 
 from __future__ import annotations
@@ -93,9 +94,6 @@ class EpistemicState:
     def is_pure(self) -> bool:
         """Maximal allowed knowledge: V is Lagrangian."""
         return self.known.rank == self.space.n
-
-    def is_ignorance(self) -> bool:
-        return self.known.rank == 0
 
     def value_of(self, f) -> Scalar:
         """The sharp value of a known functional (constant on the support)."""
@@ -198,16 +196,14 @@ class SharpMeasurement:
     def of_functional(cls, space: PhaseSpace, f: Iterable) -> "SharpMeasurement":
         return cls(space, AffineSubspace.span(space.field, [f], ambient=space.dim))
 
-    def _hidden(self) -> AffineSubspace:
-        return _euclidean_complement(self.space, self.measured)
-
     def label_of(self, point: Iterable) -> Vector:
         """Canonical outcome label of the cell containing ``point``."""
-        return self._hidden().representative(point)
+        return _euclidean_complement(self.space, self.measured).representative(point)
 
     def cell(self, label: Iterable) -> AffineSubspace:
         """All ontic states producing this outcome (the response set)."""
-        return AffineSubspace(self.space.field, self.space.dim, self._hidden().basis,
+        cells = _euclidean_complement(self.space, self.measured)
+        return AffineSubspace(self.space.field, self.space.dim, cells.basis,
                               self.space.vector(label, "label"))
 
     def outcomes(self) -> list:
@@ -268,9 +264,6 @@ class OutcomeDistribution:
     def items(self):
         return sorted(self._probs.items())
 
-    def labels(self):
-        return [k for k, _ in self.items()]
-
     def __eq__(self, other) -> bool:
         return isinstance(other, OutcomeDistribution) and self._probs == other._probs
 
@@ -290,20 +283,8 @@ def measure(state: EpistemicState, m: SharpMeasurement) -> OutcomeDistribution:
     """
     if not state.space.field.is_finite:
         raise UnsupportedOperation(
-            "probabilities need a finite ontic space; use possibilistic() over Q")
+            "probabilities need a finite ontic space; use possible_values() over Q")
     return OutcomeDistribution._uniform(*_labels_and_weight(state, m))
-
-
-def possibilistic(state: EpistemicState, m: SharpMeasurement) -> AffineSubspace:
-    """The set of ontic states compatible with some possible outcome — exactly
-    support + V'-perp, one affine subspace whose cells are the possible outcomes.
-
-    Works over any field; this is the entire statistical content available over Q.
-    """
-    if m.space != state.space:
-        raise ValueError("measurement lives on a different phase space")
-    sup = state.support()
-    return sup.plus_directions(m._hidden().basis)
 
 
 def _labels_and_weight(state: EpistemicState, m: SharpMeasurement) -> tuple:
@@ -360,8 +341,8 @@ def _outcome_span(space: PhaseSpace, known: AffineSubspace,
 def possible_values(state: EpistemicState, m: SharpMeasurement) -> AffineSubspace:
     """The affine set of jointly possible value tuples over the canonical basis of V'.
 
-    Works over any field: the measured functionals F vanish on V'-perp, so the image
-    of the reach support + V'-perp is that of the support, F(v) + span F(V-perp).
+    Works over any field, and over Q it is all the statistics there are.  The measured
+    functionals F vanish on V'-perp, so this is the support's image F(v) + span F(V-perp).
     """
     if m.space != state.space:
         raise ValueError("measurement lives on a different phase space")

@@ -450,13 +450,6 @@ class AffineSubspace:
             raise ValueError("empty set has no direction")
         return AffineSubspace(self.field, self.ambient, self.basis, None)
 
-    def plus_directions(self, rows: Iterable[Iterable]) -> "AffineSubspace":
-        """Enlarge the direction space by extra spanning rows (offset kept)."""
-        if self.is_empty:
-            raise ValueError("cannot enlarge the empty set")
-        return AffineSubspace(self.field, self.ambient, self.basis + tuple(rows),
-                              self.offset)
-
     def representative(self, x: Iterable) -> Vector:
         """Canonical representative of the coset ``x + direction`` (x need not lie here)."""
         x = vec(self.field, x)

@@ -5,11 +5,11 @@ the position value left to right, rows index the momentum value top to
 bottom.  Two degrees of freedom nest the same picture: the outer grid is
 indexed by (q1, p1) and every outer cell holds an inner d x d grid indexed by
 (q2, p2), so a point (q1, p1, q2, p2) lands in column q1*d + q2 and row
-p1*d + p2.  ASCII output marks support cells with ``#`` (states) or one glyph
-per outcome (measurements); SVG output shades the same cells, one hue per
-outcome.
+p1*d + p2.  ``render(obj, fmt)`` is the one entry point: ``fmt="ascii"``
+marks support cells with ``#`` (states) or one glyph per outcome
+(measurements); ``fmt="svg"`` shades the same cells, one hue per outcome.
 
-Both backends are pure functions of the canonical object — same input, same
+Both formats are pure functions of the canonical object — same input, same
 bytes — so renderings can be diffed and pinned in tests.  Sizes beyond what
 fits a terminal (d not in {2, 3, 5}, n > 2) and rational phase spaces (no
 finite grid) are refused rather than approximated.
@@ -78,9 +78,11 @@ def _cell_classes(obj: Union[EpistemicState, SharpMeasurement]) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _ascii_grid(obj: Union[EpistemicState, SharpMeasurement], glyphs: str) -> str:
-    """The object's cells as ``glyphs[class]``, ``.`` outside a state's support."""
+def _ascii_grid(obj: Union[EpistemicState, SharpMeasurement]) -> str:
+    """The object's cells as glyphs: ``#`` on a state's support and ``.`` outside it,
+    or one glyph per outcome of a measurement."""
     count, class_at = _cell_classes(obj)
+    glyphs = SUPPORT_GLYPH if isinstance(obj, EpistemicState) else OUTCOME_GLYPHS
     if count > len(glyphs):
         raise UnsupportedOperation(
             f"{count} outcomes exceed the {len(glyphs)}-glyph alphabet")
@@ -99,16 +101,6 @@ def _ascii_grid(obj: Union[EpistemicState, SharpMeasurement], glyphs: str) -> st
             chars.append(EMPTY_GLYPH if cls is None else glyphs[cls])
         lines.append("".join(chars))
     return "\n".join(lines) + "\n"
-
-
-def ascii_state(state: EpistemicState) -> str:
-    """Support of the state as a glyph grid (``#`` inside, ``.`` outside)."""
-    return _ascii_grid(state, SUPPORT_GLYPH)
-
-
-def ascii_measurement(meas: SharpMeasurement) -> str:
-    """Outcome cells of the measurement, one glyph per outcome label."""
-    return _ascii_grid(meas, OUTCOME_GLYPHS)
 
 
 # ---------------------------------------------------------------------------
@@ -153,27 +145,16 @@ def _svg_grid(obj: Union[EpistemicState, SharpMeasurement]) -> str:
     return "".join(parts)
 
 
-def svg_state(state: EpistemicState) -> str:
-    """Support of the state as a shaded SVG grid (deterministic bytes)."""
-    return _svg_grid(state)
-
-
-def svg_measurement(meas: SharpMeasurement) -> str:
-    """Outcome cells of the measurement, one hue per outcome label."""
-    return _svg_grid(meas)
-
-
 # ---------------------------------------------------------------------------
 # dispatch
 # ---------------------------------------------------------------------------
 
 
 def render(obj: Union[EpistemicState, SharpMeasurement], fmt: str = "ascii") -> str:
-    """Render a state or measurement in the requested format."""
+    """A state's support or a measurement's outcome cells as a glyph grid
+    (``fmt="ascii"``) or a shaded SVG grid (``fmt="svg"``)."""
     if fmt not in ("ascii", "svg"):
         raise ValueError(f"unknown format {fmt!r}; expected 'ascii' or 'svg'")
-    if isinstance(obj, EpistemicState):
-        return ascii_state(obj) if fmt == "ascii" else svg_state(obj)
-    if isinstance(obj, SharpMeasurement):
-        return ascii_measurement(obj) if fmt == "ascii" else svg_measurement(obj)
-    raise TypeError(f"cannot render {type(obj).__name__}")
+    if not isinstance(obj, (EpistemicState, SharpMeasurement)):
+        raise TypeError(f"cannot render {type(obj).__name__}")
+    return _ascii_grid(obj) if fmt == "ascii" else _svg_grid(obj)

@@ -78,28 +78,33 @@ class Scenario:
 _RATIONAL_TEXT = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
+def _shown(raw) -> str:
+    """A refused value as a refusal names it, short whatever its size: the JSON type
+    of an array, object or null, and a string by its first 40 characters."""
+    if isinstance(raw, list):
+        return "an array"
+    if isinstance(raw, dict):
+        return "an object"
+    if raw is None:
+        return "null"
+    return repr(raw[:40] if isinstance(raw, str) else raw)
+
+
 def _scalar_in(fld: Field, raw, where: str):
     if isinstance(raw, bool):
         raise ScenarioError(f"{where}: booleans are not field elements")
     if isinstance(raw, float):
         raise ScenarioError(
             f"{where}: floats are not exact; use an int or a 'num/den' string")
-    if isinstance(raw, str):
-        if fld.is_finite:
-            raise ScenarioError(
-                f"{where}: entries over a prime field must be plain ints, got {raw!r}")
-        if not _RATIONAL_TEXT.fullmatch(raw):
-            # Named by its first 40 characters: the string may be arbitrarily long.
-            raise ScenarioError(
-                f"{where}: expected an int or a '[-]num/den' string, got {raw[:40]!r}")
+    if isinstance(raw, str) and not fld.is_finite and _RATIONAL_TEXT.fullmatch(raw):
         try:
             raw = Fraction(raw)
         except (ValueError, ZeroDivisionError) as exc:
-            raise ScenarioError(f"{where}: cannot read {raw!r} as a rational") from exc
-    try:
-        return fld.element(raw)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"{where}: {exc}") from exc
+            raise ScenarioError(f"{where}: cannot read {_shown(raw)} as a rational") from exc
+    elif not isinstance(raw, int):
+        expected = "an int" if fld.is_finite else "an int or a '[-]num/den' string"
+        raise ScenarioError(f"{where}: expected {expected}, got {_shown(raw)}")
+    return fld.element(raw)
 
 
 def _scalar_out(fld: Field, x):
@@ -155,7 +160,8 @@ def _require_keys(data: dict, required: tuple, optional: tuple, where: str) -> N
         raise ScenarioError(f"{where}: missing required keys {missing}")
     unknown = [k for k in data if k not in required + optional]
     if unknown:
-        raise ScenarioError(f"{where}: unknown keys {unknown}")
+        more = f" and {len(unknown) - 1} more" if len(unknown) > 1 else ""
+        raise ScenarioError(f"{where}: unknown key {_shown(unknown[0])}{more}")
 
 
 def _field_in(raw) -> Field:
@@ -166,7 +172,7 @@ def _field_in(raw) -> Field:
             return PrimeField(raw)
         except ValueError as exc:
             raise ScenarioError(f"field: {exc}") from exc
-    raise ScenarioError(f"field: expected a prime modulus or 'rational', got {raw!r}")
+    raise ScenarioError(f"field: expected a prime modulus or 'rational', got {_shown(raw)}")
 
 
 def _field_out(fld: Field):
@@ -192,7 +198,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     fld = _field_in(data["field"])
     n = data["n"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ScenarioError(f"n: expected a positive int, got {n!r}")
+        raise ScenarioError(f"n: expected a positive int, got {_shown(n)}")
     if n > MAX_N:
         raise SizeCapExceeded("scenario degrees of freedom n", n, MAX_N)
     space = PhaseSpace(fld, n)
@@ -200,7 +206,7 @@ def scenario_from_dict(data: dict) -> Scenario:
 
     mode = data["mode"]
     if mode not in MODES:
-        raise ScenarioError(f"mode: expected one of {MODES}, got {mode!r}")
+        raise ScenarioError(f"mode: expected one of {MODES}, got {_shown(mode)}")
     if mode in ("quantum", "compare") and not fld.is_finite:
         raise ScenarioError(
             f"mode {mode!r} needs a finite-dimensional quantum engine; "

@@ -101,9 +101,6 @@ class PhaseSpace:
                              f"2n = {self.dim}")
         return x
 
-    def q_index(self, i: int) -> int:
-        return 2 * i
-
 
 def symplectic_form(space: PhaseSpace) -> Matrix:
     """The matrix J of the symplectic form, block-diagonal in the (q, p) interleaving."""
@@ -163,7 +160,7 @@ class QuadratureFunctional:
     @classmethod
     def position(cls, space: PhaseSpace, dof: int = 0, c=None) -> "QuadratureFunctional":
         v = [space.field.zero] * space.dim
-        v[space.q_index(dof)] = space.field.one
+        v[2 * dof] = space.field.one
         return cls(space, tuple(v), c)
 
     def evaluate(self, m: Iterable) -> Scalar:
@@ -269,10 +266,6 @@ def is_isotropic(space: PhaseSpace, v: AffineSubspace) -> bool:
     return not any(p for _, p in _pair_products(space.field, v.basis))
 
 
-def is_lagrangian(space: PhaseSpace, v: AffineSubspace) -> bool:
-    return is_isotropic(space, v) and v.rank == space.n
-
-
 @functools.lru_cache(maxsize=4096)
 def _euclidean_complement(space: PhaseSpace, v: AffineSubspace) -> AffineSubspace:
     # Memoized: a pure function of the (canonical, hashable) subspace, called
@@ -320,10 +313,6 @@ class SymplecticAffine:
     @classmethod
     def displacement(cls, space: PhaseSpace, a: Iterable) -> "SymplecticAffine":
         return cls(space, Matrix.identity(space.field, space.dim), a)
-
-    @classmethod
-    def linear(cls, space: PhaseSpace, s: Iterable) -> "SymplecticAffine":
-        return cls(space, s if isinstance(s, Matrix) else Matrix(space.field, s))
 
     def _shifted(self, a: Vector) -> "SymplecticAffine":
         """This map's S with the displacement ``a``, a canonical vector of the space.

@@ -10,9 +10,12 @@ are the slow route of the equivalence suite's classical side: exact tables and
 distributions read into floats one point or one label at a time.  ``rref_fraction``,
 ``clear_pivots_fraction``, ``pivot_clearing_rows_fraction``, ``null_space_fraction``,
 ``inverse_fraction`` and ``solve_fraction`` are the slow route of the rational
-kernels: Gauss-Jordan elimination one ``Fraction`` at a time.
+kernels: Gauss-Jordan elimination one ``Fraction`` at a time.  ``reach`` is the slow
+route of ``possible_values`` and of the outcome labels: the whole set support + V'-perp
+that a measurement can meet, joined from the two subspaces' spanning rows.
 """
 
+import dataclasses
 from fractions import Fraction
 from itertools import product
 
@@ -66,6 +69,14 @@ def label_support(d, known_rows, valuation):
     known functionals span ``known_rows``, with valuation v, by full enumeration."""
     rows = list(known_rows) or [(0,) * len(valuation)]
     return solve_set(d, rows, [sum(a * b for a, b in zip(f, valuation)) for f in rows])
+
+
+def reach(state, m):
+    """The reach set support + V'-perp of ``state`` under the sharp measurement ``m``:
+    every ontic state in a cell that the support meets, over any field.  The support's
+    spanning rows are joined with a cell's into a subspace of the support's own type."""
+    sup = state.support()
+    return dataclasses.replace(sup, basis=sup.basis + m.cell(sup.offset).basis)
 
 
 def affine_map_table(d, s_rows, a):

@@ -230,6 +230,33 @@ def test_simulate_rational_entry_outside_the_format_exits_3(scenario_file, capsy
     assert "Traceback" not in err
 
 
+_LONG_LIST, _LONG_TEXT = list(range(200_000)), "x" * 500_000
+
+
+@pytest.mark.parametrize("message, data", [
+    ("preparation.valuation[0]: expected an int, got an array",
+     {**COMPARE_SCENARIO, "preparation": {"known": [[1, 0]], "valuation": [_LONG_LIST, 0]}}),
+    ("n: expected a positive int, got an array", {**COMPARE_SCENARIO, "n": _LONG_LIST}),
+    ("field: expected a prime modulus or 'rational', got an array",
+     {**COMPARE_SCENARIO, "field": _LONG_LIST}),
+    ("mode: expected one of ('epistricted', 'quantum', 'compare'), got 'xxxxxxxxxx",
+     {**COMPARE_SCENARIO, "mode": _LONG_TEXT}),
+    ("preparation.valuation[0]: expected an int or a '[-]num/den' string, got an object",
+     {**RATIONAL_SCENARIO, "preparation": {"known": [[1, 0, -1, 0]],
+                                           "valuation": [{"num": 2, "den": 3}, 0, 0, 0]}}),
+    ("scenario: unknown key 'xxxxxxxxxx", {**COMPARE_SCENARIO, _LONG_TEXT: 1}),
+], ids=["list-entry", "list-n", "list-field", "long-mode", "object-entry-over-Q",
+        "long-unknown-key"])
+def test_simulate_refusal_names_the_entry_in_a_short_message(scenario_file, capsys,
+                                                            message, data):
+    """A refusal shows a refused array, object or null by its JSON type and a string by
+    its first 40 characters, never in full."""
+    assert main(["simulate", "--scenario", scenario_file(data)]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and "Traceback" not in err
+    assert len(err.encode()) < 200
+
+
 @pytest.mark.parametrize("fmt", ["json", "text"])
 def test_simulate_report_past_the_int_string_limit_exits_2(scenario_file, capsys, fmt):
     """Entries in the documented form whose result has more digits than the

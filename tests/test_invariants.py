@@ -81,6 +81,61 @@ def test_every_public_name_is_exported_or_reached():
     assert unreached == []
 
 
+def _methods_and_reads(paths) -> tuple:
+    """Each public method of a module-level class of ``paths`` as ``(module, class,
+    method)``, and every attribute that ``paths`` read outside the method of that name,
+    with the names a class body binds outside its methods (``__getitem__ = probability``).
+    A method is reached through an attribute: a bare name is some local variable."""
+    methods, reads = set(), set()
+    for path in paths:
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            items = top.body if isinstance(top, ast.ClassDef) else [top]
+            for item in items:
+                nodes = list(ast.walk(item))
+                names = {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+                if isinstance(item, ast.FunctionDef) and item is not top:
+                    names.discard(item.name)
+                    if not item.name.startswith("_"):
+                        methods.add((path.stem, top.name, item.name))
+                elif item is not top:
+                    names |= {n.id for n in nodes if isinstance(n, ast.Name)}
+                reads |= names
+    return methods, reads
+
+
+#: Public methods that only tests call.  Each is an operation of its type, not an
+#: alias of an expression: the group law and inverse of affine maps and of matrices, a
+#: label's value tuple, a distribution's determinism, the position quadrature of a
+#: degree of freedom and a value report's verdict.
+TEST_ONLY_OPERATIONS = {
+    ("SymplecticAffine", "compose"), ("SymplecticAffine", "inverse"),
+    ("Matrix", "inverse"), ("SharpMeasurement", "values_at"),
+    ("OutcomeDistribution", "is_deterministic"), ("QuadratureFunctional", "position"),
+    ("ValueReport", "consistent"),
+}
+
+
+def test_every_public_method_is_reached_or_an_operation():
+    # A public method of a package class is referenced outside its own body in the
+    # package, the demos or perfbench, or it is one of the operations above; one that
+    # only tests call is an alias to inline at its call sites.  A method that overrides
+    # its base class's (``_Parser.error``) is called by the base, and dunders are private.
+    entry_points = sorted(REPO.glob("demos/*.py")) + sorted(REPO.glob("perfbench/*.py"))
+    methods, reads = _methods_and_reads(SOURCES)
+    reads |= _methods_and_reads(entry_points)[1]
+
+    def overrides(module, cls, name):
+        bases = getattr(importlib.import_module(f"epistrict.{module}"), cls).__mro__[1:]
+        return any(hasattr(base, name) for base in bases)
+
+    unreached = sorted(f"{module}.py:{cls}.{name}" for module, cls, name in methods
+                       if name not in reads and (cls, name) not in TEST_ONLY_OPERATIONS
+                       and not overrides(module, cls, name))
+    assert {("cli", "_Parser", "error"), ("epistemic", "OutcomeDistribution", "items")} \
+        <= methods
+    assert unreached == []
+
+
 def test_symplectic_layer_does_not_call_its_public_product():
     # Inside ``symplectic`` every pairwise product goes through ``_symp`` or the
     # ``_pair_products`` kernel on canonical vectors; ``symp_inner`` is only the public
