@@ -116,8 +116,8 @@ TEST_ONLY_OPERATIONS = {
 
 
 def test_every_public_method_is_reached_or_an_operation():
-    # A public method of a package class is referenced outside its own body in the
-    # package, the demos or perfbench, or it is one of the operations above; one that
+    # A public method of a package class is read as an attribute outside its own body
+    # in the package, the demos or perfbench, or it is one of the operations above; one that
     # only tests call is an alias to inline at its call sites.  A method that overrides
     # its base class's (``_Parser.error``) is called by the base, and dunders are private.
     entry_points = sorted(REPO.glob("demos/*.py")) + sorted(REPO.glob("perfbench/*.py"))
