@@ -30,6 +30,7 @@ from .linalg import (
     AffineSubspace,
     Vector,
     _clear_pivots,
+    _interned,
     _matvec,
     _pivot_clearing_rows,
 )
@@ -63,6 +64,19 @@ class EpistemicState:
         hidden = _euclidean_complement(self.space, self.known)
         object.__setattr__(self, "valuation", _clear_pivots(
             self.space.field, self.space.vector(raw, "valuation"), hidden.basis))
+
+    @classmethod
+    def _trusted(cls, space: PhaseSpace, known: AffineSubspace,
+                 valuation: Vector) -> "EpistemicState":
+        """The state (V, v) of an isotropic ``known`` on ``space`` and a ``valuation``
+        already canonical against V-perp, both produced by the caller's own
+        arithmetic: stored as they are, nothing checked.  Equal to, and hashing like,
+        ``EpistemicState(space, known, valuation)``."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "space", space)
+        object.__setattr__(state, "known", known)
+        object.__setattr__(state, "valuation", valuation)
+        return state
 
     @classmethod
     def ignorance(cls, space: PhaseSpace) -> "EpistemicState":
@@ -139,36 +153,44 @@ def transform(state: EpistemicState, t: SymplecticAffine) -> EpistemicState:
     The support V-perp + v maps pointwise onto S V-perp + (S v + a), whose known
     functionals V' = S^{-T} V depend on (V, S) alone, and so does the pivot clearing
     P that makes S v + a canonical.  Both are memoized, so a warm call is the one
-    matvec P (S v + a) = [P S | P] (v, a) over canonical scalars.
+    matvec P (S v + a) = [P S | P] (v, a) over canonical scalars, cleared once more
+    against V'-perp by the one canonicalization route of valuations.  V' is
+    isotropic for a checked state and a checked map, so the result is built without
+    re-checking it.
     """
     space = state.space
     if t.space is not space and t.space != space:
         raise ValueError("transformation acts on a different phase space")
-    known, rows = _known_image(space, state.known, t.s.rows)
-    return EpistemicState(space, known, _matvec(space.field, rows, state.valuation + t.a))
+    fld = space.field
+    known, rows, hidden = _known_image(space, state.known, t.s.rows)
+    valuation = _clear_pivots(fld, _matvec(fld, rows, state.valuation + t.a), hidden)
+    return EpistemicState._trusted(space, known, valuation)
 
 
 @functools.lru_cache(maxsize=4096)
 def _known_image(space: PhaseSpace, known: AffineSubspace, s_rows: tuple) -> tuple:
-    """``(V', rows)``: the canonical V' = S^{-T} V, and the rows of the 2n x 4n matrix
-    [P S | P], where P is the pivot clearing against the canonical basis of V'-perp.
+    """``(V', rows, hidden)``: the canonical V' = S^{-T} V, the rows of the 2n x 4n
+    matrix [P S | P], and the canonical basis of V'-perp that P clears against.
 
     For symplectic S, S^{-T} f = J^T S (J f), where J and J^T are signed swaps, so
     each known row costs one product with S, read from the validated map's canonical
-    rows as they are.  P [S | I] is ``linalg._pivot_clearing_rows``.
+    rows as they are.  The products are canonical, so V' is their row reduction,
+    and it is interned: every equal V' is one instance, which keys the memos below
+    by identity.  P [S | I] is ``linalg._pivot_clearing_rows``.
 
     A run meets few (V, S) pairs: criterion 7 pushes 91 states through each of
     11,520 maps, but only 31 distinct V.  Memoized and bounded; it holds only the
     canonical subspace V' and tuples of canonical scalars.
     """
     fld = space.field
-    image = AffineSubspace(fld, space.dim,
-                           tuple(_apply_jt(fld, _matvec(fld, s_rows, _apply_j(fld, f)))
-                                 for f in known.basis))
+    image = _interned(AffineSubspace._trusted(
+        fld, space.dim,
+        [_apply_jt(fld, _matvec(fld, s_rows, _apply_j(fld, f))) for f in known.basis]))
+    hidden = _euclidean_complement(space, image).basis
     one, zero = fld.one, fld.zero
     aug = [row + tuple(one if i == j else zero for j in range(space.dim))
            for i, row in enumerate(s_rows)]
-    return image, _pivot_clearing_rows(fld, _euclidean_complement(space, image).basis, aug)
+    return image, _pivot_clearing_rows(fld, hidden, aug), hidden
 
 
 # ---------------------------------------------------------------------------
@@ -327,10 +349,12 @@ def _outcome_span(space: PhaseSpace, known: AffineSubspace,
     run meets few such pairs.  Memoized and bounded; it holds only tuples, ints and a
     ``Fraction``.  A span past ``STATE_CAP`` points is refused before it is listed.
     """
+    fld = space.field
     cells = _euclidean_complement(space, measured)
-    hidden = _euclidean_complement(space, known)
-    span = AffineSubspace(space.field, space.dim,
-                          tuple(cells.representative(h) for h in hidden.basis))
+    span = AffineSubspace._trusted(
+        fld, space.dim,
+        [_clear_pivots(fld, h, cells.basis)
+         for h in _euclidean_complement(space, known).basis])
     if space.d ** span.rank > STATE_CAP:
         raise SizeCapExceeded("outcome enumeration", f"{space.d}^{span.rank}", STATE_CAP)
     points = tuple(span.points())

@@ -35,6 +35,18 @@ class SizeCapExceeded(Exception):
         self.cap = limit
 
 
+def _int_text(x: int) -> str:
+    """``x`` in decimal when it has at most 40 digits, else by its sign and digit
+    count, so a message that names a refused int stays short whatever its size."""
+    if -10 ** 40 < x < 10 ** 40:
+        return str(x)
+    a = abs(x)
+    k = (a.bit_length() - 1) * 30102 // 100000  # 0.30102 < log10(2), so 10^k <= a
+    while 10 ** (k + 1) <= a:
+        k += 1
+    return f"{'a negative' if x < 0 else 'an'} int of {k + 1} digits"
+
+
 #: Miller-Rabin on the first twelve prime bases decides primality exactly below this
 #: bound (the smallest strong pseudoprime to all of them).
 MAX_MODULUS = 318_665_857_834_031_151_167_461
@@ -96,9 +108,9 @@ class PrimeField(Field):
             raise TypeError(f"modulus must be an int, got {modulus!r}")
         modulus = int(modulus)
         if modulus >= MAX_MODULUS:
-            raise SizeCapExceeded("prime modulus", modulus, MAX_MODULUS)
+            raise SizeCapExceeded("prime modulus", _int_text(modulus), MAX_MODULUS)
         if not _is_prime(modulus):
-            raise ValueError(f"modulus must be prime, got {modulus}")
+            raise ValueError(f"modulus must be prime, got {_int_text(modulus)}")
         self.modulus = modulus
 
     def element(self, value) -> int:

@@ -22,6 +22,7 @@ have.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -189,6 +190,16 @@ class Matrix:
         object.__setattr__(self, "rows", rows)
 
     @classmethod
+    def _trusted(cls, field: Field, rows: tuple) -> "Matrix":
+        """The matrix of ``rows``, a tuple of equal-length tuples of canonical scalars
+        that the caller's own arithmetic produced, stored as they are: nothing is
+        coerced or checked.  Equal to, and hashing like, ``Matrix(field, rows)``."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "field", field)
+        object.__setattr__(m, "rows", rows)
+        return m
+
+    @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
         return cls(field, [[int(i == j) for j in range(n)] for i in range(n)])
 
@@ -206,7 +217,7 @@ class Matrix:
 
     @property
     def T(self) -> "Matrix":
-        return Matrix(self.field, tuple(zip(*self.rows)))
+        return Matrix._trusted(self.field, tuple(zip(*self.rows)))
 
     def matvec(self, v: Iterable) -> Vector:
         v = vec(self.field, v)
@@ -219,9 +230,9 @@ class Matrix:
         _require_field(other, self.field, "the left factor")
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        cols = other.T.rows
-        return Matrix(self.field, tuple(_matvec(self.field, cols, row)
-                                        for row in self.rows))
+        cols = tuple(zip(*other.rows))
+        return Matrix._trusted(self.field, tuple(_matvec(self.field, cols, row)
+                                                 for row in self.rows))
 
     def __neg__(self) -> "Matrix":
         return Matrix(self.field, [[-x for x in r] for r in self.rows])
@@ -405,6 +416,23 @@ class AffineSubspace:
     # -- constructors -------------------------------------------------------------
 
     @classmethod
+    def _trusted(cls, field: Field, ambient: int,
+                 rows: Iterable[Vector]) -> "AffineSubspace":
+        """The linear span of ``rows``: tuples of canonical scalars of length ``ambient``
+        that the caller's own arithmetic produced.  They are reduced by
+        ``_rref_cached`` and nothing is coerced or checked; the fields and the stored
+        hash are those the constructor sets, so the result equals, and hashes like,
+        ``AffineSubspace(field, ambient, rows)``."""
+        reduced, pivots = _rref_cached(field, tuple(rows))
+        basis, offset = reduced[:len(pivots)], (field.zero,) * ambient
+        sub = object.__new__(cls)
+        for name, value in (("field", field), ("ambient", ambient), ("basis", basis),
+                            ("offset", offset), ("is_empty", False),
+                            ("_hash", hash((field, ambient, basis, offset, False)))):
+            object.__setattr__(sub, name, value)
+        return sub
+
+    @classmethod
     def span(cls, field: Field, rows: Iterable[Iterable], ambient: int = None,
              offset: Iterable = None) -> "AffineSubspace":
         rows = [tuple(r) for r in rows]
@@ -473,6 +501,16 @@ class AffineSubspace:
         multiples = [[tuple(c * x % d for x in row) for c in range(d)] for row in self.basis]
         for terms in product(*multiples):
             yield tuple(sum(col) % d for col in zip(self.offset, *terms))
+
+
+@functools.lru_cache(maxsize=4096)
+def _interned(sub: AffineSubspace) -> AffineSubspace:
+    """The one instance handed out for every subspace equal to ``sub``: the first one
+    met.  Memo keys that hold interned subspaces match by identity rather than through
+    the field-by-field ``__eq__``.  Memoized and bounded; past the bound an equal
+    subspace may come back as another instance, which costs an ``__eq__`` again and
+    changes no result."""
+    return sub
 
 
 def solve_affine(a: Matrix, b: Iterable) -> AffineSubspace:

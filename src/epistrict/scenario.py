@@ -41,7 +41,7 @@ from .epistemic import (
     possible_values,
     transform,
 )
-from .fields import RATIONALS, Field, PrimeField, SizeCapExceeded
+from .fields import RATIONALS, Field, PrimeField, SizeCapExceeded, _int_text
 from .linalg import AffineSubspace, Matrix
 from .stabilizer import _exact_born
 from .symplectic import PhaseSpace, SymplecticAffine, _pair_products
@@ -80,13 +80,16 @@ _RATIONAL_TEXT = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 def _shown(raw) -> str:
     """A refused value as a refusal names it, short whatever its size: the JSON type
-    of an array, object or null, and a string by its first 40 characters."""
+    of an array, object or null, a string by its first 40 characters, and an int of
+    more than 40 digits by its sign and digit count."""
     if isinstance(raw, list):
         return "an array"
     if isinstance(raw, dict):
         return "an object"
     if raw is None:
         return "null"
+    if isinstance(raw, int):
+        return _int_text(raw)
     return repr(raw[:40] if isinstance(raw, str) else raw)
 
 
@@ -179,15 +182,26 @@ def _field_out(fld: Field):
     return fld.modulus if fld.is_finite else "rational"
 
 
+def _row_preview(row: tuple) -> str:
+    """A row as a refusal names it: its entries, cut at 24 characters."""
+    text = ""
+    for k, x in enumerate(row):
+        text += f", {x}" if k else str(x)
+        if len(text) > 24:
+            return f"[{text[:24]}...]"
+    return f"[{text}]"
+
+
 def _require_isotropic(space: PhaseSpace, rows: tuple, where: str) -> None:
-    """Pairwise Poisson-commutation check, naming the offending rows."""
+    """Pairwise Poisson-commutation check, naming the first offending pair of rows by
+    index and a short preview, and counting the rest."""
     bad = [pair for pair, p in _pair_products(space.field, rows) if p]
     if bad:
-        detail = "; ".join(
-            f"rows {i} and {j} ({list(rows[i])} vs {list(rows[j])})" for i, j in bad)
+        (i, j), more = bad[0], len(bad) - 1
         raise ScenarioError(
-            f"{where}: functionals must pairwise Poisson-commute "
-            f"(isotropic span); offending {detail}")
+            f"{where}: functionals must pairwise Poisson-commute (isotropic span); "
+            f"offending rows {i} and {j} ({_row_preview(rows[i])} vs "
+            f"{_row_preview(rows[j])})" + (f" and {more} more" if more else ""))
 
 
 def scenario_from_dict(data: dict) -> Scenario:
@@ -200,7 +214,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ScenarioError(f"n: expected a positive int, got {_shown(n)}")
     if n > MAX_N:
-        raise SizeCapExceeded("scenario degrees of freedom n", n, MAX_N)
+        raise SizeCapExceeded("scenario degrees of freedom n", _int_text(n), MAX_N)
     space = PhaseSpace(fld, n)
     dim = space.dim
 

@@ -25,6 +25,7 @@ from .linalg import (
     AffineSubspace,
     Matrix,
     Vector,
+    _interned,
     _matvec,
     _require_field,
     null_space,
@@ -270,11 +271,13 @@ def is_isotropic(space: PhaseSpace, v: AffineSubspace) -> bool:
 def _euclidean_complement(space: PhaseSpace, v: AffineSubspace) -> AffineSubspace:
     # Memoized: a pure function of the (canonical, hashable) subspace, called
     # repeatedly with the same handful of direction spaces by the state layer.
-    # Bounded, so long-lived processes that see many spaces do not grow.
-    rows = null_space(Matrix(space.field, v.basis)) if v.basis else None
-    if rows is None:
-        return AffineSubspace.full(space.field, space.dim)
-    return AffineSubspace.span(space.field, rows, ambient=space.dim)
+    # Bounded, so long-lived processes that see many spaces do not grow.  Every
+    # caller's v is a checked subspace of the space, so its canonical rows and the
+    # null space's rows are built on as they are.
+    fld = space.field
+    rows = (null_space(Matrix._trusted(fld, v.basis)) if v.basis
+            else Matrix.identity(fld, space.dim).rows)
+    return AffineSubspace._trusted(fld, space.dim, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +439,9 @@ def enumerate_symplectic(space: PhaseSpace) -> list:
     and the n - 1 sums e_{q_i} + e_{q_{i+1}}, sorted by rows.
     """
     _, words = _symplectic_closure(space)
-    return [Matrix(space.field, rows) for rows in sorted(words)]
+    # Each element is a product of canonical ints, and the closure checked the group
+    # order, so its rows are stored as they are.
+    return [Matrix._trusted(space.field, rows) for rows in sorted(words)]
 
 
 def enumerate_group(space: PhaseSpace) -> list:
@@ -484,7 +489,8 @@ def enumerate_isotropic(space: PhaseSpace, rank: Optional[int] = None) -> list:
                 for (i, j), val in zip(free_slots, values):
                     rows[i][j] = val
                 if not any(p for _, p in _pair_products(space.field, rows)):
-                    out.append(AffineSubspace.span(space.field, rows, ambient=space.dim))
+                    out.append(_interned(
+                        AffineSubspace.span(space.field, rows, ambient=space.dim)))
     return out
 
 

@@ -233,25 +233,33 @@ def test_simulate_rational_entry_outside_the_format_exits_3(scenario_file, capsy
 _LONG_LIST, _LONG_TEXT = list(range(200_000)), "x" * 500_000
 
 
-@pytest.mark.parametrize("message, data", [
+@pytest.mark.parametrize("message, data, code", [
     ("preparation.valuation[0]: expected an int, got an array",
-     {**COMPARE_SCENARIO, "preparation": {"known": [[1, 0]], "valuation": [_LONG_LIST, 0]}}),
-    ("n: expected a positive int, got an array", {**COMPARE_SCENARIO, "n": _LONG_LIST}),
+     {**COMPARE_SCENARIO, "preparation": {"known": [[1, 0]], "valuation": [_LONG_LIST, 0]}},
+     EXIT_INVALID),
+    ("n: expected a positive int, got an array", {**COMPARE_SCENARIO, "n": _LONG_LIST},
+     EXIT_INVALID),
     ("field: expected a prime modulus or 'rational', got an array",
-     {**COMPARE_SCENARIO, "field": _LONG_LIST}),
+     {**COMPARE_SCENARIO, "field": _LONG_LIST}, EXIT_INVALID),
     ("mode: expected one of ('epistricted', 'quantum', 'compare'), got 'xxxxxxxxxx",
-     {**COMPARE_SCENARIO, "mode": _LONG_TEXT}),
+     {**COMPARE_SCENARIO, "mode": _LONG_TEXT}, EXIT_INVALID),
     ("preparation.valuation[0]: expected an int or a '[-]num/den' string, got an object",
      {**RATIONAL_SCENARIO, "preparation": {"known": [[1, 0, -1, 0]],
-                                           "valuation": [{"num": 2, "den": 3}, 0, 0, 0]}}),
-    ("scenario: unknown key 'xxxxxxxxxx", {**COMPARE_SCENARIO, _LONG_TEXT: 1}),
+                                           "valuation": [{"num": 2, "den": 3}, 0, 0, 0]}},
+     EXIT_INVALID),
+    ("scenario: unknown key 'xxxxxxxxxx", {**COMPARE_SCENARIO, _LONG_TEXT: 1}, EXIT_INVALID),
+    ("n: expected a positive int, got a negative int of 4201 digits",
+     {**COMPARE_SCENARIO, "n": -10 ** 4200}, EXIT_INVALID),
+    ("prime modulus: needs an int of 4201 digits, cap is ",
+     {**COMPARE_SCENARIO, "field": 10 ** 4200}, EXIT_CAP),
 ], ids=["list-entry", "list-n", "list-field", "long-mode", "object-entry-over-Q",
-        "long-unknown-key"])
+        "long-unknown-key", "huge-negative-n", "huge-field"])
 def test_simulate_refusal_names_the_entry_in_a_short_message(scenario_file, capsys,
-                                                            message, data):
-    """A refusal shows a refused array, object or null by its JSON type and a string by
-    its first 40 characters, never in full."""
-    assert main(["simulate", "--scenario", scenario_file(data)]) == EXIT_INVALID
+                                                            message, data, code):
+    """A refusal shows a refused array, object or null by its JSON type, a string by
+    its first 40 characters and an int of more than 40 digits by its sign and digit
+    count, never in full; the exit code is the refusal's own."""
+    assert main(["simulate", "--scenario", scenario_file(data)]) == code
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}") and "Traceback" not in err
     assert len(err.encode()) < 200
@@ -384,6 +392,28 @@ def test_simulate_non_isotropic_scenario_names_rows(scenario_file, capsys):
     bad = dict(COMPARE_SCENARIO, preparation={"known": [[1, 0], [0, 1]]})
     assert main(["simulate", "--scenario", scenario_file(bad)]) == EXIT_INVALID
     assert "rows 0 and 1" in capsys.readouterr().err
+
+
+def test_simulate_non_isotropic_refusal_stays_short_for_huge_rows(scenario_file, capsys):
+    """The refusal names the first offending pair by index with a short preview of
+    each row and counts the other pairs, so it stays short for 200 entries of 4,000
+    digits (it printed every row in full, 806,316 bytes)."""
+    big = str(10 ** 3999 + 7)
+    rows = [[big if k % 2 == r else str(2 * r + 1) for k in range(200)] for r in (0, 1)]
+    bad = {**RATIONAL_SCENARIO, "n": 100, "preparation": {"known": rows},
+           "measurement": {"measured": [[1] + [0] * 199]}}
+    assert main(["simulate", "--scenario", scenario_file(bad)]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("error: preparation.known: functionals must pairwise "
+                          "Poisson-commute (isotropic span); offending rows 0 and 1 "
+                          "([100000000000000000000000...] vs [3, 10000000000000")
+    assert "Traceback" not in err and len(err.encode()) < 200
+    many = {**RATIONAL_SCENARIO, "preparation": {"known": [
+        ["1/2", 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}}
+    assert main(["simulate", "--scenario", scenario_file(many)]) == EXIT_INVALID
+    assert capsys.readouterr().err == (
+        "error: preparation.known: functionals must pairwise Poisson-commute (isotropic "
+        "span); offending rows 0 and 1 ([1/2, 0, 0, 0] vs [0, 1, 0, 0]) and 1 more\n")
 
 
 @pytest.mark.parametrize("section, key", [("preparation", "known"),

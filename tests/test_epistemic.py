@@ -556,27 +556,35 @@ def test_labels_and_measure_match_the_reach_route(space, seeded):
 
 
 def test_warm_measure_builds_no_subspace(monkeypatch):
-    """Once the outcome spans are memoized, a measure builds no AffineSubspace and
-    looks up no complement: a return to the subspace route fails here."""
+    """Once the outcome spans are memoized, a measure builds no AffineSubspace, by
+    the constructor or the private route, and looks up no complement: a return to
+    the subspace route fails here."""
     states = enumerate_states(D2_2)
     meas = [SharpMeasurement(D2_2, v) for v in enumerate_isotropic(D2_2)]
     calls = []
     post_init = AffineSubspace.__post_init__
+    trusted = AffineSubspace._trusted
     complement = epistemic._euclidean_complement
 
     def counting_post_init(self):
         calls.append("AffineSubspace")
         post_init(self)
 
+    def counting_trusted(*args):
+        calls.append("AffineSubspace._trusted")
+        return trusted(*args)
+
     def counting_complement(*args):
         calls.append("_euclidean_complement")
         return complement(*args)
 
     monkeypatch.setattr(AffineSubspace, "__post_init__", counting_post_init)
+    monkeypatch.setattr(AffineSubspace, "_trusted", staticmethod(counting_trusted))
     monkeypatch.setattr(epistemic, "_euclidean_complement", counting_complement)
     epistemic._outcome_span.cache_clear()
     cold = [measure(s, m) for s in states for m in meas]
-    assert {"AffineSubspace", "_euclidean_complement"} <= set(calls)  # counters work
+    # The counters work: a cold span is built by the private route.
+    assert {"AffineSubspace._trusted", "_euclidean_complement"} <= set(calls)
     calls.clear()
     warm = [measure(s, m) for s in states for m in meas]
     assert calls == []
@@ -733,7 +741,7 @@ def test_rational_known_image_equals_the_fraction_route(n):
                     RATIONALS, known_rows[:rank], ambient=dim),
                     [Fraction(rng.randrange(-size, size), rng.randrange(1, size))
                      for _ in range(dim)])
-                image, rows = epistemic._known_image(space, state.known, t.s.rows)
+                image, rows, _ = epistemic._known_image(space, state.known, t.s.rows)
                 moved = [_jt([sum(a * b for a, b in zip(r, _j(f))) for r in t.s.rows])
                          for f in state.known.basis]
                 reduced, pivots = oracles.rref_fraction(moved) if moved else ([], [])
@@ -745,6 +753,97 @@ def test_rational_known_image_equals_the_fraction_route(n):
                 assert list(rows) == oracles.pivot_clearing_rows_fraction(
                     hidden[:len(pivots)], aug)
                 assert transform(state, t) == _dense_transform(state, t)
+
+
+def _spy_on_private_routes(monkeypatch) -> list:
+    """Record ``(args, result)`` for every object a private construction route builds."""
+    built = []
+    for cls in (AffineSubspace, Matrix, EpistemicState):
+        def spy(*args, route=cls._trusted):
+            out = route(*args)
+            built.append((args, out))
+            return out
+        monkeypatch.setattr(cls, "_trusted", staticmethod(spy))
+    return built
+
+
+def _public_twin(args, out):
+    """What the public constructor builds from a private route's arguments."""
+    if type(out) is AffineSubspace:
+        field, ambient, rows = args
+        return AffineSubspace(field, ambient, tuple(rows))
+    return Matrix(*args)
+
+
+def _private_route_run(key):
+    """``(space, pairs, chained)``: the (state, map) pairs to push through
+    ``transform``, and whether each pair's state is the previous pair's result."""
+    if key == "Q,2":
+        space = PhaseSpace(RATIONALS, 2)
+        rng = random.Random(47)
+        state = EpistemicState(space, AffineSubspace.span(
+            RATIONALS, [(1, 0, Fraction(1, 2), 0)], ambient=4), (Fraction(2, 3), -1, 0, 5))
+        maps = [_rational_map(space, rng, size) for size in (3, 10 ** 20, 3, 10 ** 50)]
+        return space, [(state, t) for t in maps], True
+    space = {"2,1": D2, "3,1": D3, "2,2": D2_2, "3,2": D3_2}[key]
+    states, _ = _states_and_measurements(space, seeded=key == "3,2")
+    if key == "3,2":
+        rng = random.Random(32)
+        maps = [random_symplectic_affine(space, rng) for _ in range(8)]
+    else:
+        maps = enumerate_group(space)
+        if key == "2,2":
+            # Every S once, with the displacements in turn: every (V, S) pair of the
+            # group, 65,520 pairs.  The other (2,2) pairs are criterion 7's: its sweep
+            # looks each moved state up among the constructed states, by == and hash.
+            maps = [maps[16 * k + k % 16] for k in range(len(maps) // 16)]
+    return space, [(s, t) for t in maps for s in states], False
+
+
+@pytest.mark.parametrize("key", ["2,1", "3,1", "2,2", "3,2", "Q,2"])
+def test_private_routes_build_what_the_public_constructors_build(monkeypatch, key):
+    """Every AffineSubspace, Matrix and EpistemicState that a private route builds
+    on cold memos (moved states, their V' and V'-perp, the closure matrices and, over
+    Z_d, the outcome span of every (V, V') pair) equals, and hashes like, what the
+    public constructor builds from the same arguments; the states are the moved
+    ones, and each equals, and hashes like, the constructors' state of
+    V' = span(J^T S J f) and S v + a from raw products.  Equal V' are one instance."""
+    space, pairs, chained = _private_route_run(key)
+    for memo in (epistemic._known_image, epistemic._outcome_span, is_isotropic,
+                 epistemic._euclidean_complement, epistemic._interned):
+        memo.cache_clear()
+    built = _spy_on_private_routes(monkeypatch)
+    if space.field.is_finite and key != "3,2":
+        enumerate_group(space)
+    moves, state = [], pairs[0][0]
+    for s, t in pairs:
+        moved = transform(state if chained else s, t)
+        moves.append((state if chained else s, t, moved))
+        state = moved
+    if space.field.is_finite:
+        subspaces = enumerate_isotropic(space)
+        for v in subspaces:
+            for w in subspaces:
+                epistemic._outcome_span(space, v, w)
+    monkeypatch.undo()
+    states = [out for _, out in built if type(out) is EpistemicState]
+    assert states == [moved for _, _, moved in moves]
+    built = [entry for entry in built if type(entry[1]) is not EpistemicState]
+    assert {type(out) for _, out in built} == {AffineSubspace, Matrix}
+    for args, out in built:
+        twin = _public_twin(args, out)
+        assert out == twin and hash(out) == hash(twin), (args, out)
+    images = {}
+    for s, t, moved in moves:
+        key = (s.known, t.s.rows)
+        if key not in images:
+            images[key] = AffineSubspace(space.field, space.dim, tuple(
+                _jt([sum(a * b for a, b in zip(r, _j(f))) for r in t.s.rows])
+                for f in s.known.basis))
+        twin = EpistemicState(space, images[key], t.apply(s.valuation))
+        assert moved == twin and hash(moved) == hash(twin)
+    images = [moved.known for _, _, moved in moves]
+    assert len({id(v) for v in images}) == len(set(images))
 
 
 def test_measure_and_transform_accept_an_equal_space_and_refuse_another():

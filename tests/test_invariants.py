@@ -6,9 +6,22 @@ import ast
 import dataclasses
 import importlib
 import pkgutil
+from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import epistrict
+from epistrict import (
+    RATIONALS,
+    AffineSubspace,
+    EpistemicState,
+    Matrix,
+    PhaseSpace,
+    PrimeField,
+    SharpMeasurement,
+    SymplecticAffine,
+)
 
 SOURCES = sorted(Path(epistrict.__file__).parent.glob("*.py"))
 REPO = Path(__file__).resolve().parents[1]
@@ -241,6 +254,115 @@ def test_every_exact_value_type_is_canonical_by_construction():
     assert {"Matrix", "AffineSubspace", "SymplecticAffine", "EpistemicState",
             "SharpMeasurement"} <= {t.__name__ for t in types}
     assert unchecked == []
+
+
+_Z3, _Z5 = PrimeField(3), PrimeField(5)
+_D3, _D3_2 = PhaseSpace(_Z3, 1), PhaseSpace(_Z3, 2)
+_Q_POINT = (TypeError, "floats are not exact; pass int, Fraction or 'num/den' str")
+
+
+def _sub(rows, field=_Z3):
+    return AffineSubspace.span(field, rows, ambient=len(rows[0]))
+
+
+def _z3_entry(value):
+    return TypeError, f"prime-field element must be an int, got {value!r}"
+
+
+#: ``(call, exception type, message)`` per refused input at the public boundary.
+_REFUSED = {
+    "AffineSubspace-wrong-length": (lambda: AffineSubspace(_Z3, 2, ((1, 0, 0),)),
+                                    ValueError, "basis row length does not match "
+                                    "ambient dimension"),
+    "AffineSubspace-wrong-length-offset": (lambda: AffineSubspace(_Z3, 2, (), (1,)),
+                                           ValueError, "offset length does not match "
+                                           "ambient dimension"),
+    "AffineSubspace-float": (lambda: AffineSubspace(_Z3, 2, ((1.0, 0),)), *_z3_entry(1.0)),
+    "AffineSubspace-float-over-Q": (lambda: AffineSubspace(RATIONALS, 2, ((0.5, 0),)),
+                                    *_Q_POINT),
+    "AffineSubspace-bool": (lambda: AffineSubspace(_Z3, 2, ((True, 0),)), *_z3_entry(True)),
+    "AffineSubspace-bool-over-Q": (lambda: AffineSubspace(RATIONALS, 2, ((True, 0),)),
+                                   TypeError, "rational element must be an int, Fraction "
+                                   "or 'num/den' str, got True"),
+    "AffineSubspace-ragged": (lambda: AffineSubspace(_Z3, 2, ((1, 0), (1,))),
+                              ValueError, "basis row length does not match ambient "
+                              "dimension"),
+    "AffineSubspace-other-field": (lambda: AffineSubspace(_Z3, 2, ((Fraction(1, 3), 0),)),
+                                   ValueError, "1/3 has no value in Z_3: its denominator "
+                                   "is divisible by 3"),
+    "Matrix-wrong-length": (lambda: Matrix.identity(_Z3, 2).matvec((1, 0, 0)),
+                            ValueError, "product of a (2, 2) matrix and a vector of "
+                            "length 3"),
+    "Matrix-float": (lambda: Matrix(_Z3, ((1.0, 0), (0, 1))), *_z3_entry(1.0)),
+    "Matrix-float-over-Q": (lambda: Matrix(RATIONALS, ((0.5, 0), (0, 1))), *_Q_POINT),
+    "Matrix-bool": (lambda: Matrix(_Z3, ((True, 0), (0, 1))), *_z3_entry(True)),
+    "Matrix-ragged": (lambda: Matrix(_Z3, ((1, 0), (0,))), ValueError, "ragged rows"),
+    "Matrix-other-field": (lambda: Matrix.identity(_Z3, 2) @ Matrix.identity(_Z5, 2),
+                           ValueError, "matrix is over PrimeField(5), but the left "
+                           "factor is over PrimeField(3)"),
+    "EpistemicState-wrong-length": (lambda: EpistemicState(_D3, _sub([(1, 0)]), (1, 0, 0)),
+                                    ValueError, "valuation of length 3 on a phase space "
+                                    "of dimension 2n = 2"),
+    "EpistemicState-float": (lambda: EpistemicState(_D3, _sub([(1, 0)]), (1.0, 0)),
+                             *_z3_entry(1.0)),
+    "EpistemicState-bool": (lambda: EpistemicState(_D3, _sub([(1, 0)]), (True, 0)),
+                            *_z3_entry(True)),
+    "EpistemicState-non-isotropic": (lambda: EpistemicState(_D3, _sub([(1, 0), (0, 1)])),
+                                     ValueError, "known quadratures must span an "
+                                     "isotropic linear subspace"),
+    "EpistemicState-affine": (lambda: EpistemicState(
+        _D3, AffineSubspace(_Z3, 2, ((1, 0),), (0, 1))),
+        ValueError, "known quadratures must span an isotropic linear subspace"),
+    "EpistemicState-other-field": (lambda: EpistemicState(_D3, _sub([(1, 0)], _Z5)),
+                                   ValueError, "subspace is over PrimeField(5), but the "
+                                   "phase space is over PrimeField(3)"),
+    "EpistemicState-other-ambient": (lambda: EpistemicState(_D3, _sub([(1, 0, 0, 0)])),
+                                     ValueError, "subspace has ambient dimension 4, but "
+                                     "the phase space has dimension 2"),
+    "SymplecticAffine-wrong-length": (lambda: SymplecticAffine(
+        _D3, Matrix.identity(_Z3, 2), (1, 0, 0)),
+        ValueError, "displacement of length 3 on a phase space of dimension 2n = 2"),
+    "SymplecticAffine-float": (lambda: SymplecticAffine(
+        _D3, Matrix.identity(_Z3, 2), (0.5, 0)), *_z3_entry(0.5)),
+    "SymplecticAffine-bool": (lambda: SymplecticAffine(
+        _D3, Matrix.identity(_Z3, 2), (False, 0)), *_z3_entry(False)),
+    "SymplecticAffine-non-symplectic": (lambda: SymplecticAffine(
+        _D3, Matrix(_Z3, ((1, 1), (1, 1)))),
+        ValueError, "matrix does not preserve the symplectic form"),
+    "SymplecticAffine-wrong-shape": (lambda: SymplecticAffine(_D3, Matrix.identity(_Z3, 4)),
+                                     ValueError, "matrix does not preserve the "
+                                     "symplectic form"),
+    "SymplecticAffine-other-field": (lambda: SymplecticAffine(
+        _D3, Matrix.identity(_Z5, 2)),
+        ValueError, "matrix is over PrimeField(5), but the phase space is over "
+        "PrimeField(3)"),
+    "SharpMeasurement-wrong-length": (lambda: SharpMeasurement.of_functional(_D3, (1, 0, 0)),
+                                      ValueError, "basis row length does not match "
+                                      "ambient dimension"),
+    "SharpMeasurement-float": (lambda: SharpMeasurement.of_functional(_D3, (1.0, 0)),
+                               *_z3_entry(1.0)),
+    "SharpMeasurement-bool": (lambda: SharpMeasurement.of_functional(_D3, (True, 0)),
+                              *_z3_entry(True)),
+    "SharpMeasurement-non-isotropic": (lambda: SharpMeasurement(
+        _D3_2, _sub([(1, 0, 0, 0), (0, 1, 0, 0)])),
+        ValueError, "measured functionals must span an isotropic linear subspace"),
+    "SharpMeasurement-other-field": (lambda: SharpMeasurement(_D3, _sub([(1, 0)], RATIONALS)),
+                                     ValueError, "subspace is over RationalField(), but "
+                                     "the phase space is over PrimeField(3)"),
+    "SharpMeasurement-other-ambient": (lambda: SharpMeasurement(_D3, _sub([(1, 0, 0, 0)])),
+                                       ValueError, "subspace has ambient dimension 4, but "
+                                       "the phase space has dimension 2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSED))
+def test_public_constructors_refuse_bad_input_with_a_pinned_message(case):
+    # Validation happens once, at the public boundary: the private construction
+    # routes the engine uses on its own results must leave these refusals as they are.
+    call, kind, message = _REFUSED[case]
+    with pytest.raises(Exception) as err:
+        call()
+    assert type(err.value) is kind and str(err.value) == message
 
 
 def test_fixed_limits_are_not_parameters():

@@ -97,10 +97,10 @@ def test_booleans_are_refused_as_scalars():
 def test_non_isotropic_preparation_names_the_rows():
     for n, known, named in [
         (1, [[1, 0], [0, 1]], "rows 0 and 1 ([1, 0] vs [0, 1])"),
-        # Every nonzero pair is listed, in order; rows 1 and 2 commute.
+        # The first nonzero pair is named and the others counted; rows 1 and 2
+        # commute, so rows 0 and 2 are the one more.
         (2, [[1, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
-         "rows 0 and 1 ([1, 0, 1, 0] vs [0, 1, 0, 0]); "
-         "rows 0 and 2 ([1, 0, 1, 0] vs [0, 0, 0, 1])"),
+         "rows 0 and 1 ([1, 0, 1, 0] vs [0, 1, 0, 0]) and 1 more"),
     ]:
         data = make(n=n)
         data["preparation"] = {"known": known}
