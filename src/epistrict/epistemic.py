@@ -60,6 +60,8 @@ class EpistemicState:
     def __post_init__(self):
         if not is_isotropic(self.space, self.known):
             raise ValueError("known quadratures must span an isotropic linear subspace")
+        # One instance per equal V, so the memos keyed on it match by identity.
+        object.__setattr__(self, "known", _interned(self.known))
         raw = self.valuation if self.valuation is not None else self.space.zero()
         hidden = _euclidean_complement(self.space, self.known)
         object.__setattr__(self, "valuation", _clear_pivots(
@@ -213,6 +215,7 @@ class SharpMeasurement:
     def __post_init__(self):
         if not is_isotropic(self.space, self.measured):
             raise ValueError("measured functionals must span an isotropic linear subspace")
+        object.__setattr__(self, "measured", _interned(self.measured))
 
     @classmethod
     def of_functional(cls, space: PhaseSpace, f: Iterable) -> "SharpMeasurement":
@@ -245,9 +248,9 @@ class SharpMeasurement:
 
 @functools.lru_cache(maxsize=4096)
 def _zero_subspace(space: PhaseSpace) -> AffineSubspace:
-    """The zero subspace of the space, built once: what the ignorance state knows.
-    Memoized and bounded, like every memo keyed on a space."""
-    return AffineSubspace(space.field, space.dim)
+    """The zero subspace of the space, built once and interned: what the ignorance
+    state knows.  Memoized and bounded, like every memo keyed on a space."""
+    return _interned(AffineSubspace(space.field, space.dim))
 
 
 def _values_at(m: SharpMeasurement, label: tuple) -> tuple:

@@ -60,9 +60,10 @@ def vec_scale(field: Field, c: Scalar, u: Vector) -> Vector:
 
 
 def _sub_multiple(field: Field, u: Vector, c: Scalar, v: Vector) -> Vector:
-    """The row operation u - c v."""
-    reduce = field.reduce
-    return tuple(reduce(a - c * b) for a, b in zip(u, v, strict=True))
+    """The row operation u - c v over Z_d, mod d on ints: the kernels' Z_d branches
+    are its only callers, since over Q they combine integer rows."""
+    d = field.modulus
+    return tuple([(a - c * b) % d for a, b in zip(u, v, strict=True)])
 
 
 # -- integer rows over Q ----------------------------------------------------------

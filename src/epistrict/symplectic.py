@@ -25,7 +25,6 @@ from .linalg import (
     AffineSubspace,
     Matrix,
     Vector,
-    _interned,
     _matvec,
     _require_field,
     null_space,
@@ -489,8 +488,7 @@ def enumerate_isotropic(space: PhaseSpace, rank: Optional[int] = None) -> list:
                 for (i, j), val in zip(free_slots, values):
                     rows[i][j] = val
                 if not any(p for _, p in _pair_products(space.field, rows)):
-                    out.append(_interned(
-                        AffineSubspace.span(space.field, rows, ambient=space.dim)))
+                    out.append(AffineSubspace.span(space.field, rows, ambient=space.dim))
     return out
 
 

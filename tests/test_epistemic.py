@@ -846,6 +846,22 @@ def test_private_routes_build_what_the_public_constructors_build(monkeypatch, ke
     assert len({id(v) for v in images}) == len(set(images))
 
 
+def test_states_and_measurements_hold_one_instance_per_equal_subspace():
+    """Constructed and moved states, measurements and the zero subspace that keys
+    ``outcomes()`` hold one interned instance per equal subspace, so the memos keyed
+    on them match by identity."""
+    epistemic._interned.cache_clear()
+    epistemic._zero_subspace.cache_clear()
+    states = enumerate_states(D2_2)
+    meas = [SharpMeasurement(D2_2, AffineSubspace.span(D2_2.field, v.basis, ambient=4))
+            for v in enumerate_isotropic(D2_2)]
+    rng = random.Random(11)
+    moved = [transform(s, random_symplectic_affine(D2_2, rng)) for s in states]
+    held = ([s.known for s in states + moved] + [m.measured for m in meas]
+            + [epistemic._zero_subspace(D2_2)])
+    assert len({id(v) for v in held}) == len(set(held)) == 31
+
+
 def test_measure_and_transform_accept_an_equal_space_and_refuse_another():
     """The space check tests identity first, then equality: an equal but distinct
     PhaseSpace is the same space, and any other space is refused."""

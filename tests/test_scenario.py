@@ -54,6 +54,26 @@ def test_unknown_key_is_named():
         scenario_from_dict(make(frobnicate=1))
 
 
+@pytest.mark.parametrize("n, shown", [
+    (-(10 ** 40 - 1), "-" + "9" * 40),
+    (-10 ** 40, "a negative int of 41 digits"),
+    (-(10 ** 4299 + 1), "a negative int of 4300 digits"),
+], ids=["40-digits", "41-digits", "4300-digits"])
+def test_a_refused_int_is_shown_in_full_up_to_40_digits(n, shown):
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(make(n=n))
+    assert str(err.value) == f"n: expected a positive int, got {shown}"
+
+
+@pytest.mark.parametrize("n, shown", [
+    (10 ** 40 - 1, "9" * 40), (10 ** 40, "an int of 41 digits"),
+    (2 ** 20000, "an int of 6021 digits")], ids=["40-digits", "41-digits", "2^20000"])
+def test_past_the_degrees_of_freedom_cap_names_n_briefly(n, shown):
+    with pytest.raises(SizeCapExceeded) as err:
+        scenario_from_dict(make(n=n))
+    assert str(err.value) == f"scenario degrees of freedom n: needs {shown}, cap is 100"
+
+
 def test_floats_are_refused():
     data = make()
     data["preparation"]["valuation"] = [0.5, 0]
