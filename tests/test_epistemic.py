@@ -835,15 +835,14 @@ def test_private_routes_build_what_the_public_constructors_build(monkeypatch, ke
         assert out == twin and hash(out) == hash(twin), (args, out)
     images = {}
     for s, t, moved in moves:
-        key = (s.known, t.s.rows)
-        if key not in images:
-            images[key] = AffineSubspace(space.field, space.dim, tuple(
+        if (s.known, t.s.rows) not in images:
+            images[s.known, t.s.rows] = AffineSubspace(space.field, space.dim, tuple(
                 _jt([sum(a * b for a, b in zip(r, _j(f))) for r in t.s.rows])
                 for f in s.known.basis))
-        twin = EpistemicState(space, images[key], t.apply(s.valuation))
+        twin = EpistemicState(space, images[s.known, t.s.rows], t.apply(s.valuation))
         assert moved == twin and hash(moved) == hash(twin)
-    images = [moved.known for _, _, moved in moves]
-    assert len({id(v) for v in images}) == len(set(images))
+    held = [moved.known for _, _, moved in moves]
+    assert len({id(v) for v in held}) == len(set(held))
 
 
 def test_states_and_measurements_hold_one_instance_per_equal_subspace():

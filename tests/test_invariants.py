@@ -1,6 +1,7 @@
 """Package-wide invariants: internal checks survive ``python -O``; memos are bounded;
 no private helper is left without a caller and no public name without an entry point
-that reaches it; the classical side stays exact."""
+that reaches it; the classical side stays exact; the public constructors refuse bad
+input with pinned messages."""
 
 import ast
 import dataclasses
