@@ -99,9 +99,11 @@ class EpistemicState:
         return state
 
     def support(self) -> AffineSubspace:
+        """The ontic support V-perp + v.  V-perp's basis is canonical and the valuation
+        is already cleared against it, so the support is built without re-checking."""
         hidden = _euclidean_complement(self.space, self.known)
-        return AffineSubspace(self.space.field, self.space.dim, hidden.basis,
-                              self.valuation)
+        return AffineSubspace._trusted(self.space.field, self.space.dim, hidden.basis,
+                                       self.valuation)
 
     @property
     def rank(self) -> int:

@@ -25,7 +25,6 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Iterator, Sequence
@@ -417,15 +416,18 @@ class AffineSubspace:
     # -- constructors -------------------------------------------------------------
 
     @classmethod
-    def _trusted(cls, field: Field, ambient: int,
-                 rows: Iterable[Vector]) -> "AffineSubspace":
-        """The linear span of ``rows``: tuples of canonical scalars of length ``ambient``
-        that the caller's own arithmetic produced.  They are reduced by
-        ``_rref_cached`` and nothing is coerced or checked; the fields and the stored
-        hash are those the constructor sets, so the result equals, and hashes like,
-        ``AffineSubspace(field, ambient, rows)``."""
+    def _trusted(cls, field: Field, ambient: int, rows: Iterable[Vector],
+                 offset: Vector = None) -> "AffineSubspace":
+        """``offset + span(rows)``: tuples of canonical scalars of length ``ambient``
+        that the caller's own arithmetic produced, the offset (zero when omitted)
+        already cleared in the pivot columns of the rows' reduced form.  The rows are
+        reduced by ``_rref_cached`` and nothing is coerced or checked; the fields and
+        the stored hash are those the constructor sets, so the result equals, and
+        hashes like, ``AffineSubspace(field, ambient, rows, offset)``."""
         reduced, pivots = _rref_cached(field, tuple(rows))
-        basis, offset = reduced[:len(pivots)], (field.zero,) * ambient
+        basis = reduced[:len(pivots)]
+        if offset is None:
+            offset = (field.zero,) * ambient
         sub = object.__new__(cls)
         for name, value in (("field", field), ("ambient", ambient), ("basis", basis),
                             ("offset", offset), ("is_empty", False),
@@ -487,7 +489,13 @@ class AffineSubspace:
         return _clear_pivots(self.field, x, self.basis)
 
     def points(self) -> Iterator[Vector]:
-        """Iterate all points (prime fields only), in a deterministic order."""
+        """Iterate all points (prime fields only): the offset plus one multiple of each
+        basis row, the first row's coefficient varying slowest.
+
+        Over Z_d the points are listed in one incremental pass before the first is
+        handed out: starting from the offset, each basis row in turn replaces every
+        point p listed so far by p + c row (mod d) for c = 0 .. d-1.
+        """
         if self.is_empty:
             return
         f = self.field
@@ -496,12 +504,13 @@ class AffineSubspace:
         if not self.basis:
             yield self.offset
             return
-        # Over Z_d: the offset plus one multiple of each basis row, the first row's
-        # coefficient varying slowest, summed column by column.
         d = f.modulus
-        multiples = [[tuple(c * x % d for x in row) for c in range(d)] for row in self.basis]
-        for terms in product(*multiples):
-            yield tuple(sum(col) % d for col in zip(self.offset, *terms))
+        points = [self.offset]
+        for row in self.basis:
+            multiples = [[c * x % d for x in row] for c in range(d)]
+            points = [tuple([(a + b) % d for a, b in zip(p, m)])
+                      for p in points for m in multiples]
+        yield from points
 
 
 @functools.lru_cache(maxsize=4096)

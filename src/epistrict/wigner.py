@@ -261,19 +261,26 @@ def _indicator_rows(basis: PointOperatorBasis, subspaces: list) -> np.ndarray:
     return rows
 
 
-def _classical_born(state: EpistemicState, transforms: list, measurements: list,
-                    columns: list) -> np.ndarray:
-    """Classical Born rows of one state, one per transform: each entry of
-    ``measure(transform(state, t), meas)`` at its outcome's column.  A label that has
-    no column is left out, so its mass shows as a deviation."""
-    rows = np.zeros((len(transforms), sum(map(len, columns))))
-    for row, t in zip(rows, transforms):
-        image = transform(state, t)
+def _classical_born(images: list, measurements: list, columns: list,
+                    rows: dict) -> np.ndarray:
+    """Classical Born rows, one per state of ``images``: each entry of
+    ``measure(image, meas)`` at its outcome's column.  A label that has no column is
+    left out, so its mass shows as a deviation.
+
+    ``rows`` maps each state already met to its row, and gains the row of every new
+    one, so each distinct state is measured once per measurement.  ``measure`` is a
+    function of the canonical (space, known, valuation) that state equality
+    compares, so equal states read the same row."""
+    width = sum(map(len, columns))
+    for image in images:
+        if image in rows:
+            continue
+        row = rows[image] = np.zeros(width)
         for meas, column in zip(measurements, columns):
             for label, p in measure(image, meas)._probs.items():
                 if label in column:
                     row[column[label]] = p.numerator / p.denominator
-    return rows
+    return np.array([rows[image] for image in images])
 
 
 def _max_abs(x: np.ndarray) -> float:
@@ -288,8 +295,12 @@ def equivalence_suite(space: PhaseSpace,
     (state, transform, measurement) triples three ways.
 
     Triples run state-major, then transform, then measurement.  Every triple is
-    compared once: its quantum Born probabilities, its classical distribution
-    (``measure`` of ``transform``), and the contraction of its Wigner tables.
+    compared once: its quantum Born probabilities, its classical distribution, and
+    the contraction of its Wigner tables.  The classical side moves every state by
+    every map (``transform``), then measures each distinct moved state once per
+    measurement (``measure``): a triple reads the row of its own moved state, which
+    is ``measure(transform(state, t), meas)`` exactly, since equal states have equal
+    statistics.
 
     Odd prime d only: this is the regime where the representation is nonnegative and
     the two theories coincide.
@@ -343,12 +354,14 @@ def equivalence_suite(space: PhaseSpace,
     if n_triples:
         projectors = np.stack([proj for pvm in pvms for proj in pvm.values()])
         response = np.concatenate(responses)
+        born_rows = {}
         for state, rho in zip(states, rhos):
             # One stacked evolve per state: rows are transforms, columns outcomes.
             evolved = unitaries @ rho @ adjoints
             quantum = born_table(evolved, projectors, starts[:-1])
             contracted = _state_rows(basis, evolved) @ response.T
-            classical = _classical_born(state, transforms, measurements, columns)
+            classical = _classical_born([transform(state, t) for t in transforms],
+                                        measurements, columns, born_rows)
             max_born_dev = max(max_born_dev, _max_abs(quantum - classical),
                                _max_abs(contracted - quantum),
                                _max_abs(contracted - classical))

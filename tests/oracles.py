@@ -10,7 +10,8 @@ are the slow route of the equivalence suite's classical side: exact tables and
 distributions read into floats one point or one label at a time.  ``rref_fraction``,
 ``clear_pivots_fraction``, ``pivot_clearing_rows_fraction``, ``null_space_fraction``,
 ``inverse_fraction`` and ``solve_fraction`` are the slow route of the rational
-kernels: Gauss-Jordan elimination one ``Fraction`` at a time.  ``reach`` is the slow
+kernels: Gauss-Jordan elimination one ``Fraction`` at a time.  ``product_points`` is
+the slow route of ``AffineSubspace.points``.  ``reach`` is the slow
 route of ``possible_values`` and of the outcome labels: the whole set support + V'-perp
 that a measurement can meet, joined from the two subspaces' spanning rows.
 """
@@ -62,6 +63,16 @@ def solve_set(d, a_rows, b):
                for row, rhs in zip(a_rows, b)):
             sols.add(x)
     return frozenset(sols)
+
+
+def product_points(d, basis, offset):
+    """The points of ``offset + span(basis)`` over Z_d, listed as ``AffineSubspace.points``
+    lists them: one multiple of each row, the first row's coefficient varying slowest,
+    summed column by column.  The slow route of that listing: every point is a fresh
+    ``itertools.product`` term and a column sum."""
+    multiples = [[tuple(c * x % d for x in row) for c in range(d)] for row in basis]
+    return [tuple(sum(col) % d for col in zip(offset, *terms))
+            for terms in product(*multiples)]
 
 
 def label_support(d, known_rows, valuation):

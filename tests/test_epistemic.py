@@ -770,8 +770,8 @@ def _spy_on_private_routes(monkeypatch) -> list:
 def _public_twin(args, out):
     """What the public constructor builds from a private route's arguments."""
     if type(out) is AffineSubspace:
-        field, ambient, rows = args
-        return AffineSubspace(field, ambient, tuple(rows))
+        field, ambient, rows, *offset = args
+        return AffineSubspace(field, ambient, tuple(rows), *offset)
     return Matrix(*args)
 
 
@@ -803,11 +803,12 @@ def _private_route_run(key):
 @pytest.mark.parametrize("key", ["2,1", "3,1", "2,2", "3,2", "Q,2"])
 def test_private_routes_build_what_the_public_constructors_build(monkeypatch, key):
     """Every AffineSubspace, Matrix and EpistemicState that a private route builds
-    on cold memos (moved states, their V' and V'-perp, the closure matrices and, over
-    Z_d, the outcome span of every (V, V') pair) equals, and hashes like, what the
-    public constructor builds from the same arguments; the states are the moved
-    ones, and each equals, and hashes like, the constructors' state of
-    V' = span(J^T S J f) and S v + a from raw products.  Equal V' are one instance."""
+    on cold memos (moved states, their V' and V'-perp, the closure matrices, the
+    support of every state met and, over Z_d, the outcome span of every (V, V')
+    pair) equals, and hashes like, what the public constructor builds from the same
+    arguments; the states are the moved ones, and each equals, and hashes like, the
+    constructors' state of V' = span(J^T S J f) and S v + a from raw products.
+    Equal V' are one instance."""
     space, pairs, chained = _private_route_run(key)
     for memo in (epistemic._known_image, epistemic._outcome_span, is_isotropic,
                  epistemic._euclidean_complement, epistemic._interned):
@@ -820,6 +821,8 @@ def test_private_routes_build_what_the_public_constructors_build(monkeypatch, ke
         moved = transform(state if chained else s, t)
         moves.append((state if chained else s, t, moved))
         state = moved
+    met = dict.fromkeys([s for s, _, _ in moves] + [moved for _, _, moved in moves])
+    supports = [s.support() for s in met]
     if space.field.is_finite:
         subspaces = enumerate_isotropic(space)
         for v in subspaces:
@@ -833,6 +836,13 @@ def test_private_routes_build_what_the_public_constructors_build(monkeypatch, ke
     for args, out in built:
         twin = _public_twin(args, out)
         assert out == twin and hash(out) == hash(twin), (args, out)
+    shifted = [out for args, out in built if len(args) == 4]
+    assert shifted[-len(supports):] == supports and len(shifted) == len(supports)
+    for s, sup in zip(met, supports):
+        twin = AffineSubspace(space.field, space.dim,
+                              epistemic._euclidean_complement(space, s.known).basis,
+                              s.valuation)
+        assert sup == twin and hash(sup) == hash(twin)
     images = {}
     for s, t, moved in moves:
         if (s.known, t.s.rows) not in images:

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from epistrict.epistemic import EpistemicState, transform
+from epistrict.epistemic import EpistemicState, enumerate_states, transform
 from epistrict.fields import MAX_MODULUS, RATIONALS, PrimeField, SizeCapExceeded, _is_prime
 from epistrict.linalg import (
     AffineSubspace,
@@ -31,6 +31,7 @@ from epistrict.linalg import (
 from epistrict.symplectic import (
     PhaseSpace,
     SymplecticAffine,
+    enumerate_isotropic,
     symplectic_form,
     transvection,
 )
@@ -410,6 +411,34 @@ def test_empty_set_is_not_a_point():
     p = AffineSubspace.point(F3, (0, 0))
     assert e != p
     assert list(e.points()) == [] and list(p.points()) == [(0, 0)]
+
+
+@pytest.mark.parametrize("d, n", [(2, 1), (3, 1), (2, 2), (3, 2), (5, 1)])
+def test_points_list_in_the_product_order(d, n):
+    """Every coset of every isotropic subspace, and every state's support, lists its
+    points in the order of the ``itertools.product`` route: the first row's
+    coefficient varying slowest."""
+    space = PhaseSpace(PrimeField(d), n)
+    field = space.field
+    subspaces = {AffineSubspace(field, space.dim, v.basis, x)
+                 for v in enumerate_isotropic(space) for x in space.points()}
+    subspaces.update(s.support() for s in enumerate_states(space))
+    assert any(sub.rank and any(sub.offset) for sub in subspaces)
+    for sub in subspaces:
+        points = sub.points()
+        assert iter(points) is points
+        assert list(points) == oracles.product_points(d, sub.basis, sub.offset)
+
+
+def test_points_of_the_empty_set_a_point_and_a_rational_subspace():
+    assert list(AffineSubspace.empty(F3, 2).points()) == []
+    point = AffineSubspace.point(F5, (7, 3))
+    assert list(point.points()) == [(2, 3)] == oracles.product_points(5, (), (2, 3))
+    q_point = AffineSubspace.point(RATIONALS, (Fraction(1, 2), 3))
+    assert list(q_point.points()) == [(Fraction(1, 2), Fraction(3))]
+    line = AffineSubspace.span(RATIONALS, [(1, 2)])
+    with pytest.raises(ValueError, match="positive-dimensional rational subspace"):
+        list(line.points())
 
 
 def test_canonical_offset_has_zero_pivot_coordinates():

@@ -370,15 +370,17 @@ def test_closure_matches_the_exhaustive_filter_at_one_dof(d):
 
 
 def _closure_by_products(space, gens):
-    """Reference route: the breadth-first closure with one dense ``Matrix @`` per step."""
+    """Reference route: the breadth-first closure with one dense ``Matrix @`` per step;
+    each parent is coerced through the public constructor once."""
     identity = Matrix.identity(space.field, space.dim).rows
     words = {identity: (None, None)}
     frontier = [identity]
     while frontier:
         nxt = []
         for m in frontier:
+            parent = Matrix(space.field, m)
             for k, g in enumerate(gens):
-                prod = (Matrix(space.field, m) @ g).rows
+                prod = (parent @ g).rows
                 if prod not in words:
                     words[prod] = (m, k)
                     nxt.append(prod)

@@ -362,19 +362,22 @@ def test_equivalence_suite_on_a_mixed_sample_at_d3():
 
 
 def test_equivalence_suite_compares_every_kept_triple_once(monkeypatch):
-    """Every triple is measured once, in order, and corrupting the classical side of
-    any one of them must show."""
+    """Each distinct moved state is measured once per measurement, in order, every
+    triple is still compared, and corrupting any one of those measurements must show."""
     states = enumerate_states(D3)[:3]
     transforms = enumerate_group(D3)[:4]
     measurements = [SharpMeasurement(D3, v) for v in enumerate_isotropic(D3, rank=1)]
     total = len(states) * len(transforms) * len(measurements)
+    images = list(dict.fromkeys(transform(s, t) for s in states for t in transforms))
+    distinct = len(images) * len(measurements)
+    assert len(images) < len(states) * len(transforms)
     real_measure = wigner.measure
     calls = []
     assert equivalence_suite(D3, states, transforms, measurements).ok
 
     def measure_corrupting(bad):
         def fake(state, meas):
-            calls.append(meas)
+            calls.append((state, meas))
             dist = real_measure(state, meas)
             if len(calls) != bad:
                 return dist
@@ -382,13 +385,58 @@ def test_equivalence_suite_compares_every_kept_triple_once(monkeypatch):
             return OutcomeDistribution({least: 1})
         return fake
 
-    for bad in range(1, total + 1):
+    for bad in range(1, distinct + 1):
         monkeypatch.setattr(wigner, "measure", measure_corrupting(bad))
         calls.clear()
         report = equivalence_suite(D3, states, transforms, measurements)
-        assert (report.n_triples, len(calls)) == (total, total)
-        assert calls == measurements * (total // len(measurements))
+        assert (report.n_triples, len(calls)) == (total, distinct)
+        assert calls == [(image, m) for image in images for m in measurements]
         assert not report.ok
+
+
+def test_a_corrupted_moved_state_shows_on_exactly_the_triples_that_reach_it(monkeypatch):
+    """Corrupting ``measure`` on one moved state changes the classical row of every
+    triple whose transform lands on that state, in every measurement's columns, and
+    of no other triple.  Each measurement has several outcomes, so the corruption
+    always moves mass."""
+    states = enumerate_states(D3)
+    transforms = enumerate_group(D3)[::18]
+    measurements = [SharpMeasurement(D3, v) for v in enumerate_isotropic(D3, rank=1)]
+    chosen = transform(states[4], transforms[5])
+    classical_born = wigner._classical_born
+    recorded = []
+
+    def recording(images, measurements, columns, rows):
+        out = classical_born(images, measurements, columns, rows)
+        recorded.append((images, out))
+        return out
+
+    monkeypatch.setattr(wigner, "_classical_born", recording)
+    assert equivalence_suite(D3, states, transforms, measurements).ok
+    clean = recorded[:]
+    real_measure = wigner.measure
+
+    def corrupting(state, meas):
+        dist = real_measure(state, meas)
+        if state != chosen:
+            return dist
+        return OutcomeDistribution({min(meas.outcomes(), key=dist.probability): 1})
+
+    monkeypatch.setattr(wigner, "measure", corrupting)
+    recorded.clear()
+    assert not equivalence_suite(D3, states, transforms, measurements).ok
+    assert len(recorded) == len(clean) == len(states)
+    widths = [len(quadrature_pvm(D3, m.measured)) for m in measurements]
+    bounds = np.cumsum([0] + widths).tolist()
+    hits = 0
+    for state, (images, got), (_, want) in zip(states, recorded, clean):
+        assert images == [transform(state, t) for t in transforms]
+        for image, got_row, want_row in zip(images, got, want):
+            for a, b in zip(bounds, bounds[1:]):
+                assert (not np.array_equal(got_row[a:b], want_row[a:b])) == (
+                    image == chosen)
+            hits += image == chosen
+    assert hits > 1
 
 
 def test_equivalence_suite_refuses_d2():
@@ -431,7 +479,8 @@ def _check_positional_rows(space, states, transforms, measurements):
         supports = wigner._indicator_rows(basis, [state.support()])
         assert np.array_equal(supports / supports.sum(axis=1, keepdims=True),
                               [oracles.dense_table(points, classical_state_table(state))])
-        fast = wigner._classical_born(state, transforms, measurements, columns)
+        fast = wigner._classical_born([transform(state, t) for t in transforms],
+                                      measurements, columns, {})
         dists = [[measure(transform(state, t), m) for m in measurements]
                  for t in transforms]
         assert np.array_equal(fast, oracles.per_label_born_rows(dists, pvms))
