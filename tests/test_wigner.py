@@ -406,8 +406,8 @@ def test_a_corrupted_moved_state_shows_on_exactly_the_triples_that_reach_it(monk
     classical_born = wigner._classical_born
     recorded = []
 
-    def recording(images, measurements, columns, rows):
-        out = classical_born(images, measurements, columns, rows)
+    def recording(images, *rest):
+        out = classical_born(images, *rest)
         recorded.append((images, out))
         return out
 
