@@ -423,8 +423,12 @@ class Witness:
 def _characteristic_table(space: PhaseSpace, states: list) -> np.ndarray:
     """Exact characteristic functions: Tr(W(m) rho_s) = r^table[s, m] for every state s
     and point m (``points()`` order), scattered from ``_stabilizer_exponents``, and -1
-    where the trace vanishes, off the span of the state's stabilizer group."""
-    table = np.full((len(states), space.d ** space.dim), -1, dtype=np.int64)
+    where the trace vanishes, off the span of the state's stabilizer group.  The
+    exponents lie in [0, order), so the table is int8 while the Weyl order fits."""
+    order = _weyl_lift(space.d)[0]
+    if order > np.iinfo(np.int8).max:
+        raise AssertionError(f"the Weyl order {order} does not fit an int8 phase table")
+    table = np.full((len(states), space.d ** space.dim), -1, dtype=np.int8)
     for row, state in zip(table, states):
         exponent = _stabilizer_exponents(space, _state_generators(state))
         row[_codes(space.d, list(exponent))] = list(exponent.values())
@@ -437,60 +441,87 @@ def _row_codes(rows: np.ndarray) -> np.ndarray:
     return rows.view(f"V{rows.shape[1] * rows.itemsize}").ravel()
 
 
-#: Maps whose phase tables are built at once.  The batch's arrays are the scan's
-#: largest transients, so a small batch bounds its memory at every group size.
-CHANNEL_BATCH = 128
+def _label_dtype(count: int) -> type:
+    """int16, the dtype of the scan's state permutations, once ``count`` state labels
+    0 .. count - 1 are known to fit it: it holds the K labels of every space the group
+    and point caps let a scan reach (K = 2,863 at (53, 1))."""
+    if count > 2 ** 15:
+        raise AssertionError(f"{count} state labels do not fit int16")
+    return np.int16
+
+
+#: Maps whose phase tables are built and matched at once.  A batch's (K, batch, P)
+#: int8 arrays of moved rows are the scan's largest transients: measured with
+#: tracemalloc beyond its output, ``_quantum_perms`` peaks at 0.26 MiB at (2,2) and
+#: 5.0 MiB at (3,2) with 32 maps a batch, and at 1.0 and 9.9 MiB with 128, so a
+#: small batch bounds the scan's memory at every group size.
+CHANNEL_BATCH = 32
 
 
 def _quantum_perms(space: PhaseSpace, table: np.ndarray, s_rows: list,
                    shifts: list) -> np.ndarray:
     """The (M, K) state permutations of the Clifford channels of the maps
-    m -> S_i m + a_i: each state's characteristic row is moved by
-    ``_channel_exponents`` and matched by its exact code to exactly one state's row."""
+    m -> S_i m + a_i, ``CHANNEL_BATCH`` maps at a time: every state's int8
+    characteristic row is moved by every map of the batch in one (K, batch, P) array
+    (``_channel_exponents``), and each moved row is matched by its exact code to
+    exactly one state's row.  The first map in map order whose images merge two states
+    or leave the state set raises ``AssertionError``, a merge before a miss."""
     order = _weyl_lift(space.d)[0]
+    labels = _label_dtype(len(table))
     codes = _row_codes(table)
-    by_code = np.argsort(codes)
+    by_code = np.argsort(codes).astype(labels)
     known = codes[by_code]
     if np.any(known[1:] == known[:-1]):
         raise AssertionError("two quadrature states share a characteristic function")
-    perms = np.empty((len(s_rows), len(table)), dtype=np.int64)
+    perms = np.empty((len(s_rows), len(table)), dtype=labels)
     for start in range(0, len(s_rows), CHANNEL_BATCH):
         batch = slice(start, start + CHANNEL_BATCH)
         sources, exponents = _channel_exponents(space, s_rows[batch], shifts[batch])
-        for perm, src, exps in zip(perms[batch], sources, exponents):
-            moved = table[:, src]
-            image = _row_codes(np.where(moved < 0, -1, (moved - exps) % order))
-            pos = np.minimum(np.searchsorted(known, image), len(known) - 1)
-            hit = known[pos] == image
-            perm[:] = by_code[pos]
+        moved = table[:, sources]
+        vanish = moved < 0
+        np.subtract(moved, exponents.astype(np.int8), out=moved)
+        np.remainder(moved, order, out=moved)
+        moved[vanish] = -1
+        image = _row_codes(moved.reshape(-1, moved.shape[-1]))
+        pos = np.minimum(np.searchsorted(known, image), len(known) - 1)
+        hit = (known[pos] == image).reshape(len(table), -1).T
+        perm = perms[batch]
+        perm[:] = by_code[pos].reshape(len(table), -1).T
+        # A map is a bijection of the states when every image hits and every state is hit.
+        seen = np.zeros(perm.shape, dtype=bool)
+        seen[np.arange(len(perm))[:, None], perm] = True
+        good = hit.all(axis=1) & seen.all(axis=1)
+        if not good.all():
+            first = np.argmin(good)
+            hit, perm = hit[first], perm[first]
             if len(set(perm[hit].tolist())) < np.count_nonzero(hit):
                 raise AssertionError("a Clifford unitary merged two quadrature states")
-            if not hit.all():
-                raise AssertionError("a Clifford image of a quadrature state is not "
-                                     "exactly one quadrature state")
+            raise AssertionError("a Clifford image of a quadrature state is not "
+                                 "exactly one quadrature state")
     return perms
 
 
 def _classical_perms(space: PhaseSpace, states: list, gens: list, words: dict) -> tuple:
     """Classical state permutations of every symplectic matrix (keyed by rows) and of
-    the 2n unit shifts (in the order of the identity's rows).
+    the 2n unit shifts (in the order of the identity's rows), in ``_label_dtype``.
 
     Only the generators and the unit shifts go through ``transform``, each checked to
     be a bijection; element = parent @ gens[k] acts as perm[parent][perm[k]], so
     products of bijections give the other matrices.
     """
     index_of_state = {s: i for i, s in enumerate(states)}
+    labels = _label_dtype(len(states))
 
     def direct(t: SymplecticAffine) -> np.ndarray:
         perm = [index_of_state[transform(s, t)] for s in states]
         if len(set(perm)) != len(perm):
             raise AssertionError("a classical generator merged two epistemic states")
-        return np.array(perm)
+        return np.array(perm, dtype=labels)
 
     gen_perms = [direct(SymplecticAffine(space, g, space.zero())) for g in gens]
     linear = {}
     for rows, (parent, k) in words.items():
-        linear[rows] = (np.arange(len(states)) if parent is None
+        linear[rows] = (np.arange(len(states), dtype=labels) if parent is None
                         else linear[parent][gen_perms[k]])
     units = Matrix.identity(space.field, space.dim).rows
     return linear, [direct(SymplecticAffine.displacement(space, u)) for u in units]

@@ -506,6 +506,7 @@ def test_characteristic_table_is_the_dense_weyl_trace(space, states):
     states = enumerate_states(space) if states is None else states
     table = stabilizer._characteristic_table(space, states)
     assert table.shape == (len(states), space.d ** space.dim)
+    assert table.dtype == np.int8
     root = 1j if space.d == 2 else np.exp(2j * np.pi / space.d)
     ws = np.array([weyl(space, m) for m in space.points()])
     for state, row in zip(states, table):
@@ -514,6 +515,46 @@ def test_characteristic_table_is_the_dense_weyl_trace(space, states):
         got = np.where(row < 0, 0, root ** np.maximum(row, 0))
         assert np.max(np.abs(got - want)) < 1e-10
         assert np.count_nonzero(row >= 0) == space.d ** state.rank
+
+
+def test_a_weyl_order_past_int8_is_refused(monkeypatch):
+    monkeypatch.setattr(stabilizer, "_weyl_lift", lambda d: (128, 1, 2))
+    with pytest.raises(AssertionError, match="Weyl order 128 does not fit an int8"):
+        stabilizer._characteristic_table(D2, enumerate_states(D2))
+
+
+def test_state_labels_are_int16_and_refused_past_it():
+    assert stabilizer._label_dtype(2 ** 15) is np.int16
+    with pytest.raises(AssertionError, match="32769 state labels do not fit int16"):
+        stabilizer._label_dtype(2 ** 15 + 1)
+    states = enumerate_states(D2x2)
+    linear, shifts = stabilizer._classical_perms(
+        D2x2, states, *symplectic._symplectic_closure(D2x2))
+    assert {perm.dtype for perm in [*linear.values(), *shifts]} == {np.dtype(np.int16)}
+    perms = stabilizer._quantum_perms(
+        D2x2, stabilizer._characteristic_table(D2x2, states), [], [])
+    assert perms.dtype == np.int16
+
+
+def _scan_maps(space):
+    """Every symplectic matrix, then the identity with every displacement."""
+    symplectics = [s.rows for s in symplectic.enumerate_symplectic(space)]
+    points = list(space.points())
+    identity = Matrix.identity(space.field, space.dim).rows
+    return symplectics + [identity] * len(points), [space.zero()] * len(symplectics) + points
+
+
+@pytest.mark.parametrize("space", [D2, D3, D5, D2x2])
+def test_quantum_perms_do_not_depend_on_the_batch_size(monkeypatch, space):
+    states = enumerate_states(space)
+    table = stabilizer._characteristic_table(space, states)
+    s_rows, shifts = _scan_maps(space)
+    default = stabilizer._quantum_perms(space, table, s_rows, shifts)
+    for size in (1, 7):
+        monkeypatch.setattr(stabilizer, "CHANNEL_BATCH", size)
+        perms = stabilizer._quantum_perms(space, table, s_rows, shifts)
+        assert perms.dtype == default.dtype
+        assert np.array_equal(perms, default)
 
 
 @pytest.mark.parametrize("space", [D2, D3, D5, D2x2])
@@ -598,19 +639,26 @@ def test_a_generator_that_merges_two_states_is_caught(monkeypatch):
         scan_for_witness(D2)
 
 
-def _corrupt_identity_channel(monkeypatch, corrupt):
-    """Let ``corrupt(sources, exponents)`` edit the phase tables the scan computes for
-    the identity map at (2,1), whose points are I, Z, X, Y in ``points()`` order."""
+def _corrupt_channels(monkeypatch, corruptions):
+    """Let ``corruptions[s, a](sources, exponents)`` edit the phase tables the scan
+    computes for the map m -> S m + a with rows s and shift a at (2,1).  Each map
+    below has S = 1, so its points are I, Z, X, Y in ``points()`` order."""
     original = stabilizer._channel_exponents
 
     def corrupted(space, s_rows, shifts):
         sources, exponents = original(space, s_rows, shifts)
         for i, (s, a) in enumerate(zip(s_rows, shifts)):
-            if s == ((1, 0), (0, 1)) and not any(a):
-                corrupt(sources[i], exponents[i])
+            if (s, tuple(a)) in corruptions:
+                corruptions[s, tuple(a)](sources[i], exponents[i])
         return sources, exponents
 
     monkeypatch.setattr(stabilizer, "_channel_exponents", corrupted)
+
+
+def _corrupt_identity_channel(monkeypatch, corrupt):
+    """Let ``corrupt(sources, exponents)`` edit the phase tables the scan computes for
+    the identity map at (2,1), whose points are I, Z, X, Y in ``points()`` order."""
+    _corrupt_channels(monkeypatch, {(((1, 0), (0, 1)), (0, 0)): corrupt})
 
 
 def test_a_unitary_that_leaves_the_state_set_is_caught(monkeypatch):
@@ -631,6 +679,38 @@ def test_a_map_that_merges_two_states_is_caught(monkeypatch):
 
     _corrupt_identity_channel(monkeypatch, merge)
     with pytest.raises(AssertionError, match="merged two quadrature states"):
+        scan_for_witness(D2)
+
+
+def test_a_map_that_merges_states_inside_the_state_set_is_caught(monkeypatch):
+    # Every moved row is a row of the table, but rows 0 and 1 both land on row 0.
+    table = np.array([[0, 0], [0, 1], [1, 1]], dtype=np.int8)
+    zeros = np.zeros((1, 2), dtype=np.int64)
+    monkeypatch.setattr(stabilizer, "_channel_exponents", lambda *args: (zeros, zeros))
+    with pytest.raises(AssertionError, match="merged two quadrature states"):
+        stabilizer._quantum_perms(D2, table, [None], [None])
+
+def _leave_the_state_set(sources, exponents):
+    exponents[3] += 1  # Tr(Y rho) picks up a factor i, which no state's row has
+
+
+def _merge_the_x_eigenstates(sources, exponents):
+    sources[2] = 1  # the X column reads the Z column
+
+
+@pytest.mark.parametrize("earlier, later, message", [
+    (_leave_the_state_set, _merge_the_x_eigenstates, "not exactly one quadrature state"),
+    (_merge_the_x_eigenstates, _leave_the_state_set, "merged two quadrature states"),
+])
+def test_the_first_bad_map_of_a_batch_is_reported(monkeypatch, earlier, later, message):
+    """The identity comes before the unit shift (1, 0) in the scan's map order, and at
+    (2,1) all 6 + 2 maps fall in one batch; only the earlier bad map is reported,
+    whether it misses the state set (and the later one merges) or the other way."""
+    assert symplectic.symplectic_group_order(2, 1) + D2.dim <= stabilizer.CHANNEL_BATCH
+    identity = ((1, 0), (0, 1))
+    _corrupt_channels(monkeypatch, {(identity, (0, 0)): earlier,
+                                    (identity, (1, 0)): later})
+    with pytest.raises(AssertionError, match=message):
         scan_for_witness(D2)
 
 
