@@ -541,7 +541,8 @@ def _scan_maps(space):
     symplectics = [s.rows for s in symplectic.enumerate_symplectic(space)]
     points = list(space.points())
     identity = Matrix.identity(space.field, space.dim).rows
-    return symplectics + [identity] * len(points), [space.zero()] * len(symplectics) + points
+    return (symplectics + [identity] * len(points),
+            [space.zero()] * len(symplectics) + points)
 
 
 @pytest.mark.parametrize("space", [D2, D3, D5, D2x2])
@@ -690,6 +691,7 @@ def test_a_map_that_merges_states_inside_the_state_set_is_caught(monkeypatch):
     with pytest.raises(AssertionError, match="merged two quadrature states"):
         stabilizer._quantum_perms(D2, table, [None], [None])
 
+
 def _leave_the_state_set(sources, exponents):
     exponents[3] += 1  # Tr(Y rho) picks up a factor i, which no state's row has
 
@@ -699,7 +701,8 @@ def _merge_the_x_eigenstates(sources, exponents):
 
 
 @pytest.mark.parametrize("earlier, later, message", [
-    (_leave_the_state_set, _merge_the_x_eigenstates, "not exactly one quadrature state"),
+    (_leave_the_state_set, _merge_the_x_eigenstates,
+     "not exactly one quadrature state"),
     (_merge_the_x_eigenstates, _leave_the_state_set, "merged two quadrature states"),
 ])
 def test_the_first_bad_map_of_a_batch_is_reported(monkeypatch, earlier, later, message):
