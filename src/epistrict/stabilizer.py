@@ -24,6 +24,10 @@ The same obstruction is packaged in two classic finite forms (`mermin_square`,
 full operational comparison: from one state permutation per theory for each symplectic
 matrix and unit shift, it returns the first (state, transformation, measurement) triple
 whose outcome statistics differ, or None when the two theories agree on every triple.
+Both sides compose those permutations from the generators of the symplectic group;
+Clifford unitaries compose as their symplectic matrices do only up to a Weyl
+displacement (Aaronson-Gottesman), which the scan computes exactly and which vanishes
+at odd d (Gross).
 """
 
 from __future__ import annotations
@@ -219,17 +223,21 @@ def _clifford_image(d: int, s_rows: tuple, m: tuple) -> tuple:
     sigma_S(a + e_j) = sigma_S(a) + beta(S a, S e_j) - beta(a, e_j), the recurrence that
     ``quantum._channel_exponents`` walks over every point at once.  sigma_S vanishes at
     odd d, so only d = 2 needs the walk."""
-    columns = tuple(zip(*s_rows))  # column j is S e_j
     dim = len(m)
-    a, image, sigma = [0] * dim, (0,) * dim, 0
+    a, image, sigma = [0] * dim, [0] * dim, 0
     for j, times in enumerate(m):
-        unit = tuple(int(i == j) for i in range(dim))
+        if not times:
+            continue
+        column = [row[j] for row in s_rows]  # S e_j
+        unit = [0] * dim
+        unit[j] = 1
         for _ in range(times):
-            sigma += (_composition_exponent(d, image, columns[j])
-                      - _composition_exponent(d, tuple(a), unit))
+            if any(a):  # beta(0, x) = 0, so the first step adds nothing
+                sigma += (_composition_exponent(d, image, column)
+                          - _composition_exponent(d, a, unit))
             a[j] += 1
-            image = tuple((x + y) % d for x, y in zip(image, columns[j]))
-    return image, sigma % _weyl_lift(d)[0]
+            image = [(x + y) % d for x, y in zip(image, column)]
+    return tuple(image), sigma % _weyl_lift(d)[0]
 
 
 def _exact_born(state: EpistemicState, t: Optional[SymplecticAffine],
@@ -451,10 +459,11 @@ def _label_dtype(count: int) -> type:
 
 
 #: Maps whose phase tables are built and matched at once.  A batch's (K, batch, P)
-#: int8 arrays of moved rows are the scan's largest transients: measured with
-#: tracemalloc beyond its output, ``_quantum_perms`` peaks at 0.26 MiB at (2,2) and
-#: 5.0 MiB at (3,2) with 32 maps a batch, and at 1.0 and 9.9 MiB with 128, so a
-#: small batch bounds the scan's memory at every group size.
+#: int8 arrays of moved rows are ``_quantum_perms``' largest transients.  The scan
+#: matches its generators and the d^{2n} displacements, 21 maps at (2,2) and 86 at
+#: (3,2); measured with tracemalloc beyond its output, ``_quantum_perms`` over them
+#: peaks at 0.15 MiB at (2,2) and 5.0 MiB at (3,2) with 32 maps a batch, and at 0.15
+#: and 13.3 MiB with 128, so a small batch bounds its memory as the space grows.
 CHANNEL_BATCH = 32
 
 
@@ -501,69 +510,133 @@ def _quantum_perms(space: PhaseSpace, table: np.ndarray, s_rows: list,
     return perms
 
 
-def _classical_perms(space: PhaseSpace, states: list, gens: list, words: dict) -> tuple:
-    """Classical state permutations of every symplectic matrix (keyed by rows) and of
-    the 2n unit shifts (in the order of the identity's rows), in ``_label_dtype``.
-
-    Only the generators and the unit shifts go through ``transform``, each checked to
-    be a bijection; element = parent @ gens[k] acts as perm[parent][perm[k]], so
-    products of bijections give the other matrices.
-    """
+def _classical_perms(space: PhaseSpace, states: list, gens: list) -> tuple:
+    """The classical state permutations of the generators and of the 2n unit shifts (in
+    the order of the identity's rows), as two ``_label_dtype`` arrays with one row per
+    map, each row pushed through ``transform`` and checked to be a bijection."""
     index_of_state = {s: i for i, s in enumerate(states)}
     labels = _label_dtype(len(states))
 
-    def direct(t: SymplecticAffine) -> np.ndarray:
+    def direct(t: SymplecticAffine) -> list:
         perm = [index_of_state[transform(s, t)] for s in states]
         if len(set(perm)) != len(perm):
             raise AssertionError("a classical generator merged two epistemic states")
-        return np.array(perm, dtype=labels)
+        return perm
 
-    gen_perms = [direct(SymplecticAffine(space, g, space.zero())) for g in gens]
-    linear = {}
-    for rows, (parent, k) in words.items():
-        linear[rows] = (np.arange(len(states), dtype=labels) if parent is None
-                        else linear[parent][gen_perms[k]])
     units = Matrix.identity(space.field, space.dim).rows
-    return linear, [direct(SymplecticAffine.displacement(space, u)) for u in units]
+    return (np.array([direct(SymplecticAffine(space, g, space.zero())) for g in gens],
+                     dtype=labels),
+            np.array([direct(SymplecticAffine.displacement(space, u)) for u in units],
+                     dtype=labels))
+
+
+def _scan_perms(space: PhaseSpace, states: list) -> tuple:
+    """``(linear, classical, quantum)``: every symplectic matrix's rows in sorted order
+    and both theories' (M, K) state permutations of them, row i for ``linear[i]``.
+
+    Only the closure's generators and the displacements are computed directly: the
+    classical ones by ``transform`` (``_classical_perms``), the quantum ones by one
+    ``_quantum_perms`` match, which holds the identity as the displacement a = 0.  The
+    2n unit shifts must agree on both sides, or Weyl covariance is broken and
+    ``AssertionError`` raised.
+
+    One walk over the closure's words composes every other matrix E = A G (A its
+    parent, G a generator) from its parent's permutations.  Classically E acts as
+    perm[A][perm[G]].  U(A) U(G) conjugates W(m) to r^{sigma_G(m) + sigma_A(G m)} W(E m),
+    which differs from U(E)'s r^sigma_E(m) by a character delta with
+    delta(e_j) = -sigma_A(G e_j), since the section fixes sigma(e_j) = 0; delta is
+    nonzero only where G e_j != e_j.  W(c) conjugates W(m) to r^{k <c, m>} W(m), so
+    U(E) = U(A) U(G) W(c) up to a phase for c = J(delta / k) (the tableau composition
+    of Aaronson-Gottesman), and quantum[E] = quantum[A][quantum[G][shift[c]]], where
+    the channel W(c) is the displacement a = -c.  At odd d sigma vanishes and c = 0
+    (Gross); at d = 2 an odd delta is no Pauli correction and raises
+    ``AssertionError``.
+    """
+    d = space.d
+    gens, words = _symplectic_closure(space)
+    c_gens, c_units = _classical_perms(space, states, gens)
+    identity = Matrix.identity(space.field, space.dim).rows
+    points = list(space.points())
+    matched = _quantum_perms(space, _characteristic_table(space, states),
+                             [g.rows for g in gens] + [identity] * len(points),
+                             [space.zero()] * len(gens) + points)
+    q_gens, shift = matched[:len(gens)], matched[len(gens):]
+    position = {a: i for i, a in enumerate(points)}
+    for u, c_u in zip(identity, c_units):
+        if not np.array_equal(c_u, shift[position[u]]):
+            raise AssertionError(f"the unit shift {u} breaks Weyl covariance")
+
+    # Per generator: its columns G e_j != e_j, where delta can be nonzero (nowhere at
+    # odd d), and the permutation of U(G) W(c) for each value of delta / 2 on them.
+    corrections = []
+    for g, q_g in zip(gens, q_gens):
+        moved = []
+        if d == 2:
+            moved = [(j, col) for j, col in enumerate(zip(*g.rows)) if col != identity[j]]
+        perms = {}
+        for half in iproduct(range(2), repeat=len(moved)):
+            f = [0] * space.dim
+            for (j, _), h in zip(moved, half):
+                f[j] = h
+            c = _apply_j(space.field, f)
+            perms[half] = q_g[shift[position[tuple(-x % d for x in c)]]]
+        corrections.append((moved, perms))
+
+    linear = sorted(words)
+    row_of = {rows: i for i, rows in enumerate(linear)}
+    classical = np.empty((len(linear), len(states)), dtype=c_gens.dtype)
+    quantum = np.empty_like(classical)
+    for rows, (parent, k) in words.items():
+        i = row_of[rows]
+        if parent is None:
+            classical[i] = quantum[i] = np.arange(len(states))
+            continue
+        moved, perms = corrections[k]
+        half = []
+        for j, col in moved:
+            sigma = _clifford_image(d, parent, col)[1]
+            if sigma % 2:
+                raise AssertionError(f"composing {parent} with generator {k} needs an "
+                                     f"odd exponent at e_{j}: no Pauli corrects it")
+            half.append(sigma // 2)  # delta(e_j) / 2 = -sigma / 2, the same mod 2
+        p = row_of[parent]
+        np.take(classical[p], c_gens[k], out=classical[i])
+        np.take(quantum[p], perms[tuple(half)], out=quantum[i])
+    return linear, classical, quantum
 
 
 def scan_for_witness(space: PhaseSpace) -> Optional[Witness]:
     """Exhaustively compare the two theories over every scenario triple.
 
     Both theories act on the same finite state set, so each map is first reduced on
-    each side to a permutation of state labels: classical ones composed along the
-    symplectic closure's generator words, quantum ones by moving each state's exact
-    characteristic row with the map's conjugation exponents and matching it to a
-    state's row (at d = 2 U(AB) and U(A) U(B) can induce different channels, so
-    these are not composed).  The scan compares maps, not (S, a) pairs: on both sides
-    (S, a) acts as S followed by the displacement by a, and displacements compose
-    exactly (classical shifts add; W(a) W(b) = r^beta W(a + b)).  So once the 2n unit
-    shifts agree, as checked here (a disagreeing one would break Weyl covariance and
-    raises ``AssertionError``), every displacement does; (S, a) then disagrees on a
-    state exactly when S does, and the first disagreeing map in ``enumerate_group``
-    order is the first disagreeing S with a = 0.  For its disagreeing states the
-    measurements are scanned in enumeration order for distinguishing statistics, and
-    the winning triple is re-verified through an honest Born computation.  Returns
-    None when the exhaustive scan finds no disagreement anywhere.
+    each side to a permutation of state labels (``_scan_perms``).  Only the symplectic
+    closure's generators and the displacements are computed directly: classically by
+    ``transform``, quantumly by moving each state's exact characteristic row with the
+    map's conjugation exponents and matching it to a state's row.  Every other
+    symplectic matrix is composed from them along the closure's generator words, the
+    quantum side with an exact Pauli correction: U(AB) and U(A) U(B) can induce
+    different channels at d = 2, but U(AB) = U(A) U(B) W(c) up to a phase for a
+    displacement c read off sigma_A, and c = 0 at odd d.
+
+    The scan compares maps, not (S, a) pairs: on both sides (S, a) acts as S followed
+    by the displacement by a, and displacements compose exactly (classical shifts add;
+    W(a) W(b) = r^beta W(a + b)).  So once the 2n unit shifts agree, as checked first
+    (a disagreeing one would break Weyl covariance and raises ``AssertionError``),
+    every displacement does; (S, a) then disagrees on a state exactly when S does, and
+    the first disagreeing map in ``enumerate_group`` order is the first disagreeing S
+    with a = 0.  For its disagreeing states the measurements are scanned in
+    enumeration order for distinguishing statistics, and the winning triple is
+    re-verified through an honest Born computation.  Returns None when the exhaustive
+    scan finds no disagreement anywhere.
     """
     states = enumerate_states(space)
-    c_lin, c_units = _classical_perms(space, states, *_symplectic_closure(space))
-    linear = sorted(c_lin)
-    # Every linear map, then the identity with each unit shift (the identity's rows).
-    identity = Matrix.identity(space.field, space.dim).rows
-    q_perms = _quantum_perms(space, _characteristic_table(space, states),
-                             linear + [identity] * len(identity),
-                             [space.zero()] * len(linear) + list(identity))
-    for u, c_u, q_u in zip(identity, c_units, q_perms[len(linear):]):
-        if not np.array_equal(c_u, q_u):
-            raise AssertionError(f"the unit shift {u} breaks Weyl covariance")
+    linear, classical, quantum = _scan_perms(space, states)
 
     measurements = [SharpMeasurement(space, v) for v in enumerate_isotropic(space)
                     if v.rank > 0]
 
     # The linear parts in enumerate_group's order; a map is built only to be reported.
-    for rows, q_perm in zip(linear, q_perms):
-        c_perm = c_lin[rows]
+    for rows, c_perm, q_perm in zip(linear, classical, quantum):
         for i in np.flatnonzero(q_perm != c_perm):
             for meas in measurements:
                 c_dist = measure(states[c_perm[i]], meas)

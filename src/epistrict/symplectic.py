@@ -383,7 +383,10 @@ def _transvection_product(field: Field, u: Vector, c: int):
     def times(m: tuple) -> tuple:
         out = []
         for row in m:
-            w = sum(row[j] * x for j, x in sums) % d
+            w = 0
+            for j, x in sums:
+                w += row[j] * x
+            w %= d
             if w:
                 row = list(row)
                 for k, x in targets:

@@ -43,6 +43,7 @@ D2x2 = PhaseSpace(PrimeField(2), 2)
 D3x2 = PhaseSpace(PrimeField(3), 2)
 D5 = PhaseSpace(PrimeField(5), 1)
 D5x2 = PhaseSpace(PrimeField(5), 2)
+D7 = PhaseSpace(PrimeField(7), 1)
 D3x2_SAMPLE = random.Random(15).sample(enumerate_states(D3x2), 60)
 
 
@@ -465,11 +466,13 @@ def test_closure_words_replay_to_their_elements(space):
 def test_composed_classical_perms_equal_direct_transforms(space):
     states = enumerate_states(space)
     gens, words = symplectic._symplectic_closure(space)
-    linear, shifts = stabilizer._classical_perms(space, states, gens, words)
+    linear, classical, _ = stabilizer._scan_perms(space, states)
     assert set(linear) == set(words)
-    for rows, perm in linear.items():
+    assert len(classical) == len(linear)
+    for rows, perm in zip(linear, classical):
         t = SymplecticAffine(space, Matrix(space.field, rows), space.zero())
         assert perm.tolist() == _direct_classical_perm(states, t)
+    _, shifts = stabilizer._classical_perms(space, states, gens)
     units = Matrix.identity(space.field, space.dim).rows
     assert len(shifts) == len(units)
     for u, perm in zip(units, shifts):
@@ -528,9 +531,11 @@ def test_state_labels_are_int16_and_refused_past_it():
     with pytest.raises(AssertionError, match="32769 state labels do not fit int16"):
         stabilizer._label_dtype(2 ** 15 + 1)
     states = enumerate_states(D2x2)
-    linear, shifts = stabilizer._classical_perms(
-        D2x2, states, *symplectic._symplectic_closure(D2x2))
-    assert {perm.dtype for perm in [*linear.values(), *shifts]} == {np.dtype(np.int16)}
+    gens, shifts = stabilizer._classical_perms(
+        D2x2, states, symplectic._symplectic_closure(D2x2)[0])
+    _, classical, quantum_perms = stabilizer._scan_perms(D2x2, states)
+    assert {perms.dtype for perms in (gens, shifts, classical, quantum_perms)} == {
+        np.dtype(np.int16)}
     perms = stabilizer._quantum_perms(
         D2x2, stabilizer._characteristic_table(D2x2, states), [], [])
     assert perms.dtype == np.int16
@@ -598,9 +603,63 @@ def test_a_two_qubit_scan_builds_at_most_one_unitary(monkeypatch):
     assert len(calls) == 1  # the counter is live: the re-verification's one build
 
 
+def _matched_linear_perms(space, states, linear):
+    """Reference route: every linear map's permutation matched from its phase table."""
+    return stabilizer._quantum_perms(space, stabilizer._characteristic_table(space, states),
+                                     linear, [space.zero()] * len(linear))
+
+
+@pytest.mark.parametrize("space", [D2, D3, D5, D7, D2x2])
+def test_composed_quantum_perms_equal_the_matched_ones_on_every_map(space):
+    states = enumerate_states(space)
+    linear, _, composed = stabilizer._scan_perms(space, states)
+    assert np.array_equal(composed, _matched_linear_perms(space, states, linear))
+
+
+def test_composed_quantum_perms_equal_the_matched_ones_on_a_two_qutrit_slice():
+    states = enumerate_states(D3x2)
+    linear, _, composed = stabilizer._scan_perms(D3x2, states)
+    assert len(linear) == 51840
+    rows = sorted(random.Random(33).sample(range(len(linear)), 3000))
+    matched = _matched_linear_perms(D3x2, states, [linear[i] for i in rows])
+    assert np.array_equal(composed[rows], matched)
+
+
+@pytest.mark.parametrize("space, wrong", [(D2, 3), (D2x2, 667)])
+def test_composing_without_the_pauli_correction_is_wrong_at_d2(monkeypatch, space, wrong):
+    """With sigma forced to 0 the composed product is U(A) U(G), not U(A G): it moves
+    the states differently on 3 of the 6 maps at (2,1) and 667 of the 720 at (2,2)."""
+    original = stabilizer._clifford_image
+    monkeypatch.setattr(stabilizer, "_clifford_image",
+                        lambda d, s_rows, m: (original(d, s_rows, m)[0], 0))
+    states = enumerate_states(space)
+    linear, _, composed = stabilizer._scan_perms(space, states)
+    matched = _matched_linear_perms(space, states, linear)
+    assert np.count_nonzero((composed != matched).any(axis=1)) == wrong
+
+
+def test_an_odd_composition_exponent_is_an_internal_fault(monkeypatch):
+    """An odd sigma_A(G e_j) would need the correction i^odd, which no displacement
+    gives, so the scan raises rather than compose a wrong permutation."""
+    original = stabilizer._clifford_image
+
+    def shifted(d, s_rows, m):
+        image, sigma = original(d, s_rows, m)
+        return image, sigma + 1
+
+    monkeypatch.setattr(stabilizer, "_clifford_image", shifted)
+    with pytest.raises(AssertionError, match="odd exponent at e_1: no Pauli corrects it"):
+        scan_for_witness(D2)
+
+
+def test_no_witness_exists_on_two_qutrits():
+    assert scan_for_witness(D3x2) is None
+
+
 @pytest.mark.parametrize("space", [D2, D3, D2x2])
-def test_a_scan_matches_each_symplectic_matrix_and_unit_shift_once(monkeypatch, space):
-    """The scan's quantum side sees |Sp(2n, d)| + 2n maps, not one per displacement."""
+def test_a_scan_matches_only_the_generators_and_the_displacements(monkeypatch, space):
+    """The scan's quantum side matches the 3n - 1 generators of the symplectic closure
+    and the d^{2n} displacements in one call, not one map per symplectic matrix."""
     sizes = []
     original = stabilizer._quantum_perms
 
@@ -610,7 +669,7 @@ def test_a_scan_matches_each_symplectic_matrix_and_unit_shift_once(monkeypatch, 
 
     monkeypatch.setattr(stabilizer, "_quantum_perms", counting)
     scan_for_witness(space)
-    assert sizes == [symplectic.symplectic_group_order(space.d, space.n) + space.dim]
+    assert sizes == [3 * space.n - 1 + space.d ** space.dim]
 
 
 def test_a_unit_shift_that_disagrees_is_an_internal_fault(monkeypatch):
@@ -707,9 +766,10 @@ def _merge_the_x_eigenstates(sources, exponents):
 ])
 def test_the_first_bad_map_of_a_batch_is_reported(monkeypatch, earlier, later, message):
     """The identity comes before the unit shift (1, 0) in the scan's map order, and at
-    (2,1) all 6 + 2 maps fall in one batch; only the earlier bad map is reported,
-    whether it misses the state set (and the later one merges) or the other way."""
-    assert symplectic.symplectic_group_order(2, 1) + D2.dim <= stabilizer.CHANNEL_BATCH
+    (2,1) all 2 + 4 maps (the generators, then the displacements) fall in one batch;
+    only the earlier bad map is reported, whether it misses the state set (and the
+    later one merges) or the other way."""
+    assert 2 + D2.d ** D2.dim <= stabilizer.CHANNEL_BATCH
     identity = ((1, 0), (0, 1))
     _corrupt_channels(monkeypatch, {(identity, (0, 0)): earlier,
                                     (identity, (1, 0)): later})
