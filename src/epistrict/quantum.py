@@ -25,8 +25,8 @@ Convention audit (executable in the test suite):
   making every W(a) a Hermitian tensor of I, X, Y, Z (W(1,1) = Y); composition then
   holds up to a phase in {1, i, -1, -i} and operators commute iff <a, a'> = 0.
   Both cases are one exact integer law, W(a) W(b) = r^beta(a, b) W(a + b), where
-  beta is read off the prefactors (``_composition_exponents`` on arrays,
-  ``_composition_exponent`` on one pair of int tuples).
+  beta is read off the prefactors (``_composition_exponent``, on one pair of int
+  tuples).
   Every W(a) is monomial (one nonzero entry per column), so it is built from a
   target index and a phase per basis vector rather than from dense products.
 * Metaplectic section: U(S)|0> is the +1 joint eigenvector psi of the W(S e_{p_i}),
@@ -38,12 +38,13 @@ Convention audit (executable in the test suite):
   U W(a) U^dag = +-W(S a), because the i^{q p} lift is not preserved by S; so the
   channels of U(A B) and U(A) U(B) can differ, while at odd d they agree.
   The sign is exact: U W(a) U^dag = r^sigma_S(a) W(S a), where sigma_S vanishes on
-  the unit vectors and follows the lexicographic walk a = a' + e_j (e_j the last
-  nonzero coordinate of a) as
+  the unit vectors and follows the walk a = a' + e_j (e_j the last nonzero
+  coordinate of a) as
 
-      sigma_S(a' + e_j) = sigma_S(a') + beta(S a', S e_j) - beta(a', e_j).
+      sigma_S(a' + e_j) = sigma_S(a') + beta(S a', S e_j) - beta(a', e_j),
 
-  beta is symplectic-invariant at odd d, so sigma_S vanishes there.
+  which ``stabilizer._clifford_image`` walks.  beta is symplectic-invariant at odd
+  d, so sigma_S vanishes there.
 * A quadrature functional f is measured by the projectors on the Weyl line through Jf,
   P_f(t) = (1/d) sum_s chi(t s) W(s Jf) (doubled character at d = 2), scattered from
   the monomial form of the multiples s Jf and multiplied left to right into joint ones.
@@ -150,23 +151,11 @@ def _weyl_monomials(d: int, n: int, vectors) -> tuple:
     return rows, _roots(d, c * np.sum(q * p, axis=1)[:, None] + k * (p @ x.T))
 
 
-def _composition_exponents(d: int, a, b) -> np.ndarray:
-    """beta(a, b) with W(a) W(b) = r^beta W(a + b), reduced mod the order of r.
-
-    ``a`` and ``b`` are int arrays of canonical interleaved vectors, broadcast over
-    their leading axes.  B(p) S(q') = r^{-k p q'} S(q') B(p), so per degree of freedom
-    W(a) W(b) = r^{c (q p + q' p' - s t) - k p q'} W(a + b), where (s, t) is the
-    canonical (q + q', p + p') (``_weyl_lift``).
-    """
-    order, c, k = _weyl_lift(d)
-    q, p, q2, p2 = a[..., 0::2], a[..., 1::2], b[..., 0::2], b[..., 1::2]
-    s, t = (q + q2) % d, (p + p2) % d
-    return np.sum(c * (q * p + q2 * p2 - s * t) - k * p * q2, axis=-1) % order
-
-
 def _composition_exponent(d: int, a: tuple, b: tuple) -> int:
-    """beta(a, b) of ``_composition_exponents`` for one pair of canonical int tuples, in
-    plain ints: the callers that walk a few points at a time pay no array overhead."""
+    """beta(a, b) with W(a) W(b) = r^beta W(a + b), reduced mod the order of r, for
+    canonical interleaved int vectors.  B(p) S(q') = r^{-k p q'} S(q') B(p), so per
+    degree of freedom W(a) W(b) = r^{c (q p + q' p' - s t) - k p q'} W(a + b), where
+    (s, t) is the canonical (q + q', p + p') (``_weyl_lift``)."""
     order, c, k = _weyl_lift(d)
     total = 0
     for i in range(0, len(a), 2):
@@ -303,42 +292,6 @@ def clifford(space: PhaseSpace, t: SymplecticAffine) -> CliffordChannel:
         raise ValueError("transformation acts on a different phase space")
     u = weyl(space, vec_scale(space.field, -1, t.a)) @ metaplectic(space, t.s)
     return CliffordChannel(space, t, u)
-
-
-def _unit_steps(d: int, dim: int) -> tuple:
-    """The walk over ``points()``: the point at position k + 1 is the one at
-    ``parents[k]`` <= k plus the unit vector at ``units[k]``, e_j for its last nonzero
-    coordinate j, so a walk in this order meets a - e_j first."""
-    points = _digits(d, dim)[1:]
-    last = dim - 1 - np.argmax(points[:, ::-1] != 0, axis=1)
-    units = np.eye(dim, dtype=np.int64)[last]
-    return _codes(d, points - units), _codes(d, units)
-
-
-def _channel_exponents(space: PhaseSpace, s_rows, shifts) -> tuple:
-    """How ``clifford`` moves characteristic functions, exactly, for M maps at once.
-
-    For the maps m -> S_i m + a_i (``s_rows`` (M, 2n, 2n), ``shifts`` (M, 2n)) returns
-    ``(sources, exponents)``, both (M, P) over the points b in ``points()`` order, with
-    Tr(W(b) C_i(rho)) = r^{-exponents[i, b]} Tr(W(sources[i, b]) rho) for channel C_i,
-    where point sources[i, b] is S_i^{-1} b.  The channel's unitary is W(c) U(S) with
-    c = -a: U(S) conjugates W(m) to r^sigma_S(m) W(S m) (the recurrence of the module
-    docstring, walked along ``_unit_steps``), and W(c) conjugates W(S m) to
-    r^{beta(c, S m) - beta(S m, c)} W(S m).
-    """
-    d = space.d
-    points = _digits(d, space.dim)
-    parents, units = _unit_steps(d, space.dim)
-    images = points @ np.asarray(s_rows, dtype=np.int64).transpose(0, 2, 1) % d
-    steps = (_composition_exponents(d, images[:, parents], images[:, units])
-             - _composition_exponents(d, points[parents], points[units]))
-    sigma = np.zeros(images.shape[:2], dtype=np.int64)
-    for b, (i, step) in enumerate(zip(parents.tolist(), steps.T), 1):
-        sigma[:, b] = sigma[:, i] + step
-    c = -np.asarray(shifts, dtype=np.int64)[:, None, :] % d
-    sigma += _composition_exponents(d, c, images) - _composition_exponents(d, images, c)
-    sources = np.argsort(_codes(d, images), axis=1)
-    return sources, np.take_along_axis(sigma % _weyl_lift(d)[0], sources, axis=1)
 
 
 # ---------------------------------------------------------------------------

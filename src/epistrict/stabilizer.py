@@ -62,7 +62,6 @@ from .epistemic import (
 from .quantum import (
     PROB_TOL,
     TOL,
-    _channel_exponents,
     _codes,
     _composition_exponent,
     _joint_projectors,
@@ -219,25 +218,29 @@ def _stabilizer_exponents(space: PhaseSpace, generators) -> dict:
 
 def _clifford_image(d: int, s_rows: tuple, m: tuple) -> tuple:
     """``(S m, sigma_S(m))`` with U(S) W(m) U(S)^dag = r^sigma_S(m) W(S m) (the section
-    of ``quantum``), walked one unit vector at a time from sigma_S(0) = 0 as
-    sigma_S(a + e_j) = sigma_S(a) + beta(S a, S e_j) - beta(a, e_j), the recurrence that
-    ``quantum._channel_exponents`` walks over every point at once.  sigma_S vanishes at
-    odd d, so only d = 2 needs the walk."""
-    dim = len(m)
-    a, image, sigma = [0] * dim, [0] * dim, 0
-    for j, times in enumerate(m):
-        if not times:
-            continue
+    of ``quantum``).  sigma_S vanishes at odd d.  At d = 2 it is walked one unit vector
+    at a time from sigma_S(0) = 0 as
+    sigma_S(a + e_j) = sigma_S(a) + beta(S a, S e_j) - beta(a, e_j)."""
+    if d != 2:
+        return tuple(sum(map(mul, row, m)) % d for row in s_rows), 0
+    image, sigma = [0] * len(m), 0
+    for j in (j for j, x in enumerate(m) if x):
         column = [row[j] for row in s_rows]  # S e_j
-        unit = [0] * dim
-        unit[j] = 1
-        for _ in range(times):
-            if any(a):  # beta(0, x) = 0, so the first step adds nothing
-                sigma += (_composition_exponent(d, image, column)
-                          - _composition_exponent(d, a, unit))
-            a[j] += 1
-            image = [(x + y) % d for x, y in zip(image, column)]
+        if any(image):  # beta(0, x) = 0, so the first step adds nothing
+            # a holds m's coordinates before j, so beta(a, e_j) is -m[j - 1] for a
+            # momentum coordinate j (odd) and 0 for a position.
+            sigma += _composition_exponent(d, image, column) + (j % 2) * m[j - 1]
+        image = [(x + y) % d for x, y in zip(image, column)]
     return tuple(image), sigma % _weyl_lift(d)[0]
+
+
+def _channel_image(d: int, s_rows: tuple, c: tuple, m: tuple) -> tuple:
+    """``(S m, e)`` with V W(m) V^dag = r^e W(S m) for V = W(c) U(S), the unitary of the
+    channel ``clifford`` gives the map m -> S m + a, c = -a: U(S) contributes sigma_S(m)
+    (``_clifford_image``) and W(c) W(x) W(c)^dag = r^{beta(c, x) - beta(x, c)} W(x)."""
+    image, sigma = _clifford_image(d, s_rows, m)
+    return image, (sigma + _composition_exponent(d, c, image)
+                   - _composition_exponent(d, image, c)) % _weyl_lift(d)[0]
 
 
 def _exact_born(state: EpistemicState, t: Optional[SymplecticAffine],
@@ -247,9 +250,9 @@ def _exact_born(state: EpistemicState, t: Optional[SymplecticAffine],
     density matrix, unitary or projector: the stabilizer formalism in plain ints.
 
     The state's generators (``_state_generators``) move under m -> S m + a as the
-    channel ``clifford(t)`` = W(c) U(S), c = -a, moves characteristic functions:
-    lambda'(S m) = lambda(m) - sigma_S(m) - (beta(c, S m) - beta(S m, c)).  The moved
-    generators and the measurement's, (J f'_i, lambda = -k t_i) for the canonical
+    channel ``clifford(t)`` moves characteristic functions (``_channel_image``), with
+    c = -a: lambda'(S m) = lambda(m) - sigma_S(m) - (beta(c, S m) - beta(S m, c)).  The
+    moved generators and the measurement's, (J f'_i, lambda = -k t_i) for the canonical
     basis f'_i of V', are spread over their spans; then
     p(t) = d^{-k'} sum_{x in H} r^{lambda_P,t(x) - lambda'(x)}, H the intersection of
     the spans and k' = rank V'.  lambda_P,t - lambda' is additive on H, so p(t) is
@@ -266,12 +269,8 @@ def _exact_born(state: EpistemicState, t: Optional[SymplecticAffine],
         c = tuple(-x % d for x in t.a)
         moved = []
         for m, lam in generators:
-            if d == 2:
-                image, sigma = _clifford_image(d, t.s.rows, m)
-            else:
-                image, sigma = tuple(sum(map(mul, row, m)) % d for row in t.s.rows), 0
-            lam = (lam - sigma - _composition_exponent(d, c, image)
-                   + _composition_exponent(d, image, c)) % order
+            image, e = _channel_image(d, t.s.rows, c, m)
+            lam = (lam - e) % order
             if lam % 2 and d == 2:
                 raise AssertionError(f"the moved generator {image} has exponent {lam}: "
                                      "not a real sign")
@@ -458,23 +457,26 @@ def _label_dtype(count: int) -> type:
     return np.int16
 
 
-#: Maps whose phase tables are built and matched at once.  A batch's (K, batch, P)
-#: int8 arrays of moved rows are ``_quantum_perms``' largest transients.  The scan
-#: matches its generators and the d^{2n} displacements, 21 maps at (2,2) and 86 at
-#: (3,2); measured with tracemalloc beyond its output, ``_quantum_perms`` over them
-#: peaks at 0.15 MiB at (2,2) and 5.0 MiB at (3,2) with 32 maps a batch, and at 0.15
-#: and 13.3 MiB with 128, so a small batch bounds its memory as the space grows.
-CHANNEL_BATCH = 32
+def _channel_exponents(space: PhaseSpace, s_rows: tuple, shift: tuple) -> tuple:
+    """How the Clifford channel C of the map m -> S m + a moves characteristic
+    functions: ``(sources, exponents)`` over the points b in ``points()`` order, with
+    Tr(W(b) C(rho)) = r^{-exponents[b]} Tr(W(sources[b]) rho), where point sources[b] is
+    S^{-1} b (``_channel_image``, c = -a)."""
+    d = space.d
+    c = tuple(-x % d for x in shift)
+    moved = [_channel_image(d, s_rows, c, m) for m in space.points()]
+    sources = np.argsort(_codes(d, [image for image, _ in moved]))
+    return sources, np.array([e for _, e in moved])[sources]
 
 
 def _quantum_perms(space: PhaseSpace, table: np.ndarray, s_rows: list,
                    shifts: list) -> np.ndarray:
     """The (M, K) state permutations of the Clifford channels of the maps
-    m -> S_i m + a_i, ``CHANNEL_BATCH`` maps at a time: every state's int8
-    characteristic row is moved by every map of the batch in one (K, batch, P) array
-    (``_channel_exponents``), and each moved row is matched by its exact code to
-    exactly one state's row.  The first map in map order whose images merge two states
-    or leave the state set raises ``AssertionError``, a merge before a miss."""
+    m -> S_i m + a_i, one map at a time in map order: every state's int8
+    characteristic row is moved by the map's exponents (``_channel_exponents``) and
+    matched by its exact code to exactly one state's row.  The first map whose images
+    merge two states or leave the state set raises ``AssertionError``, a merge before
+    a miss."""
     order = _weyl_lift(space.d)[0]
     labels = _label_dtype(len(table))
     codes = _row_codes(table)
@@ -483,28 +485,20 @@ def _quantum_perms(space: PhaseSpace, table: np.ndarray, s_rows: list,
     if np.any(known[1:] == known[:-1]):
         raise AssertionError("two quadrature states share a characteristic function")
     perms = np.empty((len(s_rows), len(table)), dtype=labels)
-    for start in range(0, len(s_rows), CHANNEL_BATCH):
-        batch = slice(start, start + CHANNEL_BATCH)
-        sources, exponents = _channel_exponents(space, s_rows[batch], shifts[batch])
+    for perm, s, a in zip(perms, s_rows, shifts):
+        sources, exponents = _channel_exponents(space, s, a)
         moved = table[:, sources]
         vanish = moved < 0
         np.subtract(moved, exponents.astype(np.int8), out=moved)
         np.remainder(moved, order, out=moved)
         moved[vanish] = -1
-        image = _row_codes(moved.reshape(-1, moved.shape[-1]))
+        image = _row_codes(moved)
         pos = np.minimum(np.searchsorted(known, image), len(known) - 1)
-        hit = (known[pos] == image).reshape(len(table), -1).T
-        perm = perms[batch]
-        perm[:] = by_code[pos].reshape(len(table), -1).T
-        # A map is a bijection of the states when every image hits and every state is hit.
-        seen = np.zeros(perm.shape, dtype=bool)
-        seen[np.arange(len(perm))[:, None], perm] = True
-        good = hit.all(axis=1) & seen.all(axis=1)
-        if not good.all():
-            first = np.argmin(good)
-            hit, perm = hit[first], perm[first]
-            if len(set(perm[hit].tolist())) < np.count_nonzero(hit):
-                raise AssertionError("a Clifford unitary merged two quadrature states")
+        hit = known[pos] == image
+        perm[:] = by_code[pos]
+        if len(set(perm[hit].tolist())) < np.count_nonzero(hit):
+            raise AssertionError("a Clifford unitary merged two quadrature states")
+        if not hit.all():
             raise AssertionError("a Clifford image of a quadrature state is not "
                                  "exactly one quadrature state")
     return perms
@@ -534,11 +528,10 @@ def _scan_perms(space: PhaseSpace, states: list) -> tuple:
     """``(linear, classical, quantum)``: every symplectic matrix's rows in sorted order
     and both theories' (M, K) state permutations of them, row i for ``linear[i]``.
 
-    Only the closure's generators and the displacements are computed directly: the
-    classical ones by ``transform`` (``_classical_perms``), the quantum ones by one
-    ``_quantum_perms`` match, which holds the identity as the displacement a = 0.  The
-    2n unit shifts must agree on both sides, or Weyl covariance is broken and
-    ``AssertionError`` raised.
+    Only the closure's 3n - 1 generators and the 2n unit shifts are computed directly:
+    the classical ones by ``transform`` (``_classical_perms``), the quantum ones by one
+    ``_quantum_perms`` match.  The unit shifts must agree on both sides, or Weyl
+    covariance is broken and ``AssertionError`` raised.
 
     One walk over the closure's words composes every other matrix E = A G (A its
     parent, G a generator) from its parent's permutations.  Classically E acts as
@@ -548,26 +541,26 @@ def _scan_perms(space: PhaseSpace, states: list) -> tuple:
     nonzero only where G e_j != e_j.  W(c) conjugates W(m) to r^{k <c, m>} W(m), so
     U(E) = U(A) U(G) W(c) up to a phase for c = J(delta / k) (the tableau composition
     of Aaronson-Gottesman), and quantum[E] = quantum[A][quantum[G][shift[c]]], where
-    the channel W(c) is the displacement a = -c.  At odd d sigma vanishes and c = 0
-    (Gross); at d = 2 an odd delta is no Pauli correction and raises
-    ``AssertionError``.
+    the channel W(c) is the displacement a = -c, composed from the unit shifts.  At
+    odd d sigma vanishes and c = 0 (Gross); at d = 2 an odd delta is no Pauli
+    correction and raises ``AssertionError``.
     """
     d = space.d
     gens, words = _symplectic_closure(space)
     c_gens, c_units = _classical_perms(space, states, gens)
     identity = Matrix.identity(space.field, space.dim).rows
-    points = list(space.points())
     matched = _quantum_perms(space, _characteristic_table(space, states),
-                             [g.rows for g in gens] + [identity] * len(points),
-                             [space.zero()] * len(gens) + points)
-    q_gens, shift = matched[:len(gens)], matched[len(gens):]
-    position = {a: i for i, a in enumerate(points)}
-    for u, c_u in zip(identity, c_units):
-        if not np.array_equal(c_u, shift[position[u]]):
+                             [g.rows for g in gens] + [identity] * len(identity),
+                             [space.zero()] * len(gens) + list(identity))
+    q_gens, q_units = matched[:len(gens)], matched[len(gens):]
+    for u, c_u, q_u in zip(identity, c_units, q_units):
+        if not np.array_equal(c_u, q_u):
             raise AssertionError(f"the unit shift {u} breaks Weyl covariance")
 
     # Per generator: its columns G e_j != e_j, where delta can be nonzero (nowhere at
     # odd d), and the permutation of U(G) W(c) for each value of delta / 2 on them.
+    # c is 0 or 1 in each coordinate at d = 2, where -c = c, so W(c) is the product of
+    # the unit shifts on c's support.
     corrections = []
     for g, q_g in zip(gens, q_gens):
         moved = []
@@ -578,8 +571,11 @@ def _scan_perms(space: PhaseSpace, states: list) -> tuple:
             f = [0] * space.dim
             for (j, _), h in zip(moved, half):
                 f[j] = h
-            c = _apply_j(space.field, f)
-            perms[half] = q_g[shift[position[tuple(-x % d for x in c)]]]
+            perm = q_g
+            for q_u, x in zip(q_units, _apply_j(space.field, f)):
+                if x:
+                    perm = perm[q_u]
+            perms[half] = perm
         corrections.append((moved, perms))
 
     linear = sorted(words)
@@ -610,13 +606,13 @@ def scan_for_witness(space: PhaseSpace) -> Optional[Witness]:
 
     Both theories act on the same finite state set, so each map is first reduced on
     each side to a permutation of state labels (``_scan_perms``).  Only the symplectic
-    closure's generators and the displacements are computed directly: classically by
-    ``transform``, quantumly by moving each state's exact characteristic row with the
-    map's conjugation exponents and matching it to a state's row.  Every other
-    symplectic matrix is composed from them along the closure's generator words, the
-    quantum side with an exact Pauli correction: U(AB) and U(A) U(B) can induce
+    closure's 3n - 1 generators and the 2n unit shifts are computed directly:
+    classically by ``transform``, quantumly by moving each state's exact characteristic
+    row with the map's conjugation exponents and matching it to a state's row.  Every
+    other symplectic matrix is composed from them along the closure's generator words,
+    the quantum side with an exact Pauli correction: U(AB) and U(A) U(B) can induce
     different channels at d = 2, but U(AB) = U(A) U(B) W(c) up to a phase for a
-    displacement c read off sigma_A, and c = 0 at odd d.
+    displacement c read off sigma_A, a product of unit shifts, and c = 0 at odd d.
 
     The scan compares maps, not (S, a) pairs: on both sides (S, a) acts as S followed
     by the displacement by a, and displacements compose exactly (classical shifts add;

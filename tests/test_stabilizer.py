@@ -484,21 +484,25 @@ def test_composed_classical_perms_equal_direct_transforms(space):
 def test_every_displacement_is_its_unit_shifts_on_both_sides(space):
     """What lets the scan check displacements through the 2n unit shifts alone: every
     displacement's phase-table permutation equals its classical ``transform``
-    permutation and the composition of the unit-shift permutations along
-    ``quantum._unit_steps``."""
+    permutation and the composition of the unit-shift permutations along a walk in
+    which each point is an earlier point plus the unit vector of its last nonzero
+    coordinate."""
     states = enumerate_states(space)
     points = list(space.points())
     identity = Matrix.identity(space.field, space.dim).rows
     perms = stabilizer._quantum_perms(
         space, stabilizer._characteristic_table(space, states),
         [identity] * len(points), points)
-    composed = [np.arange(len(states))]
-    for parent, unit in zip(*quantum._unit_steps(space.d, space.dim)):
-        composed.append(composed[parent][perms[unit]])
-    for a, perm, path in zip(points, perms, composed):
+    units = [perms[points.index(u)] for u in identity]
+    composed = {space.zero(): np.arange(len(states))}
+    for a in points[1:]:
+        j = max(i for i, x in enumerate(a) if x)
+        parent = tuple(x - (i == j) for i, x in enumerate(a))
+        composed[a] = composed[parent][units[j]]
+    for a, perm in zip(points, perms):
         t = SymplecticAffine.displacement(space, a)
         assert perm.tolist() == _direct_classical_perm(states, t)
-        assert np.array_equal(perm, path)
+        assert np.array_equal(perm, composed[a])
 
 
 
@@ -541,34 +545,10 @@ def test_state_labels_are_int16_and_refused_past_it():
     assert perms.dtype == np.int16
 
 
-def _scan_maps(space):
-    """Every symplectic matrix, then the identity with every displacement."""
-    symplectics = [s.rows for s in symplectic.enumerate_symplectic(space)]
-    points = list(space.points())
-    identity = Matrix.identity(space.field, space.dim).rows
-    return (symplectics + [identity] * len(points),
-            [space.zero()] * len(symplectics) + points)
-
-
 @pytest.mark.parametrize("space", [D2, D3, D5, D2x2])
-def test_quantum_perms_do_not_depend_on_the_batch_size(monkeypatch, space):
-    states = enumerate_states(space)
-    table = stabilizer._characteristic_table(space, states)
-    s_rows, shifts = _scan_maps(space)
-    default = stabilizer._quantum_perms(space, table, s_rows, shifts)
-    for size in (1, 7):
-        monkeypatch.setattr(stabilizer, "CHANNEL_BATCH", size)
-        perms = stabilizer._quantum_perms(space, table, s_rows, shifts)
-        assert perms.dtype == default.dtype
-        assert np.array_equal(perms, default)
-
-
-@pytest.mark.parametrize("space", [D2, D3, D5, D2x2])
-def test_matched_quantum_perms_equal_the_fingerprint_route(monkeypatch, space):
+def test_matched_quantum_perms_equal_the_fingerprint_route(space):
     """The phase-table permutation of every symplectic matrix and every displacement
-    equals the dense route's, which conjugates the density matrices.  Small batches
-    make every space cross batch boundaries."""
-    monkeypatch.setattr(stabilizer, "CHANNEL_BATCH", 7)
+    equals the dense route's, which conjugates the density matrices."""
     states = enumerate_states(space)
     rhos = np.array([quadrature_state(space, s.known, s.valuation).rho for s in states])
     symplectics = symplectic.enumerate_symplectic(space)
@@ -625,29 +605,39 @@ def test_composed_quantum_perms_equal_the_matched_ones_on_a_two_qutrit_slice():
     assert np.array_equal(composed[rows], matched)
 
 
+def _corrupt_the_composition(monkeypatch, edit):
+    """Let ``edit(image, sigma)`` replace what ``_clifford_image`` returns once the
+    scan's one ``_quantum_perms`` match is done, so that only the walk over the
+    closure's words sees it: matching also moves phases through ``_clifford_image``."""
+    image_of, match = stabilizer._clifford_image, stabilizer._quantum_perms
+
+    def match_then_corrupt(*args):
+        perms = match(*args)
+        monkeypatch.setattr(stabilizer, "_clifford_image",
+                            lambda d, s_rows, m: edit(*image_of(d, s_rows, m)))
+        return perms
+
+    monkeypatch.setattr(stabilizer, "_quantum_perms", match_then_corrupt)
+
+
 @pytest.mark.parametrize("space, wrong", [(D2, 3), (D2x2, 667)])
 def test_composing_without_the_pauli_correction_is_wrong_at_d2(monkeypatch, space, wrong):
     """With sigma forced to 0 the composed product is U(A) U(G), not U(A G): it moves
-    the states differently on 3 of the 6 maps at (2,1) and 667 of the 720 at (2,2)."""
-    original = stabilizer._clifford_image
-    monkeypatch.setattr(stabilizer, "_clifford_image",
-                        lambda d, s_rows, m: (original(d, s_rows, m)[0], 0))
+    the states differently on 3 of the 6 maps at (2,1) and 667 of the 720 at (2,2).
+    The matched reference is taken first, with the true sigma."""
     states = enumerate_states(space)
-    linear, _, composed = stabilizer._scan_perms(space, states)
+    linear = sorted(symplectic._symplectic_closure(space)[1])
     matched = _matched_linear_perms(space, states, linear)
+    _corrupt_the_composition(monkeypatch, lambda image, sigma: (image, 0))
+    scanned, _, composed = stabilizer._scan_perms(space, states)
+    assert scanned == linear
     assert np.count_nonzero((composed != matched).any(axis=1)) == wrong
 
 
 def test_an_odd_composition_exponent_is_an_internal_fault(monkeypatch):
     """An odd sigma_A(G e_j) would need the correction i^odd, which no displacement
     gives, so the scan raises rather than compose a wrong permutation."""
-    original = stabilizer._clifford_image
-
-    def shifted(d, s_rows, m):
-        image, sigma = original(d, s_rows, m)
-        return image, sigma + 1
-
-    monkeypatch.setattr(stabilizer, "_clifford_image", shifted)
+    _corrupt_the_composition(monkeypatch, lambda image, sigma: (image, sigma + 1))
     with pytest.raises(AssertionError, match="odd exponent at e_1: no Pauli corrects it"):
         scan_for_witness(D2)
 
@@ -659,7 +649,8 @@ def test_no_witness_exists_on_two_qutrits():
 @pytest.mark.parametrize("space", [D2, D3, D2x2])
 def test_a_scan_matches_only_the_generators_and_the_displacements(monkeypatch, space):
     """The scan's quantum side matches the 3n - 1 generators of the symplectic closure
-    and the d^{2n} displacements in one call, not one map per symplectic matrix."""
+    and the 2n unit shifts in one call, 5n - 1 maps, not one map per symplectic matrix
+    or displacement."""
     sizes = []
     original = stabilizer._quantum_perms
 
@@ -669,7 +660,7 @@ def test_a_scan_matches_only_the_generators_and_the_displacements(monkeypatch, s
 
     monkeypatch.setattr(stabilizer, "_quantum_perms", counting)
     scan_for_witness(space)
-    assert sizes == [3 * space.n - 1 + space.d ** space.dim]
+    assert sizes == [5 * space.n - 1]
 
 
 def test_a_unit_shift_that_disagrees_is_an_internal_fault(monkeypatch):
@@ -677,9 +668,8 @@ def test_a_unit_shift_that_disagrees_is_an_internal_fault(monkeypatch):
     another unit's is caught, never reported as a witness."""
     original = stabilizer._channel_exponents
 
-    def swapped(space, s_rows, shifts):
-        return original(space, s_rows, [(0, 1) if tuple(a) == (1, 0) else a
-                                        for a in shifts])
+    def swapped(space, s_rows, shift):
+        return original(space, s_rows, (0, 1) if tuple(shift) == (1, 0) else shift)
 
     monkeypatch.setattr(stabilizer, "_channel_exponents", swapped)
     message = re.escape("unit shift (1, 0) breaks Weyl covariance")
@@ -700,25 +690,25 @@ def test_a_generator_that_merges_two_states_is_caught(monkeypatch):
 
 
 def _corrupt_channels(monkeypatch, corruptions):
-    """Let ``corruptions[s, a](sources, exponents)`` edit the phase tables the scan
-    computes for the map m -> S m + a with rows s and shift a at (2,1).  Each map
-    below has S = 1, so its points are I, Z, X, Y in ``points()`` order."""
+    """Let ``corruptions[a](sources, exponents)`` edit the phase tables the scan
+    computes for the unit shift m -> m + a at (2,1), a map the scan matches.  Its
+    S = 1, so its points are I, Z, X, Y in ``points()`` order."""
     original = stabilizer._channel_exponents
+    identity = ((1, 0), (0, 1))
 
-    def corrupted(space, s_rows, shifts):
-        sources, exponents = original(space, s_rows, shifts)
-        for i, (s, a) in enumerate(zip(s_rows, shifts)):
-            if (s, tuple(a)) in corruptions:
-                corruptions[s, tuple(a)](sources[i], exponents[i])
+    def corrupted(space, s_rows, shift):
+        sources, exponents = original(space, s_rows, shift)
+        if s_rows == identity and tuple(shift) in corruptions:
+            corruptions[tuple(shift)](sources, exponents)
         return sources, exponents
 
     monkeypatch.setattr(stabilizer, "_channel_exponents", corrupted)
 
 
-def _corrupt_identity_channel(monkeypatch, corrupt):
+def _corrupt_unit_shift_channel(monkeypatch, corrupt):
     """Let ``corrupt(sources, exponents)`` edit the phase tables the scan computes for
-    the identity map at (2,1), whose points are I, Z, X, Y in ``points()`` order."""
-    _corrupt_channels(monkeypatch, {(((1, 0), (0, 1)), (0, 0)): corrupt})
+    the unit shift by (1, 0) at (2,1)."""
+    _corrupt_channels(monkeypatch, {(1, 0): corrupt})
 
 
 def test_a_unitary_that_leaves_the_state_set_is_caught(monkeypatch):
@@ -726,7 +716,7 @@ def test_a_unitary_that_leaves_the_state_set_is_caught(monkeypatch):
     def flip(sources, exponents):
         exponents[3] += 1
 
-    _corrupt_identity_channel(monkeypatch, flip)
+    _corrupt_unit_shift_channel(monkeypatch, flip)
     with pytest.raises(AssertionError, match="not exactly one quadrature state"):
         scan_for_witness(D2)
 
@@ -737,7 +727,7 @@ def test_a_map_that_merges_two_states_is_caught(monkeypatch):
     def merge(sources, exponents):
         sources[2] = 1
 
-    _corrupt_identity_channel(monkeypatch, merge)
+    _corrupt_unit_shift_channel(monkeypatch, merge)
     with pytest.raises(AssertionError, match="merged two quadrature states"):
         scan_for_witness(D2)
 
@@ -745,7 +735,7 @@ def test_a_map_that_merges_two_states_is_caught(monkeypatch):
 def test_a_map_that_merges_states_inside_the_state_set_is_caught(monkeypatch):
     # Every moved row is a row of the table, but rows 0 and 1 both land on row 0.
     table = np.array([[0, 0], [0, 1], [1, 1]], dtype=np.int8)
-    zeros = np.zeros((1, 2), dtype=np.int64)
+    zeros = np.zeros(2, dtype=np.int64)
     monkeypatch.setattr(stabilizer, "_channel_exponents", lambda *args: (zeros, zeros))
     with pytest.raises(AssertionError, match="merged two quadrature states"):
         stabilizer._quantum_perms(D2, table, [None], [None])
@@ -764,15 +754,12 @@ def _merge_the_x_eigenstates(sources, exponents):
      "not exactly one quadrature state"),
     (_merge_the_x_eigenstates, _leave_the_state_set, "merged two quadrature states"),
 ])
-def test_the_first_bad_map_of_a_batch_is_reported(monkeypatch, earlier, later, message):
-    """The identity comes before the unit shift (1, 0) in the scan's map order, and at
-    (2,1) all 2 + 4 maps (the generators, then the displacements) fall in one batch;
-    only the earlier bad map is reported, whether it misses the state set (and the
-    later one merges) or the other way."""
-    assert 2 + D2.d ** D2.dim <= stabilizer.CHANNEL_BATCH
-    identity = ((1, 0), (0, 1))
-    _corrupt_channels(monkeypatch, {(identity, (0, 0)): earlier,
-                                    (identity, (1, 0)): later})
+def test_the_first_bad_map_in_map_order_is_reported(monkeypatch, earlier, later,
+                                                    message):
+    """The unit shift (1, 0) comes before (0, 1) in the scan's map order (the 2
+    generators, then the 2 unit shifts at (2,1)); only the earlier bad map is reported,
+    whether it misses the state set (and the later one merges) or the other way."""
+    _corrupt_channels(monkeypatch, {(1, 0): earlier, (0, 1): later})
     with pytest.raises(AssertionError, match=message):
         scan_for_witness(D2)
 
@@ -834,20 +821,25 @@ def test_exact_born_equals_the_dense_engine_on_seeded_triples(space, seed):
     assert _route_matches_dense(triples) == 300
 
 
-@pytest.mark.parametrize("space", [D2, D2x2, D3, D5])
-def test_the_sigma_walk_equals_the_channel_exponents_on_every_point(space):
-    """Walked per point, sigma_S is what ``_channel_exponents`` gives for every linear
-    map, with S m as the image; at odd d it vanishes everywhere."""
-    points = list(space.points())
-    maps = symplectic.enumerate_symplectic(space)
-    sources, sigmas = quantum._channel_exponents(
-        space, [s.rows for s in maps], [space.zero()] * len(maps))
-    for s, source, sigma in zip(maps, sources, sigmas):
-        for b, (src, want) in enumerate(zip(source.tolist(), sigma.tolist())):
-            assert stabilizer._clifford_image(space.d, s.rows, points[src]) == (
-                points[b], want)
-            assert want == 0 or space.d == 2
-    assert sigmas.any() == (space.d == 2)
+@pytest.mark.parametrize("space, seeded", [(D2, 0), (D3, 0), (D2x2, 60), (D3x2, 30)])
+def test_the_channel_image_is_the_dense_conjugation(space, seeded):
+    """V W(m) V^dag = r^e W(S m) with (S m, e) from ``_channel_image``, for V the
+    unitary of ``clifford`` on every point m: every affine map at (2,1) and (3,1),
+    ``seeded`` random ones at (2,2) and (3,2).  At odd d the U(S) part sigma_S is 0."""
+    d = space.d
+    root = 1j if d == 2 else np.exp(2j * np.pi / d)
+    rng = random.Random(34)
+    maps = ([symplectic.random_symplectic_affine(space, rng) for _ in range(seeded)]
+            if seeded else symplectic.enumerate_group(space))
+    for t in maps:
+        v = clifford(space, t).unitary
+        c = tuple(-x % d for x in t.a)
+        for m in space.points():
+            image, e = stabilizer._channel_image(d, t.s.rows, c, m)
+            assert image == t.s.matvec(m)
+            assert d == 2 or stabilizer._clifford_image(d, t.s.rows, m)[1] == 0
+            lhs = v @ weyl(space, m) @ v.conj().T
+            assert np.max(np.abs(lhs - root ** e * weyl(space, image))) < 1e-10
 
 
 def test_an_odd_moved_exponent_at_d2_is_an_internal_fault(monkeypatch):
