@@ -116,6 +116,34 @@ def test_digits_list_the_points_in_order_and_codes_invert_them(d, m):
                           [np.arange(d ** m), np.arange(d ** m)[::-1]])
 
 
+@pytest.mark.parametrize("d, dim", [(2, 2), (3, 2), (5, 2), (2, 4), (3, 4), (2, 6)])
+def test_every_walk_step_adds_the_last_unit_vector_to_an_earlier_point(d, dim):
+    """The sigma walk of ``_clifford_image``: each point b is an earlier point a plus
+    the unit vector e_j of its last nonzero coordinate, and
+    sigma_S(b) = sigma_S(a) + beta(S a, S e_j) - beta(a, e_j) for random symplectic S.
+    At odd d both sides are 0, the beta terms cancelling since S keeps the form."""
+    space = PhaseSpace(PrimeField(d), dim // 2)
+    order = quantum._weyl_lift(d)[0]
+    beta = quantum._composition_exponent
+    rng = random.Random(34)
+    points = list(space.points())
+    for s in [random_symplectic_affine(space, rng).s for _ in range(6)]:
+        walked = [_clifford_image(d, s.rows, m) for m in points]
+        assert walked[0] == (space.zero(), 0)
+        for b in range(1, len(points)):
+            j = max(i for i in range(dim) if points[b][i])
+            parent = b - d ** (dim - 1 - j)
+            unit = tuple(int(i == j) for i in range(dim))
+            assert points[parent] == tuple(x - y for x, y in zip(points[b], unit))
+            (image, sigma), (parent_image, parent_sigma) = walked[b], walked[parent]
+            column = s.matvec(unit)
+            assert image == s.matvec(points[b]) == tuple(
+                (x + y) % d for x, y in zip(parent_image, column))
+            assert sigma == (parent_sigma + beta(d, parent_image, column)
+                             - beta(d, points[parent], unit)) % order
+            assert sigma == 0 or d == 2
+
+
 def test_shift_example_d3():
     s = oracles.shift(3, 1)
     e0 = np.zeros(3)
@@ -224,6 +252,32 @@ def test_composition_exponents_and_mermin_signs_match_dense_products():
     for line, sign in zip(lines, report.row_signs + report.col_signs):
         product = np.linalg.multi_dot([weyl(D2_2, m) for m in line])
         assert np.max(np.abs(product - sign * np.eye(4))) < 1e-10
+
+
+@pytest.mark.parametrize("space", [D2, D2_2, D3, D5])
+def test_composition_exponent_is_a_cocycle_with_the_symplectic_commutator(space):
+    """beta is the exponent of a projective representation: it vanishes next to 0, is
+    associative, beta(a, b) + beta(a + b, c) = beta(b, c) + beta(a, b + c), and its
+    antisymmetric part is the commutator, W(a) W(b) = r^{k <a, b>} W(b) W(a), on every
+    pair and triple of points."""
+    d = space.d
+    order, _, k = quantum._weyl_lift(d)
+    beta = quantum._composition_exponent
+    points = list(space.points())
+
+    def add(a, b):
+        return tuple((x + y) % d for x, y in zip(a, b))
+
+    zero = space.zero()
+    for a in points:
+        assert beta(d, a, zero) == beta(d, zero, a) == 0
+        for b in points:
+            assert (beta(d, a, b) - beta(d, b, a)) % order == (
+                k * symp_inner(space, a, b)) % order
+            ab = beta(d, a, b)
+            for c in points:
+                assert (ab + beta(d, add(a, b), c)) % order == (
+                    beta(d, b, c) + beta(d, a, add(b, c))) % order
 
 
 def test_composition_law_random_two_dof():

@@ -545,6 +545,33 @@ def test_state_labels_are_int16_and_refused_past_it():
     assert perms.dtype == np.int16
 
 
+def _scan_maps(space):
+    """Every symplectic matrix, then the identity with every displacement."""
+    symplectics = [s.rows for s in symplectic.enumerate_symplectic(space)]
+    points = list(space.points())
+    identity = Matrix.identity(space.field, space.dim).rows
+    return (symplectics + [identity] * len(points),
+            [space.zero()] * len(symplectics) + points)
+
+
+@pytest.mark.parametrize("space", [D2, D3, D5, D2x2])
+def test_quantum_perms_do_not_depend_on_the_batch_size(space):
+    """Each map is matched on its own: splitting the maps over calls of 1 or 7 maps
+    gives the rows, dtype and order of one call over all of them."""
+    states = enumerate_states(space)
+    table = stabilizer._characteristic_table(space, states)
+    s_rows, shifts = _scan_maps(space)
+    default = stabilizer._quantum_perms(space, table, s_rows, shifts)
+    assert len(default) == len(s_rows)
+    for size in (1, 7):
+        perms = np.concatenate([
+            stabilizer._quantum_perms(space, table, s_rows[i:i + size],
+                                      shifts[i:i + size])
+            for i in range(0, len(s_rows), size)])
+        assert perms.dtype == default.dtype
+        assert np.array_equal(perms, default)
+
+
 @pytest.mark.parametrize("space", [D2, D3, D5, D2x2])
 def test_matched_quantum_perms_equal_the_fingerprint_route(space):
     """The phase-table permutation of every symplectic matrix and every displacement
@@ -819,6 +846,49 @@ def test_exact_born_equals_the_dense_engine_on_seeded_triples(space, seed):
                 else None,
                 rng.choice(measurements)) for _ in range(300)]
     assert _route_matches_dense(triples) == 300
+
+
+@pytest.mark.parametrize("space", [D2, D2x2, D3, D5])
+def test_the_sigma_walk_equals_the_channel_exponents_on_every_point(space):
+    """Walked per point, sigma_S is what ``_channel_exponents`` gives for every linear
+    map, with S m as the image and m listed as its source; at odd d it vanishes
+    everywhere."""
+    points = list(space.points())
+    sigmas = []
+    for s in symplectic.enumerate_symplectic(space):
+        sources, exponents = stabilizer._channel_exponents(space, s.rows, space.zero())
+        assert sorted(sources.tolist()) == list(range(len(points)))
+        for b, (src, want) in enumerate(zip(sources.tolist(), exponents.tolist())):
+            assert stabilizer._clifford_image(space.d, s.rows, points[src]) == (
+                points[b], want)
+            assert want == 0 or space.d == 2
+            sigmas.append(want)
+    assert any(sigmas) == (space.d == 2)
+
+
+@pytest.mark.parametrize("space, seeded", [(D2, 0), (D3, 0), (D2x2, 60), (D3x2, 8)])
+def test_the_sigma_walk_is_a_cocycle_on_every_pair(space, seeded):
+    """sigma_S(a + b) = sigma_S(a) + sigma_S(b) + beta(S a, S b) - beta(a, b) on every
+    pair of points, as U(S) W(a) W(b) U(S)^dag read both ways requires, whatever order
+    the walk adds the unit vectors in: every symplectic matrix at (2,1) and (3,1),
+    ``seeded`` random ones at (2,2) and (3,2)."""
+    d = space.d
+    order = quantum._weyl_lift(d)[0]
+    beta = quantum._composition_exponent
+    rng = random.Random(34)
+    maps = ([symplectic.random_symplectic_affine(space, rng).s for _ in range(seeded)]
+            if seeded else symplectic.enumerate_symplectic(space))
+    points = list(space.points())
+    for s in maps:
+        walked = {m: stabilizer._clifford_image(d, s.rows, m) for m in points}
+        for a in points:
+            image_a, sigma_a = walked[a]
+            for b in points:
+                image_b, sigma_b = walked[b]
+                image, sigma = walked[tuple((x + y) % d for x, y in zip(a, b))]
+                assert image == tuple((x + y) % d for x, y in zip(image_a, image_b))
+                assert sigma == (sigma_a + sigma_b + beta(d, image_a, image_b)
+                                 - beta(d, a, b)) % order
 
 
 @pytest.mark.parametrize("space, seeded", [(D2, 0), (D3, 0), (D2x2, 60), (D3x2, 30)])
