@@ -62,7 +62,6 @@ from .epistemic import (
 from .quantum import (
     PROB_TOL,
     TOL,
-    _codes,
     _composition_exponent,
     _joint_projectors,
     _pair_char,
@@ -427,27 +426,6 @@ class Witness:
     max_diff: float
 
 
-def _characteristic_table(space: PhaseSpace, states: list) -> np.ndarray:
-    """Exact characteristic functions: Tr(W(m) rho_s) = r^table[s, m] for every state s
-    and point m (``points()`` order), scattered from ``_stabilizer_exponents``, and -1
-    where the trace vanishes, off the span of the state's stabilizer group.  The
-    exponents lie in [0, order), so the table is int8 while the Weyl order fits."""
-    order = _weyl_lift(space.d)[0]
-    if order > np.iinfo(np.int8).max:
-        raise AssertionError(f"the Weyl order {order} does not fit an int8 phase table")
-    table = np.full((len(states), space.d ** space.dim), -1, dtype=np.int8)
-    for row, state in zip(table, states):
-        exponent = _stabilizer_exponents(space, _state_generators(state))
-        row[_codes(space.d, list(exponent))] = list(exponent.values())
-    return table
-
-
-def _row_codes(rows: np.ndarray) -> np.ndarray:
-    """Each row of a 2-D array as one opaque code: equal codes are equal rows."""
-    rows = np.ascontiguousarray(rows)
-    return rows.view(f"V{rows.shape[1] * rows.itemsize}").ravel()
-
-
 def _label_dtype(count: int) -> type:
     """int16, the dtype of the scan's state permutations, once ``count`` state labels
     0 .. count - 1 are known to fit it: it holds the K labels of every space the group
@@ -457,50 +435,41 @@ def _label_dtype(count: int) -> type:
     return np.int16
 
 
-def _channel_exponents(space: PhaseSpace, s_rows: tuple, shift: tuple) -> tuple:
-    """How the Clifford channel C of the map m -> S m + a moves characteristic
-    functions: ``(sources, exponents)`` over the points b in ``points()`` order, with
-    Tr(W(b) C(rho)) = r^{-exponents[b]} Tr(W(sources[b]) rho), where point sources[b] is
-    S^{-1} b (``_channel_image``, c = -a)."""
-    d = space.d
-    c = tuple(-x % d for x in shift)
-    moved = [_channel_image(d, s_rows, c, m) for m in space.points()]
-    sources = np.argsort(_codes(d, [image for image, _ in moved]))
-    return sources, np.array([e for _, e in moved])[sources]
-
-
-def _quantum_perms(space: PhaseSpace, table: np.ndarray, s_rows: list,
+def _quantum_perms(space: PhaseSpace, states: list, s_rows: list,
                    shifts: list) -> np.ndarray:
     """The (M, K) state permutations of the Clifford channels of the maps
-    m -> S_i m + a_i, one map at a time in map order: every state's int8
-    characteristic row is moved by the map's exponents (``_channel_exponents``) and
-    matched by its exact code to exactly one state's row.  The first map whose images
-    merge two states or leave the state set raises ``AssertionError``, a merge before
-    a miss."""
-    order = _weyl_lift(space.d)[0]
-    labels = _label_dtype(len(table))
-    codes = _row_codes(table)
-    by_code = np.argsort(codes).astype(labels)
-    known = codes[by_code]
-    if np.any(known[1:] == known[:-1]):
+    m -> S_i m + a_i, one map at a time in map order.  Each state's characteristic
+    function Tr(W(m) rho) = r^lambda(m) is its span's pairs (m, lambda(m))
+    (``_stabilizer_exponents``); a map moves them to (S m, lambda(m) - e(m)), with
+    (S m, e(m)) from ``_channel_image`` (c = -a), and the moved pairs are looked up as
+    exactly one state's.  A pair is the plain int order * (m's position) + lambda, so
+    a map moves every state through one list.  The first map whose images merge two
+    states or leave the state set raises ``AssertionError``, a merge before a miss."""
+    d = space.d
+    order = _weyl_lift(d)[0]
+    labels = _label_dtype(len(states))
+    position = {m: i for i, m in enumerate(space.points())}
+    spans = [tuple(order * position[m] + lam for m, lam in
+                   _stabilizer_exponents(space, _state_generators(s)).items())
+             for s in states]
+    label_of = {frozenset(span): i for i, span in enumerate(spans)}
+    if len(label_of) < len(spans):
         raise AssertionError("two quadrature states share a characteristic function")
-    perms = np.empty((len(s_rows), len(table)), dtype=labels)
+    perms = np.empty((len(s_rows), len(states)), dtype=labels)
     for perm, s, a in zip(perms, s_rows, shifts):
-        sources, exponents = _channel_exponents(space, s, a)
-        moved = table[:, sources]
-        vanish = moved < 0
-        np.subtract(moved, exponents.astype(np.int8), out=moved)
-        np.remainder(moved, order, out=moved)
-        moved[vanish] = -1
-        image = _row_codes(moved)
-        pos = np.minimum(np.searchsorted(known, image), len(known) - 1)
-        hit = known[pos] == image
-        perm[:] = by_code[pos]
-        if len(set(perm[hit].tolist())) < np.count_nonzero(hit):
+        c = tuple(-x % d for x in a)
+        moved = []  # moved[pair] for every pair (m, lambda), indexed by its int
+        for m in position:
+            image, e = _channel_image(d, s, c, m)
+            moved += [order * position[image] + (lam - e) % order for lam in range(order)]
+        images = [label_of.get(frozenset(map(moved.__getitem__, span))) for span in spans]
+        hits = [i for i in images if i is not None]
+        if len(set(hits)) < len(hits):
             raise AssertionError("a Clifford unitary merged two quadrature states")
-        if not hit.all():
+        if len(hits) < len(images):
             raise AssertionError("a Clifford image of a quadrature state is not "
                                  "exactly one quadrature state")
+        perm[:] = images
     return perms
 
 
@@ -530,8 +499,9 @@ def _scan_perms(space: PhaseSpace, states: list) -> tuple:
 
     Only the closure's 3n - 1 generators and the 2n unit shifts are computed directly:
     the classical ones by ``transform`` (``_classical_perms``), the quantum ones by one
-    ``_quantum_perms`` match.  The unit shifts must agree on both sides, or Weyl
-    covariance is broken and ``AssertionError`` raised.
+    ``_quantum_perms`` match of the states' characteristic functions.  The unit shifts
+    must agree on both sides, or Weyl covariance is broken and ``AssertionError``
+    raised.
 
     One walk over the closure's words composes every other matrix E = A G (A its
     parent, G a generator) from its parent's permutations.  Classically E acts as
@@ -549,7 +519,7 @@ def _scan_perms(space: PhaseSpace, states: list) -> tuple:
     gens, words = _symplectic_closure(space)
     c_gens, c_units = _classical_perms(space, states, gens)
     identity = Matrix.identity(space.field, space.dim).rows
-    matched = _quantum_perms(space, _characteristic_table(space, states),
+    matched = _quantum_perms(space, states,
                              [g.rows for g in gens] + [identity] * len(identity),
                              [space.zero()] * len(gens) + list(identity))
     q_gens, q_units = matched[:len(gens)], matched[len(gens):]
@@ -608,7 +578,7 @@ def scan_for_witness(space: PhaseSpace) -> Optional[Witness]:
     each side to a permutation of state labels (``_scan_perms``).  Only the symplectic
     closure's 3n - 1 generators and the 2n unit shifts are computed directly:
     classically by ``transform``, quantumly by moving each state's exact characteristic
-    row with the map's conjugation exponents and matching it to a state's row.  Every
+    function with the map's conjugation exponents and looking it up as a state's.  Every
     other symplectic matrix is composed from them along the closure's generator words,
     the quantum side with an exact Pauli correction: U(AB) and U(A) U(B) can induce
     different channels at d = 2, but U(AB) = U(A) U(B) W(c) up to a phase for a

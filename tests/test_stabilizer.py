@@ -483,16 +483,14 @@ def test_composed_classical_perms_equal_direct_transforms(space):
 @pytest.mark.parametrize("space", [D2, D3, D5, D2x2, D3x2])
 def test_every_displacement_is_its_unit_shifts_on_both_sides(space):
     """What lets the scan check displacements through the 2n unit shifts alone: every
-    displacement's phase-table permutation equals its classical ``transform``
+    displacement's matched permutation equals its classical ``transform``
     permutation and the composition of the unit-shift permutations along a walk in
     which each point is an earlier point plus the unit vector of its last nonzero
     coordinate."""
     states = enumerate_states(space)
     points = list(space.points())
     identity = Matrix.identity(space.field, space.dim).rows
-    perms = stabilizer._quantum_perms(
-        space, stabilizer._characteristic_table(space, states),
-        [identity] * len(points), points)
+    perms = stabilizer._quantum_perms(space, states, [identity] * len(points), points)
     units = [perms[points.index(u)] for u in identity]
     composed = {space.zero(): np.arange(len(states))}
     for a in points[1:]:
@@ -505,29 +503,23 @@ def test_every_displacement_is_its_unit_shifts_on_both_sides(space):
         assert np.array_equal(perm, composed[a])
 
 
-
 @pytest.mark.parametrize("space, states", [
     (D2, None), (D3, None), (D5, None), (D2x2, None), (D3x2, D3x2_SAMPLE)])
-def test_characteristic_table_is_the_dense_weyl_trace(space, states):
-    """Every exact exponent, and every vanishing entry, against dense Tr(W(m) rho)."""
+def test_stabilizer_exponents_are_the_dense_weyl_trace(space, states):
+    """Every exact exponent over a state's span, and every vanishing trace off it,
+    against dense Tr(W(m) rho): the span holds d^rank points."""
     states = enumerate_states(space) if states is None else states
-    table = stabilizer._characteristic_table(space, states)
-    assert table.shape == (len(states), space.d ** space.dim)
-    assert table.dtype == np.int8
     root = 1j if space.d == 2 else np.exp(2j * np.pi / space.d)
-    ws = np.array([weyl(space, m) for m in space.points()])
-    for state, row in zip(states, table):
+    points = list(space.points())
+    ws = np.array([weyl(space, m) for m in points])
+    for state in states:
+        exponent = stabilizer._stabilizer_exponents(
+            space, stabilizer._state_generators(state))
         rho = quadrature_state(space, state.known, state.valuation).rho
         want = np.einsum("mij,ji->m", ws, rho)
-        got = np.where(row < 0, 0, root ** np.maximum(row, 0))
+        got = np.array([root ** exponent[m] if m in exponent else 0 for m in points])
         assert np.max(np.abs(got - want)) < 1e-10
-        assert np.count_nonzero(row >= 0) == space.d ** state.rank
-
-
-def test_a_weyl_order_past_int8_is_refused(monkeypatch):
-    monkeypatch.setattr(stabilizer, "_weyl_lift", lambda d: (128, 1, 2))
-    with pytest.raises(AssertionError, match="Weyl order 128 does not fit an int8"):
-        stabilizer._characteristic_table(D2, enumerate_states(D2))
+        assert len(exponent) == space.d ** state.rank
 
 
 def test_state_labels_are_int16_and_refused_past_it():
@@ -540,9 +532,14 @@ def test_state_labels_are_int16_and_refused_past_it():
     _, classical, quantum_perms = stabilizer._scan_perms(D2x2, states)
     assert {perms.dtype for perms in (gens, shifts, classical, quantum_perms)} == {
         np.dtype(np.int16)}
-    perms = stabilizer._quantum_perms(
-        D2x2, stabilizer._characteristic_table(D2x2, states), [], [])
+    perms = stabilizer._quantum_perms(D2x2, states, [], [])
     assert perms.dtype == np.int16
+
+
+def test_two_states_with_one_characteristic_function_are_refused():
+    states = enumerate_states(D2)
+    with pytest.raises(AssertionError, match="share a characteristic function"):
+        stabilizer._quantum_perms(D2, states + states[:1], [], [])
 
 
 def _scan_maps(space):
@@ -559,13 +556,12 @@ def test_quantum_perms_do_not_depend_on_the_batch_size(space):
     """Each map is matched on its own: splitting the maps over calls of 1 or 7 maps
     gives the rows, dtype and order of one call over all of them."""
     states = enumerate_states(space)
-    table = stabilizer._characteristic_table(space, states)
     s_rows, shifts = _scan_maps(space)
-    default = stabilizer._quantum_perms(space, table, s_rows, shifts)
+    default = stabilizer._quantum_perms(space, states, s_rows, shifts)
     assert len(default) == len(s_rows)
     for size in (1, 7):
         perms = np.concatenate([
-            stabilizer._quantum_perms(space, table, s_rows[i:i + size],
+            stabilizer._quantum_perms(space, states, s_rows[i:i + size],
                                       shifts[i:i + size])
             for i in range(0, len(s_rows), size)])
         assert perms.dtype == default.dtype
@@ -574,7 +570,7 @@ def test_quantum_perms_do_not_depend_on_the_batch_size(space):
 
 @pytest.mark.parametrize("space", [D2, D3, D5, D2x2])
 def test_matched_quantum_perms_equal_the_fingerprint_route(space):
-    """The phase-table permutation of every symplectic matrix and every displacement
+    """The matched permutation of every symplectic matrix and every displacement
     equals the dense route's, which conjugates the density matrices."""
     states = enumerate_states(space)
     rhos = np.array([quadrature_state(space, s.known, s.valuation).rho for s in states])
@@ -582,8 +578,7 @@ def test_matched_quantum_perms_equal_the_fingerprint_route(space):
     points = list(space.points())
     identity = Matrix.identity(space.field, space.dim).rows
     perms = stabilizer._quantum_perms(
-        space, stabilizer._characteristic_table(space, states),
-        [s.rows for s in symplectics] + [identity] * len(points),
+        space, states, [s.rows for s in symplectics] + [identity] * len(points),
         [space.zero()] * len(symplectics) + points)
     unitaries = [metaplectic(space, s) for s in symplectics]
     unitaries += [clifford(space, SymplecticAffine.displacement(space, a)).unitary
@@ -611,9 +606,9 @@ def test_a_two_qubit_scan_builds_at_most_one_unitary(monkeypatch):
 
 
 def _matched_linear_perms(space, states, linear):
-    """Reference route: every linear map's permutation matched from its phase table."""
-    return stabilizer._quantum_perms(space, stabilizer._characteristic_table(space, states),
-                                     linear, [space.zero()] * len(linear))
+    """Reference route: every linear map's permutation matched from the states'
+    characteristic functions."""
+    return stabilizer._quantum_perms(space, states, linear, [space.zero()] * len(linear))
 
 
 @pytest.mark.parametrize("space", [D2, D3, D5, D7, D2x2])
@@ -674,16 +669,16 @@ def test_no_witness_exists_on_two_qutrits():
 
 
 @pytest.mark.parametrize("space", [D2, D3, D2x2])
-def test_a_scan_matches_only_the_generators_and_the_displacements(monkeypatch, space):
+def test_a_scan_matches_only_the_generators_and_the_unit_shifts(monkeypatch, space):
     """The scan's quantum side matches the 3n - 1 generators of the symplectic closure
     and the 2n unit shifts in one call, 5n - 1 maps, not one map per symplectic matrix
     or displacement."""
     sizes = []
     original = stabilizer._quantum_perms
 
-    def counting(space, table, s_rows, shifts):
+    def counting(space, states, s_rows, shifts):
         sizes.append(len(s_rows))
-        return original(space, table, s_rows, shifts)
+        return original(space, states, s_rows, shifts)
 
     monkeypatch.setattr(stabilizer, "_quantum_perms", counting)
     scan_for_witness(space)
@@ -691,14 +686,14 @@ def test_a_scan_matches_only_the_generators_and_the_displacements(monkeypatch, s
 
 
 def test_a_unit_shift_that_disagrees_is_an_internal_fault(monkeypatch):
-    """Weyl covariance makes the unit shifts agree, so a shift whose phase table is
+    """Weyl covariance makes the unit shifts agree, so a shift whose channel images are
     another unit's is caught, never reported as a witness."""
-    original = stabilizer._channel_exponents
+    original = stabilizer._channel_image
 
-    def swapped(space, s_rows, shift):
-        return original(space, s_rows, (0, 1) if tuple(shift) == (1, 0) else shift)
+    def swapped(d, s_rows, c, m):
+        return original(d, s_rows, (0, 1) if c == (1, 0) else c, m)
 
-    monkeypatch.setattr(stabilizer, "_channel_exponents", swapped)
+    monkeypatch.setattr(stabilizer, "_channel_image", swapped)
     message = re.escape("unit shift (1, 0) breaks Weyl covariance")
     with pytest.raises(AssertionError, match=message):
         scan_for_witness(D2)
@@ -716,64 +711,59 @@ def test_a_generator_that_merges_two_states_is_caught(monkeypatch):
         scan_for_witness(D2)
 
 
+X, Y, Z = (1, 0), (1, 1), (0, 1)
+
+
 def _corrupt_channels(monkeypatch, corruptions):
-    """Let ``corruptions[a](sources, exponents)`` edit the phase tables the scan
-    computes for the unit shift m -> m + a at (2,1), a map the scan matches.  Its
-    S = 1, so its points are I, Z, X, Y in ``points()`` order."""
-    original = stabilizer._channel_exponents
+    """Let ``corruptions[a](image_of, m)`` replace ``image_of(m)``, the pair (S m, e(m))
+    that ``_channel_image`` gives for the point m under the unit shift m -> m + a at
+    (2,1), a map the scan matches.  Its S = 1, and c = -a = a at d = 2."""
+    original = stabilizer._channel_image
     identity = ((1, 0), (0, 1))
 
-    def corrupted(space, s_rows, shift):
-        sources, exponents = original(space, s_rows, shift)
-        if s_rows == identity and tuple(shift) in corruptions:
-            corruptions[tuple(shift)](sources, exponents)
-        return sources, exponents
+    def corrupted(d, s_rows, c, m):
+        if s_rows == identity and c in corruptions:
+            return corruptions[c](lambda x: original(d, s_rows, c, x), m)
+        return original(d, s_rows, c, m)
 
-    monkeypatch.setattr(stabilizer, "_channel_exponents", corrupted)
+    monkeypatch.setattr(stabilizer, "_channel_image", corrupted)
 
 
-def _corrupt_unit_shift_channel(monkeypatch, corrupt):
-    """Let ``corrupt(sources, exponents)`` edit the phase tables the scan computes for
-    the unit shift by (1, 0) at (2,1)."""
-    _corrupt_channels(monkeypatch, {(1, 0): corrupt})
+def _leave_the_state_set(image_of, m):
+    image, e = image_of(m)  # Tr(Y rho) picks up a factor i, which no state's has
+    return image, e + (m == Y)
+
+
+def _merge_the_x_eigenstates(image_of, m):
+    return image_of(Z if m == X else m)  # X's image reads as Z's
 
 
 def test_a_unitary_that_leaves_the_state_set_is_caught(monkeypatch):
-    # One flipped exponent: Tr(Y rho) picks up a factor i, which no state's row has.
-    def flip(sources, exponents):
-        exponents[3] += 1
-
-    _corrupt_unit_shift_channel(monkeypatch, flip)
+    _corrupt_channels(monkeypatch, {X: _leave_the_state_set})
     with pytest.raises(AssertionError, match="not exactly one quadrature state"):
         scan_for_witness(D2)
 
 
 def test_a_map_that_merges_two_states_is_caught(monkeypatch):
-    # No channel can merge states, so a broken target map stands in: the X column
-    # reads the Z column, which sends both X eigenstates to the maximally mixed state.
-    def merge(sources, exponents):
-        sources[2] = 1
+    # No channel can merge states, so a broken map stands in.  Its X eigenstates land
+    # where its Z eigenstates do, and its Y eigenstates leave the state set: the merge
+    # is reported before the miss.
+    def merge_and_leave(image_of, m):
+        image, e = image_of(Z if m == X else m)
+        return image, e + (m == Y)
 
-    _corrupt_unit_shift_channel(monkeypatch, merge)
+    _corrupt_channels(monkeypatch, {X: merge_and_leave})
     with pytest.raises(AssertionError, match="merged two quadrature states"):
         scan_for_witness(D2)
 
 
 def test_a_map_that_merges_states_inside_the_state_set_is_caught(monkeypatch):
-    # Every moved row is a row of the table, but rows 0 and 1 both land on row 0.
-    table = np.array([[0, 0], [0, 1], [1, 1]], dtype=np.int8)
-    zeros = np.zeros(2, dtype=np.int64)
-    monkeypatch.setattr(stabilizer, "_channel_exponents", lambda *args: (zeros, zeros))
+    # Every image is a state, but each X eigenstate lands on a Z eigenstate's image.
+    states = enumerate_states(D2)
+    identity = ((1, 0), (0, 1))
+    _corrupt_channels(monkeypatch, {X: _merge_the_x_eigenstates})
     with pytest.raises(AssertionError, match="merged two quadrature states"):
-        stabilizer._quantum_perms(D2, table, [None], [None])
-
-
-def _leave_the_state_set(sources, exponents):
-    exponents[3] += 1  # Tr(Y rho) picks up a factor i, which no state's row has
-
-
-def _merge_the_x_eigenstates(sources, exponents):
-    sources[2] = 1  # the X column reads the Z column
+        stabilizer._quantum_perms(D2, states, [identity], [X])
 
 
 @pytest.mark.parametrize("earlier, later, message", [
@@ -849,20 +839,17 @@ def test_exact_born_equals_the_dense_engine_on_seeded_triples(space, seed):
 
 
 @pytest.mark.parametrize("space", [D2, D2x2, D3, D5])
-def test_the_sigma_walk_equals_the_channel_exponents_on_every_point(space):
-    """Walked per point, sigma_S is what ``_channel_exponents`` gives for every linear
-    map, with S m as the image and m listed as its source; at odd d it vanishes
-    everywhere."""
+def test_the_sigma_walk_moves_the_points_as_s_does(space):
+    """Walked per point for every symplectic matrix, ``_clifford_image`` sends m to
+    S m, so its images permute the points; sigma_S vanishes everywhere at odd d and
+    somewhere not at d = 2."""
     points = list(space.points())
     sigmas = []
     for s in symplectic.enumerate_symplectic(space):
-        sources, exponents = stabilizer._channel_exponents(space, s.rows, space.zero())
-        assert sorted(sources.tolist()) == list(range(len(points)))
-        for b, (src, want) in enumerate(zip(sources.tolist(), exponents.tolist())):
-            assert stabilizer._clifford_image(space.d, s.rows, points[src]) == (
-                points[b], want)
-            assert want == 0 or space.d == 2
-            sigmas.append(want)
+        walked = [stabilizer._clifford_image(space.d, s.rows, m) for m in points]
+        assert [image for image, _ in walked] == [s.matvec(m) for m in points]
+        assert sorted(image for image, _ in walked) == points
+        sigmas += [sigma for _, sigma in walked]
     assert any(sigmas) == (space.d == 2)
 
 
