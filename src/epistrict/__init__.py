@@ -2,12 +2,12 @@
 
 The package has two arithmetic regimes that never mix:
 
-* the classical side (`fields`, `linalg`, `symplectic`, `epistemic`) works in exact
-  arithmetic — ints mod a prime, or `fractions.Fraction` — and produces exact rational
-  probabilities;
-* the quantum side (`quantum`, `wigner`, `stabilizer`) works in complex doubles behind a
-  1e-10 tolerance (1e-9 for a probability computed by both theories), on Hilbert
-  spaces of dimension d**n <= 128.
+* the exact side (`fields`, `linalg`, `symplectic`, `epistemic`, and `exponents`, the
+  stabilizer formalism in integer Weyl exponents) works in ints mod a prime, or
+  `fractions.Fraction`, and produces exact rational probabilities;
+* the array side (`quantum`, `wigner`, `stabilizer`) works in complex doubles behind a
+  1e-10 tolerance (1e-9 for a probability computed by both theories).  Both sides'
+  quantum objects live on Hilbert spaces of dimension d**n <= 128.
 
 `wigner` and `stabilizer` sit across the two regimes and mechanically check where the
 classical theory reproduces the quantum subtheory (odd prime d) and where it cannot
@@ -25,6 +25,7 @@ from .epistemic import (
     possible_values,
     transform,
 )
+from .exponents import hilbert_dim
 from .fields import RATIONALS, PrimeField, RationalField
 from .linalg import AffineSubspace, Matrix, rref, solve_affine
 from .quantum import (
@@ -32,7 +33,6 @@ from .quantum import (
     born,
     chi,
     clifford,
-    hilbert_dim,
     metaplectic,
     quadrature_pvm,
     quadrature_state,

@@ -68,6 +68,7 @@ from .symplectic import (
 )
 from .wigner import (
     equivalence_suite,
+    negativity,
     point_operators,
     verify_covariance,
     wigner_channel,
@@ -319,10 +320,6 @@ def _criterion_3(seed: int) -> List[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
-def _table_min(table: dict) -> float:
-    return min(table.values())
-
-
 def _criterion_4(seed: int) -> List[CheckResult]:
     del seed
     checks = []
@@ -372,8 +369,8 @@ def _criterion_4(seed: int) -> List[CheckResult]:
         b = point_operators(sp)
         for st in sel:
             n_tables += 1
-            worst_neg = min(worst_neg, _table_min(
-                wigner_state(b, quadrature_state(sp, st.known, st.valuation).rho)))
+            worst_neg = min(worst_neg, negativity(
+                wigner_state(b, quadrature_state(sp, st.known, st.valuation).rho))[0])
 
     scan_state_tables(sp3, enumerate_states(sp3))
     sp5 = _sp(5, 1)
@@ -496,7 +493,7 @@ def _criterion_6(seed: int) -> List[CheckResult]:
     negatives = []
     for st in enumerate_states(sp22):
         table = wigner_state(basis, quadrature_state(sp22, st.known, st.valuation).rho)
-        mn = _table_min(table)
+        mn = negativity(table)[0]
         if mn < NEG_THRESHOLD:
             negatives.append((mn, st))
     most = min(n for n, _ in negatives) if negatives else 0.0

@@ -23,8 +23,8 @@ from typing import List, Optional
 
 from . import acceptance
 from .epistemic import SharpMeasurement, enumerate_states, transform
+from .exponents import MAX_DIM, hilbert_dim
 from .fields import PrimeField
-from .quantum import MAX_DIM, hilbert_dim
 from .render import render as render_grid
 from .scenario import ScenarioError, parse_scenario, run_scenario
 from .symplectic import (

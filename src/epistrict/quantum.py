@@ -24,9 +24,8 @@ Convention audit (executable in the test suite):
   holds exactly, along with W(a)^dag = W(-a).  At d = 2 the prefactor is i^{q p},
   making every W(a) a Hermitian tensor of I, X, Y, Z (W(1,1) = Y); composition then
   holds up to a phase in {1, i, -1, -i} and operators commute iff <a, a'> = 0.
-  Both cases are one exact integer law, W(a) W(b) = r^beta(a, b) W(a + b), where
-  beta is read off the prefactors (``_composition_exponent``, on one pair of int
-  tuples).
+  Both cases are one exact integer law, W(a) W(b) = r^beta(a, b) W(a + b), in
+  ``exponents``.
   Every W(a) is monomial (one nonzero entry per column), so it is built from a
   target index and a phase per basis vector rather than from dense products.
 * Metaplectic section: U(S)|0> is the +1 joint eigenvector psi of the W(S e_{p_i}),
@@ -36,15 +35,8 @@ Convention audit (executable in the test suite):
   At odd d the composition law carries this to every a, which fixes U(S) up to a
   global phase.  At d = 2 the image of a sum of unit vectors can pick up a sign,
   U W(a) U^dag = +-W(S a), because the i^{q p} lift is not preserved by S; so the
-  channels of U(A B) and U(A) U(B) can differ, while at odd d they agree.
-  The sign is exact: U W(a) U^dag = r^sigma_S(a) W(S a), where sigma_S vanishes on
-  the unit vectors and follows the walk a = a' + e_j (e_j the last nonzero
-  coordinate of a) as
-
-      sigma_S(a' + e_j) = sigma_S(a') + beta(S a', S e_j) - beta(a', e_j),
-
-  which ``stabilizer._clifford_image`` walks.  beta is symplectic-invariant at odd
-  d, so sigma_S vanishes there.
+  channels of U(A B) and U(A) U(B) can differ, while at odd d they agree.  The
+  sign is the exact exponent sigma_S of ``exponents``.
 * A quadrature functional f is measured by the projectors on the Weyl line through Jf,
   P_f(t) = (1/d) sum_s chi(t s) W(s Jf) (doubled character at d = 2), scattered from
   the monomial form of the multiples s Jf and multiplied left to right into joint ones.
@@ -56,13 +48,13 @@ Convention audit (executable in the test suite):
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable
 
 import numpy as np
 
+from .exponents import _composition_exponent, _weyl_lift, hilbert_dim
 from .fields import Field, RationalField
 from .linalg import AffineSubspace, Matrix, _require_field, vec_dot, vec_scale
 from .symplectic import (
@@ -72,7 +64,6 @@ from .symplectic import (
     _apply_j,
     _apply_jt,
     _as_functional,
-    _capped_product,
     is_symplectic,
 )
 from .epistemic import EpistemicState, SharpMeasurement, _values_at
@@ -81,15 +72,6 @@ from .epistemic import EpistemicState, SharpMeasurement, _values_at
 TOL = 1e-10
 #: Agreement threshold for a probability computed by both theories.
 PROB_TOL = 1e-9
-MAX_DIM = 128
-
-
-def hilbert_dim(space: PhaseSpace, cap: int = MAX_DIM) -> int:
-    """Dimension d^n of the Hilbert space, enforcing the size cap."""
-    if not space.field.is_finite:
-        raise UnsupportedOperation("no finite-dimensional Hilbert space over Q")
-    return _capped_product("Hilbert space", itertools.repeat(space.d, space.n),
-                           f"{space.d}^{space.n}", cap)
 
 
 def chi(field: Field, c) -> complex:
@@ -126,15 +108,6 @@ def _roots(d: int, e):
     return np.exp(2j * np.pi * (e % d) / d)
 
 
-def _weyl_lift(d: int) -> tuple:
-    """``(order, c, k)`` for W(q, p) = r^{c q p} S(q) B(p) per degree of freedom, with
-    B(p)|x> = r^{k p x}|x> and r = exp(2 pi i / order): r = i, c = 1, k = 2 at d = 2
-    (the doubled character is i^2), r = omega, c = -inv2, k = 1 at odd d."""
-    if d == 2:
-        return 4, 1, 2
-    return d, (d - 1) // 2, 1
-
-
 def _weyl_monomials(d: int, n: int, vectors) -> tuple:
     """Each Weyl operator as a monomial matrix: W(a)|x> = phases[x] |rows[x]>.
 
@@ -149,19 +122,6 @@ def _weyl_monomials(d: int, n: int, vectors) -> tuple:
     _, c, k = _weyl_lift(d)
     rows = _codes(d, (x[None, :, :] - q[:, None, :]) % d)
     return rows, _roots(d, c * np.sum(q * p, axis=1)[:, None] + k * (p @ x.T))
-
-
-def _composition_exponent(d: int, a: tuple, b: tuple) -> int:
-    """beta(a, b) with W(a) W(b) = r^beta W(a + b), reduced mod the order of r, for
-    canonical interleaved int vectors.  B(p) S(q') = r^{-k p q'} S(q') B(p), so per
-    degree of freedom W(a) W(b) = r^{c (q p + q' p' - s t) - k p q'} W(a + b), where
-    (s, t) is the canonical (q + q', p + p') (``_weyl_lift``)."""
-    order, c, k = _weyl_lift(d)
-    total = 0
-    for i in range(0, len(a), 2):
-        q, p, q2, p2 = a[i], a[i + 1], b[i], b[i + 1]
-        total += c * (q * p + q2 * p2 - (q + q2) % d * ((p + p2) % d)) - k * p * q2
-    return total % order
 
 
 def weyl(space: PhaseSpace, a: Iterable) -> np.ndarray:

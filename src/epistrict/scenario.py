@@ -8,7 +8,7 @@ measurement V', and a mode saying which engine(s) to run:
   affine set of possible measured values);
 * ``quantum`` — Born-rule statistics of the matching quadrature eigenstate,
   Clifford unitary and quadrature PVM, computed exactly in the stabilizer formalism
-  (``stabilizer._exact_born``: integer Weyl exponents, no density matrix) and
+  (``exponents._exact_born``: integer Weyl exponents, no density matrix) and
   reported as the float of an exact ``Fraction``, 0 or d^{j-k};
 * ``compare`` — both, with the maximum absolute difference and a verdict read off
   exact equality of the two ``Fraction``s.
@@ -41,9 +41,9 @@ from .epistemic import (
     possible_values,
     transform,
 )
+from .exponents import _exact_born
 from .fields import RATIONALS, Field, PrimeField, SizeCapExceeded, _int_text
 from .linalg import AffineSubspace, Matrix
-from .stabilizer import _exact_born
 from .symplectic import PhaseSpace, SymplecticAffine, _pair_products
 
 MODES = ("epistricted", "quantum", "compare")

@@ -7,10 +7,8 @@ abelian group generated by
 
 since W(J f) acts on the value-t eigenspace of the functional f as char(-t).  This
 module translates in both directions between that presentation and the (V, v) one,
-rebuilds density matrices from generator lists, reads each Tr(W(m) rho) as an exact
-exponent (from which ``_exact_born`` computes a scenario's Born statistics with no
-density matrix), and measures how far value assignments on the full group can be
-pushed:
+rebuilds density matrices from generator lists, and measures how far value
+assignments on the full group can be pushed:
 
   * at odd d the naive additive assignment a = J f  ->  char(v . f) is consistent on
     every group element, because Weyl products over an isotropic subspace carry no
@@ -34,9 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product as iproduct
-from operator import mul
 from typing import Optional
 
 import numpy as np
@@ -59,16 +55,22 @@ from .epistemic import (
     measure,
     transform,
 )
+from .exponents import (
+    _channel_image,
+    _clifford_image,
+    _composition_exponent,
+    _stabilizer_exponents,
+    _state_generators,
+    _weyl_lift,
+    hilbert_dim,
+)
 from .quantum import (
     PROB_TOL,
     TOL,
-    _composition_exponent,
     _joint_projectors,
     _pair_char,
-    _weyl_lift,
     born,
     clifford,
-    hilbert_dim,
     quadrature_pvm,
     quadrature_state,
     weyl,
@@ -179,119 +181,6 @@ def weyl_value_report(space: PhaseSpace, known, valuation) -> ValueReport:
     flipped = tuple(f for f in elements if exponent[_apply_j(space.field, f)]
                     != -k * vec_dot(space.field, f, state.valuation) % order)
     return ValueReport(len(elements), len(flipped), flipped)
-
-
-def _state_generators(state: EpistemicState) -> list:
-    """The quadrature state's stabilizer generators as ``(m, lambda(m))`` pairs: for f in
-    the canonical basis of V, char(v . f) W(J f) fixes rho, so Tr(W(J f) rho) = r^lambda
-    with lambda = -k v . f (``_weyl_lift``)."""
-    fld = state.space.field
-    order, _, k = _weyl_lift(state.space.d)
-    return [(_apply_j(fld, f), -k * vec_dot(fld, f, state.valuation) % order)
-            for f in state.known.basis]
-
-
-def _stabilizer_exponents(space: PhaseSpace, generators) -> dict:
-    """lambda(x) with Tr(W(x) rho) = r^lambda(x) on a stabilizer state (r of
-    ``_weyl_lift``), keyed by every point x of the span of its independent generators.
-
-    ``generators`` holds ``(m, lambda(m))`` pairs of a canonical int tuple and its
-    exponent; a generator char(e) W(m) that fixes rho has lambda(m) = -k e.
-    W(x + m) = r^{-beta(x, m)} W(x) W(m) carries the values over the span:
-    lambda(x + m) = lambda(x) + lambda(m) - beta(x, m).  Plain ints throughout: a span
-    holds at most d^n points, too few for arrays to pay.
-    """
-    d = space.d
-    order = _weyl_lift(d)[0]
-    span = {space.zero(): 0}
-    for m, lam_m in generators:
-        layer, grown = span, dict(span)
-        for _ in range(d - 1):
-            layer = {tuple((a + b) % d for a, b in zip(x, m)):
-                     (lam + lam_m - _composition_exponent(d, x, m)) % order
-                     for x, lam in layer.items()}
-            grown.update(layer)
-        span = grown
-    return span
-
-
-def _clifford_image(d: int, s_rows: tuple, m: tuple) -> tuple:
-    """``(S m, sigma_S(m))`` with U(S) W(m) U(S)^dag = r^sigma_S(m) W(S m) (the section
-    of ``quantum``).  sigma_S vanishes at odd d.  At d = 2 it is walked one unit vector
-    at a time from sigma_S(0) = 0 as
-    sigma_S(a + e_j) = sigma_S(a) + beta(S a, S e_j) - beta(a, e_j)."""
-    if d != 2:
-        return tuple(sum(map(mul, row, m)) % d for row in s_rows), 0
-    image, sigma = [0] * len(m), 0
-    for j in (j for j, x in enumerate(m) if x):
-        column = [row[j] for row in s_rows]  # S e_j
-        if any(image):  # beta(0, x) = 0, so the first step adds nothing
-            # a holds m's coordinates before j, so beta(a, e_j) is -m[j - 1] for a
-            # momentum coordinate j (odd) and 0 for a position.
-            sigma += _composition_exponent(d, image, column) + (j % 2) * m[j - 1]
-        image = [(x + y) % d for x, y in zip(image, column)]
-    return tuple(image), sigma % _weyl_lift(d)[0]
-
-
-def _channel_image(d: int, s_rows: tuple, c: tuple, m: tuple) -> tuple:
-    """``(S m, e)`` with V W(m) V^dag = r^e W(S m) for V = W(c) U(S), the unitary of the
-    channel ``clifford`` gives the map m -> S m + a, c = -a: U(S) contributes sigma_S(m)
-    (``_clifford_image``) and W(c) W(x) W(c)^dag = r^{beta(c, x) - beta(x, c)} W(x)."""
-    image, sigma = _clifford_image(d, s_rows, m)
-    return image, (sigma + _composition_exponent(d, c, image)
-                   - _composition_exponent(d, image, c)) % _weyl_lift(d)[0]
-
-
-def _exact_born(state: EpistemicState, t: Optional[SymplecticAffine],
-                meas: SharpMeasurement) -> dict:
-    """Born statistics of the quadrature state, Clifford channel and quadrature PVM of
-    (state, t, meas), as exact ``Fraction``s keyed by ``meas.outcomes()``, with no
-    density matrix, unitary or projector: the stabilizer formalism in plain ints.
-
-    The state's generators (``_state_generators``) move under m -> S m + a as the
-    channel ``clifford(t)`` moves characteristic functions (``_channel_image``), with
-    c = -a: lambda'(S m) = lambda(m) - sigma_S(m) - (beta(c, S m) - beta(S m, c)).  The
-    moved generators and the measurement's, (J f'_i, lambda = -k t_i) for the canonical
-    basis f'_i of V', are spread over their spans; then
-    p(t) = d^{-k'} sum_{x in H} r^{lambda_P,t(x) - lambda'(x)}, H the intersection of
-    the spans and k' = rank V'.  lambda_P,t - lambda' is additive on H, so p(t) is
-    |H| / d^{k'} where it vanishes on H and 0 elsewhere.  With f'_i the canonical basis,
-    x = J g has g = J^T x = sum_i c_i f'_i, so lambda_P,t(x) = lambda_P,0(x) - k g . u
-    at the outcome label u (t_i = f'_i . u).
-    """
-    space = state.space
-    hilbert_dim(space)  # the quantum objects these statistics describe
-    d, fld = space.d, space.field
-    order, _, k = _weyl_lift(d)
-    generators = _state_generators(state)
-    if t is not None:
-        c = tuple(-x % d for x in t.a)
-        moved = []
-        for m, lam in generators:
-            image, e = _channel_image(d, t.s.rows, c, m)
-            lam = (lam - e) % order
-            if lam % 2 and d == 2:
-                raise AssertionError(f"the moved generator {image} has exponent {lam}: "
-                                     "not a real sign")
-            moved.append((image, lam))
-        generators = moved
-    rho = _stabilizer_exponents(space, generators)
-    pvm = _stabilizer_exponents(space, [(_apply_j(fld, f), 0) for f in meas.measured.basis])
-    # (lambda_P,0(x) - lambda'(x), J^T x) on H less the origin, where both vanish.
-    common = [(lam - rho[x], _apply_jt(fld, x)) for x, lam in pvm.items()
-              if any(x) and x in rho]
-    size, rank = len(common) + 1, len(meas.measured.basis)
-    if size not in {d ** j for j in range(rank + 1)}:
-        raise AssertionError(f"the spans meet in {size} points, not a power d^j <= d^k'")
-    p, zero = Fraction(size, d ** rank), Fraction(0)
-    probs = {u: p if all((delta - k * sum(map(mul, g, u))) % order == 0
-                         for delta, g in common) else zero
-             for u in meas.outcomes()}
-    # The probabilities sum to 1 exactly when d^{k'} / |H| outcomes are possible.
-    possible = sum(1 for x in probs.values() if x)
-    if possible * size != d ** rank:
-        raise AssertionError(f"exact Born probabilities sum to {possible * p}")
-    return probs
 
 
 # ---------------------------------------------------------------------------
@@ -435,34 +324,32 @@ def _label_dtype(count: int) -> type:
     return np.int16
 
 
-def _quantum_perms(space: PhaseSpace, states: list, s_rows: list,
+def _quantum_perms(space: PhaseSpace, spans: list, s_rows: list,
                    shifts: list) -> np.ndarray:
     """The (M, K) state permutations of the Clifford channels of the maps
-    m -> S_i m + a_i, one map at a time in map order.  Each state's characteristic
-    function Tr(W(m) rho) = r^lambda(m) is its span's pairs (m, lambda(m))
-    (``_stabilizer_exponents``); a map moves them to (S m, lambda(m) - e(m)), with
+    m -> S_i m + a_i, one map at a time in map order.  ``spans`` holds each state's
+    characteristic function Tr(W(m) rho) = r^lambda(m), its span's pairs (m, lambda(m))
+    from ``_stabilizer_exponents``; a map moves them to (S m, lambda(m) - e(m)), with
     (S m, e(m)) from ``_channel_image`` (c = -a), and the moved pairs are looked up as
     exactly one state's.  A pair is the plain int order * (m's position) + lambda, so
     a map moves every state through one list.  The first map whose images merge two
     states or leave the state set raises ``AssertionError``, a merge before a miss."""
     d = space.d
     order = _weyl_lift(d)[0]
-    labels = _label_dtype(len(states))
+    labels = _label_dtype(len(spans))
     position = {m: i for i, m in enumerate(space.points())}
-    spans = [tuple(order * position[m] + lam for m, lam in
-                   _stabilizer_exponents(space, _state_generators(s)).items())
-             for s in states]
-    label_of = {frozenset(span): i for i, span in enumerate(spans)}
-    if len(label_of) < len(spans):
+    pairs = [tuple(order * position[m] + lam for m, lam in span.items()) for span in spans]
+    label_of = {frozenset(p): i for i, p in enumerate(pairs)}
+    if len(label_of) < len(pairs):
         raise AssertionError("two quadrature states share a characteristic function")
-    perms = np.empty((len(s_rows), len(states)), dtype=labels)
+    perms = np.empty((len(s_rows), len(spans)), dtype=labels)
     for perm, s, a in zip(perms, s_rows, shifts):
         c = tuple(-x % d for x in a)
         moved = []  # moved[pair] for every pair (m, lambda), indexed by its int
         for m in position:
             image, e = _channel_image(d, s, c, m)
             moved += [order * position[image] + (lam - e) % order for lam in range(order)]
-        images = [label_of.get(frozenset(map(moved.__getitem__, span))) for span in spans]
+        images = [label_of.get(frozenset(map(moved.__getitem__, p))) for p in pairs]
         hits = [i for i in images if i is not None]
         if len(set(hits)) < len(hits):
             raise AssertionError("a Clifford unitary merged two quadrature states")
@@ -519,7 +406,8 @@ def _scan_perms(space: PhaseSpace, states: list) -> tuple:
     gens, words = _symplectic_closure(space)
     c_gens, c_units = _classical_perms(space, states, gens)
     identity = Matrix.identity(space.field, space.dim).rows
-    matched = _quantum_perms(space, states,
+    spans = [_stabilizer_exponents(space, _state_generators(s)) for s in states]
+    matched = _quantum_perms(space, spans,
                              [g.rows for g in gens] + [identity] * len(identity),
                              [space.zero()] * len(gens) + list(identity))
     q_gens, q_units = matched[:len(gens)], matched[len(gens):]

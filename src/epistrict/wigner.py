@@ -42,6 +42,7 @@ import numpy as np
 
 from .symplectic import PhaseSpace, SymplecticAffine, UnsupportedOperation
 from .epistemic import EpistemicState, SharpMeasurement, measure, transform
+from .exponents import hilbert_dim
 from .quantum import (
     TOL,
     _codes,
@@ -50,7 +51,6 @@ from .quantum import (
     _weyl_monomials,
     born_table,
     clifford,
-    hilbert_dim,
     quadrature_pvm,
     quadrature_state,
 )

@@ -188,7 +188,7 @@ def test_classical_modules_use_no_floats():
     # The exact side computes in ints and Fractions: no numpy, no float or complex
     # literal.  numpy and floats belong to the quantum and Wigner layers.
     found = []
-    for name in ("fields.py", "linalg.py", "symplectic.py", "epistemic.py"):
+    for name in ("fields.py", "linalg.py", "symplectic.py", "epistemic.py", "exponents.py"):
         path = Path(epistrict.__file__).parent / name
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
@@ -205,9 +205,12 @@ def test_classical_modules_use_no_floats():
 
 
 def test_exact_layers_import_nothing_from_the_quantum_side():
-    # The exact layers and ``render`` stand below the array layers and the entry
-    # points: none of them imports numpy or a module that does.
-    lower = ("fields.py", "linalg.py", "symplectic.py", "epistemic.py", "render.py")
+    # The exact layers, ``render`` and ``scenario`` stand below the array layers and
+    # the other entry points: none of them imports numpy or a module that does, so
+    # ``simulate``'s quantum statistics come from the exact Weyl exponents, never from
+    # density matrices compared under a tolerance.
+    lower = ("fields.py", "linalg.py", "symplectic.py", "epistemic.py", "exponents.py",
+             "render.py", "scenario.py")
     upper = {"quantum", "wigner", "stabilizer", "acceptance", "scenario", "cli", "numpy"}
     found = []
     for name in lower:
@@ -222,24 +225,6 @@ def test_exact_layers_import_nothing_from_the_quantum_side():
                 continue
             found += [f"{name}:{node.lineno} imports {module}" for module in modules
                       if set(module.split(".")) & upper]
-    assert found == []
-
-
-def test_scenarios_import_no_dense_quantum_route():
-    # ``simulate``'s quantum statistics come from the exact stabilizer route, not from
-    # density matrices compared under a tolerance: ``scenario`` names none of the
-    # dense constructors, the Born table or the probability tolerance.
-    dense = {"born", "clifford", "quadrature_pvm", "quadrature_state", "PROB_TOL"}
-    path = Path(epistrict.__file__).parent / "scenario.py"
-    found = []
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if isinstance(node, ast.ImportFrom):
-            names = {a.name for a in node.names}
-        elif isinstance(node, (ast.Name, ast.Attribute)):
-            names = {getattr(node, "id", getattr(node, "attr", None))}
-        else:
-            continue
-        found += [f"scenario.py:{node.lineno} {name}" for name in sorted(names & dense)]
     assert found == []
 
 
@@ -378,24 +363,26 @@ def test_fixed_limits_are_not_parameters():
                 names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
                 name = getattr(node, "name", "<lambda>")
                 for arg in sorted(names & fixed):
-                    if (path.name, name, arg) != ("quantum.py", "hilbert_dim", "cap"):
+                    if (path.name, name, arg) != ("exponents.py", "hilbert_dim", "cap"):
                         found.append(f"{path.name}:{node.lineno} {name}({arg})")
     assert found == []
 
 
 def test_stabilizer_expectations_take_no_tolerance():
-    # Tr(W(m) rho) is an exact exponent in ``stabilizer``: only the witness scan's dense
-    # re-verification reads PROB_TOL, and no float is rounded back to an integer.
-    path = Path(epistrict.__file__).parent / "stabilizer.py"
+    # Tr(W(m) rho) is an exact exponent in ``exponents`` and ``stabilizer``: only the
+    # witness scan's dense re-verification reads PROB_TOL, and no float is rounded
+    # back to an integer.
     found = []
-    for top in ast.parse(path.read_text(encoding="utf-8")).body:
-        for node in ast.walk(top):
-            name = getattr(node, "id", getattr(node, "attr", None))
-            if name == "PROB_TOL" and getattr(top, "name", None) != "scan_for_witness":
-                found.append(f"stabilizer.py:{node.lineno} PROB_TOL")
-            if isinstance(node, ast.Call) and getattr(
-                    node.func, "id", getattr(node.func, "attr", None)) == "round":
-                found.append(f"stabilizer.py:{node.lineno} round(")
+    for name in ("exponents.py", "stabilizer.py"):
+        path = Path(epistrict.__file__).parent / name
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                ident = getattr(node, "id", getattr(node, "attr", None))
+                if ident == "PROB_TOL" and getattr(top, "name", None) != "scan_for_witness":
+                    found.append(f"{name}:{node.lineno} PROB_TOL")
+                if isinstance(node, ast.Call) and getattr(
+                        node.func, "id", getattr(node.func, "attr", None)) == "round":
+                    found.append(f"{name}:{node.lineno} round(")
     assert found == []
 
 

@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 
 import oracles
-from epistrict import quantum, stabilizer, symplectic
+from epistrict import exponents, quantum, stabilizer, symplectic
 from epistrict.fields import PrimeField, SizeCapExceeded
 from epistrict.linalg import AffineSubspace, Matrix
 from epistrict.symplectic import PhaseSpace, SymplecticAffine, _apply_jt
-from epistrict.epistemic import SharpMeasurement, enumerate_states, measure, transform
+from epistrict.epistemic import (
+    EpistemicState, SharpMeasurement, enumerate_states, measure, transform)
 from epistrict.quantum import (
     _pair_char,
     born,
@@ -430,6 +431,12 @@ def test_two_qubit_witness_found_and_verified():
 
 
 
+def _spans(space, states):
+    """Each state's characteristic function, spread as the scan spreads it."""
+    return [stabilizer._stabilizer_exponents(space, stabilizer._state_generators(s))
+            for s in states]
+
+
 def _direct_classical_perm(states, t):
     """Reference route: push every state through transform."""
     index = {s: i for i, s in enumerate(states)}
@@ -490,7 +497,8 @@ def test_every_displacement_is_its_unit_shifts_on_both_sides(space):
     states = enumerate_states(space)
     points = list(space.points())
     identity = Matrix.identity(space.field, space.dim).rows
-    perms = stabilizer._quantum_perms(space, states, [identity] * len(points), points)
+    perms = stabilizer._quantum_perms(space, _spans(space, states),
+                                      [identity] * len(points), points)
     units = [perms[points.index(u)] for u in identity]
     composed = {space.zero(): np.arange(len(states))}
     for a in points[1:]:
@@ -532,14 +540,14 @@ def test_state_labels_are_int16_and_refused_past_it():
     _, classical, quantum_perms = stabilizer._scan_perms(D2x2, states)
     assert {perms.dtype for perms in (gens, shifts, classical, quantum_perms)} == {
         np.dtype(np.int16)}
-    perms = stabilizer._quantum_perms(D2x2, states, [], [])
+    perms = stabilizer._quantum_perms(D2x2, _spans(D2x2, states), [], [])
     assert perms.dtype == np.int16
 
 
 def test_two_states_with_one_characteristic_function_are_refused():
     states = enumerate_states(D2)
     with pytest.raises(AssertionError, match="share a characteristic function"):
-        stabilizer._quantum_perms(D2, states + states[:1], [], [])
+        stabilizer._quantum_perms(D2, _spans(D2, states + states[:1]), [], [])
 
 
 def _scan_maps(space):
@@ -552,16 +560,16 @@ def _scan_maps(space):
 
 
 @pytest.mark.parametrize("space", [D2, D3, D5, D2x2])
-def test_quantum_perms_do_not_depend_on_the_batch_size(space):
+def test_quantum_perms_match_each_map_independently_of_the_call(space):
     """Each map is matched on its own: splitting the maps over calls of 1 or 7 maps
     gives the rows, dtype and order of one call over all of them."""
-    states = enumerate_states(space)
+    spans = _spans(space, enumerate_states(space))
     s_rows, shifts = _scan_maps(space)
-    default = stabilizer._quantum_perms(space, states, s_rows, shifts)
+    default = stabilizer._quantum_perms(space, spans, s_rows, shifts)
     assert len(default) == len(s_rows)
     for size in (1, 7):
         perms = np.concatenate([
-            stabilizer._quantum_perms(space, states, s_rows[i:i + size],
+            stabilizer._quantum_perms(space, spans, s_rows[i:i + size],
                                       shifts[i:i + size])
             for i in range(0, len(s_rows), size)])
         assert perms.dtype == default.dtype
@@ -578,7 +586,7 @@ def test_matched_quantum_perms_equal_the_fingerprint_route(space):
     points = list(space.points())
     identity = Matrix.identity(space.field, space.dim).rows
     perms = stabilizer._quantum_perms(
-        space, states, [s.rows for s in symplectics] + [identity] * len(points),
+        space, _spans(space, states), [s.rows for s in symplectics] + [identity] * len(points),
         [space.zero()] * len(symplectics) + points)
     unitaries = [metaplectic(space, s) for s in symplectics]
     unitaries += [clifford(space, SymplecticAffine.displacement(space, a)).unitary
@@ -608,7 +616,8 @@ def test_a_two_qubit_scan_builds_at_most_one_unitary(monkeypatch):
 def _matched_linear_perms(space, states, linear):
     """Reference route: every linear map's permutation matched from the states'
     characteristic functions."""
-    return stabilizer._quantum_perms(space, states, linear, [space.zero()] * len(linear))
+    return stabilizer._quantum_perms(space, _spans(space, states), linear,
+                                     [space.zero()] * len(linear))
 
 
 @pytest.mark.parametrize("space", [D2, D3, D5, D7, D2x2])
@@ -676,9 +685,9 @@ def test_a_scan_matches_only_the_generators_and_the_unit_shifts(monkeypatch, spa
     sizes = []
     original = stabilizer._quantum_perms
 
-    def counting(space, states, s_rows, shifts):
+    def counting(space, spans, s_rows, shifts):
         sizes.append(len(s_rows))
-        return original(space, states, s_rows, shifts)
+        return original(space, spans, s_rows, shifts)
 
     monkeypatch.setattr(stabilizer, "_quantum_perms", counting)
     scan_for_witness(space)
@@ -763,7 +772,7 @@ def test_a_map_that_merges_states_inside_the_state_set_is_caught(monkeypatch):
     identity = ((1, 0), (0, 1))
     _corrupt_channels(monkeypatch, {X: _merge_the_x_eigenstates})
     with pytest.raises(AssertionError, match="merged two quadrature states"):
-        stabilizer._quantum_perms(D2, states, [identity], [X])
+        stabilizer._quantum_perms(D2, _spans(D2, states), [identity], [X])
 
 
 @pytest.mark.parametrize("earlier, later, message", [
@@ -803,7 +812,7 @@ def _route_matches_dense(triples):
         if meas not in pvms:
             pvms[meas] = quadrature_pvm(meas.space, meas.measured)
         dense = born(rhos[state, t], pvms[meas])
-        exact = stabilizer._exact_born(state, t, meas)
+        exact = exponents._exact_born(state, t, meas)
         assert list(exact) == list(dense)
         assert all(type(p) is Fraction for p in exact.values())
         assert max(abs(float(exact[u]) - dense[u]) for u in exact) < 1e-9
@@ -836,6 +845,20 @@ def test_exact_born_equals_the_dense_engine_on_seeded_triples(space, seed):
                 else None,
                 rng.choice(measurements)) for _ in range(300)]
     assert _route_matches_dense(triples) == 300
+
+
+@pytest.mark.parametrize("space, differ", [(D2, 0), (D3, 0), (D5, 0), (D7, 0), (D2x2, 66)])
+def test_exact_born_without_a_map_is_the_epistricted_statistics(space, differ):
+    """Prepare and measure alone: on every (state, measurement) pair the exact Born
+    statistics equal ``measure``'s, except at (2,2), where 66 of the 2,730 pairs
+    differ.  ``measure`` lists only the possible outcomes, so only the nonzero
+    entries are compared."""
+    pairs = [(s, m) for s in enumerate_states(space) for m in _measurements(space)]
+    mismatches = [(s, m) for s, m in pairs
+                  if {u: p for u, p in exponents._exact_born(s, None, m).items() if p}
+                  != dict(measure(s, m).items())]
+    assert len(mismatches) == differ
+    assert space != D2x2 or len(pairs) == 2730
 
 
 @pytest.mark.parametrize("space", [D2, D2x2, D3, D5])
@@ -900,23 +923,23 @@ def test_the_channel_image_is_the_dense_conjugation(space, seeded):
 
 
 def test_an_odd_moved_exponent_at_d2_is_an_internal_fault(monkeypatch):
-    original = stabilizer._clifford_image
+    original = exponents._clifford_image
 
     def shifted(d, s_rows, m):
         image, sigma = original(d, s_rows, m)
         return image, sigma + 1
 
-    monkeypatch.setattr(stabilizer, "_clifford_image", shifted)
+    monkeypatch.setattr(exponents, "_clifford_image", shifted)
     state = enumerate_states(D2)[1]
     t = SymplecticAffine(D2, Matrix(D2.field, ((0, 1), (1, 0))), D2.zero())
     with pytest.raises(AssertionError, match="not a real sign"):
-        stabilizer._exact_born(state, t, _measurements(D2)[0])
+        exponents._exact_born(state, t, _measurements(D2)[0])
 
 
 def test_a_non_additive_character_is_an_internal_fault(monkeypatch):
     """Exponents that break the spread's law leave no outcome possible, and the sum
     check raises rather than report a distribution that does not sum to 1."""
-    original = stabilizer._stabilizer_exponents
+    original = exponents._stabilizer_exponents
     calls = []
 
     def corrupted(space, generators):
@@ -926,16 +949,16 @@ def test_a_non_additive_character_is_an_internal_fault(monkeypatch):
             return {x: (lam + 1) % space.d if any(x) else lam for x, lam in spread.items()}
         return spread
 
-    monkeypatch.setattr(stabilizer, "_stabilizer_exponents", corrupted)
+    monkeypatch.setattr(exponents, "_stabilizer_exponents", corrupted)
     state = next(s for s in enumerate_states(D3) if s.known.basis == ((1, 0),))
     meas = SharpMeasurement.of_functional(D3, (1, 0))
     with pytest.raises(AssertionError, match="sum to 0"):
-        stabilizer._exact_born(state, None, meas)
+        exponents._exact_born(state, None, meas)
 
 
 def test_exact_born_keeps_the_hilbert_space_cap():
     space = PhaseSpace(PrimeField(2), 8)
-    state = stabilizer.EpistemicState.ignorance(space)
+    state = EpistemicState.ignorance(space)
     meas = SharpMeasurement.of_functional(space, (1,) + (0,) * 15)
     with pytest.raises(SizeCapExceeded, match="Hilbert space"):
-        stabilizer._exact_born(state, None, meas)
+        exponents._exact_born(state, None, meas)
