@@ -3,9 +3,9 @@
 Every phase is r^e for an integer e, r = i at d = 2 and omega at odd d (``_weyl_lift``),
 so the Clifford side of a scenario is arithmetic on exponents (Aaronson-Gottesman,
 quant-ph/0406196).  W(a) W(b) = r^beta(a, b) W(a + b) at every d, with beta read off
-the Weyl prefactors of ``quantum`` (``_composition_exponent``).  Its metaplectic
-section gives U W(a) U^dag = r^sigma_S(a) W(S a), where sigma_S vanishes on the unit
-vectors and follows the walk a = a' + e_j (e_j the last nonzero coordinate of a) as
+the Weyl prefactors of ``quantum`` (``_composition_exponent``).  The metaplectic
+section there gives U W(a) U^dag = r^sigma_S(a) W(S a), where sigma_S vanishes on the
+unit vectors and follows the walk a = a' + e_j (e_j the last nonzero coordinate of a) as
 
     sigma_S(a' + e_j) = sigma_S(a') + beta(S a', S e_j) - beta(a', e_j),
 

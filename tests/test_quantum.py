@@ -15,14 +15,14 @@ from epistrict.epistemic import (
     enumerate_states,
     measure,
 )
-from epistrict import quantum
-from epistrict.stabilizer import _clifford_image, mermin_square
+from epistrict import exponents, quantum
+from epistrict.exponents import _clifford_image, hilbert_dim
+from epistrict.stabilizer import mermin_square
 from epistrict.quantum import (
     born,
     born_table,
     chi,
     clifford,
-    hilbert_dim,
     metaplectic,
     quadrature_projector,
     quadrature_pvm,
@@ -123,8 +123,8 @@ def test_every_walk_step_adds_the_last_unit_vector_to_an_earlier_point(d, dim):
     sigma_S(b) = sigma_S(a) + beta(S a, S e_j) - beta(a, e_j) for random symplectic S.
     At odd d both sides are 0, the beta terms cancelling since S keeps the form."""
     space = PhaseSpace(PrimeField(d), dim // 2)
-    order = quantum._weyl_lift(d)[0]
-    beta = quantum._composition_exponent
+    order = exponents._weyl_lift(d)[0]
+    beta = exponents._composition_exponent
     rng = random.Random(34)
     points = list(space.points())
     for s in [random_symplectic_affine(space, rng).s for _ in range(6)]:
@@ -236,7 +236,7 @@ def test_composition_exponents_and_mermin_signs_match_dense_products():
         ws = {a: weyl(space, a) for a in vectors(space)}
         for a, wa in ws.items():
             for b, wb in ws.items():
-                beta = quantum._composition_exponent(d, a, b)
+                beta = exponents._composition_exponent(d, a, b)
                 assert type(beta) is int
                 target = ws[tuple(fld.reduce(x + y) for x, y in zip(a, b))]
                 assert 0 <= beta < order
@@ -261,8 +261,8 @@ def test_composition_exponent_is_a_cocycle_with_the_symplectic_commutator(space)
     antisymmetric part is the commutator, W(a) W(b) = r^{k <a, b>} W(b) W(a), on every
     pair and triple of points."""
     d = space.d
-    order, _, k = quantum._weyl_lift(d)
-    beta = quantum._composition_exponent
+    order, _, k = exponents._weyl_lift(d)
+    beta = exponents._composition_exponent
     points = list(space.points())
 
     def add(a, b):
@@ -349,7 +349,7 @@ def test_covariance_all_linear_maps_odd_d():
 
 def test_covariance_up_to_sign_d2():
     """U W(a) U^dag = i^sigma W(S a) on every point, with the one sign that the walk
-    ``stabilizer._clifford_image`` gives: sigma vanishes on the unit vectors, and a sum
+    ``exponents._clifford_image`` gives: sigma vanishes on the unit vectors, and a sum
     of them can pick up the sign of a product."""
     for space in (D2, D2_2):
         flips = 0

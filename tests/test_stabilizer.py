@@ -14,7 +14,12 @@ from epistrict.fields import PrimeField, SizeCapExceeded
 from epistrict.linalg import AffineSubspace, Matrix
 from epistrict.symplectic import PhaseSpace, SymplecticAffine, _apply_jt
 from epistrict.epistemic import (
-    EpistemicState, SharpMeasurement, enumerate_states, measure, transform)
+    EpistemicState,
+    SharpMeasurement,
+    enumerate_states,
+    measure,
+    transform,
+)
 from epistrict.quantum import (
     _pair_char,
     born,
@@ -433,7 +438,7 @@ def test_two_qubit_witness_found_and_verified():
 
 def _spans(space, states):
     """Each state's characteristic function, spread as the scan spreads it."""
-    return [stabilizer._stabilizer_exponents(space, stabilizer._state_generators(s))
+    return [exponents._stabilizer_exponents(space, exponents._state_generators(s))
             for s in states]
 
 
@@ -521,8 +526,8 @@ def test_stabilizer_exponents_are_the_dense_weyl_trace(space, states):
     points = list(space.points())
     ws = np.array([weyl(space, m) for m in points])
     for state in states:
-        exponent = stabilizer._stabilizer_exponents(
-            space, stabilizer._state_generators(state))
+        exponent = exponents._stabilizer_exponents(
+            space, exponents._state_generators(state))
         rho = quadrature_state(space, state.known, state.valuation).rho
         want = np.einsum("mij,ji->m", ws, rho)
         got = np.array([root ** exponent[m] if m in exponent else 0 for m in points])
@@ -869,7 +874,7 @@ def test_the_sigma_walk_moves_the_points_as_s_does(space):
     points = list(space.points())
     sigmas = []
     for s in symplectic.enumerate_symplectic(space):
-        walked = [stabilizer._clifford_image(space.d, s.rows, m) for m in points]
+        walked = [exponents._clifford_image(space.d, s.rows, m) for m in points]
         assert [image for image, _ in walked] == [s.matvec(m) for m in points]
         assert sorted(image for image, _ in walked) == points
         sigmas += [sigma for _, sigma in walked]
@@ -883,14 +888,14 @@ def test_the_sigma_walk_is_a_cocycle_on_every_pair(space, seeded):
     the walk adds the unit vectors in: every symplectic matrix at (2,1) and (3,1),
     ``seeded`` random ones at (2,2) and (3,2)."""
     d = space.d
-    order = quantum._weyl_lift(d)[0]
-    beta = quantum._composition_exponent
+    order = exponents._weyl_lift(d)[0]
+    beta = exponents._composition_exponent
     rng = random.Random(34)
     maps = ([symplectic.random_symplectic_affine(space, rng).s for _ in range(seeded)]
             if seeded else symplectic.enumerate_symplectic(space))
     points = list(space.points())
     for s in maps:
-        walked = {m: stabilizer._clifford_image(d, s.rows, m) for m in points}
+        walked = {m: exponents._clifford_image(d, s.rows, m) for m in points}
         for a in points:
             image_a, sigma_a = walked[a]
             for b in points:
@@ -915,9 +920,9 @@ def test_the_channel_image_is_the_dense_conjugation(space, seeded):
         v = clifford(space, t).unitary
         c = tuple(-x % d for x in t.a)
         for m in space.points():
-            image, e = stabilizer._channel_image(d, t.s.rows, c, m)
+            image, e = exponents._channel_image(d, t.s.rows, c, m)
             assert image == t.s.matvec(m)
-            assert d == 2 or stabilizer._clifford_image(d, t.s.rows, m)[1] == 0
+            assert d == 2 or exponents._clifford_image(d, t.s.rows, m)[1] == 0
             lhs = v @ weyl(space, m) @ v.conj().T
             assert np.max(np.abs(lhs - root ** e * weyl(space, image))) < 1e-10
 
