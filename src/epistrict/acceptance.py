@@ -55,7 +55,6 @@ from .stabilizer import (
 from .symplectic import (
     PhaseSpace,
     QuadratureFunctional,
-    SymplecticAffine,
     _apply_j,
     enumerate_group,
     enumerate_isotropic,
@@ -547,15 +546,10 @@ def _criterion_6(seed: int) -> List[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
-def _oracle_distribution(state: EpistemicState,
-                         t: Optional[SymplecticAffine],
-                         meas: SharpMeasurement) -> dict:
-    """Enumerate the support, map pointwise, count cell intersections."""
-    pts = [tuple(p) for p in state.support().points()]
-    if t is not None:
-        pts = [tuple(t.apply(p)) for p in pts]
-    counts = Counter(meas.label_of(p) for p in pts)
-    return {lab: Fraction(c, len(pts)) for lab, c in counts.items()}
+def _cell_fractions(points, meas: SharpMeasurement) -> dict:
+    """The brute-force oracle: the fraction of ``points`` in each cell of ``meas``."""
+    counts = Counter(meas.label_of(p) for p in points)
+    return {lab: Fraction(c, len(points)) for lab, c in counts.items()}
 
 
 def _exhaustive_oracle_sweep(sp: PhaseSpace) -> tuple:
@@ -565,11 +559,13 @@ def _exhaustive_oracle_sweep(sp: PhaseSpace) -> tuple:
     n = 0
     bad = 0
     for st in states:
+        support = [tuple(p) for p in st.support().points()]
         for t in group:
             moved = transform(st, t)
+            mapped = [tuple(t.apply(p)) for p in support]
             for ms in meas:
                 n += 1
-                if dict(measure(moved, ms).items()) != _oracle_distribution(st, t, ms):
+                if dict(measure(moved, ms).items()) != _cell_fractions(mapped, ms):
                     bad += 1
     return n, bad
 
@@ -608,11 +604,8 @@ def _criterion_7(seed: int) -> List[CheckResult]:
 
     count_bad = 0
     for st in states:
-        total = len(sup_of[st])
         for ms in meas:
-            counted = Counter(ms.label_of(p) for p in sup_of[st])
-            want = {lab: Fraction(c, total) for lab, c in counted.items()}
-            if dict(measure(st, ms).items()) != want:
+            if dict(measure(st, ms).items()) != _cell_fractions(sup_of[st], ms):
                 count_bad += 1
 
     all_points = [tuple(p) for p in sp.points()]
@@ -630,7 +623,8 @@ def _criterion_7(seed: int) -> List[CheckResult]:
         st = states[rng.randrange(len(states))]
         t = group[rng.randrange(len(group))]
         ms = meas[rng.randrange(len(meas))]
-        if dict(measure(transform(st, t), ms).items()) != _oracle_distribution(st, t, ms):
+        mapped = [tuple(t.apply(p)) for p in sup_of[st]]
+        if dict(measure(transform(st, t), ms).items()) != _cell_fractions(mapped, ms):
             spot_bad += 1
 
     n_covered = len(states) * len(group) * len(meas)

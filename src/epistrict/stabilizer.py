@@ -37,6 +37,7 @@ from typing import Optional
 
 import numpy as np
 
+from .fields import PrimeField
 from .linalg import AffineSubspace, Matrix, solve_affine, vec_dot
 from .symplectic import (
     PhaseSpace,
@@ -222,7 +223,6 @@ def mermin_square() -> MerminReport:
     gives -1, so the 512 candidate noncontextual +-1 assignments all fail, while
     dropping the negative context leaves satisfying assignments.
     """
-    from .fields import PrimeField
     space = PhaseSpace(PrimeField(2), 2)
     x, z, y, i = (1, 0), (0, 1), (1, 1), (0, 0)
 
@@ -267,7 +267,6 @@ def ghz_test() -> GhzReport:
     XYY, YXY, YYX; multiplying the four constraints squares every single-site
     value yet leaves a -1, so all 64 local assignments fail.
     """
-    from .fields import PrimeField
     space = PhaseSpace(PrimeField(2), 3)
     gens = ((1, 0, 1, 0, 1, 0), (0, 1, 0, 1, 0, 0), (0, 0, 0, 1, 0, 1))
     # Every phase e is 0, so every exponent lambda = -k e is 0: the pairs serve as is.
@@ -416,25 +415,10 @@ def _scan_perms(space: PhaseSpace, states: list) -> tuple:
             raise AssertionError(f"the unit shift {u} breaks Weyl covariance")
 
     # Per generator: its columns G e_j != e_j, where delta can be nonzero (nowhere at
-    # odd d), and the permutation of U(G) W(c) for each value of delta / 2 on them.
-    # c is 0 or 1 in each coordinate at d = 2, where -c = c, so W(c) is the product of
-    # the unit shifts on c's support.
-    corrections = []
-    for g, q_g in zip(gens, q_gens):
-        moved = []
-        if d == 2:
-            moved = [(j, col) for j, col in enumerate(zip(*g.rows)) if col != identity[j]]
-        perms = {}
-        for half in iproduct(range(2), repeat=len(moved)):
-            f = [0] * space.dim
-            for (j, _), h in zip(moved, half):
-                f[j] = h
-            perm = q_g
-            for q_u, x in zip(q_units, _apply_j(space.field, f)):
-                if x:
-                    perm = perm[q_u]
-            perms[half] = perm
-        corrections.append((moved, perms))
+    # odd d).  At d = 2, c = J(delta / 2) = sum of e_{j ^ 1} over the moved columns with
+    # delta(e_j) / 2 odd, and W(c) is the product of those unit shifts, which commute.
+    moved = [[(j, col) for j, col in enumerate(zip(*g.rows)) if col != identity[j]]
+             if d == 2 else [] for g in gens]
 
     linear = sorted(words)
     row_of = {rows: i for i, rows in enumerate(linear)}
@@ -445,17 +429,17 @@ def _scan_perms(space: PhaseSpace, states: list) -> tuple:
         if parent is None:
             classical[i] = quantum[i] = np.arange(len(states))
             continue
-        moved, perms = corrections[k]
-        half = []
-        for j, col in moved:
+        perm = q_gens[k]
+        for j, col in moved[k]:
             sigma = _clifford_image(d, parent, col)[1]
             if sigma % 2:
                 raise AssertionError(f"composing {parent} with generator {k} needs an "
                                      f"odd exponent at e_{j}: no Pauli corrects it")
-            half.append(sigma // 2)  # delta(e_j) / 2 = -sigma / 2, the same mod 2
+            if sigma == 2:  # delta(e_j) / 2 = -sigma / 2 = 1 mod 2
+                perm = perm[q_units[j ^ 1]]
         p = row_of[parent]
         np.take(classical[p], c_gens[k], out=classical[i])
-        np.take(quantum[p], perms[tuple(half)], out=quantum[i])
+        np.take(quantum[p], perm, out=quantum[i])
     return linear, classical, quantum
 
 

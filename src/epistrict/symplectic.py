@@ -214,13 +214,8 @@ def poisson_bracket_fd(space: PhaseSpace, f_table: dict, g_table: dict) -> dict:
     """
     _check_point_cap(space)
     fld = space.field
-    steps = []
-    for i in range(space.n):
-        q = [fld.zero] * space.dim
-        q[2 * i] = fld.one
-        p = [fld.zero] * space.dim
-        p[2 * i + 1] = fld.one
-        steps.append((tuple(q), tuple(p)))
+    units = Matrix.identity(fld, space.dim).rows
+    steps = list(zip(units[0::2], units[1::2]))
 
     def diff(table, m, step):
         return table[vec_add(fld, m, step)] - table[m]

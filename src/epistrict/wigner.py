@@ -117,15 +117,6 @@ def _meas_rows(basis: PointOperatorBasis, pvm: dict) -> np.ndarray:
     return rows
 
 
-def _channel_rows(basis: PointOperatorBasis, channel: Callable) -> np.ndarray:
-    """Channel table with rows indexed by the input point, columns by the output."""
-    images = np.asarray(channel(basis.ops))
-    if images.shape != basis.ops.shape:
-        raise ValueError(f"the channel mapped the {basis.ops.shape} stack of point "
-                         f"operators to shape {images.shape}")
-    return _image_rows(basis, images)
-
-
 def _image_rows(basis: PointOperatorBasis, images: np.ndarray) -> np.ndarray:
     """Channel table rows d^{-n} Tr(A(m) X) of a stack of point-operator images X."""
     rows = _traces(images, basis.ops, "channel table entry") / images.shape[-1]
@@ -163,9 +154,13 @@ def wigner_channel(basis: PointOperatorBasis, channel: Callable) -> dict:
     must act on the last two axes (as any map written with ``@`` does, such as a
     ``CliffordChannel``); the stack is read-only.
     """
+    images = np.asarray(channel(basis.ops))
+    if images.shape != basis.ops.shape:
+        raise ValueError(f"the channel mapped the {basis.ops.shape} stack of point "
+                         f"operators to shape {images.shape}")
     points = basis.points()
     return {m_in: dict(zip(points, row))
-            for m_in, row in zip(points, _channel_rows(basis, channel).tolist())}
+            for m_in, row in zip(points, _image_rows(basis, images).tolist())}
 
 
 @dataclass(frozen=True)

@@ -13,12 +13,13 @@ from collections import defaultdict
 from itertools import product
 
 import numpy as np
+import pytest
 
 import oracles
 from epistrict import acceptance
-from epistrict.epistemic import enumerate_states
+from epistrict.epistemic import enumerate_states, transform
 from epistrict.fields import PrimeField
-from epistrict.symplectic import PhaseSpace, symplectic_group_order
+from epistrict.symplectic import PhaseSpace, SymplecticAffine, symplectic_group_order
 
 D2_2 = PhaseSpace(PrimeField(2), 2)
 
@@ -115,6 +116,20 @@ def test_criterion_7_classical_engine_against_brute_force(monkeypatch):
     run_and_report(7)
     assert len(covered) == symplectic_group_order(2, 2) * 2 ** D2_2.dim
     assert set(covered.values()) == {2 ** len(states) - 1}
+
+
+@pytest.mark.parametrize("broken", [
+    lambda state, t: transform(state, SymplecticAffine(t.space, t.s)),
+    lambda state, t: state,
+], ids=["displacement-dropped", "state-unchanged"])
+def test_criterion_7_oracle_catches_a_broken_transform(monkeypatch, broken):
+    """The exhaustive sweeps of criterion 7 can fail: with ``transform`` dropping the
+    displacement, or returning its input, they still cover every triple at (2,1) and
+    (3,1) and report mismatches."""
+    monkeypatch.setattr(acceptance, "transform", broken)
+    for d, triples in ((2, 672), (3, 14040)):
+        n, bad = acceptance._exhaustive_oracle_sweep(PhaseSpace(PrimeField(d), 1))
+        assert n == triples and bad > 0
 
 
 def test_criterion_8_possibilistic_rational_engine():

@@ -228,6 +228,18 @@ def test_exact_layers_import_nothing_from_the_quantum_side():
     assert found == []
 
 
+def test_no_function_or_method_imports():
+    # Every import sits at the head of its module, where a module's dependencies can be
+    # read at a glance; an import inside a function hides one until the call runs.
+    found = sorted({f"{path.name}:{node.lineno}"
+                    for path in SOURCES
+                    for top in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                    if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    for node in ast.walk(top)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))})
+    assert SOURCES and found == []
+
+
 def test_every_exact_value_type_is_canonical_by_construction():
     # A frozen dataclass of the exact layers has one constructor, and it canonicalizes:
     # without a ``__post_init__`` the raw dataclass constructor would accept anything.
